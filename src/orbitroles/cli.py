@@ -115,6 +115,9 @@ def _compute_embeddings(graph, table, cfg):
 
 def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
     out = _out_dir(out_dir)
+    # a marker left by an earlier failed run into the same directory would
+    # otherwise outlive this run
+    (out / "FAILED").unlink(missing_ok=True)
     inputs = {"graph": graph_path}
     if labels_path:
         inputs["labels"] = labels_path

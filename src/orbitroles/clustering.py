@@ -4,7 +4,10 @@ Candidate roles are k-means clusterings of an embedding space; their
 validity is judged where interpretation happens, in the graphlet space,
 by the silhouette score over log-transformed orbit vectors. The sweep
 emits one row per (method, k) for plotting; candidate selection stays
-manual.
+manual. It first runs k-means for every cell (on a thread pool when
+``threads`` > 1) and then scores all the labellings in one pass over the
+orbit-space distances, which are shared by every cell because they depend
+on neither the method nor k.
 """
 
 from __future__ import annotations
@@ -133,6 +136,87 @@ def kmeans(
     )
 
 
+def _scoring_input(X, labels, sample_cap, seed):
+    """Check one labelling against X; beyond ``sample_cap`` rows, draw its
+    seeded uniform node sample. Returns the (X, labels) to score."""
+    if X.shape[0] != labels.shape[0]:
+        raise ClusteringError("assignment and orbit features are misaligned")
+    if np.unique(labels).size < 2:
+        raise ClusteringError("silhouette needs at least two populated clusters")
+    n = X.shape[0]
+    if n <= sample_cap:
+        return X, labels
+    rng = np.random.default_rng(seed)
+    keep = np.sort(rng.choice(n, size=sample_cap, replace=False))
+    labels = labels[keep]
+    if np.unique(labels).size < 2:
+        raise ClusteringError("sampled nodes fall in a single cluster")
+    return X[keep], labels
+
+
+def _distance_block(X, sq_norms, start, stop, out):
+    """Euclidean distances from rows start:stop of X to every row, written
+    into ``out``; the same floating-point operations, in the same order, as
+    sqrt(max(|b|^2 - 2 b.x + |x|^2, 0))."""
+    block = X[start:stop]
+    np.matmul(block, X.T, out=out)
+    out *= -2.0
+    out += (block**2).sum(axis=1)[:, None]
+    out += sq_norms[None, :]
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    return out
+
+
+def _mean_silhouettes(X, label_sets) -> np.ndarray:
+    """Mean silhouette of every labelling in ``label_sets`` over the rows of X.
+
+    The pairwise distances are computed once, in row blocks, and shared by
+    all labellings: each labelling's per-cluster distance sums are one
+    product of the block with its n x (populated clusters) indicator matrix.
+    Singleton clusters contribute 0 by convention, as does a node whose a
+    and b are both 0. Every labelling needs two populated clusters.
+    """
+    n = X.shape[0]
+    own_col = []  # per labelling: each node's column in the stacked indicator
+    sizes = []  # per labelling: member count of each populated cluster
+    offsets = []  # per labelling: its first column
+    width = 0
+    for labels in label_sets:
+        _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        offsets.append(width)
+        own_col.append(inverse + width)
+        sizes.append(counts)
+        width += counts.size
+    own_col = np.array(own_col)
+    sizes = np.concatenate(sizes).astype(float)
+    one_hot = np.zeros((n, sizes.size))
+    one_hot[np.arange(n)[None, :], own_col] = 1.0
+
+    sq_norms = (X**2).sum(axis=1)
+    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    buf = np.empty((chunk, n))
+    scores = np.zeros((len(own_col), n))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        d = _distance_block(X, sq_norms, start, stop, buf[: stop - start])
+        sums = d @ one_hot
+        own = own_col[:, start:stop].T
+        own_size = sizes[own]
+        a = np.take_along_axis(sums, own, axis=1) / np.maximum(own_size - 1, 1)
+        means = sums / sizes
+        np.put_along_axis(means, own, np.inf, axis=1)
+        b = np.minimum.reduceat(means, offsets, axis=1)
+        denom = np.maximum(a, b)
+        scores[:, start:stop] = np.divide(
+            b - a,
+            denom,
+            out=np.zeros_like(denom),
+            where=(own_size > 1) & (denom != 0),
+        ).T
+    return scores.mean(axis=1)
+
+
 def silhouette_in_orbit_space(
     assignment: RoleAssignment,
     orbit_features,
@@ -146,53 +230,10 @@ def silhouette_in_orbit_space(
     Singleton clusters contribute 0 by convention. All nodes in one
     cluster is an error.
     """
-    X = orbit_features.values
-    labels = assignment.labels
-    if X.shape[0] != labels.shape[0]:
-        raise ClusteringError("assignment and orbit features are misaligned")
-    if np.unique(labels).size < 2:
-        raise ClusteringError("silhouette needs at least two populated clusters")
-
-    n = X.shape[0]
-    if n > sample_cap:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(n, size=sample_cap, replace=False))
-        X = X[keep]
-        labels = labels[keep]
-        n = sample_cap
-        if np.unique(labels).size < 2:
-            raise ClusteringError("sampled nodes fall in a single cluster")
-
-    present = np.unique(labels)
-    members = {int(c): np.flatnonzero(labels == c) for c in present}
-    scores = np.zeros(n)
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        block = X[start:stop]
-        d = np.sqrt(
-            np.maximum(
-                (block**2).sum(axis=1)[:, None]
-                - 2 * block @ X.T
-                + (X**2).sum(axis=1)[None, :],
-                0.0,
-            )
-        )
-        for row, v in enumerate(range(start, stop)):
-            own = int(labels[v])
-            own_idx = members[own]
-            if own_idx.size == 1:
-                scores[v] = 0.0
-                continue
-            a = d[row, own_idx].sum() / (own_idx.size - 1)
-            b = min(
-                d[row, members[other]].mean()
-                for other in members
-                if other != own
-            )
-            denom = max(a, b)
-            scores[v] = 0.0 if denom == 0 else (b - a) / denom
-    return float(scores.mean())
+    X, labels = _scoring_input(
+        orbit_features.values, assignment.labels, sample_cap, seed
+    )
+    return float(_mean_silhouettes(X, [labels])[0])
 
 
 @dataclass
@@ -288,9 +329,13 @@ def sweep(
 ) -> SilhouetteSweep:
     """Run k-means plus orbit-space silhouette for each (method, k).
 
-    The (method, k) cells are independent pure computations; with
-    ``threads`` > 1 they run on a worker pool and are collected by index,
-    so the emitted table is identical regardless of thread count.
+    The k-means cells are independent pure computations; with ``threads``
+    > 1 they run on a worker pool and are collected by index, so the
+    emitted table is identical regardless of thread count. In exact mode
+    (at most ``sample_cap`` nodes) the orbit-space distances depend on
+    neither the method nor k, so one pass over them scores every cell's
+    labelling. Beyond ``sample_cap`` each cell scores its own seeded node
+    sample.
     """
     embeddings = list(embeddings)
     if not embeddings:
@@ -300,22 +345,36 @@ def sweep(
         raise ClusteringError("empty k range")
     sampled = orbit_features.node_count > sample_cap
 
-    def cell(emb, k):
-        assignment = kmeans(emb, k, seed=assignment_seed(seed, emb.method_tag, k))
-        score = silhouette_in_orbit_space(
-            assignment,
-            orbit_features,
-            sample_cap=sample_cap,
-            seed=derive_seed(seed, "silhouette", emb.method_tag, k),
-        )
-        return (emb.method_tag, k, score, sampled)
-
     jobs = [(emb, k) for emb in embeddings for k in ks]
+
+    def cell(job):
+        emb, k = job
+        return kmeans(emb, k, seed=assignment_seed(seed, emb.method_tag, k))
+
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda job: cell(*job), jobs))
+            assignments = list(pool.map(cell, jobs))
     else:
-        rows = [cell(*job) for job in jobs]
+        assignments = [cell(job) for job in jobs]
+
+    X = orbit_features.values
+    # lazy, so that sampled mode holds one cell's sample at a time
+    inputs = (
+        _scoring_input(
+            X,
+            assignment.labels,
+            sample_cap,
+            derive_seed(seed, "silhouette", emb.method_tag, k),
+        )
+        for assignment, (emb, k) in zip(assignments, jobs)
+    )
+    if sampled:
+        scores = [float(_mean_silhouettes(Xs, [labels])[0]) for Xs, labels in inputs]
+    else:
+        scores = _mean_silhouettes(X, [labels for _, labels in inputs]).tolist()
+    rows = [
+        (emb.method_tag, k, score, sampled) for (emb, k), score in zip(jobs, scores)
+    ]
     return SilhouetteSweep(rows=rows)

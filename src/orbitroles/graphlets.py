@@ -282,14 +282,6 @@ def count_orbits_bruteforce(graph, max_nodes: int = 300):
     return OrbitMatrix(counts=np.array(counts, dtype=np.int64))
 
 
-def template_for_orbit(orbit: int) -> GraphletTemplate:
-    """The graphlet template containing the given orbit id."""
-    for t in GRAPHLETS:
-        if orbit in t.orbits:
-            return t
-    raise ValueError(f"orbit {orbit} outside 0..72")
-
-
 def orbit_of_position(template_name: str, position: int) -> int:
     """Orbit id of a position in a named template (oracle-confirmed ids)."""
     for t in GRAPHLETS:

@@ -156,10 +156,6 @@ class SurrogateForest:
     test_idx: np.ndarray
     params: dict = field(default_factory=dict)
 
-    @property
-    def oob_or_holdout_accuracy(self) -> float:
-        return self.holdout_accuracy
-
     def predict_proba(self, X):
         X = _as_features(X)
         acc = np.zeros((X.shape[0], len(self.class_labels)))

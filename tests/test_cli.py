@@ -185,6 +185,20 @@ class TestPipeline:
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert "stage=load" in marker
 
+    def test_good_run_clears_stale_failed_marker(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert run("pipeline", tmp_path / "missing.txt", "--out", out) != 0
+        assert (out / "FAILED").exists()
+        cfg = write_config(
+            tmp_path / "cfg.ini",
+            BARBELL_CFG.replace("trees = 40", "trees = 5"),
+        )
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--out", out,
+        ) == 0
+        assert not (out / "FAILED").exists()
+
     def test_explain_method_must_exist(self, corpus, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.ini",

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from orbitroles.clustering import (
     ClusteringError,
     RoleAssignment,
+    _distance_block,
+    assignment_seed,
     kmeans,
     roles_from_csv,
     roles_to_csv,
@@ -18,6 +20,7 @@ from orbitroles.embeddings import EmbeddingMatrix
 from orbitroles.graph import NodeTable
 from orbitroles.orbits import LogOrbitMatrix, count_orbits, log_transform
 from orbitroles.planted import barbell_template, generate_planted_graph
+from orbitroles.seeds import derive_seed
 
 from util import nmi
 
@@ -184,6 +187,138 @@ class TestSilhouette:
         b = silhouette_in_orbit_space(assignment, orbit_features(pts), sample_cap=60, seed=5)
         assert a == b
         assert -1.0 <= a <= 1.0
+
+
+def loop_silhouette(X, labels, sample_cap=20000, seed=0):
+    """The per-row loop silhouette that the shared-pass scorer replaced;
+    kept as the reference it must agree with."""
+    n = X.shape[0]
+    if n > sample_cap:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(n, size=sample_cap, replace=False))
+        X = X[keep]
+        labels = labels[keep]
+        n = sample_cap
+    present = np.unique(labels)
+    members = {int(c): np.flatnonzero(labels == c) for c in present}
+    scores = np.zeros(n)
+    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        block = X[start:stop]
+        d = np.sqrt(
+            np.maximum(
+                (block**2).sum(axis=1)[:, None]
+                - 2 * block @ X.T
+                + (X**2).sum(axis=1)[None, :],
+                0.0,
+            )
+        )
+        for row, v in enumerate(range(start, stop)):
+            own = int(labels[v])
+            own_idx = members[own]
+            if own_idx.size == 1:
+                scores[v] = 0.0
+                continue
+            a = d[row, own_idx].sum() / (own_idx.size - 1)
+            b = min(
+                d[row, members[other]].mean()
+                for other in members
+                if other != own
+            )
+            denom = max(a, b)
+            scores[v] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+class TestSilhouetteReference:
+    """The shared-pass scorer against the per-row loop, within 1e-12."""
+
+    def check(self, values, labels, k, sample_cap=20000, seed=0):
+        feats = LogOrbitMatrix(values=np.asarray(values, dtype=float))
+        labels = np.asarray(labels, dtype=np.int64)
+        assignment = RoleAssignment(labels=labels, k=k, method_tag="t", seed=0)
+        got = silhouette_in_orbit_space(
+            assignment, feats, sample_cap=sample_cap, seed=seed
+        )
+        want = loop_silhouette(feats.values, labels, sample_cap, seed)
+        assert abs(got - want) <= 1e-12, (got, want)
+        return got
+
+    def test_several_row_blocks(self):
+        # 2_000_000 // 1500 = 1333 rows per block: two blocks
+        rng = np.random.default_rng(10)
+        values = np.log1p(rng.poisson(3.0, size=(1500, 73)))
+        labels = rng.integers(0, 5, size=1500)
+        self.check(values, labels, 5)
+
+    def test_singleton_clusters(self):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(60, 73))
+        labels = rng.integers(0, 3, size=60)
+        labels[[5, 17]] = [3, 4]
+        self.check(values, labels, 5)
+
+    def test_duplicate_points(self):
+        # whole clusters of identical points: a = b = 0 for nodes of the
+        # two coincident clusters, and a = 0 < b for the third
+        values = np.zeros((30, 73))
+        values[20:, :4] = [1.0, 2.0, 0.0, 3.0]
+        labels = np.repeat([0, 1, 2], 10)
+        score = self.check(values, labels, 3)
+        assert score == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_labels_with_gaps(self):
+        # a degenerate k-means leaves clusters 1, 3 and 4 empty
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(90, 73))
+        labels = rng.choice([0, 2, 5], size=90)
+        self.check(values, labels, 6)
+
+    def test_sampled_path(self):
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=(400, 73))
+        labels = rng.integers(0, 4, size=400)
+        self.check(values, labels, 4, sample_cap=150, seed=21)
+
+    def test_distance_block_bit_identical(self):
+        rng = np.random.default_rng(14)
+        X = np.log1p(rng.poisson(2.0, size=(300, 73)).astype(float))
+        X[:50] = rng.normal(size=(50, 73))
+        sq = (X**2).sum(axis=1)
+        out = np.empty((120, 300))
+        for start, stop in [(0, 120), (120, 240), (240, 300)]:
+            block = X[start:stop]
+            want = np.sqrt(
+                np.maximum(
+                    (block**2).sum(axis=1)[:, None]
+                    - 2 * block @ X.T
+                    + (X**2).sum(axis=1)[None, :],
+                    0.0,
+                )
+            )
+            got = _distance_block(X, sq, start, stop, out[: stop - start])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sample_cap", [20000, 50])
+    def test_sweep_equals_call_per_cell(self, sample_cap):
+        rng = np.random.default_rng(15)
+        embeddings = [emb(rng.normal(size=(80, 3)), tag=f"m{i}") for i in range(2)]
+        feats = orbit_features(rng.normal(size=(80, 6)))
+        result = sweep(embeddings, range(2, 7), feats, seed=4, sample_cap=sample_cap)
+        assert len(result.rows) == 10
+        for (method, k, score, sampled), (e, kk) in zip(
+            result.rows, [(e, kk) for e in embeddings for kk in range(2, 7)]
+        ):
+            assert (method, k, sampled) == (e.method_tag, kk, sample_cap < 80)
+            assignment = kmeans(e, k, seed=assignment_seed(4, method, k))
+            one = silhouette_in_orbit_space(
+                assignment,
+                feats,
+                sample_cap=sample_cap,
+                seed=derive_seed(4, "silhouette", method, k),
+            )
+            assert abs(score - one) <= 1e-12
 
 
 class TestSweep:
