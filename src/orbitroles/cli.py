@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .clustering import (
     roles_to_csv,
     sweep,
 )
-from .config import config_from_dict, load_config
+from .config import config_from_dict, load_config, validate_config
 from .diversity import (
     binned_idr_report,
     build_diversity_report,
@@ -113,6 +113,71 @@ def _compute_embeddings(graph, table, cfg):
     return embeddings
 
 
+def _effect_curves(model, features, ex, note=None):
+    curves = []
+    for orbit in ex.effect_orbits:
+        col = features.values[:, orbit]
+        if col.min() == col.max():
+            if note is not None:
+                note(f"orbit {orbit} constant; effect curve skipped")
+            continue
+        for cls in model.class_labels:
+            curves.append(
+                effect_curve(
+                    model,
+                    features,
+                    orbit=orbit,
+                    class_id=int(cls),
+                    bins=ex.ale_bins,
+                    kind=ex.effect_kind,
+                )
+            )
+    return curves
+
+
+def _explain_roles(features, orbits, roles, method, seed, ex, out, note):
+    """Surrogate, importance and effect curves of one role assignment, plus
+    the sub-population refit when ``ex.keep_roles`` is set. ``pipeline``
+    and ``explain`` both run this, so one seed gives the same CSVs.
+    Returns the model, its importance report and the paths written."""
+    model = train_surrogate(
+        features, roles, trees=ex.trees, seed=derive_seed(seed, "surrogate", method)
+    )
+    report = permutation_importance(
+        model,
+        features,
+        roles,
+        repeats=ex.importance_repeats,
+        seed=derive_seed(seed, "importance", method),
+    )
+    written = [out / "importance.csv", out / "effects.csv"]
+    report.to_csv(written[0])
+    threshold = orbit3_threshold(orbits)
+    write_effect_curves(_effect_curves(model, features, ex, note), threshold, written[1])
+
+    if ex.keep_roles:
+        sub = refit_on_subpopulation(
+            features,
+            roles,
+            keep_roles=ex.keep_roles,
+            trees=ex.trees,
+            seed=derive_seed(seed, "surrogate-sub", method),
+        )
+        mask = np.isin(roles.labels, list(ex.keep_roles))
+        sub_features = type(features)(values=features.values[mask])
+        sub_report = permutation_importance(
+            sub,
+            sub_features,
+            roles.labels[mask],
+            repeats=ex.importance_repeats,
+            seed=derive_seed(seed, "importance-sub", method),
+        )
+        written += [out / "importance_subpop.csv", out / "effects_subpop.csv"]
+        sub_report.to_csv(written[2])
+        write_effect_curves(_effect_curves(sub, sub_features, ex), threshold, written[3])
+    return model, report, written
+
+
 def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
     out = _out_dir(out_dir)
     # a marker left by an earlier failed run into the same directory would
@@ -121,8 +186,10 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
     inputs = {"graph": graph_path}
     if labels_path:
         inputs["labels"] = labels_path
-    stage = "load"
+    stage = "config"
     try:
+        validate_config(cfg)
+        stage = "load"
         manifest = RunManifest.start(
             command="pipeline",
             parameters={
@@ -184,82 +251,19 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
         method = cfg.explain.method
         if method not in assignments:
             raise ValueError(f"explain.method {method!r} not among embeddings")
-        roles = assignments[method]
-        model = train_surrogate(
+        model, _, written = _explain_roles(
             features,
-            roles,
-            trees=cfg.explain.trees,
-            seed=derive_seed(cfg.seed, "surrogate", method),
+            orbits,
+            assignments[method],
+            method,
+            cfg.seed,
+            cfg.explain,
+            out,
+            manifest.note,
         )
-        report = permutation_importance(
-            model,
-            features,
-            roles,
-            repeats=cfg.explain.importance_repeats,
-            seed=derive_seed(cfg.seed, "importance", method),
-        )
-        report.to_csv(out / "importance.csv")
-        manifest.add_output(out / "importance.csv")
-        threshold = orbit3_threshold(orbits)
-        curves = []
-        for orbit in cfg.explain.effect_orbits:
-            col = features.values[:, orbit]
-            if col.min() == col.max():
-                manifest.note(f"orbit {orbit} constant; effect curve skipped")
-                continue
-            for cls in model.class_labels:
-                curves.append(
-                    effect_curve(
-                        model,
-                        features,
-                        orbit=orbit,
-                        class_id=int(cls),
-                        bins=cfg.explain.ale_bins,
-                        kind=cfg.explain.effect_kind,
-                    )
-                )
-        write_effect_curves(curves, threshold, out / "effects.csv")
-        manifest.add_output(out / "effects.csv")
+        for path in written:
+            manifest.add_output(path)
         manifest.parameters["surrogate_holdout_accuracy"] = model.holdout_accuracy
-
-        if cfg.explain.keep_roles:
-            sub = refit_on_subpopulation(
-                features,
-                roles,
-                keep_roles=cfg.explain.keep_roles,
-                trees=cfg.explain.trees,
-                seed=derive_seed(cfg.seed, "surrogate-sub", method),
-            )
-            mask = np.isin(roles.labels, list(cfg.explain.keep_roles))
-            sub_features = type(features)(values=features.values[mask])
-            sub_labels = roles.labels[mask]
-            sub_report = permutation_importance(
-                sub,
-                sub_features,
-                sub_labels,
-                repeats=cfg.explain.importance_repeats,
-                seed=derive_seed(cfg.seed, "importance-sub", method),
-            )
-            sub_report.to_csv(out / "importance_subpop.csv")
-            manifest.add_output(out / "importance_subpop.csv")
-            sub_curves = []
-            for orbit in cfg.explain.effect_orbits:
-                col = sub_features.values[:, orbit]
-                if col.min() == col.max():
-                    continue
-                for cls in sub.class_labels:
-                    sub_curves.append(
-                        effect_curve(
-                            sub,
-                            sub_features,
-                            orbit=orbit,
-                            class_id=int(cls),
-                            bins=cfg.explain.ale_bins,
-                            kind=cfg.explain.effect_kind,
-                        )
-                    )
-            write_effect_curves(sub_curves, threshold, out / "effects_subpop.csv")
-            manifest.add_output(out / "effects_subpop.csv")
 
         stage = "idr"
         disciplines = {c for c in table.categories if c is not None}
@@ -469,12 +473,15 @@ def _cmd_validate(args) -> int:
 def _cmd_explain(args) -> int:
     out = _out_dir(args.out)
     cfg = load_config(args.config)
-    args.trees = _pick(args.trees, cfg.explain.trees)
-    args.repeats = _pick(args.repeats, cfg.explain.importance_repeats)
-    args.bins = _pick(args.bins, cfg.explain.ale_bins)
-    args.kind = _pick(args.kind, cfg.explain.effect_kind)
-    args.orbit = _pick(args.orbit, list(cfg.explain.effect_orbits))
-    args.keep_roles = _pick(args.keep_roles, list(cfg.explain.keep_roles))
+    ex = replace(
+        cfg.explain,
+        trees=_pick(args.trees, cfg.explain.trees),
+        importance_repeats=_pick(args.repeats, cfg.explain.importance_repeats),
+        ale_bins=_pick(args.bins, cfg.explain.ale_bins),
+        effect_kind=_pick(args.kind, cfg.explain.effect_kind),
+        effect_orbits=tuple(_pick(args.orbit, cfg.explain.effect_orbits)),
+        keep_roles=tuple(_pick(args.keep_roles, cfg.explain.keep_roles)),
+    )
     orbits, orbit_ids = orbits_from_csv(args.orbits)
     roles, role_ids = roles_from_csv(args.roles)
     if orbit_ids != role_ids:
@@ -488,67 +495,37 @@ def _cmd_explain(args) -> int:
         )
     features = log_transform(orbits)
     seed = args.seed if args.seed is not None else cfg.seed
-    model = train_surrogate(features, roles, trees=args.trees, seed=seed)
-    report = permutation_importance(
-        model, features, roles, repeats=args.repeats, seed=derive_seed(seed, "importance")
+    # the roles CSV names the embedding it came from; the seeds derive
+    # from it as in the pipeline
+    model, report, written = _explain_roles(
+        features,
+        orbits,
+        roles,
+        roles.method_tag,
+        seed,
+        ex,
+        out,
+        lambda msg: print(f"explain: {msg}", file=sys.stderr),
     )
-    report.to_csv(out / "importance.csv")
-    threshold = orbit3_threshold(orbits)
-    curves = []
-    for orbit in args.orbit:
-        col = features.values[:, orbit]
-        if col.min() == col.max():
-            print(f"explain: orbit {orbit} constant, curve skipped", file=sys.stderr)
-            continue
-        for cls in model.class_labels:
-            curves.append(
-                effect_curve(model, features, orbit, int(cls), bins=args.bins, kind=args.kind)
-            )
-    write_effect_curves(curves, threshold, out / "effects.csv")
     manifest = RunManifest.start(
         "explain",
         {
             "orbits": str(args.orbits),
             "roles": str(args.roles),
-            "trees": args.trees,
-            "repeats": args.repeats,
-            "bins": args.bins,
-            "kind": args.kind,
-            "effect_orbits": list(args.orbit),
-            "keep_roles": list(args.keep_roles) if args.keep_roles else [],
+            "method": roles.method_tag,
+            "trees": ex.trees,
+            "repeats": ex.importance_repeats,
+            "bins": ex.ale_bins,
+            "kind": ex.effect_kind,
+            "effect_orbits": list(ex.effect_orbits),
+            "keep_roles": list(ex.keep_roles),
             "holdout_accuracy": model.holdout_accuracy,
         },
         seed=seed,
         inputs={"orbits": args.orbits, "roles": args.roles},
     )
-    manifest.add_output(out / "importance.csv")
-    manifest.add_output(out / "effects.csv")
-
-    if args.keep_roles:
-        sub = refit_on_subpopulation(
-            features, roles, keep_roles=args.keep_roles, trees=args.trees,
-            seed=derive_seed(seed, "subpop"),
-        )
-        mask = np.isin(roles.labels, list(args.keep_roles))
-        sub_features = type(features)(values=features.values[mask])
-        sub_report = permutation_importance(
-            sub, sub_features, roles.labels[mask], repeats=args.repeats,
-            seed=derive_seed(seed, "importance-sub"),
-        )
-        sub_report.to_csv(out / "importance_subpop.csv")
-        sub_curves = []
-        for orbit in args.orbit:
-            col = sub_features.values[:, orbit]
-            if col.min() == col.max():
-                continue
-            for cls in sub.class_labels:
-                sub_curves.append(
-                    effect_curve(sub, sub_features, orbit, int(cls), bins=args.bins, kind=args.kind)
-                )
-        write_effect_curves(sub_curves, threshold, out / "effects_subpop.csv")
-        manifest.add_output(out / "importance_subpop.csv")
-        manifest.add_output(out / "effects_subpop.csv")
-
+    for path in written:
+        manifest.add_output(path)
     manifest.write(out)
     print(
         f"explain: accuracy={model.holdout_accuracy:.3f} top={report.formatted(3)} -> {out}"

@@ -10,6 +10,9 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field
 
+from .embeddings import DEFAULT_ROLX_RANK
+from .graphlets import ORBIT_COUNT
+
 
 @dataclass
 class EmbedConfig:
@@ -19,7 +22,7 @@ class EmbedConfig:
     t_max: float = 100.0
     kernel: str = "exact"
     chebyshev_order: int = 30
-    rolx_rank: int = 16
+    rolx_rank: int = DEFAULT_ROLX_RANK
     refex_depth: int = 2
     import_paths: tuple = ()
 
@@ -65,6 +68,29 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def validate_config(cfg: PipelineConfig) -> None:
+    """Reject settings that would only fail in a later stage.
+
+    Only checks that need no input data: an imported embedding's method
+    tag, for one, is known once its file is read, so ``explain.method`` is
+    checked here only when nothing is imported.
+    """
+    problems = []
+    if not cfg.embed.import_paths and cfg.explain.method not in cfg.embed.methods:
+        problems.append(
+            f"explain.method {cfg.explain.method!r} not among embed.methods "
+            f"{list(cfg.embed.methods)}"
+        )
+    bad_orbits = [o for o in cfg.explain.effect_orbits if not 0 <= o < ORBIT_COUNT]
+    if bad_orbits:
+        problems.append(f"explain.effect_orbits {bad_orbits} outside 0..{ORBIT_COUNT - 1}")
+    c = cfg.cluster
+    if not c.k_min <= c.chosen_k <= c.k_max:
+        problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

@@ -27,7 +27,7 @@ from .seeds import derive_seed
 DEFAULT_SCALES = (0.5, 1.5)
 DEFAULT_SAMPLE_POINTS = 32
 DEFAULT_T_MAX = 100.0
-DEFAULT_ROLX_RANK = 16
+DEFAULT_ROLX_RANK = 4
 
 
 class EmbeddingError(ValueError):
@@ -79,8 +79,9 @@ def _component_laplacian(graph, comp):
     return lap
 
 
-def _heat_kernel_exact(lap, scale):
-    eigval, eigvec = np.linalg.eigh(lap)
+def _heat_kernel_exact(eig, scale):
+    """Heat kernel from ``np.linalg.eigh(lap)``, shared by every scale."""
+    eigval, eigvec = eig
     return (eigvec * np.exp(-scale * eigval)) @ eigvec.T
 
 
@@ -141,10 +142,11 @@ def graphwave_embed(
         k = len(comp)
         lap = _component_laplacian(graph, comp)
         idx = np.array(comp)
+        eig = np.linalg.eigh(lap) if kernel == "exact" else None
         col = 0
         for s in scales:
             if kernel == "exact":
-                psi = _heat_kernel_exact(lap, s)
+                psi = _heat_kernel_exact(eig, s)
             else:
                 psi = _heat_kernel_chebyshev(lap, s, chebyshev_order)
             for t in ts:

@@ -319,3 +319,71 @@ class TestValidateAndCluster:
         ) == 0
         lines = (val_out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 4
+
+
+class TestStagedExplainMatchesPipeline:
+    def test_explain_on_pipeline_outputs_byte_identical(self, corpus, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.ini",
+            BARBELL_CFG.replace("trees = 40", "trees = 8\nkeep_roles = 0,1"),
+        )
+        pipe = tmp_path / "pipe"
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--out", pipe,
+        ) == 0
+        staged = tmp_path / "staged"
+        assert run(
+            "explain", "--orbits", pipe / "orbits.csv",
+            "--roles", pipe / "roles_graphwave.csv", "--config", cfg, "--out", staged,
+        ) == 0
+        for name in (
+            "importance.csv", "effects.csv", "importance_subpop.csv", "effects_subpop.csv",
+        ):
+            assert (staged / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+class TestConfigCheckedBeforeCensus:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("method = graphwave", "method = nosuch", "explain.method 'nosuch'"),
+            ("effect_orbits = 0,17,28", "effect_orbits = 0,73", "effect_orbits [73]"),
+            ("chosen_k = 3", "chosen_k = 6", "chosen_k 6 outside [2, 5]"),
+        ],
+    )
+    def test_bad_config_fails_without_outputs(self, corpus, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG.replace(old, new))
+        out = tmp_path / "out"
+        code = run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--out", out,
+        )
+        assert code != 0
+        assert message in capsys.readouterr().err
+        assert "stage=config" in (out / "FAILED").read_text()
+        assert not (out / "orbits.csv").exists()
+
+
+def test_default_rolx_rank_runs_on_ba_graph(tmp_path):
+    # preferential attachment, n=150, m=3: no rolx_rank in the config
+    rng = np.random.default_rng(4)
+    edges, repeated = [(0, j) for j in range(1, 4)], [0] * 3 + [1, 2, 3]
+    for source in range(4, 150):
+        targets = set()
+        while len(targets) < 3:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        edges += [(t, source) for t in sorted(targets)]
+        repeated += sorted(targets) + [source] * 3
+    graph_file = tmp_path / "ba.txt"
+    graph_file.write_text("".join(f"n{u} n{v}\n" for u, v in edges))
+    cfg = write_config(
+        tmp_path / "cfg.ini",
+        "[cluster]\nk_min = 2\nk_max = 4\nchosen_k = 3\n"
+        "[explain]\ntrees = 5\nimportance_repeats = 1\neffect_orbits = 0\n",
+    )
+    out = tmp_path / "out"
+    assert run("pipeline", graph_file, "--config", cfg, "--out", out) == 0
+    assert (out / "roles_rolx.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["config"]["embed"]["rolx_rank"] == 4

@@ -56,6 +56,29 @@ class TestGraphWave:
         approx = graphwave_embed(g, kernel="chebyshev", chebyshev_order=30)
         assert np.abs(exact.vectors - approx.vectors).max() < 1e-4
 
+    def test_one_decomposition_per_component_equals_one_per_scale(self):
+        # reference: eigh of the component Laplacian again for every scale
+        from orbitroles.embeddings import _component_laplacian
+
+        triangle = [(9, 10), (10, 11), (9, 11)]
+        g = Graph.from_edges(12, list(er_graph(9, 0.4, 5).edges()) + triangle)
+        assert len(g.components()) >= 2
+        scales, ts = (0.5, 1.5, 3.0), np.linspace(0.0, 100.0, 8)
+        expected = np.zeros((g.node_count, 2 * len(scales) * ts.size))
+        for comp in g.components():
+            lap = _component_laplacian(g, comp)
+            col = 0
+            for s in scales:
+                eigval, eigvec = np.linalg.eigh(lap)
+                psi = (eigvec * np.exp(-s * eigval)) @ eigvec.T
+                for t in ts:
+                    char = np.exp(1j * t * psi).mean(axis=0)
+                    expected[comp, col] = char.real
+                    expected[comp, col + 1] = char.imag
+                    col += 2
+        emb = graphwave_embed(g, scales=scales, sample_points=ts.size)
+        assert np.array_equal(emb.vectors, expected)
+
     def test_repeat_runs_identical(self):
         g = er_graph(20, 0.2, 4)
         a = graphwave_embed(g)

@@ -314,3 +314,146 @@ class TestRefit:
         features = log_transform(count_orbits(planted.graph))
         with pytest.raises(SurrogateError):
             refit_on_subpopulation(features, planted.true_role, keep_roles={40, 50}, trees=5, seed=0)
+
+
+# --- whole-forest references for the cached explain paths ---------------------
+
+
+def reference_importance(model, features, roles, repeats, seed):
+    """Permutation importance re-predicting the whole forest per shuffle."""
+    from orbitroles.seeds import derive_seed
+
+    X = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    y = np.asarray(roles, dtype=np.int64)
+    X_test = X[model.test_idx]
+    y_test = y[model.test_idx]
+    baseline = float((model.predict(X_test) == y_test).mean())
+    rows = []
+    for f in range(X.shape[1]):
+        drops = []
+        for r in range(repeats):
+            rng = np.random.default_rng(derive_seed(seed, "perm", f, r))
+            shuffled = X_test.copy()
+            shuffled[:, f] = shuffled[rng.permutation(X_test.shape[0]), f]
+            acc = float((model.predict(shuffled) == y_test).mean())
+            drops.append(baseline - acc)
+        drops = np.array(drops)
+        rows.append((f, float(drops.mean()), float(drops.std())))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows, baseline
+
+
+def reference_ale(model, features, orbit, class_id, bins):
+    """ALE with two forest calls per populated bin."""
+    X = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    c = int(np.flatnonzero(model.class_labels == class_id)[0])
+    x = X[:, orbit]
+    edges = np.unique(np.quantile(x, np.linspace(0.0, 1.0, bins + 1)))
+    n_bins = edges.size - 1
+    bin_of = np.searchsorted(edges, x, side="left")
+    population = np.bincount(bin_of, minlength=edges.size).astype(np.int64)
+    diffs = np.zeros(n_bins)
+    for k in range(1, n_bins + 1):
+        members = np.flatnonzero(bin_of == k)
+        if not members.size:
+            continue
+        hi = X[members].copy()
+        hi[:, orbit] = edges[k]
+        lo = X[members].copy()
+        lo[:, orbit] = edges[k - 1]
+        diffs[k - 1] = (
+            model.predict_proba(hi)[:, c] - model.predict_proba(lo)[:, c]
+        ).mean()
+    accumulated = np.concatenate([[0.0], np.cumsum(diffs)])
+    center = float((population * accumulated).sum() / max(1, population.sum()))
+    return edges, accumulated - center, population
+
+
+def _planted_model(trees=12, seed=3):
+    planted = generate_planted_graph([barbell_template(5, 3)], 15, noise_edges=6, seed=1)
+    features = log_transform(count_orbits(planted.graph))
+    labels = planted.true_role
+    return train_surrogate(features, labels, trees=trees, seed=seed), features, labels
+
+
+def _random_model(trees=15, seed=5):
+    # integer-valued columns: many ties, so quantile edges merge
+    rng = np.random.default_rng(seed)
+    values = np.log1p(rng.poisson(1.5, size=(400, 73)).astype(float))
+    labels = rng.integers(0, 3, size=400)
+    labels[values[:, 4] > np.median(values[:, 4])] = 3
+    features = LogOrbitMatrix(values=values)
+    return train_surrogate(features, labels, trees=trees, seed=seed + 1), features, labels
+
+
+class TestCachedExplainEqualsReference:
+    @pytest.mark.parametrize("make", [_planted_model, _random_model])
+    def test_importance_rows_and_baseline_exact(self, make):
+        model, features, labels = make()
+        report = permutation_importance(model, features, labels, repeats=3, seed=8)
+        rows, baseline = reference_importance(model, features, labels, 3, 8)
+        assert report.rows == rows
+        assert report.baseline_accuracy == baseline
+
+    def test_unused_orbits_get_exact_zero(self):
+        model, features, labels = _planted_model()
+        unused = set(range(73)) - model.features_used()
+        assert unused  # the planted corpus leaves many orbits unused
+        report = permutation_importance(model, features, labels, repeats=2, seed=1)
+        for orbit, mean, std in report.rows:
+            if orbit in unused:
+                assert (mean, std) == (0.0, 0.0)
+
+    def test_tree_predictions_counted(self, monkeypatch):
+        from orbitroles import surrogate
+
+        model, features, labels = _random_model(trees=9)
+        users = sum(len(set(t.feature[t.feature >= 0].tolist())) for t in model.trees)
+        calls = []
+        original = surrogate._Tree.predict_proba
+
+        def counting(tree, X):
+            calls.append(X.shape[0])
+            return original(tree, X)
+
+        monkeypatch.setattr(surrogate._Tree, "predict_proba", counting)
+        repeats = 4
+        permutation_importance(model, features, labels, repeats=repeats, seed=2)
+        assert len(calls) == len(model.trees) + repeats * users
+
+    @pytest.mark.parametrize("make", [_planted_model, _random_model])
+    def test_ale_grid_and_values_exact(self, make):
+        model, features, _ = make()
+        checked_merged = False
+        for orbit in (0, 4, 17, 27):
+            col = features.values[:, orbit]
+            if col.min() == col.max():
+                continue
+            for cls in model.class_labels:
+                for bins in (4, 32):
+                    curve = effect_curve(model, features, orbit, int(cls), bins=bins)
+                    grid, values, population = reference_ale(
+                        model, features, orbit, int(cls), bins
+                    )
+                    assert np.array_equal(curve.grid, grid)
+                    assert np.array_equal(curve.values, values)
+                    assert np.array_equal(curve.bin_population, population)
+                    # rows on the grid minimum anchor to edge 0
+                    assert population[0] == np.count_nonzero(col == col.min())
+                    checked_merged |= grid.size < bins + 1
+        assert checked_merged  # duplicate quantile edges were merged somewhere
+
+    def test_ale_one_forest_call(self, monkeypatch):
+        from orbitroles import surrogate
+
+        model, features, _ = _random_model()
+        calls = []
+        original = surrogate.SurrogateForest.predict_proba
+
+        def counting(self, X):
+            calls.append(X.shape[0])
+            return original(self, X)
+
+        monkeypatch.setattr(surrogate.SurrogateForest, "predict_proba", counting)
+        curve = effect_curve(model, features, 4, int(model.class_labels[0]), bins=16)
+        assert calls == [2 * int(curve.bin_population[1:].sum())]
