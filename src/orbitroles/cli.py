@@ -19,7 +19,7 @@ from .clustering import (
     roles_to_csv,
     sweep,
 )
-from .config import config_from_dict, load_config, validate_config
+from .config import config_from_dict, effect_orbit_problems, load_config, validate_config
 from .diversity import (
     binned_idr_report,
     build_diversity_report,
@@ -425,13 +425,15 @@ def _cmd_cluster(args) -> int:
     cfg = load_config(args.config)
     graph, table = _load_inputs(args.graph, args.labels)
     emb = import_embedding(args.embedding, table)
-    assignment = kmeans(emb, args.k, seed=args.seed if args.seed is not None else cfg.seed)
+    seed = args.seed if args.seed is not None else cfg.seed
+    # the k-means seed derives from the method and k, as in the pipeline
+    assignment = kmeans(emb, args.k, seed=assignment_seed(seed, emb.method_tag, args.k))
     path = out / f"roles_{emb.method_tag}.csv"
     roles_to_csv(assignment, table, path)
     manifest = RunManifest.start(
         "cluster",
         {"embedding": str(args.embedding), "k": args.k},
-        seed=assignment.seed,
+        seed=seed,
         inputs={"graph": args.graph, "embedding": args.embedding},
     )
     manifest.add_output(path)
@@ -482,6 +484,9 @@ def _cmd_explain(args) -> int:
         effect_orbits=tuple(_pick(args.orbit, cfg.explain.effect_orbits)),
         keep_roles=tuple(_pick(args.keep_roles, cfg.explain.keep_roles)),
     )
+    problems = effect_orbit_problems(ex.effect_orbits)
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
     orbits, orbit_ids = orbits_from_csv(args.orbits)
     roles, role_ids = roles_from_csv(args.roles)
     if orbit_ids != role_ids:

@@ -70,6 +70,12 @@ class PipelineConfig:
         return asdict(self)
 
 
+def effect_orbit_problems(orbits) -> list:
+    """The range problem of effect orbits outside 0..72, if any."""
+    bad = [o for o in orbits if not 0 <= o < ORBIT_COUNT]
+    return [f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}"] if bad else []
+
+
 def validate_config(cfg: PipelineConfig) -> None:
     """Reject settings that would only fail in a later stage.
 
@@ -83,9 +89,7 @@ def validate_config(cfg: PipelineConfig) -> None:
             f"explain.method {cfg.explain.method!r} not among embed.methods "
             f"{list(cfg.embed.methods)}"
         )
-    bad_orbits = [o for o in cfg.explain.effect_orbits if not 0 <= o < ORBIT_COUNT]
-    if bad_orbits:
-        problems.append(f"explain.effect_orbits {bad_orbits} outside 0..{ORBIT_COUNT - 1}")
+    problems += effect_orbit_problems(cfg.explain.effect_orbits)
     c = cfg.cluster
     if not c.k_min <= c.chosen_k <= c.k_max:
         problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")

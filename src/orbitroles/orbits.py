@@ -1,9 +1,14 @@
 """Per-node orbit census on graphlets of 2-5 nodes.
 
-``count_orbits`` is the optimized counter: it enumerates only the small,
-cheap patterns directly (orbits 0-14 plus 5-cliques) and recovers every
-5-node orbit count by solving the standard system of linear relations
-over precomputed common-neighbor statistics, one node at a time. The
+``count_orbits`` counts orbits 0-14 and the 5-cliques (orbit 72)
+directly and recovers every other 5-node orbit by solving ORCA's system
+of linear relations over common-neighbour counts (Hočevar & Demšar,
+Bioinformatics 2014). It walks contiguous blocks of root nodes: each
+pattern is expanded level by level through the CSR rows as index arrays,
+filtered with boolean masks and summed per root in int64 segments. Pair
+lookups that involve the root gather from the block's dense rows; all
+others gather from pair tables built once per middle node. The relations
+are then solved once, as column arithmetic over all nodes. The
 exhaustive oracle in :mod:`orbitroles.graphlets` defines the contract;
 the two are tested against each other entrywise.
 
@@ -14,6 +19,7 @@ overflow 32 bits for 5-node orbits.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +70,617 @@ def log_transform(counts: OrbitMatrix) -> LogOrbitMatrix:
     return LogOrbitMatrix(values=np.log1p(counts.counts.astype(np.float64)))
 
 
+# Cap on the work of one block: a root costs one dense row of n cells, and
+# each row of an enumeration costs 8 cells. The census plans its blocks of
+# roots, and its memory estimate the largest block, with this one number.
+_BLOCK_CELLS = 1 << 19
+
+
+def _csr(graph):
+    """Degrees, row pointers and ascending neighbour indices, all int64."""
+    n = graph.node_count
+    deg = np.fromiter(map(len, graph.adjacency), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(
+        itertools.chain.from_iterable(graph.adjacency), dtype=np.int64, count=int(indptr[-1])
+    )
+    return deg, indptr, indices
+
+
+def _row_sums(values, indptr):
+    """int64 sum of ``values`` over each CSR row."""
+    total = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return total[indptr[1:]] - total[indptr[:-1]]
+
+
+def _walks(deg, indptr, indices):
+    """Number of walks of length 2 and of length 3 from each node."""
+    walks2 = _row_sums(deg[indices], indptr)
+    return walks2, _row_sums(walks2[indices], indptr)
+
+
+def _ranges(starts, counts):
+    """Concatenated ranges [starts[i], starts[i] + counts[i]).
+
+    Returns ``(owner, item)``: ``owner[j]`` is the i whose range holds
+    ``item[j]``. Every enumeration level is one such expansion.
+    """
+    owner = np.repeat(np.arange(counts.size), counts)
+    shift = starts - np.cumsum(counts) + counts
+    return owner, np.arange(owner.size) + shift[owner]
+
+
+def _blocks(work, cap):
+    """Contiguous [start, stop) ranges whose work sums to at most ``cap``.
+
+    An item heavier than ``cap`` gets a range of its own.
+    """
+    total = np.cumsum(work)
+    bounds = [0]
+    while bounds[-1] < work.size:
+        start = bounds[-1]
+        base = total[start - 1] if start else 0
+        stop = int(np.searchsorted(total, base + cap, side="right"))
+        bounds.append(max(stop, start + 1))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _root_sums(root, size, cols):
+    """Row count, then the int64 sum of each column, for each root < size.
+
+    ``root`` is sorted, so the rows of one root form one segment.
+    """
+    counts = np.bincount(root, minlength=size)
+    out = np.zeros((1 + len(cols), size), dtype=np.int64)
+    out[0] = counts
+    filled = np.flatnonzero(counts)
+    if filled.size:
+        starts = (np.cumsum(counts) - counts)[filled]
+        for row, col in zip(out[1:], cols):
+            row[filled] = np.add.reduceat(col, starts, dtype=np.int64)
+    return out
+
+
+def _main_work(n, walks3):
+    # no enumeration from a root x has more rows than x has 3-walks, but
+    # for the 5-clique step, which runs in chunks of its own
+    return n + 8 * walks3
+
+
 def estimate_census_memory_mb(graph) -> float:
-    """Rough upper bound on the common-neighbor cache footprint."""
-    pairs = 0
-    triples = 0
-    for a in graph.adjacency:
-        d = len(a)
-        pairs += d * (d - 1) // 2
-        triples += d * (d - 1) * (d - 2) // 6
-    # dict entry overhead ~90 bytes for int->int
-    return (pairs * 90 + triples * 100 + graph.node_count * ORBIT_COUNT * 8) / 1e6
+    """Upper bound on the working set of ``count_orbits``, in MB.
+
+    Counts, from the degrees alone: the CSR arrays (48 bytes per node and
+    per edge entry), the pair tables (9 bytes per ordered pair of
+    neighbours of each node), the triangle lists while they are built (48
+    bytes per member; the edge (u, v) has at most min(d_u, d_v) - 1), the
+    largest block of roots at 16 bytes per unit of work (dense rows and
+    enumeration rows), and the N x 73 output with its transposed copy.
+    """
+    n = graph.node_count
+    deg, indptr, indices = _csr(graph)
+    _, walks3 = _walks(deg, indptr, indices)
+    work = _main_work(n, walks3)
+    block = max(min(_BLOCK_CELLS, int(work.sum())), int(work.max(initial=0)))
+    pairs = int((deg * deg).sum())
+    ends = np.repeat(deg, deg)
+    members = int((np.minimum(ends, deg[indices]) - 1).sum())
+    total = 48 * (n + indices.size) + 9 * pairs + 48 * members + 16 * block
+    return (total + 16 * ORBIT_COUNT * n) / 1e6
+
+
+class _Tables:
+    """Arrays shared by every block of roots.
+
+    CSR adjacency (``deg``, ``indptr``, ``indices``, ``rows`` and ``rev``,
+    the entry of each edge reversed) and, per middle node v, a pair table:
+    entry ``wptr[v] + i * d_v + j`` stands for the i-th and j-th
+    neighbours of v and holds whether they are adjacent or equal
+    (``wadj``), their common neighbours (``wc2``) and the common
+    neighbours of all three (``wc3``). ``tri[e]`` counts the triangles on
+    the edge entry e = (v, w), and ``te_pos[te_ptr[e]:te_ptr[e + 1]]`` are
+    the positions in N(v) of their third nodes, ascending; the lists of e
+    and ``rev[e]`` name the same nodes in the same order. ``ta_w[ta_ptr[v]:
+    ta_ptr[v + 1]]`` are the table entries (i, j), i < j, of the triangles
+    at v. Every pair lookup away from the root is a gather into these.
+    """
+
+    def __init__(self, graph):
+        n = self.n = graph.node_count
+        deg, indptr, indices = self.deg, self.indptr, self.indices = _csr(graph)
+        rows = self.rows = np.repeat(np.arange(n), deg)
+        # sorting the entries by (column, row) is a permutation that is its
+        # own inverse: the reversed entries
+        self.rev = np.argsort(indices * n + rows)
+        self.walks2, self.walks3 = _walks(deg, indptr, indices)
+
+        self.wptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg * deg, out=self.wptr[1:])
+        self._fill_pairs()
+        self._list_triangles()
+        self._count_triples()
+        # a node counts as adjacent to itself: one test then rejects both
+        i, p = _ranges(np.zeros(n, dtype=np.int64), deg)
+        self.wadj[self.wptr[i] + p * (deg[i] + 1)] = True
+
+    def _fill_pairs(self):
+        """Adjacency and c2 of every pair table entry, from dense rows."""
+        self.wadj = np.zeros(int(self.wptr[-1]), dtype=bool)
+        self.wc2 = np.zeros(int(self.wptr[-1]), dtype=np.int32)
+        for x0, x1 in _blocks(self.n + 8 * self.walks2, _BLOCK_CELLS):
+            self._fill_pair_block(x0, x1)
+
+    def _fill_pair_block(self, x0, x1):
+        n, deg, indptr, indices = self.n, self.deg, self.indptr, self.indices
+        pos, c2 = self.dense_rows(x0, x1)
+        # the row of x in the table of each neighbour v, shifted so that
+        # adding v's entry for j gives the pair (x, j)
+        e1 = np.arange(indptr[x0], indptr[x1])
+        v = indices[e1]
+        row = self.wptr[v] + (self.rev[e1] - indptr[v]) * deg[v] - indptr[v]
+        i, e2 = _ranges(indptr[v], deg[v])
+        cell = (self.rows[e1] - x0)[i] * n + indices[e2]
+        entry = row[i] + e2
+        self.wadj[entry] = pos[cell] >= 0
+        self.wc2[entry] = c2[cell]
+
+    def _list_triangles(self):
+        """Triangle lists of the edges and of the nodes."""
+        deg, indptr, wptr = self.deg, self.indptr, self.wptr
+        flat = np.flatnonzero(self.wadj)
+        v = np.searchsorted(wptr, flat, side="right") - 1
+        pi, self.te_pos = np.divmod(flat - wptr[v], deg[v])
+        te_edge = indptr[v] + pi
+        self.tri = np.bincount(te_edge, minlength=self.indices.size)
+        self.tri_at = _row_sums(self.tri, indptr)
+        self.te_ptr = np.zeros(self.indices.size + 1, dtype=np.int64)
+        np.cumsum(self.tri, out=self.te_ptr[1:])
+        upper = pi < self.te_pos
+        self.ta_w = flat[upper]
+        self.ta_ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(v[upper], minlength=self.n), out=self.ta_ptr[1:])
+
+    def _count_triples(self):
+        """c3 of every pair table entry.
+
+        A common neighbour w of v, i and j puts i and j in the triangle
+        list of the edge (v, w), so each ordered pair of distinct members
+        of that list counts w once.
+        """
+        self.wc3 = np.zeros(int(self.wptr[-1]), dtype=np.int32)
+        work = self.deg**2 + _row_sums(self.tri**2, self.indptr)
+        for v0, v1 in _blocks(work, _BLOCK_CELLS // 8):
+            self._count_triple_block(v0, v1)
+
+    def _count_triple_block(self, v0, v1):
+        tri, te_ptr, te_pos, wptr = self.tri, self.te_ptr, self.te_pos, self.wptr
+        e = np.arange(self.indptr[v0], self.indptr[v1])
+        ie, k = _ranges(te_ptr[e], tri[e])
+        i, q = _ranges(te_ptr[e][ie], tri[e][ie])
+        keep = q != k[i]
+        i, q = i[keep], q[keep]
+        v = self.rows[e][ie][i]
+        cell = wptr[v] - wptr[v0] + te_pos[k][i] * self.deg[v] + te_pos[q]
+        counts = np.bincount(cell, minlength=int(wptr[v1] - wptr[v0]))
+        self.wc3[wptr[v0] : wptr[v1]] = counts
+
+    def dense_rows(self, x0, x1):
+        """Flat rows of roots x0..x1-1 over all n columns.
+
+        ``pos[(x - x0) * n + v]`` is the position of v in N(x), or -1, and
+        ``c2[(x - x0) * n + v]`` is c2(x, v), counted over x's 2-walks:
+        one row of A @ A.
+        """
+        n, deg, indptr, indices = self.n, self.deg, self.indptr, self.indices
+        e1 = np.arange(indptr[x0], indptr[x1])
+        x, a = self.rows[e1], indices[e1]
+        pos = np.full((x1 - x0) * n, -1, dtype=np.int32)
+        pos[(x - x0) * n + a] = e1 - indptr[x]
+        i, e2 = _ranges(indptr[a], deg[a])
+        c2 = np.bincount((x - x0)[i] * n + indices[e2], minlength=(x1 - x0) * n)
+        return pos, c2
+
+
+class _Block:
+    """Roots x0..x1-1: their dense rows and one row per (root x, neighbour a)."""
+
+    def __init__(self, t, x0, x1):
+        self.t, self.x0, self.x1, self.size = t, x0, x1, x1 - x0
+        self.pos, self.c2 = t.dense_rows(x0, x1)
+        self.e1 = e1 = np.arange(t.indptr[x0], t.indptr[x1])
+        self.x, self.a = x, a = t.rows[e1], t.indices[e1]
+        self.xl = x - x0
+        self.dx, self.da = dx, da = t.deg[x], t.deg[a]
+        self.t1 = t.tri[e1]
+        # table of x, row a, by position; table of a, row x, by a's entry
+        self.row_xa = t.wptr[x] + (e1 - t.indptr[x]) * dx
+        self.row_ax = t.wptr[a] + (t.rev[e1] - t.indptr[a]) * da - t.indptr[a]
+
+
+def _count_paths(b, o):
+    """x a claw leaf, an end of an induced 4-path, or on a 4-cycle."""
+    t = b.t
+    deg, indptr, indices, tri, wadj, wc2, wc3 = (
+        t.deg, t.indptr, t.indices, t.tri, t.wadj, t.wc2, t.wc3
+    )
+    # induced paths x-a-u: u outside N[x], read off a's table
+    i2, e2 = _ranges(indptr[b.a], b.da)
+    w2 = b.row_ax[i2] + e2
+    keep = ~wadj[w2]
+    i2, e2, w2 = i2[keep], e2[keep], w2[keep]
+    u = indices[e2]
+    du = deg[u]
+    # x a leaf of a claw centred at a, u a second leaf: the third is a
+    # neighbour of a outside N[x] and N[u], so every claw is seen twice
+    w6 = (b.da - 2 - b.t1)[i2] - tri[e2] + wc3[w2]
+    _, s6, s22, s19 = _root_sums(b.xl[i2], b.size, [w6, (b.da[i2] - 3) * w6, (du - 1) * w6])
+    o[6, b.x0 : b.x1] = s6 // 2
+    o[22, b.x0 : b.x1] = s22 // 2
+    o[19, b.x0 : b.x1] = s19
+
+    # walks x-a-u-w with w outside N[a]: w ends an induced 4-path when it
+    # is outside N(x) and closes a 4-cycle when it is in N(x)
+    i3, e3 = _ranges(indptr[u], du)
+    wu = (t.wptr[u] + (t.rev[e2] - indptr[u]) * du - indptr[u])[i3] + e3
+    keep = ~wadj[wu]
+    i3, e3, wu = i3[keep], e3[keep], wu[keep]
+    w = indices[e3]
+    cell = (b.xl[i2] * t.n)[i3] + w
+    pw = b.pos[cell]
+    end = pw < 0
+    i, e, wc, c = i3[end], e3[end], wu[end], w[end]
+    o[[4, 35, 34, 27, 18, 15], b.x0 : b.x1] = _root_sums(
+        b.xl[i2[i]],
+        b.size,
+        [wc2[wc] - 1, b.c2[cell[end]], tri[e], du[i] - 2, deg[c] - 1],
+    )
+    cyc = ~end & (w > b.a[i2][i3])
+    i, e, wc, pw = i3[cyc], e3[cyc], wu[cyc], pw[cyc]
+    j = i2[i]
+    o[[8, 62, 53, 51, 50, 49, 37, 36], b.x0 : b.x1] = _root_sums(
+        b.xl[j],
+        b.size,
+        [
+            wc3[wc],
+            b.t1[j] + tri[indptr[b.x[j]] + pw],
+            tri[e2[i]] + tri[e],
+            wc2[w2[i]] - 2,
+            wc2[b.row_xa[j] + pw] - 2,
+            b.da[j] + deg[indices[e]] - 4,
+            du[i] - 2,
+        ],
+    )
+
+
+def _count_open_pairs(b, o):
+    """x the centre of a claw or the middle of an induced 4-path.
+
+    For each ordered pair (a, c) of non-adjacent neighbours of x, counts
+    the neighbours of x outside N(a) and N(c), and the neighbours of c
+    outside N(x), N(a) and x itself.
+    """
+    t = b.t
+    deg, indptr, indices, tri = t.deg, t.indptr, t.indices, t.tri
+    x0, x1 = b.x0, b.x1
+    r, k = _ranges(t.wptr[x0:x1], deg[x0:x1] ** 2)
+    keep = ~t.wadj[k]
+    r, k = r[keep], k[keep]
+    dx = deg[x0 + r]
+    pa, pc = np.divmod(k - t.wptr[x0 + r], dx)
+    ea, ec = indptr[x0 + r] + pa, indptr[x0 + r] + pc
+    c3 = t.wc3[k]
+    claws = dx - 2 - tri[ea] - tri[ec] + c3
+    paths = deg[indices[ec]] - tri[ec] - t.wc2[k] + c3
+    da = deg[indices[ea]] - 1
+    _, s7, s21, s5, s17 = _root_sums(r, b.size, [claws, claws * da, paths, paths * da])
+    o[7, x0:x1] = s7 // 6
+    o[21, x0:x1] = s21 // 2
+    o[5, x0:x1] = s5
+    o[17, x0:x1] = s17
+
+
+def _count_pendants(b, o):
+    """x the pendant of a paw: a triangle (a, u, w) with u, w outside N[x]."""
+    t = b.t
+    deg, indptr, indices, tri, wadj = t.deg, t.indptr, t.indices, t.tri, t.wadj
+    i, k = _ranges(t.ta_ptr[b.a], t.ta_ptr[b.a + 1] - t.ta_ptr[b.a])
+    k = t.ta_w[k]
+    pu, pw = np.divmod(k - t.wptr[b.a[i]], b.da[i])
+    eu, ew = indptr[b.a[i]] + pu, indptr[b.a[i]] + pw
+    keep = ~wadj[b.row_ax[i] + eu] & ~wadj[b.row_ax[i] + ew]
+    i, k, eu, ew = i[keep], k[keep], eu[keep], ew[keep]
+    o[[9, 56, 45, 39, 31, 24], b.x0 : b.x1] = _root_sums(
+        b.xl[i],
+        b.size,
+        [
+            t.wc3[k],
+            t.wc2[k] - 1,
+            tri[eu] + tri[ew] - 2,
+            b.da[i] - 3,
+            deg[indices[eu]] + deg[indices[ew]] - 4,
+        ],
+    )
+
+
+def _count_triangles(b, o):
+    """Patterns with x in a triangle (x, a, c): paws, diamonds, cliques."""
+    t = b.t
+    deg, indptr, indices, tri, wadj, wc2, wc3 = (
+        t.deg, t.indptr, t.indices, t.tri, t.wadj, t.wc2, t.wc3
+    )
+    te_ptr, te_pos, rev, wptr = t.te_ptr, t.te_pos, t.rev, t.wptr
+    x0, x1, size = b.x0, b.x1, b.size
+    # every triangle at x twice: c from the triangle list of (x, a)
+    i4, k4 = _ranges(te_ptr[b.e1], b.t1)
+    off4 = k4 - te_ptr[b.e1][i4]
+    pc4 = te_pos[k4]  # position of c in N(x)
+    pac4 = te_pos[te_ptr[rev[b.e1]][i4] + off4]  # position of c in N(a)
+    x4, a4, xl4 = b.x[i4], b.a[i4], b.xl[i4]
+    ec4 = indptr[x4] + pc4
+    c4 = indices[ec4]
+    eac4 = indptr[a4] + pac4
+    dc4 = deg[c4]
+    row_xc4 = wptr[x4] + pc4 * b.dx[i4]
+
+    # x a degree-2 triangle node of a paw: pendant w at c, outside N[x]
+    # and N[a]
+    i, e = _ranges(indptr[c4], dc4)
+    row = wptr[c4] - indptr[c4]
+    wa = (row + (rev[eac4] - indptr[c4]) * dc4)[i] + e
+    wx = (row + (rev[ec4] - indptr[c4]) * dc4)[i] + e
+    keep = ~wadj[wa] & ~wadj[wx]
+    i, e, wa = i[keep], e[keep], wa[keep]
+    o[[10, 52, 43, 32, 29, 25], x0:x1] = _root_sums(
+        xl4[i],
+        size,
+        [wc2[wa] - 1, tri[e], dc4[i] - 3, deg[indices[e]] - 1, b.da[i4[i]] - 2],
+    )
+
+    # x a degree-2 node of a diamond: w a common neighbour of a < c,
+    # outside N[x]
+    up = np.flatnonzero(c4 > a4)
+    i, k = _ranges(te_ptr[eac4[up]], tri[eac4[up]])
+    j = up[i]
+    p_aw = te_pos[k]
+    eaw = indptr[a4[j]] + p_aw
+    keep = ~wadj[b.row_ax[i4[j]] + eaw]
+    j, k, p_aw, eaw = j[keep], k[keep], p_aw[keep], eaw[keep]
+    eac = eac4[j]
+    pcw = te_pos[te_ptr[rev[eac]] + k - te_ptr[eac]]
+    o[[12, 65, 63, 59, 54, 46, 40], x0:x1] = _root_sums(
+        xl4[j],
+        size,
+        [
+            wc3[wptr[a4[j]] + pac4[j] * deg[a4[j]] + p_aw],
+            wc2[b.row_ax[i4[j]] + eaw] - 2,
+            tri[eaw] + tri[indptr[c4[j]] + pcw] - 2,
+            tri[eac] - 2,
+            deg[indices[eaw]] - 2,
+            b.da[i4[j]] + dc4[j] - 6,
+        ],
+    )
+
+    # x the degree-3 node of a paw: for each triangle (x, a, c), a < c, the
+    # neighbours w of x outside N[a] and N[c]. A sum over them is the sum
+    # over N(x), less those over the triangle lists of (x, a) and (x, c),
+    # plus the one over N(x) & N(a) & N(c), which the 4-cliques add below.
+    _, s1, s2 = _root_sums(i4, b.e1.size, [tri[ec4], dc4 - 1])
+    ja, jc = i4[up], ec4[up] - indptr[x0]  # the rows of (x, a) and (x, c)
+    x = b.x[ja]
+    paws = b.dx[ja] - b.t1[ja] - b.t1[jc] + wc3[b.row_xa[ja] + pc4[up]]
+    o[[11, 44, 30, 26], x0:x1] = _root_sums(
+        xl4[up],
+        size,
+        [
+            paws,
+            t.tri_at[x] - s1[ja] - s1[jc],
+            t.walks2[x] - b.dx[ja] - s2[ja] - s2[jc],
+            (b.da[ja] + dc4[up] - 4) * paws,
+        ],
+    )[1:]
+
+    # c and w (c before w) from the triangle list of (x, a): x is in a
+    # 4-clique (c ~ w, a < c) or is a degree-3 node of a diamond (c !~ w)
+    i, k = _ranges(k4 + 1, b.t1[i4] - off4 - 1)
+    j1 = i4[i]
+    pw = te_pos[k]
+    p_aw = te_pos[te_ptr[rev[b.e1]][j1] + k - te_ptr[b.e1][j1]]
+    wcw = row_xc4[i] + pw
+    wac, waw = b.row_xa[j1] + pc4[i], b.row_xa[j1] + pw
+    wa_cw = wptr[b.a[j1]] + pac4[i] * b.da[j1] + p_aw
+    ec, ew = ec4[i], indptr[b.x[j1]] + pw
+    cw = wadj[wcw]
+    q = cw & (c4[i] > a4[i])
+    jq = j1[q]
+    tri_sum = b.t1[jq] + tri[ec[q]] + tri[ew[q]]
+    deg_sum = b.da[jq] + dc4[i[q]] + deg[indices[ew[q]]] - 3
+    cliques = _root_sums(
+        b.xl[jq],
+        size,
+        [
+            wc3[wa_cw[q]] - 1,
+            wc3[wac[q]] + wc3[waw[q]] + wc3[wcw[q]] - 3,
+            tri_sum - 6,
+            wc2[wac[q]] + wc2[waw[q]] + wc2[wcw[q]] - 6,
+            deg_sum - 6,
+            tri_sum,
+            deg_sum,
+        ],
+    )
+    o[[14, 70, 71, 67, 66, 57], x0:x1] = cliques[:6]
+    # each node of a 4-clique (x, a, c, w) is a common neighbour of x and
+    # the other two
+    o[44, x0:x1] += cliques[6]
+    o[30, x0:x1] += cliques[7]
+    d = ~cw
+    o[[13, 69, 68, 64, 61, 60, 55, 48, 41], x0:x1] = _root_sums(
+        b.xl[j1[d]],
+        size,
+        [
+            wc3[wcw[d]] - 1,
+            wc3[wa_cw[d]] - 1,
+            wc2[wcw[d]] - 2,
+            tri[ec[d]] + tri[ew[d]] - 2,
+            wc2[wac[d]] + wc2[waw[d]] - 2,
+            b.t1[j1[d]] - 2,
+            dc4[i[d]] + deg[indices[ew[d]]] - 4,
+            b.da[j1[d]] - 3,
+        ],
+    )
+
+    # 5-cliques: a fourth node z after w in the same list, adjacent to c
+    # and w; in chunks, as cliques can hold more of them than 3-walks
+    k, jq = k[q], j1[q]
+    row_c, row_w = row_xc4[i[q]], wptr[b.x[jq]] + pw[q] * b.dx[jq]
+    rest = te_ptr[b.e1 + 1][jq] - k - 1
+    for r0, r1 in _blocks(rest, _BLOCK_CELLS // 8):
+        i, kz = _ranges(k[r0:r1] + 1, rest[r0:r1])
+        pz = te_pos[kz]
+        keep = wadj[row_c[r0:r1][i] + pz] & wadj[row_w[r0:r1][i] + pz]
+        o[72, x0:x1] += np.bincount(b.xl[jq[r0:r1][i[keep]]], minlength=size)
+
+
+def _count_block(b, o):
+    """Rows 4-14 and 72 and the relation sums for the roots of one block."""
+    _count_paths(b, o)
+    _count_open_pairs(b, o)
+    _count_pendants(b, o)
+    _count_triangles(b, o)
+
+
+def _solve_relations(o):
+    """Turn the sums f_k in rows 15-71 into orbit counts, in place."""
+    o[71] = (o[71] - 12 * o[72]) // 2
+    o[70] = o[70] - 4 * o[72]
+    o[69] = (o[69] - 2 * o[71]) // 4
+    o[68] = o[68] - 2 * o[71]
+    o[67] = o[67] - 12 * o[72] - 4 * o[71]
+    o[66] = o[66] - 12 * o[72] - 2 * o[71] - 3 * o[70]
+    o[65] = (o[65] - 3 * o[70]) // 2
+    o[64] = o[64] - 2 * o[71] - 4 * o[69] - 1 * o[68]
+    o[63] = o[63] - 3 * o[70] - 2 * o[68]
+    o[62] = (o[62] - 1 * o[68]) // 2
+    o[61] = (o[61] - 4 * o[71] - 8 * o[69] - 2 * o[67]) // 2
+    o[60] = o[60] - 4 * o[71] - 2 * o[68] - 2 * o[67]
+    o[59] = o[59] - 6 * o[70] - 2 * o[68] - 4 * o[65]
+    o[58] = o[58] - 4 * o[72] - 2 * o[71] - 1 * o[67]
+    o[57] = o[57] - 12 * o[72] - 4 * o[71] - 3 * o[70] - 1 * o[67] - 2 * o[66]
+    o[56] = (o[56] - 2 * o[65]) // 3
+    o[55] = (o[55] - 2 * o[71] - 2 * o[67]) // 3
+    o[54] = (o[54] - 3 * o[70] - 1 * o[66] - 2 * o[65]) // 2
+    o[53] = o[53] - 2 * o[68] - 2 * o[64] - 2 * o[63]
+    o[52] = (o[52] - 2 * o[66] - 2 * o[64] - 1 * o[59]) // 2
+    o[51] = o[51] - 2 * o[68] - 2 * o[63] - 4 * o[62]
+    o[50] = (o[50] - 1 * o[68] - 2 * o[63]) // 3
+    o[49] = (o[49] - 1 * o[68] - 1 * o[64] - 2 * o[62]) // 2
+    o[48] = (
+        o[48]
+        - 4 * o[71]
+        - 8 * o[69]
+        - 2 * o[68]
+        - 2 * o[67]
+        - 2 * o[64]
+        - 2 * o[61]
+        - 1 * o[60]
+    )
+    o[47] = o[47] - 3 * o[70] - 2 * o[68] - 1 * o[66] - 1 * o[63] - 1 * o[60]
+    o[46] = o[46] - 3 * o[70] - 2 * o[68] - 2 * o[65] - 1 * o[63] - 1 * o[59]
+    o[45] = o[45] - 2 * o[65] - 2 * o[62] - 3 * o[56]
+    o[44] = (o[44] - 1 * o[67] - 2 * o[61]) // 4
+    o[43] = (o[43] - 2 * o[66] - 1 * o[60] - 1 * o[59]) // 2
+    o[42] = o[42] - 2 * o[71] - 4 * o[69] - 2 * o[67] - 2 * o[61] - 3 * o[55]
+    o[41] = o[41] - 2 * o[71] - 1 * o[68] - 2 * o[67] - 1 * o[60] - 3 * o[55]
+    o[40] = (
+        o[40]
+        - 6 * o[70]
+        - 2 * o[68]
+        - 2 * o[66]
+        - 4 * o[65]
+        - 1 * o[60]
+        - 1 * o[59]
+        - 4 * o[54]
+    )
+    o[39] = (o[39] - 4 * o[65] - 1 * o[59] - 6 * o[56]) // 2
+    o[38] = o[38] - 1 * o[68] - 1 * o[64] - 2 * o[63] - 1 * o[53] - 3 * o[50]
+    o[37] = (
+        o[37]
+        - 2 * o[68]
+        - 2 * o[64]
+        - 2 * o[63]
+        - 4 * o[62]
+        - 1 * o[53]
+        - 1 * o[51]
+        - 4 * o[49]
+    )
+    o[36] = o[36] - 1 * o[68] - 2 * o[63] - 2 * o[62] - 1 * o[51] - 3 * o[50]
+    o[35] = (o[35] - 1 * o[59] - 2 * o[52] - 2 * o[45]) // 2
+    o[34] = (o[34] - 1 * o[59] - 2 * o[52] - 1 * o[51]) // 2
+    o[33] = (o[33] - 1 * o[67] - 2 * o[61] - 3 * o[58] - 4 * o[44] - 2 * o[42]) // 2
+    o[32] = (
+        o[32]
+        - 2 * o[66]
+        - 1 * o[60]
+        - 1 * o[59]
+        - 2 * o[57]
+        - 2 * o[43]
+        - 2 * o[41]
+        - 1 * o[40]
+    ) // 2
+    o[31] = o[31] - 2 * o[65] - 1 * o[59] - 3 * o[56] - 1 * o[43] - 2 * o[39]
+    o[30] = o[30] - 1 * o[67] - 1 * o[63] - 2 * o[61] - 1 * o[53] - 4 * o[44]
+    o[29] = (
+        o[29] - 2 * o[66] - 2 * o[64] - 1 * o[60] - 1 * o[59] - 1 * o[53]
+        - 2 * o[52] - 2 * o[43]
+    )
+    o[28] = o[28] - 2 * o[65] - 2 * o[62] - 1 * o[59] - 1 * o[51] - 1 * o[43]
+    o[27] = (o[27] - 1 * o[59] - 1 * o[51] - 2 * o[45]) // 2
+    o[26] = (
+        o[26] - 2 * o[67] - 2 * o[63] - 2 * o[61] - 6 * o[58] - 1 * o[53]
+        - 2 * o[47] - 2 * o[42]
+    )
+    o[25] = (
+        o[25] - 2 * o[66] - 2 * o[64] - 1 * o[59] - 2 * o[57] - 2 * o[52]
+        - 1 * o[48] - 1 * o[40]
+    ) // 2
+    o[24] = (
+        o[24] - 4 * o[65] - 4 * o[62] - 1 * o[59] - 6 * o[56] - 1 * o[51]
+        - 2 * o[45] - 2 * o[39]
+    )
+    o[23] = (o[23] - 1 * o[55] - 1 * o[42] - 2 * o[33]) // 4
+    o[22] = (o[22] - 2 * o[54] - 1 * o[40] - 1 * o[39] - 1 * o[32] - 2 * o[31]) // 3
+    o[21] = o[21] - 3 * o[55] - 3 * o[50] - 2 * o[42] - 2 * o[38] - 2 * o[33]
+    o[20] = o[20] - 2 * o[54] - 2 * o[49] - 1 * o[40] - 1 * o[37] - 1 * o[32]
+    o[19] = (
+        o[19] - 4 * o[54] - 4 * o[49] - 1 * o[40] - 2 * o[39] - 1 * o[37]
+        - 2 * o[35] - 2 * o[31]
+    )
+    o[18] = (
+        o[18] - 1 * o[59] - 1 * o[51] - 2 * o[46] - 2 * o[45] - 2 * o[36]
+        - 2 * o[27] - 1 * o[24]
+    ) // 2
+    o[17] = (
+        o[17] - 1 * o[60] - 1 * o[53] - 1 * o[51] - 1 * o[48] - 1 * o[37]
+        - 2 * o[34] - 2 * o[30]
+    ) // 2
+    o[16] = (
+        o[16] - 1 * o[59] - 2 * o[52] - 1 * o[51] - 2 * o[46] - 2 * o[36]
+        - 2 * o[34] - 1 * o[29]
+    )
+    o[15] = (
+        o[15] - 1 * o[59] - 2 * o[52] - 1 * o[51] - 2 * o[45] - 2 * o[35]
+        - 2 * o[34] - 2 * o[27]
+    )
+
 
 
 def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
     """Orbit counts for every node, independent of node ordering.
 
     Deterministic (integer arithmetic only). Raises OrbitCensusError with
-    a size estimate when the common-neighbor caches would exceed the
-    memory budget.
+    a size estimate when the census working set would exceed the memory
+    budget.
     """
     est = estimate_census_memory_mb(graph)
     if est > memory_budget_mb:
@@ -89,502 +688,29 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
             f"estimated census working set {est:.0f} MB exceeds the "
             f"{memory_budget_mb:.0f} MB budget"
         )
-
-    n = graph.node_count
-    adj = [list(a) for a in graph.adjacency]
-    deg = [len(a) for a in adj]
-
-    edges = []
-    for u in range(n):
-        for v in adj[u]:
-            if v > u:
-                edges.append((u, v))
-    m = len(edges)
-
-    adjset = set()
-    inc = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adjset.add(u * n + v)
-        adjset.add(v * n + u)
-        inc[u].append((v, i))
-        inc[v].append((u, i))
-    for lst in inc:
-        lst.sort()
-
-    # triangles spanning each edge (sorted-list merge)
-    tri = [0] * m
-    for i, (x, y) in enumerate(edges):
-        ax, ay = adj[x], adj[y]
-        lx, ly = len(ax), len(ay)
-        xi = yi = t = 0
-        while xi < lx and yi < ly:
-            a, b = ax[xi], ay[yi]
-            if a == b:
-                t += 1
-                xi += 1
-                yi += 1
-            elif a < b:
-                xi += 1
-            else:
-                yi += 1
-        tri[i] = t
-
-    # common neighbors of node pairs / triples (triples only cached when
-    # at least two of the three internal pairs are adjacent: others are
-    # never queried by the relations below)
-    common2 = {}
-    common3 = {}
-    for x in range(n):
-        ax = adj[x]
-        lx = len(ax)
-        for i1 in range(lx):
-            a = ax[i1]
-            for i2 in range(i1 + 1, lx):
-                b = ax[i2]
-                key2 = a * n + b
-                common2[key2] = common2.get(key2, 0) + 1
-                for i3 in range(i2 + 1, lx):
-                    c = ax[i3]
-                    st = (
-                        ((a * n + b) in adjset)
-                        + ((a * n + c) in adjset)
-                        + ((b * n + c) in adjset)
-                    )
-                    if st < 2:
-                        continue
-                    key3 = (a * n + b) * n + c
-                    common3[key3] = common3.get(key3, 0) + 1
-
-    c2get = common2.get
-    c3get = common3.get
-
-    def c2(a, b):
-        return c2get(a * n + b if a < b else b * n + a, 0)
-
-    def c3(a, b, c):
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        return c3get((a * n + b) * n + c, 0)
-
-    # full 5-cliques per node
-    C5 = [0] * n
-    neighx = [-1] * n
-    for x in range(n):
-        incx = inc[x]
-        for y, xy in incx:
-            neighx[y] = xy
-        for y, _xy in incx:
-            if y >= x:
-                break
-            neigh = []
-            for z, _yz in inc[y]:
-                if z >= y:
-                    break
-                if neighx[z] == -1:
-                    continue
-                neigh.append(z)
-            ln = len(neigh)
-            for i in range(ln):
-                z = neigh[i]
-                zn = z * n
-                neigh2 = [w for w in neigh[i + 1 :] if (zn + w) in adjset]
-                l2 = len(neigh2)
-                for i2 in range(l2):
-                    z2 = neigh2[i2]
-                    z2n = z2 * n
-                    for j2 in range(i2 + 1, l2):
-                        z3 = neigh2[j2]
-                        if (z2n + z3) in adjset:
-                            C5[x] += 1
-                            C5[y] += 1
-                            C5[z] += 1
-                            C5[z2] += 1
-                            C5[z3] += 1
-        for y, _xy in incx:
-            neighx[y] = -1
-
-    orbit = [[0] * ORBIT_COUNT for _ in range(n)]
-    common_x = [0] * n
-    common_x_list = []
-    common_a = [0] * n
-    common_a_list = []
-
-    for x in range(n):
-        ax = adj[x]
-        dx = len(ax)
-        incx = inc[x]
-        ox = orbit[x]
-        xn = x * n
-
-        for node in common_x_list:
-            common_x[node] = 0
-        common_x_list = []
-
-        # orbits 0-3 by direct enumeration; common_x[b] = #2-paths x-?-b
-        ox[0] = dx
-        for i1 in range(dx):
-            a = ax[i1]
-            an = a * n
-            for i2 in range(i1 + 1, dx):
-                b = ax[i2]
-                if (an + b) in adjset:
-                    ox[3] += 1
-                else:
-                    ox[2] += 1
-            for b in adj[a]:
-                if b != x and (xn + b) not in adjset:
-                    ox[1] += 1
-                    if common_x[b] == 0:
-                        common_x_list.append(b)
-                    common_x[b] += 1
-
-        f71 = f70 = f67 = f66 = f58 = f57 = 0
-        f69 = f68 = f64 = f61 = f60 = f55 = f48 = f42 = f41 = 0
-        f65 = f63 = f59 = f54 = f47 = f46 = f40 = 0
-        f62 = f53 = f51 = f50 = f49 = f38 = f37 = f36 = 0
-        f44 = f33 = f30 = f26 = 0
-        f52 = f43 = f32 = f29 = f25 = 0
-        f56 = f45 = f39 = f31 = f28 = f24 = 0
-        f35 = f34 = f27 = f18 = f16 = f15 = 0
-        f17 = 0
-        f22 = f20 = f19 = 0
-        f23 = f21 = 0
-
-        for nx1 in range(dx):
-            a, xa = incx[nx1]
-            an = a * n
-            inca = inc[a]
-            da = deg[a]
-
-            for node in common_a_list:
-                common_a[node] = 0
-            common_a_list = []
-            for b in adj[a]:
-                for c in adj[b]:
-                    if c == a or (an + c) in adjset:
-                        continue
-                    if common_a[c] == 0:
-                        common_a_list.append(c)
-                    common_a[c] += 1
-
-            # x inside a 4-clique
-            for nx2 in range(nx1 + 1, dx):
-                b, xb = incx[nx2]
-                if (an + b) not in adjset:
-                    continue
-                bn = b * n
-                for nx3 in range(nx2 + 1, dx):
-                    c, xc = incx[nx3]
-                    if (an + c) not in adjset or (bn + c) not in adjset:
-                        continue
-                    ox[14] += 1
-                    f70 += c3(a, b, c) - 1
-                    if tri[xa] > 2 and tri[xb] > 2:
-                        f71 += c3(x, a, b) - 1
-                    if tri[xa] > 2 and tri[xc] > 2:
-                        f71 += c3(x, a, c) - 1
-                    if tri[xb] > 2 and tri[xc] > 2:
-                        f71 += c3(x, b, c) - 1
-                    f67 += tri[xa] - 2 + tri[xb] - 2 + tri[xc] - 2
-                    f66 += c2(a, b) - 2 + c2(a, c) - 2 + c2(b, c) - 2
-                    f58 += dx - 3
-                    f57 += deg[a] - 3 + deg[b] - 3 + deg[c] - 3
-
-            # x as a degree-3 node of a diamond
-            for nx2 in range(dx):
-                b, xb = incx[nx2]
-                if (an + b) not in adjset:
-                    continue
-                bn = b * n
-                for nx3 in range(nx2 + 1, dx):
-                    c, xc = incx[nx3]
-                    if (an + c) not in adjset or (bn + c) in adjset:
-                        continue
-                    ox[13] += 1
-                    if tri[xb] > 1 and tri[xc] > 1:
-                        f69 += c3(x, b, c) - 1
-                    f68 += c3(a, b, c) - 1
-                    f64 += c2(b, c) - 2
-                    f61 += tri[xb] - 1 + tri[xc] - 1
-                    f60 += c2(a, b) - 1 + c2(a, c) - 1
-                    f55 += tri[xa] - 2
-                    f48 += deg[b] - 2 + deg[c] - 2
-                    f42 += dx - 3
-                    f41 += deg[a] - 3
-
-            # x as a degree-2 node of a diamond
-            for nx2 in range(nx1 + 1, dx):
-                b, xb = incx[nx2]
-                if (an + b) not in adjset:
-                    continue
-                bn = b * n
-                for c, ac in inca:
-                    if c == x or (xn + c) in adjset or (bn + c) not in adjset:
-                        continue
-                    ox[12] += 1
-                    if tri[ac] > 1:
-                        f65 += c3(a, b, c)
-                    f63 += common_x[c] - 2
-                    f59 += tri[ac] - 1 + c2(b, c) - 1
-                    f54 += c2(a, b) - 2
-                    f47 += dx - 2
-                    f46 += deg[c] - 2
-                    f40 += deg[a] - 3 + deg[b] - 3
-
-            # x on a 4-cycle
-            for nx2 in range(nx1 + 1, dx):
-                b, xb = incx[nx2]
-                if (an + b) in adjset:
-                    continue
-                bn = b * n
-                for c, ac in inca:
-                    if c == x or (xn + c) in adjset or (bn + c) not in adjset:
-                        continue
-                    ox[8] += 1
-                    if tri[ac] > 0:
-                        f62 += c3(a, b, c)
-                    f53 += tri[xa] + tri[xb]
-                    f51 += tri[ac] + c2(c, b)
-                    f50 += common_x[c] - 2
-                    f49 += common_a[b] - 2
-                    f38 += dx - 2
-                    f37 += deg[a] - 2 + deg[b] - 2
-                    f36 += deg[c] - 2
-
-            # x as the degree-3 node of a paw
-            for nx2 in range(nx1 + 1, dx):
-                b, xb = incx[nx2]
-                if (an + b) not in adjset:
-                    continue
-                bn = b * n
-                for nx3 in range(dx):
-                    c, xc = incx[nx3]
-                    if c == a or c == b or (an + c) in adjset or (bn + c) in adjset:
-                        continue
-                    ox[11] += 1
-                    f44 += tri[xc]
-                    f33 += dx - 3
-                    f30 += deg[c] - 1
-                    f26 += deg[a] - 2 + deg[b] - 2
-
-            # x as a degree-2 triangle node of a paw
-            for nx2 in range(dx):
-                b, xb = incx[nx2]
-                if (an + b) not in adjset:
-                    continue
-                for c, bc in inc[b]:
-                    if c == x or c == a or (an + c) in adjset or (xn + c) in adjset:
-                        continue
-                    ox[10] += 1
-                    f52 += common_a[c] - 1
-                    f43 += tri[bc]
-                    f32 += deg[b] - 3
-                    f29 += deg[c] - 1
-                    f25 += deg[a] - 2
-
-            # x as the pendant of a paw
-            for na1 in range(da):
-                b, ab = inca[na1]
-                if b == x or (xn + b) in adjset:
-                    continue
-                bn = b * n
-                for na2 in range(na1 + 1, da):
-                    c, ac = inca[na2]
-                    if c == x or (bn + c) not in adjset or (xn + c) in adjset:
-                        continue
-                    ox[9] += 1
-                    if tri[ab] > 1 and tri[ac] > 1:
-                        f56 += c3(a, b, c)
-                    f45 += c2(b, c) - 1
-                    f39 += tri[ab] - 1 + tri[ac] - 1
-                    f31 += deg[a] - 3
-                    f28 += dx - 1
-                    f24 += deg[b] - 2 + deg[c] - 2
-
-            # x as an end of an induced 4-path
-            for b, _ab in inca:
-                if b == x or (xn + b) in adjset:
-                    continue
-                an_c = a * n
-                for c, bc in inc[b]:
-                    if c == a or (an_c + c) in adjset or (xn + c) in adjset:
-                        continue
-                    ox[4] += 1
-                    f35 += common_a[c] - 1
-                    f34 += common_x[c]
-                    f27 += tri[bc]
-                    f18 += deg[b] - 2
-                    f16 += dx - 1
-                    f15 += deg[c] - 1
-
-            # x as a middle of an induced 4-path
-            for nx2 in range(dx):
-                b, xb = incx[nx2]
-                if b == a or (an + b) in adjset:
-                    continue
-                for c, _bc in inc[b]:
-                    if c == x or (an + c) in adjset or (xn + c) in adjset:
-                        continue
-                    ox[5] += 1
-                    f17 += deg[a] - 1
-
-            # x as a leaf of a claw centered at a
-            for na1 in range(da):
-                b, _ab = inca[na1]
-                if b == x or (xn + b) in adjset:
-                    continue
-                bn = b * n
-                for na2 in range(na1 + 1, da):
-                    c, _ac = inca[na2]
-                    if c == x or (xn + c) in adjset or (bn + c) in adjset:
-                        continue
-                    ox[6] += 1
-                    f22 += deg[a] - 3
-                    f20 += dx - 1
-                    f19 += deg[b] - 1 + deg[c] - 1
-
-            # x as the center of a claw
-            for nx2 in range(nx1 + 1, dx):
-                b, xb = incx[nx2]
-                if (an + b) in adjset:
-                    continue
-                bn = b * n
-                for nx3 in range(nx2 + 1, dx):
-                    c, xc = incx[nx3]
-                    if (an + c) in adjset or (bn + c) in adjset:
-                        continue
-                    ox[7] += 1
-                    f23 += dx - 3
-                    f21 += deg[a] - 1 + deg[b] - 1 + deg[c] - 1
-
-        # solve the relation system, largest orbits first
-        ox[72] = C5[x]
-        ox[71] = (f71 - 12 * ox[72]) // 2
-        ox[70] = f70 - 4 * ox[72]
-        ox[69] = (f69 - 2 * ox[71]) // 4
-        ox[68] = f68 - 2 * ox[71]
-        ox[67] = f67 - 12 * ox[72] - 4 * ox[71]
-        ox[66] = f66 - 12 * ox[72] - 2 * ox[71] - 3 * ox[70]
-        ox[65] = (f65 - 3 * ox[70]) // 2
-        ox[64] = f64 - 2 * ox[71] - 4 * ox[69] - 1 * ox[68]
-        ox[63] = f63 - 3 * ox[70] - 2 * ox[68]
-        ox[62] = (f62 - 1 * ox[68]) // 2
-        ox[61] = (f61 - 4 * ox[71] - 8 * ox[69] - 2 * ox[67]) // 2
-        ox[60] = f60 - 4 * ox[71] - 2 * ox[68] - 2 * ox[67]
-        ox[59] = f59 - 6 * ox[70] - 2 * ox[68] - 4 * ox[65]
-        ox[58] = f58 - 4 * ox[72] - 2 * ox[71] - 1 * ox[67]
-        ox[57] = f57 - 12 * ox[72] - 4 * ox[71] - 3 * ox[70] - 1 * ox[67] - 2 * ox[66]
-        ox[56] = (f56 - 2 * ox[65]) // 3
-        ox[55] = (f55 - 2 * ox[71] - 2 * ox[67]) // 3
-        ox[54] = (f54 - 3 * ox[70] - 1 * ox[66] - 2 * ox[65]) // 2
-        ox[53] = f53 - 2 * ox[68] - 2 * ox[64] - 2 * ox[63]
-        ox[52] = (f52 - 2 * ox[66] - 2 * ox[64] - 1 * ox[59]) // 2
-        ox[51] = f51 - 2 * ox[68] - 2 * ox[63] - 4 * ox[62]
-        ox[50] = (f50 - 1 * ox[68] - 2 * ox[63]) // 3
-        ox[49] = (f49 - 1 * ox[68] - 1 * ox[64] - 2 * ox[62]) // 2
-        ox[48] = (
-            f48
-            - 4 * ox[71]
-            - 8 * ox[69]
-            - 2 * ox[68]
-            - 2 * ox[67]
-            - 2 * ox[64]
-            - 2 * ox[61]
-            - 1 * ox[60]
-        )
-        ox[47] = f47 - 3 * ox[70] - 2 * ox[68] - 1 * ox[66] - 1 * ox[63] - 1 * ox[60]
-        ox[46] = f46 - 3 * ox[70] - 2 * ox[68] - 2 * ox[65] - 1 * ox[63] - 1 * ox[59]
-        ox[45] = f45 - 2 * ox[65] - 2 * ox[62] - 3 * ox[56]
-        ox[44] = (f44 - 1 * ox[67] - 2 * ox[61]) // 4
-        ox[43] = (f43 - 2 * ox[66] - 1 * ox[60] - 1 * ox[59]) // 2
-        ox[42] = f42 - 2 * ox[71] - 4 * ox[69] - 2 * ox[67] - 2 * ox[61] - 3 * ox[55]
-        ox[41] = f41 - 2 * ox[71] - 1 * ox[68] - 2 * ox[67] - 1 * ox[60] - 3 * ox[55]
-        ox[40] = (
-            f40
-            - 6 * ox[70]
-            - 2 * ox[68]
-            - 2 * ox[66]
-            - 4 * ox[65]
-            - 1 * ox[60]
-            - 1 * ox[59]
-            - 4 * ox[54]
-        )
-        ox[39] = (f39 - 4 * ox[65] - 1 * ox[59] - 6 * ox[56]) // 2
-        ox[38] = f38 - 1 * ox[68] - 1 * ox[64] - 2 * ox[63] - 1 * ox[53] - 3 * ox[50]
-        ox[37] = (
-            f37
-            - 2 * ox[68]
-            - 2 * ox[64]
-            - 2 * ox[63]
-            - 4 * ox[62]
-            - 1 * ox[53]
-            - 1 * ox[51]
-            - 4 * ox[49]
-        )
-        ox[36] = f36 - 1 * ox[68] - 2 * ox[63] - 2 * ox[62] - 1 * ox[51] - 3 * ox[50]
-        ox[35] = (f35 - 1 * ox[59] - 2 * ox[52] - 2 * ox[45]) // 2
-        ox[34] = (f34 - 1 * ox[59] - 2 * ox[52] - 1 * ox[51]) // 2
-        ox[33] = (f33 - 1 * ox[67] - 2 * ox[61] - 3 * ox[58] - 4 * ox[44] - 2 * ox[42]) // 2
-        ox[32] = (
-            f32
-            - 2 * ox[66]
-            - 1 * ox[60]
-            - 1 * ox[59]
-            - 2 * ox[57]
-            - 2 * ox[43]
-            - 2 * ox[41]
-            - 1 * ox[40]
-        ) // 2
-        ox[31] = f31 - 2 * ox[65] - 1 * ox[59] - 3 * ox[56] - 1 * ox[43] - 2 * ox[39]
-        ox[30] = f30 - 1 * ox[67] - 1 * ox[63] - 2 * ox[61] - 1 * ox[53] - 4 * ox[44]
-        ox[29] = (
-            f29 - 2 * ox[66] - 2 * ox[64] - 1 * ox[60] - 1 * ox[59] - 1 * ox[53]
-            - 2 * ox[52] - 2 * ox[43]
-        )
-        ox[28] = f28 - 2 * ox[65] - 2 * ox[62] - 1 * ox[59] - 1 * ox[51] - 1 * ox[43]
-        ox[27] = (f27 - 1 * ox[59] - 1 * ox[51] - 2 * ox[45]) // 2
-        ox[26] = (
-            f26 - 2 * ox[67] - 2 * ox[63] - 2 * ox[61] - 6 * ox[58] - 1 * ox[53]
-            - 2 * ox[47] - 2 * ox[42]
-        )
-        ox[25] = (
-            f25 - 2 * ox[66] - 2 * ox[64] - 1 * ox[59] - 2 * ox[57] - 2 * ox[52]
-            - 1 * ox[48] - 1 * ox[40]
-        ) // 2
-        ox[24] = (
-            f24 - 4 * ox[65] - 4 * ox[62] - 1 * ox[59] - 6 * ox[56] - 1 * ox[51]
-            - 2 * ox[45] - 2 * ox[39]
-        )
-        ox[23] = (f23 - 1 * ox[55] - 1 * ox[42] - 2 * ox[33]) // 4
-        ox[22] = (f22 - 2 * ox[54] - 1 * ox[40] - 1 * ox[39] - 1 * ox[32] - 2 * ox[31]) // 3
-        ox[21] = f21 - 3 * ox[55] - 3 * ox[50] - 2 * ox[42] - 2 * ox[38] - 2 * ox[33]
-        ox[20] = f20 - 2 * ox[54] - 2 * ox[49] - 1 * ox[40] - 1 * ox[37] - 1 * ox[32]
-        ox[19] = (
-            f19 - 4 * ox[54] - 4 * ox[49] - 1 * ox[40] - 2 * ox[39] - 1 * ox[37]
-            - 2 * ox[35] - 2 * ox[31]
-        )
-        ox[18] = (
-            f18 - 1 * ox[59] - 1 * ox[51] - 2 * ox[46] - 2 * ox[45] - 2 * ox[36]
-            - 2 * ox[27] - 1 * ox[24]
-        ) // 2
-        ox[17] = (
-            f17 - 1 * ox[60] - 1 * ox[53] - 1 * ox[51] - 1 * ox[48] - 1 * ox[37]
-            - 2 * ox[34] - 2 * ox[30]
-        ) // 2
-        ox[16] = (
-            f16 - 1 * ox[59] - 2 * ox[52] - 1 * ox[51] - 2 * ox[46] - 2 * ox[36]
-            - 2 * ox[34] - 1 * ox[29]
-        )
-        ox[15] = (
-            f15 - 1 * ox[59] - 2 * ox[52] - 1 * ox[51] - 2 * ox[45] - 2 * ox[35]
-            - 2 * ox[34] - 2 * ox[27]
-        )
-
-    return OrbitMatrix(counts=np.array(orbit, dtype=np.int64))
+    t = _Tables(graph)
+    deg = t.deg
+    # o[k] for k <= 14 and k = 72 are counts; o[k] for 15 <= k <= 71 holds
+    # the sum f_k of ORCA's relation for orbit k until the system is solved
+    o = np.zeros((ORBIT_COUNT, t.n), dtype=np.int64)
+    o[0] = deg
+    o[3] = t.tri_at // 2
+    o[2] = deg * (deg - 1) // 2 - o[3]
+    o[1] = t.walks2 - deg - t.tri_at
+    for x0, x1 in _blocks(_main_work(t.n, t.walks3), _BLOCK_CELLS):
+        _count_block(_Block(t, x0, x1), o)
+    # relation sums whose every term is d_x minus a constant
+    o[16] = (deg - 1) * o[4]
+    o[20] = (deg - 1) * o[6]
+    o[28] = (deg - 1) * o[9]
+    o[38] = (deg - 2) * o[8]
+    o[47] = (deg - 2) * o[12]
+    o[23] = (deg - 3) * o[7]
+    o[33] = (deg - 3) * o[11]
+    o[42] = (deg - 3) * o[13]
+    o[58] = (deg - 3) * o[14]
+    _solve_relations(o)
+    return OrbitMatrix(counts=np.ascontiguousarray(o.T))
 
 
 def orbit_header():

@@ -257,6 +257,21 @@ class TestExplainCommand:
             rows = list(csv.DictReader(fh))
         assert all(abs(float(r["mean"])) < 0.1 for r in rows)
 
+    def test_orbit_out_of_range_rejected_before_outputs(
+        self, census_and_roles, tmp_path, capsys
+    ):
+        orbits_path, roles_path = census_and_roles
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--orbits", orbits_path, "--roles", roles_path,
+            "--trees", 5, "--orbit", 73, "--out", out,
+        )
+        assert code != 0
+        assert "invalid config: explain.effect_orbits [73] outside 0..72" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "importance.csv").exists()
+
     def test_id_mismatch_lists_first_ten(self, census_and_roles, tmp_path, capsys):
         orbits_path, _ = census_and_roles
         bad_roles = tmp_path / "bad.csv"
@@ -319,6 +334,17 @@ class TestValidateAndCluster:
         ) == 0
         lines = (val_out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 4
+
+    def test_cluster_on_pipeline_embedding_byte_identical(self, corpus, run_dir, tmp_path):
+        # k-means seeded by (seed, method, k) in both paths
+        out = tmp_path / "cl"
+        assert run(
+            "cluster", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--embedding", run_dir / "embedding_graphwave.csv", "--k", 3,
+            "--config", run_dir.parent / "cfg.ini", "--out", out,
+        ) == 0
+        staged = (out / "roles_graphwave.csv").read_bytes()
+        assert staged == (run_dir / "roles_graphwave.csv").read_bytes()
 
 
 class TestStagedExplainMatchesPipeline:

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitroles import orbits as orbits_module
 from orbitroles.graph import Graph, NodeTable
 from orbitroles.graphlets import (
     GRAPHLETS,
@@ -24,8 +26,11 @@ from orbitroles.orbits import (
     orbits_from_csv,
     orbits_to_csv,
 )
+from orbitroles.planted import barbell_template, generate_planted_graph
 
+from orbit_reference import count_orbits_per_node
 from util import (
+    ba_graph,
     complete_graph,
     cycle_graph,
     er_graph,
@@ -179,6 +184,54 @@ class TestOracleEquivalence:
             count_orbits_bruteforce(g, max_nodes=10)
 
 
+def barbell_corpus(copies, noise_edges, seed):
+    return generate_planted_graph(
+        [barbell_template(5, 5)], copies, noise_edges=noise_edges, seed=seed
+    ).graph
+
+
+def scattered_graph():
+    """A 5-clique, an 8-cycle, a dense random piece and a path, with
+    isolated nodes between them."""
+    edges = list(itertools.combinations(range(5), 2))
+    edges += [(10 + i, 10 + (i + 1) % 8) for i in range(8)]
+    edges += [(30 + u, 30 + v) for u, v in er_graph(20, 0.3, 5).edges()]
+    edges += [(50 + i, 51 + i) for i in range(4)]
+    return Graph.from_edges(60, edges)
+
+
+class TestGoldenAgainstPerNodeCounter:
+    """Exact equality with the per-node counter kept in the tests, on
+    graphs beyond the oracle's reach, with the default block cap and with
+    a cap small enough to split the roots into many blocks."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ba_graph(400, 4, 1),
+            lambda: barbell_corpus(30, 20, 3),
+            scattered_graph,
+            lambda: complete_graph(8),
+        ],
+        ids=["ba400-m4", "barbell-noise", "isolated-components", "k8"],
+    )
+    def test_equal_counts(self, make, monkeypatch):
+        g = make()
+        expected = count_orbits_per_node(g)
+        assert np.array_equal(count_orbits(g).counts, expected)
+
+        blocks = []
+        count_block = orbits_module._count_block
+        monkeypatch.setattr(orbits_module, "_BLOCK_CELLS", 4096)
+        monkeypatch.setattr(
+            orbits_module,
+            "_count_block",
+            lambda b, o: (blocks.append((b.x0, b.x1)), count_block(b, o)),
+        )
+        assert np.array_equal(count_orbits(g).counts, expected)
+        assert len(blocks) >= 3
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orbit_sum_identities(self, seed):
@@ -243,6 +296,22 @@ class TestResourceLimits:
     def test_memory_budget_estimate_positive(self):
         g = er_graph(50, 0.2, 0)
         assert estimate_census_memory_mb(g) > 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ba_graph(800, 4, 7), lambda: barbell_corpus(200, 27, 7)],
+        ids=["ba800-hubs", "barbell-corpus"],
+    )
+    def test_estimate_bounds_traced_peak(self, make):
+        g = make()
+        estimate = estimate_census_memory_mb(g)
+        tracemalloc.start()
+        try:
+            count_orbits(g)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 4 * peak
 
     def test_budget_exceeded_reports_estimate(self):
         g = er_graph(100, 0.3, 0)

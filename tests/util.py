@@ -29,6 +29,22 @@ def star_graph(leaves):
     return Graph.from_edges(leaves + 1, [(i, leaves) for i in range(leaves)])
 
 
+def ba_graph(n, m, seed):
+    """Preferential attachment: each new node links to m distinct nodes
+    drawn with probability proportional to degree, so early nodes become
+    hubs."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, j) for j in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        edges += [(t, source) for t in sorted(targets)]
+        repeated += sorted(targets) + [source] * m
+    return Graph.from_edges(n, edges)
+
+
 def triangle_count(graph):
     """Independent triangle enumeration over node triples."""
     count = 0
