@@ -1,13 +1,21 @@
 """Command-line workflow: census, embed, cluster, validate, explain, idr,
-generate, and the end-to-end pipeline. Every command writes its outputs
-plus one manifest into --out; a failing pipeline stage leaves a FAILED
-marker naming the stage and keeps partial outputs."""
+generate, and the end-to-end pipeline.
+
+Each stage is one function: ``_census``, ``_features`` (log-orbit
+features), ``_embed``, ``_validate``, ``_cluster``, ``_explain_roles`` and
+``_idr``. Each writes its CSVs and adds them to the manifest it is passed.
+``run_pipeline`` calls them in order, and every staged command calls the
+same function with its flags folded into the config, so a staged chain
+with the pipeline's seed and config writes the pipeline's CSVs byte for
+byte. Every command writes its outputs plus one manifest into --out; a
+failing pipeline stage leaves a FAILED marker naming the stage and keeps
+partial outputs."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +27,13 @@ from .clustering import (
     roles_to_csv,
     sweep,
 )
-from .config import config_from_dict, effect_orbit_problems, load_config, validate_config
+from .config import (
+    SECTIONS,
+    config_from_dict,
+    effect_orbit_problems,
+    load_config,
+    validate_config,
+)
 from .diversity import (
     binned_idr_report,
     build_diversity_report,
@@ -67,39 +81,55 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _zero_column(matrix, col):
-    values = matrix.values.copy()
-    values[:, col] = 0.0
-    matrix.values = values
-    return matrix
-
-
 def _load_inputs(graph_path, labels_path):
     table0 = load_node_table(labels_path) if labels_path else None
     graph, table = load_edge_list(graph_path, "create", table=table0)
     return graph, table
 
 
-def _compute_embeddings(graph, table, cfg):
+# --- stages: each writes its CSVs into ``out`` and lists them in ``manifest``
+
+
+def _census(graph, table, cfg, out, manifest):
+    orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb)
+    orbits_to_csv(orbits, table, out / "orbits.csv")
+    manifest.add_output(out / "orbits.csv")
+    manifest.parameters["component_count"] = len(graph.components())
+    return orbits
+
+
+def _features(orbits, cfg, manifest):
+    """The log-orbit space that ``validate`` scores and ``explain`` fits;
+    ``drop_orbit0`` zeroes orbit 0 (degree) in it."""
+    features = log_transform(orbits)
+    if cfg.drop_orbit0:
+        features.values[:, 0] = 0.0
+        manifest.note("orbit 0 neutralized in the feature space")
+    manifest.parameters["validation_feature_space"] = (
+        "log1p-orbit" + ("-no-degree" if cfg.drop_orbit0 else "")
+    )
+    return features
+
+
+def _embed(graph, table, cfg, out, manifest):
+    ec = cfg.embed
     embeddings = []
-    for method in cfg.embed.methods:
+    for method in ec.methods:
         if method == "graphwave":
             embeddings.append(
                 graphwave_embed(
                     graph,
-                    scales=cfg.embed.graphwave_scales,
-                    sample_points=cfg.embed.sample_points,
-                    t_max=cfg.embed.t_max,
-                    kernel=cfg.embed.kernel,
-                    chebyshev_order=cfg.embed.chebyshev_order,
+                    scales=ec.graphwave_scales,
+                    sample_points=ec.sample_points,
+                    t_max=ec.t_max,
                 )
             )
         elif method == "rolx":
             embeddings.append(
                 rolx_embed(
                     graph,
-                    rank=cfg.embed.rolx_rank,
-                    refex_depth=cfg.embed.refex_depth,
+                    rank=ec.rolx_rank,
+                    refex_depth=ec.refex_depth,
                     seed=derive_seed(cfg.seed, "rolx"),
                 )
             )
@@ -108,9 +138,40 @@ def _compute_embeddings(graph, table, cfg):
                 f"unknown native method {method!r}; external methods enter "
                 "via [embed] import_paths"
             )
-    for path in cfg.embed.import_paths:
-        embeddings.append(import_embedding(path, table))
+    embeddings += [import_embedding(path, table) for path in ec.import_paths]
+    for emb in embeddings:
+        path = out / f"embedding_{emb.method_tag}.csv"
+        embedding_to_csv(emb, table, path)
+        manifest.add_output(path)
     return embeddings
+
+
+def _validate(embeddings, features, cfg, out, manifest):
+    result = sweep(
+        embeddings,
+        range(cfg.cluster.k_min, cfg.cluster.k_max + 1),
+        features,
+        seed=cfg.seed,
+        sample_cap=cfg.cluster.sample_cap,
+        threads=resolve_threads(cfg.threads),
+    )
+    result.to_csv(out / "sweep.csv")
+    manifest.add_output(out / "sweep.csv")
+    return result
+
+
+def _cluster(embeddings, table, cfg, out, manifest):
+    """k-means roles at ``cluster.chosen_k`` for each embedding, keyed by
+    its method."""
+    k = cfg.cluster.chosen_k
+    assignments = {}
+    for emb in embeddings:
+        assignment = kmeans(emb, k, seed=assignment_seed(cfg.seed, emb.method_tag, k))
+        path = out / f"roles_{emb.method_tag}.csv"
+        roles_to_csv(assignment, table, path)
+        manifest.add_output(path)
+        assignments[emb.method_tag] = assignment
+    return assignments
 
 
 def _effect_curves(model, features, ex, note=None):
@@ -135,11 +196,12 @@ def _effect_curves(model, features, ex, note=None):
     return curves
 
 
-def _explain_roles(features, orbits, roles, method, seed, ex, out, note):
+def _explain_roles(features, orbits, roles, cfg, out, manifest):
     """Surrogate, importance and effect curves of one role assignment, plus
-    the sub-population refit when ``ex.keep_roles`` is set. ``pipeline``
-    and ``explain`` both run this, so one seed gives the same CSVs.
-    Returns the model, its importance report and the paths written."""
+    the sub-population refit when ``explain.keep_roles`` is set. Every seed
+    derives from the method that made the roles. Returns the model and its
+    importance report."""
+    ex, seed, method = cfg.explain, cfg.seed, roles.method_tag
     model = train_surrogate(
         features, roles, trees=ex.trees, seed=derive_seed(seed, "surrogate", method)
     )
@@ -153,7 +215,9 @@ def _explain_roles(features, orbits, roles, method, seed, ex, out, note):
     written = [out / "importance.csv", out / "effects.csv"]
     report.to_csv(written[0])
     threshold = orbit3_threshold(orbits)
-    write_effect_curves(_effect_curves(model, features, ex, note), threshold, written[1])
+    write_effect_curves(
+        _effect_curves(model, features, ex, manifest.note), threshold, written[1]
+    )
 
     if ex.keep_roles:
         sub = refit_on_subpopulation(
@@ -175,7 +239,26 @@ def _explain_roles(features, orbits, roles, method, seed, ex, out, note):
         written += [out / "importance_subpop.csv", out / "effects_subpop.csv"]
         sub_report.to_csv(written[2])
         write_effect_curves(_effect_curves(sub, sub_features, ex), threshold, written[3])
-    return model, report, written
+    for path in written:
+        manifest.add_output(path)
+    manifest.parameters["surrogate_holdout_accuracy"] = model.holdout_accuracy
+    return model, report
+
+
+def _idr(graph, table, roles, cfg, out, manifest):
+    ic = cfg.idr
+    dmat = discipline_distance(table, graph, mode=ic.distance)
+    diversity = build_diversity_report(
+        graph, table, dmat, roles, direction=ic.direction, pair_counting=ic.pair_counting
+    )
+    diversity.to_csv(out / "diversity.csv", table)
+    binned = binned_idr_report(diversity, roles, bins=ic.bins, min_per_role=ic.min_per_role)
+    binned.to_csv(out / "idr_bins.csv")
+    binned.values_to_csv(out / "idr_values.csv")
+    for name in ("diversity.csv", "idr_bins.csv", "idr_values.csv"):
+        manifest.add_output(out / name)
+    manifest.parameters["included_bins"] = binned.included_bins
+    return binned
 
 
 def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
@@ -203,96 +286,30 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
         graph, table = _load_inputs(graph_path, labels_path)
 
         stage = "census"
-        orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb)
-        orbits_to_csv(orbits, table, out / "orbits.csv")
-        manifest.add_output(out / "orbits.csv")
-        features = log_transform(orbits)
-        if cfg.drop_orbit0:
-            features = _zero_column(features, 0)
-            manifest.note("orbit 0 neutralized in the feature space")
+        orbits = _census(graph, table, cfg, out, manifest)
+        features = _features(orbits, cfg, manifest)
 
         stage = "embed"
-        embeddings = _compute_embeddings(graph, table, cfg)
-        for emb in embeddings:
-            path = out / f"embedding_{emb.method_tag}.csv"
-            embedding_to_csv(emb, table, path)
-            manifest.add_output(path)
+        embeddings = _embed(graph, table, cfg, out, manifest)
 
         stage = "validate"
-        ks = range(cfg.cluster.k_min, cfg.cluster.k_max + 1)
-        table_sweep = sweep(
-            embeddings,
-            ks,
-            features,
-            seed=cfg.seed,
-            sample_cap=cfg.cluster.sample_cap,
-            threads=resolve_threads(cfg.threads),
-        )
-        table_sweep.to_csv(out / "sweep.csv")
-        manifest.add_output(out / "sweep.csv")
-        manifest.parameters["validation_feature_space"] = (
-            "log1p-orbit" + ("-no-degree" if cfg.drop_orbit0 else "")
-        )
+        _validate(embeddings, features, cfg, out, manifest)
 
         stage = "cluster"
-        assignments = {}
-        for emb in embeddings:
-            assignment = kmeans(
-                emb,
-                cfg.cluster.chosen_k,
-                seed=assignment_seed(cfg.seed, emb.method_tag, cfg.cluster.chosen_k),
-            )
-            assignments[emb.method_tag] = assignment
-            path = out / f"roles_{emb.method_tag}.csv"
-            roles_to_csv(assignment, table, path)
-            manifest.add_output(path)
+        assignments = _cluster(embeddings, table, cfg, out, manifest)
 
         stage = "explain"
-        method = cfg.explain.method
-        if method not in assignments:
-            raise ValueError(f"explain.method {method!r} not among embeddings")
-        model, _, written = _explain_roles(
-            features,
-            orbits,
-            assignments[method],
-            method,
-            cfg.seed,
-            cfg.explain,
-            out,
-            manifest.note,
-        )
-        for path in written:
-            manifest.add_output(path)
-        manifest.parameters["surrogate_holdout_accuracy"] = model.holdout_accuracy
+        roles = assignments.get(cfg.explain.method)
+        if roles is None:
+            raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
+        _explain_roles(features, orbits, roles, cfg, out, manifest)
 
         stage = "idr"
-        disciplines = {c for c in table.categories if c is not None}
-        if len(disciplines) >= 2:
-            dmat = discipline_distance(table, graph, mode=cfg.idr.distance)
-            diversity = build_diversity_report(
-                graph,
-                table,
-                dmat,
-                assignments[method],
-                direction=cfg.idr.direction,
-                pair_counting=cfg.idr.pair_counting,
-            )
-            diversity.to_csv(out / "diversity.csv", table)
-            manifest.add_output(out / "diversity.csv")
-            binned = binned_idr_report(
-                diversity,
-                assignments[method],
-                bins=cfg.idr.bins,
-                min_per_role=cfg.idr.min_per_role,
-            )
-            binned.to_csv(out / "idr_bins.csv")
-            binned.values_to_csv(out / "idr_values.csv")
-            manifest.add_output(out / "idr_bins.csv")
-            manifest.add_output(out / "idr_values.csv")
+        if len({c for c in table.categories if c is not None}) >= 2:
+            _idr(graph, table, roles, cfg, out, manifest)
         else:
             manifest.note("idr stage skipped: fewer than 2 disciplines")
 
-        manifest.parameters["component_count"] = len(graph.components())
         manifest.write(out)
         return manifest
     except Exception as exc:
@@ -302,29 +319,54 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
         raise StageError(stage, exc) from exc
 
 
-def _pick(flag_value, config_value):
-    """Command-line flag wins; otherwise the config file's value."""
-    return config_value if flag_value is None else flag_value
+# --- staged commands --------------------------------------------------------
+
+
+def _pick(obj, args):
+    """``obj`` (the config or one of its sections) with each field that a
+    command-line flag of the same name sets: a given flag wins, an unset
+    one (None) keeps the config file's value. A repeated flag's list
+    becomes the field's tuple."""
+    given = {}
+    for f in fields(obj):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            given[f.name] = tuple(value) if isinstance(value, list) else value
+    return replace(obj, **given)
+
+
+def _with_flags(cfg, args):
+    """``cfg`` with the command's flags folded into every section."""
+    cfg = _pick(cfg, args)
+    return replace(cfg, **{name: _pick(getattr(cfg, name), args) for name in SECTIONS})
+
+
+def _start(command, cfg, inputs):
+    """A staged command's manifest: its resolved config and input files."""
+    inputs = {name: path for name, path in inputs.items() if path is not None}
+    return RunManifest.start(
+        command,
+        {"inputs": {name: str(path) for name, path in inputs.items()}, "config": cfg.to_dict()},
+        seed=cfg.seed,
+        inputs=inputs,
+    )
+
+
+def _finish(manifest, out, summary) -> int:
+    manifest.write(out)
+    for message in manifest.notes:
+        print(f"{manifest.command}: {message}", file=sys.stderr)
+    print(f"{manifest.command}: {summary}")
+    return 0
 
 
 def _cmd_census(args) -> int:
     out = _out_dir(args.out)
-    cfg = load_config(args.config)
-    budget = _pick(args.memory_budget_mb, cfg.memory_budget_mb)
+    cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
-    manifest = RunManifest.start(
-        "census",
-        {"graph_path": str(args.graph), "memory_budget_mb": budget},
-        seed=0,
-        inputs={"graph": args.graph},
-    )
-    orbits = count_orbits(graph, memory_budget_mb=budget)
-    orbits_to_csv(orbits, table, out / "orbits.csv")
-    manifest.add_output(out / "orbits.csv")
-    manifest.parameters["component_count"] = len(graph.components())
-    manifest.write(out)
-    print(f"census: {graph.node_count} nodes -> {out / 'orbits.csv'}")
-    return 0
+    manifest = _start("census", cfg, {"graph": args.graph, "labels": args.labels})
+    _census(graph, table, cfg, out, manifest)
+    return _finish(manifest, out, f"{graph.node_count} nodes -> {out / 'orbits.csv'}")
 
 
 def _cmd_generate(args) -> int:
@@ -399,92 +441,57 @@ def _cmd_generate(args) -> int:
 
 def _cmd_embed(args) -> int:
     out = _out_dir(args.out)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.method:
-        cfg.embed.methods = tuple(args.method)
+    cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
-    manifest = RunManifest.start(
-        "embed",
-        {"graph_path": str(args.graph), "methods": list(cfg.embed.methods), "config": cfg.to_dict()},
-        seed=cfg.seed,
-        inputs={"graph": args.graph},
-    )
-    for emb in _compute_embeddings(graph, table, cfg):
-        path = out / f"embedding_{emb.method_tag}.csv"
-        embedding_to_csv(emb, table, path)
-        manifest.add_output(path)
-        print(f"embed: {emb.method_tag} d={emb.d} -> {path}")
-    manifest.write(out)
-    return 0
+    manifest = _start("embed", cfg, {"graph": args.graph, "labels": args.labels})
+    embeddings = _embed(graph, table, cfg, out, manifest)
+    widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
+    return _finish(manifest, out, f"{widths} -> {out}")
 
 
 def _cmd_cluster(args) -> int:
     out = _out_dir(args.out)
-    cfg = load_config(args.config)
+    cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
     emb = import_embedding(args.embedding, table)
-    seed = args.seed if args.seed is not None else cfg.seed
-    # the k-means seed derives from the method and k, as in the pipeline
-    assignment = kmeans(emb, args.k, seed=assignment_seed(seed, emb.method_tag, args.k))
-    path = out / f"roles_{emb.method_tag}.csv"
-    roles_to_csv(assignment, table, path)
-    manifest = RunManifest.start(
+    manifest = _start(
         "cluster",
-        {"embedding": str(args.embedding), "k": args.k},
-        seed=seed,
-        inputs={"graph": args.graph, "embedding": args.embedding},
+        cfg,
+        {"graph": args.graph, "labels": args.labels, "embedding": args.embedding},
     )
-    manifest.add_output(path)
-    manifest.write(out)
-    print(f"cluster: k={args.k} k_effective={assignment.k_effective} -> {path}")
-    return 0
+    (assignment,) = _cluster([emb], table, cfg, out, manifest).values()
+    return _finish(
+        manifest,
+        out,
+        f"k={assignment.k} k_effective={assignment.k_effective} "
+        f"-> {out / f'roles_{emb.method_tag}.csv'}",
+    )
 
 
 def _cmd_validate(args) -> int:
     out = _out_dir(args.out)
-    cfg = load_config(args.config)
-    k_min = _pick(args.k_min, cfg.cluster.k_min)
-    k_max = _pick(args.k_max, cfg.cluster.k_max)
+    cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
     orbits, _ = orbits_from_csv(args.orbits, table)
-    features = log_transform(orbits)
     embeddings = [import_embedding(p, table) for p in args.embedding]
-    seed = args.seed if args.seed is not None else cfg.seed
-    result = sweep(
-        embeddings,
-        range(k_min, k_max + 1),
-        features,
-        seed=seed,
-        sample_cap=cfg.cluster.sample_cap,
-    )
-    result.to_csv(out / "sweep.csv")
-    manifest = RunManifest.start(
+    manifest = _start(
         "validate",
-        {"k_min": k_min, "k_max": k_max, "orbits": str(args.orbits)},
-        seed=seed,
-        inputs={"orbits": args.orbits, **{f"embedding{i}": p for i, p in enumerate(args.embedding)}},
+        cfg,
+        {
+            "graph": args.graph,
+            "labels": args.labels,
+            "orbits": args.orbits,
+            **{f"embedding{i}": p for i, p in enumerate(args.embedding)},
+        },
     )
-    manifest.add_output(out / "sweep.csv")
-    manifest.write(out)
-    print(f"validate: {len(result.rows)} rows -> {out / 'sweep.csv'}")
-    return 0
+    result = _validate(embeddings, _features(orbits, cfg, manifest), cfg, out, manifest)
+    return _finish(manifest, out, f"{len(result.rows)} rows -> {out / 'sweep.csv'}")
 
 
 def _cmd_explain(args) -> int:
     out = _out_dir(args.out)
-    cfg = load_config(args.config)
-    ex = replace(
-        cfg.explain,
-        trees=_pick(args.trees, cfg.explain.trees),
-        importance_repeats=_pick(args.repeats, cfg.explain.importance_repeats),
-        ale_bins=_pick(args.bins, cfg.explain.ale_bins),
-        effect_kind=_pick(args.kind, cfg.explain.effect_kind),
-        effect_orbits=tuple(_pick(args.orbit, cfg.explain.effect_orbits)),
-        keep_roles=tuple(_pick(args.keep_roles, cfg.explain.keep_roles)),
-    )
-    problems = effect_orbit_problems(ex.effect_orbits)
+    cfg = _with_flags(load_config(args.config), args)
+    problems = effect_orbit_problems(cfg.explain.effect_orbits)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     orbits, orbit_ids = orbits_from_csv(args.orbits)
@@ -498,90 +505,33 @@ def _cmd_explain(args) -> int:
         raise ValueError(
             f"orbit/role id mismatch; first differences: {mismatched[:10]}"
         )
-    features = log_transform(orbits)
-    seed = args.seed if args.seed is not None else cfg.seed
+    manifest = _start("explain", cfg, {"orbits": args.orbits, "roles": args.roles})
+    features = _features(orbits, cfg, manifest)
     # the roles CSV names the embedding it came from; the seeds derive
     # from it as in the pipeline
-    model, report, written = _explain_roles(
-        features,
-        orbits,
-        roles,
-        roles.method_tag,
-        seed,
-        ex,
+    model, report = _explain_roles(features, orbits, roles, cfg, out, manifest)
+    return _finish(
+        manifest,
         out,
-        lambda msg: print(f"explain: {msg}", file=sys.stderr),
+        f"accuracy={model.holdout_accuracy:.3f} top={report.formatted(3)} -> {out}",
     )
-    manifest = RunManifest.start(
-        "explain",
-        {
-            "orbits": str(args.orbits),
-            "roles": str(args.roles),
-            "method": roles.method_tag,
-            "trees": ex.trees,
-            "repeats": ex.importance_repeats,
-            "bins": ex.ale_bins,
-            "kind": ex.effect_kind,
-            "effect_orbits": list(ex.effect_orbits),
-            "keep_roles": list(ex.keep_roles),
-            "holdout_accuracy": model.holdout_accuracy,
-        },
-        seed=seed,
-        inputs={"orbits": args.orbits, "roles": args.roles},
-    )
-    for path in written:
-        manifest.add_output(path)
-    manifest.write(out)
-    print(
-        f"explain: accuracy={model.holdout_accuracy:.3f} top={report.formatted(3)} -> {out}"
-    )
-    return 0
 
 
 def _cmd_idr(args) -> int:
     out = _out_dir(args.out)
-    cfg = load_config(args.config)
-    args.direction = _pick(args.direction, cfg.idr.direction)
-    args.distance = _pick(args.distance, cfg.idr.distance)
-    args.bins = _pick(args.bins, cfg.idr.bins)
-    args.min_per_role = _pick(args.min_per_role, cfg.idr.min_per_role)
-    args.pair_counting = _pick(args.pair_counting, cfg.idr.pair_counting)
+    cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
     roles, _ = roles_from_csv(args.roles, table)
-    dmat = discipline_distance(table, graph, mode=args.distance)
-    report = build_diversity_report(
-        graph, table, dmat, roles, direction=args.direction,
-        pair_counting=args.pair_counting,
+    manifest = _start(
+        "idr", cfg, {"graph": args.graph, "labels": args.labels, "roles": args.roles}
     )
-    report.to_csv(out / "diversity.csv", table)
-    binned = binned_idr_report(
-        report, roles, bins=args.bins, min_per_role=args.min_per_role
-    )
-    binned.to_csv(out / "idr_bins.csv")
-    binned.values_to_csv(out / "idr_values.csv")
-    manifest = RunManifest.start(
-        "idr",
-        {
-            "direction": args.direction,
-            "distance": args.distance,
-            "bins": args.bins,
-            "min_per_role": args.min_per_role,
-            "included_bins": binned.included_bins,
-        },
-        seed=0,
-        inputs={"graph": args.graph, "labels": args.labels, "roles": args.roles},
-    )
-    for name in ("diversity.csv", "idr_bins.csv", "idr_values.csv"):
-        manifest.add_output(out / name)
-    manifest.write(out)
-    print(f"idr: {len(binned.included_bins)} included bin(s) -> {out}")
-    return 0
+    binned = _idr(graph, table, roles, cfg, out, manifest)
+    return _finish(manifest, out, f"{len(binned.included_bins)} included bin(s) -> {out}")
 
 
 def _cmd_pipeline(args) -> int:
     if args.from_manifest:
-        stored = load_manifest(args.from_manifest)
-        params = stored["parameters"]
+        params = load_manifest(args.from_manifest)["parameters"]
         cfg = config_from_dict(params["config"])
         graph_path = params["graph_path"]
         labels_path = params["labels_path"]
@@ -591,11 +541,8 @@ def _cmd_pipeline(args) -> int:
         labels_path = args.labels
     if graph_path is None:
         raise ValueError("pipeline requires a graph (positional or --from-manifest)")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
-    cfg.threads = resolve_threads(cfg.threads)
+    cfg = _with_flags(cfg, args)
+    cfg = replace(cfg, threads=resolve_threads(cfg.threads))
     manifest = run_pipeline(graph_path, labels_path, cfg, args.out)
     print(f"pipeline: ok ({len(manifest.outputs)} outputs) -> {args.out}")
     return 0
@@ -606,6 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitroles",
         description="Structural role discovery with graphlet-orbit explanations.",
     )
+    # a flag that overrides a config value has that field's name as its
+    # dest; _with_flags folds it in by name
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, labels=True, config=True):
@@ -635,13 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="native embeddings of a graph")
     p.add_argument("graph")
-    p.add_argument("--method", action="append", default=None, required=False)
+    p.add_argument("--method", action="append", default=None, dest="methods")
     common(p)
 
     p = sub.add_parser("cluster", help="k-means roles from an embedding CSV")
     p.add_argument("graph")
     p.add_argument("--embedding", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, dest="chosen_k")
     common(p)
 
     p = sub.add_parser("validate", help="silhouette sweep in orbit space")
@@ -656,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbits", required=True)
     p.add_argument("--roles", required=True)
     p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--kind", default=None, choices=["ALE", "PDP"])
-    p.add_argument("--orbit", action="append", type=int, default=None)
+    p.add_argument("--repeats", type=int, default=None, dest="importance_repeats")
+    p.add_argument("--bins", type=int, default=None, dest="ale_bins")
+    p.add_argument("--kind", default=None, choices=["ALE", "PDP"], dest="effect_kind")
+    p.add_argument("--orbit", action="append", type=int, default=None, dest="effect_orbits")
     p.add_argument("--keep-roles", type=int, nargs="*", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)

@@ -1,14 +1,17 @@
 """Dataclass configuration for the pipeline, loadable from INI files.
 
-One file carries every knob (sections per stage); command-line flags win
-over file values. The resolved configuration is stored verbatim in the
-run manifest so reruns are reproducible.
+One file carries every knob: ``[pipeline]`` holds the scalar fields of
+``PipelineConfig`` and each nested section dataclass has its own section.
+The INI casts come from the field annotations, so a field is declared
+once. Command-line flags win over file values. The resolved configuration
+is stored verbatim in the run manifest so reruns are reproducible.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .embeddings import DEFAULT_ROLX_RANK
 from .graphlets import ORBIT_COUNT
@@ -16,15 +19,13 @@ from .graphlets import ORBIT_COUNT
 
 @dataclass
 class EmbedConfig:
-    methods: tuple = ("graphwave", "rolx")
-    graphwave_scales: tuple = (0.5, 1.5)
+    methods: tuple[str, ...] = ("graphwave", "rolx")
+    graphwave_scales: tuple[float, ...] = (0.5, 1.5)
     sample_points: int = 32
     t_max: float = 100.0
-    kernel: str = "exact"
-    chebyshev_order: int = 30
     rolx_rank: int = DEFAULT_ROLX_RANK
     refex_depth: int = 2
-    import_paths: tuple = ()
+    import_paths: tuple[str, ...] = ()
 
 
 @dataclass
@@ -41,9 +42,9 @@ class ExplainConfig:
     trees: int = 200
     importance_repeats: int = 5
     ale_bins: int = 32
-    effect_orbits: tuple = (0, 17, 27)
+    effect_orbits: tuple[int, ...] = (0, 17, 27)
     effect_kind: str = "ALE"
-    keep_roles: tuple = ()
+    keep_roles: tuple[int, ...] = ()
 
 
 @dataclass
@@ -68,6 +69,18 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotation, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# section name -> dataclass: the nested fields of PipelineConfig
+SECTIONS = {
+    name: cls for name, cls in _field_types(PipelineConfig).items() if is_dataclass(cls)
+}
 
 
 def effect_orbit_problems(orbits) -> list:
@@ -97,110 +110,71 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ValueError("invalid config: " + "; ".join(problems))
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    """Rebuild a PipelineConfig from a manifest's parameter dict."""
-    cfg = PipelineConfig()
-    for key in ("seed", "threads", "drop_orbit0", "memory_budget_mb"):
-        if key in data:
-            setattr(cfg, key, data[key])
-    for name, sub in (
-        ("embed", cfg.embed),
-        ("cluster", cfg.cluster),
-        ("explain", cfg.explain),
-        ("idr", cfg.idr),
-    ):
-        for key, value in data.get(name, {}).items():
-            if hasattr(sub, key):
-                if isinstance(getattr(sub, key), tuple) and isinstance(value, list):
-                    value = tuple(value)
-                setattr(sub, key, value)
-    return cfg
-
-
-def _parse_tuple(raw, cast):
-    items = [p.strip() for p in raw.replace(";", ",").split(",")]
-    return tuple(cast(p) for p in items if p)
-
-
-def _apply(section, obj, casts):
-    for key, raw in section.items():
-        if not hasattr(obj, key):
-            raise ValueError(f"unknown config key {key!r} in [{section.name}]")
-        cast = casts.get(key, str)
-        setattr(obj, key, cast(raw))
 
 
 def _bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
+def _cast(kind, raw: str):
+    """An INI string as a value of the annotated type ``kind``."""
+    members = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        items = (p.strip() for p in raw.replace(";", ",").split(","))
+        return tuple(_cast(members[0], p) for p in items if p)
+    if members:  # ``int | None``: the file can only give the int
+        return _cast(members[0], raw)
+    return _bool(raw) if kind is bool else kind(raw)
+
+
+def _from_json(kind, value):
+    """A manifest value as the field's value: JSON lists back to tuples."""
+    return tuple(value) if typing.get_origin(kind) is tuple else value
+
+
+def _build(cls, values: dict, convert, section: str):
+    """``cls`` with each key of ``values`` converted to its field's type;
+    a key that is no scalar field of ``cls`` is an error."""
+    kinds = _field_types(cls)
+    for key in values:
+        if key not in kinds or is_dataclass(kinds[key]):
+            raise ValueError(f"unknown config key {key!r} in [{section}]")
+    return cls(**{key: convert(kinds[key], value) for key, value in values.items()})
+
+
+def _assemble(sections: dict, convert) -> PipelineConfig:
+    """A PipelineConfig from section name -> {key: value}; ``pipeline``
+    holds the scalar fields, and missing sections and keys keep their
+    defaults."""
+    known = ["pipeline", *SECTIONS]
+    for name in sections:
+        if name not in known:
+            raise ValueError(
+                f"unknown config section [{name}]; known sections: "
+                + ", ".join(f"[{k}]" for k in known)
+            )
+    top = _build(PipelineConfig, sections.get("pipeline", {}), convert, "pipeline")
+    return replace(
+        top,
+        **{
+            name: _build(cls, sections.get(name, {}), convert, name)
+            for name, cls in SECTIONS.items()
+        },
+    )
+
+
+def config_from_dict(data: dict) -> PipelineConfig:
+    """Rebuild a PipelineConfig from a manifest's parameter dict."""
+    sections = {name: data.get(name, {}) for name in SECTIONS}
+    sections["pipeline"] = {k: v for k, v in data.items() if k not in SECTIONS}
+    return _assemble(sections, _from_json)
+
+
 def load_config(path=None) -> PipelineConfig:
     """Read an INI config; missing file sections keep their defaults."""
-    cfg = PipelineConfig()
     if path is None:
-        return cfg
+        return PipelineConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
+    if not parser.read(str(path)):
         raise FileNotFoundError(f"config file not found: {path}")
-
-    if parser.has_section("pipeline"):
-        _apply(
-            parser["pipeline"],
-            cfg,
-            {
-                "seed": int,
-                "threads": int,
-                "drop_orbit0": _bool,
-                "memory_budget_mb": float,
-            },
-        )
-    if parser.has_section("embed"):
-        _apply(
-            parser["embed"],
-            cfg.embed,
-            {
-                "methods": lambda r: _parse_tuple(r, str),
-                "graphwave_scales": lambda r: _parse_tuple(r, float),
-                "sample_points": int,
-                "t_max": float,
-                "kernel": str,
-                "chebyshev_order": int,
-                "rolx_rank": int,
-                "refex_depth": int,
-                "import_paths": lambda r: _parse_tuple(r, str),
-            },
-        )
-    if parser.has_section("cluster"):
-        _apply(
-            parser["cluster"],
-            cfg.cluster,
-            {"k_min": int, "k_max": int, "chosen_k": int, "sample_cap": int},
-        )
-    if parser.has_section("explain"):
-        _apply(
-            parser["explain"],
-            cfg.explain,
-            {
-                "method": str,
-                "trees": int,
-                "importance_repeats": int,
-                "ale_bins": int,
-                "effect_orbits": lambda r: _parse_tuple(r, int),
-                "effect_kind": str,
-                "keep_roles": lambda r: _parse_tuple(r, int),
-            },
-        )
-    if parser.has_section("idr"):
-        _apply(
-            parser["idr"],
-            cfg.idr,
-            {
-                "direction": str,
-                "distance": str,
-                "bins": int,
-                "min_per_role": int,
-                "pair_counting": str,
-            },
-        )
-    return cfg
+    return _assemble({name: dict(parser[name]) for name in parser.sections()}, _cast)

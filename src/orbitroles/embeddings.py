@@ -1,10 +1,12 @@
 """Structural role embeddings.
 
-GraphWave: heat-kernel wavelets from the graph Laplacian, summarized per
-node by the empirical characteristic function of its wavelet coefficients
-at evenly spaced evaluation points. Deterministic, seed-free; processed
-per connected component (the heat kernel is block-diagonal), with the
-characteristic function normalized by component size.
+GraphWave (Donnat et al., KDD 2018): exact heat-kernel wavelets from the
+graph Laplacian, summarized per node by the empirical characteristic
+function of its wavelet coefficients at evenly spaced evaluation points.
+Deterministic, seed-free; processed per connected component (the heat
+kernel is block-diagonal), with one eigendecomposition per component
+shared by every scale and the characteristic function normalized by
+component size.
 
 RolX: recursive structural features (ReFeX) factorized by non-negative
 matrix factorization with multiplicative updates; a node's embedding is
@@ -20,7 +22,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ive
 
 from .seeds import derive_seed
 
@@ -85,38 +86,12 @@ def _heat_kernel_exact(eig, scale):
     return (eigvec * np.exp(-scale * eigval)) @ eigvec.T
 
 
-def _heat_kernel_chebyshev(lap, scale, order):
-    """Chebyshev expansion of exp(-s*x) on [0, lam_max].
-
-    lam_max uses the Gershgorin bound 2*max_degree: exact enough for the
-    expansion interval and fully deterministic.
-    """
-    k = lap.shape[0]
-    lam_max = max(2.0 * float(lap.diagonal().max()), 1e-9)
-    a = scale * lam_max / 2.0
-    # exp(-a(y+1)) = sum_k c_k T_k(y), c_k = (2-delta_k0) (-1)^k e^{-a} I_k(a)
-    coeff = np.array(
-        [(2.0 if j else 1.0) * (-1.0) ** j * ive(j, a) for j in range(order + 1)]
-    )
-    shifted = (2.0 / lam_max) * lap - np.eye(k)
-    t_prev = np.eye(k)
-    t_cur = shifted.copy()
-    acc = coeff[0] * t_prev + coeff[1] * t_cur
-    for j in range(2, order + 1):
-        t_next = 2.0 * shifted @ t_cur - t_prev
-        acc += coeff[j] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return acc
-
-
 def graphwave_embed(
     graph,
     scales=DEFAULT_SCALES,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     d: int | None = None,
     t_max: float = DEFAULT_T_MAX,
-    kernel: str = "exact",
-    chebyshev_order: int = 30,
 ) -> EmbeddingMatrix:
     """Heat-wavelet characteristic-function embedding.
 
@@ -133,22 +108,15 @@ def graphwave_embed(
             f"d={d} inconsistent with 2 x {len(scales)} scales x "
             f"{sample_points} sample points = {width}"
         )
-    if kernel not in ("exact", "chebyshev"):
-        raise EmbeddingError(f"unknown kernel {kernel!r}")
 
     ts = np.linspace(0.0, t_max, sample_points)
     out = np.zeros((graph.node_count, width), dtype=np.float64)
     for comp in graph.components():
-        k = len(comp)
-        lap = _component_laplacian(graph, comp)
         idx = np.array(comp)
-        eig = np.linalg.eigh(lap) if kernel == "exact" else None
+        eig = np.linalg.eigh(_component_laplacian(graph, comp))
         col = 0
         for s in scales:
-            if kernel == "exact":
-                psi = _heat_kernel_exact(eig, s)
-            else:
-                psi = _heat_kernel_chebyshev(lap, s, chebyshev_order)
+            psi = _heat_kernel_exact(eig, s)
             for t in ts:
                 phase = np.exp(1j * t * psi)
                 char = phase.mean(axis=0)  # over coefficient rows, 1/|C| norm
@@ -162,7 +130,6 @@ def graphwave_embed(
             "scales": scales,
             "sample_points": sample_points,
             "t_max": t_max,
-            "kernel": kernel,
         },
     )
 

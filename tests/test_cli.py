@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitroles
 from orbitroles.cli import main
 from orbitroles.graphlets import count_orbits_bruteforce
 from orbitroles.graph import load_edge_list
@@ -367,6 +371,61 @@ class TestStagedExplainMatchesPipeline:
             "importance.csv", "effects.csv", "importance_subpop.csv", "effects_subpop.csv",
         ):
             assert (staged / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("drop_orbit0", ["false", "true"])
+def test_staged_chain_matches_pipeline(corpus, tmp_path, drop_orbit0):
+    # every staged command calls the pipeline's stage function, so the
+    # chain census -> embed -> validate -> cluster -> explain -> idr with
+    # the same seed and config writes the same CSVs
+    cfg = write_config(
+        tmp_path / "cfg.ini",
+        BARBELL_CFG.replace("trees = 40", "trees = 8").replace(
+            "seed = 42", f"seed = 42\ndrop_orbit0 = {drop_orbit0}"
+        ),
+    )
+    graph = corpus / "edges.txt"
+    common = ("--labels", corpus / "nodes.csv", "--config", cfg, "--seed", 5)
+    pipe, staged = tmp_path / "pipe", tmp_path / "staged"
+    assert run("pipeline", graph, *common, "--out", pipe) == 0
+
+    assert run("census", graph, *common, "--out", staged) == 0
+    assert run("embed", graph, *common, "--out", staged) == 0
+    embeddings = [staged / f"embedding_{m}.csv" for m in ("graphwave", "rolx")]
+    assert run(
+        "validate", graph, *common, "--orbits", staged / "orbits.csv",
+        "--embedding", embeddings[0], "--embedding", embeddings[1], "--out", staged,
+    ) == 0
+    for path in embeddings:
+        assert run(
+            "cluster", graph, *common, "--embedding", path, "--k", 3, "--out", staged,
+        ) == 0
+    roles = staged / "roles_graphwave.csv"
+    assert run(
+        "explain", "--orbits", staged / "orbits.csv", "--roles", roles,
+        "--config", cfg, "--seed", 5, "--out", staged,
+    ) == 0
+    assert run("idr", graph, *common, "--roles", roles, "--out", staged) == 0
+
+    names = sorted(p.name for p in pipe.glob("*.csv"))
+    assert names == sorted(p.name for p in staged.glob("*.csv"))
+    assert len(names) == 11
+    for name in names:
+        assert (staged / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    src = str(Path(orbitroles.__file__).resolve().parents[1])
+    probe = "import sys, orbitroles.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": src, "PATH": ""},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestConfigCheckedBeforeCensus:
