@@ -13,7 +13,7 @@ import configparser
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
-from .embeddings import DEFAULT_ROLX_RANK
+from .embeddings import DEFAULT_ROLX_RANK, sampling_problems
 from .graphlets import ORBIT_COUNT
 
 
@@ -103,6 +103,8 @@ def validate_config(cfg: PipelineConfig) -> None:
             f"{list(cfg.embed.methods)}"
         )
     problems += effect_orbit_problems(cfg.explain.effect_orbits)
+    e = cfg.embed
+    problems += [f"embed.{p}" for p in sampling_problems(e.sample_points, e.t_max)]
     c = cfg.cluster
     if not c.k_min <= c.chosen_k <= c.k_max:
         problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")

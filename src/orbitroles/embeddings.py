@@ -8,6 +8,17 @@ kernel is block-diagonal), with one eigendecomposition per component
 shared by every scale and the characteristic function normalized by
 component size.
 
+The points are t_j = j * step, so exp(i t_j psi) = exp(i step psi)^j: the
+characteristic function takes one cos and one sin per wavelet coefficient
+(the step), and each further point is a rotation of the running phase,
+(c, s) <- (c cos - s sin, c sin + s cos). psi is walked in column blocks
+of at most ``_BLOCK_CELLS`` cells, so the working memory beyond psi is
+O(k * block width), not k x k. Against exact evaluation of each
+exp(i t_j psi) the rounding error grows with j: up to 1.4e-15 was seen at
+32 points and 7.4e-15 at 1000 (tests/embedding_reference.py keeps the
+exact form, and the tests hold the two within 1e-12). The t = 0 point is
+the same to the bit.
+
 RolX: recursive structural features (ReFeX) factorized by non-negative
 matrix factorization with multiplicative updates; a node's embedding is
 its L1-normalized loading row.
@@ -19,6 +30,8 @@ through ``import_embedding``.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +99,52 @@ def _heat_kernel_exact(eig, scale):
     return (eigvec * np.exp(-scale * eigval)) @ eigvec.T
 
 
+# Cells per column block of psi in ``_characteristic``. Its seven block
+# arrays (step angle, its cos and sin, running phase, two products) take
+# 7 * 8 * 2**15 bytes = 1.75 MB whatever the component size; on BA graphs
+# of n = 800 wider and narrower blocks both ran slower.
+_BLOCK_CELLS = 1 << 15
+
+
+def sampling_problems(sample_points, t_max) -> list:
+    """Why GraphWave's evaluation points are unusable, if they are: with
+    fewer than two points or a zero span every node gets the same
+    constant vector, and with no points no vector at all."""
+    problems = []
+    if sample_points < 2:
+        problems.append(f"sample_points {sample_points} < 2")
+    if not (math.isfinite(t_max) and t_max > 0):
+        problems.append(f"t_max {t_max} is not positive and finite")
+    return problems
+
+
+def _characteristic(psi, step, sums):
+    """Column sums of cos and sin of t_j * psi at t_j = j * step.
+
+    Fills ``sums[v, j] = (sum_u cos(t_j psi[u, v]), sum_u sin(...))`` for
+    the points j < ``sums.shape[1]``, rotating the phase of each block of
+    columns by exp(i step psi) from one point to the next.
+    """
+    k, points = psi.shape[0], sums.shape[1]
+    width = max(1, _BLOCK_CELLS // k)
+    for j0 in range(0, k, width):
+        arg = step * psi[:, j0 : j0 + width]
+        cd, sd = np.cos(arg), np.sin(arg)
+        c, s = np.ones_like(arg), np.zeros_like(arg)
+        c_sd, s_sd = np.empty_like(arg), np.empty_like(arg)
+        block = sums[j0 : j0 + width]
+        for j in range(points):
+            if j:
+                np.multiply(c, sd, out=c_sd)
+                np.multiply(s, sd, out=s_sd)
+                c *= cd
+                c -= s_sd
+                s *= cd
+                s += c_sd
+            c.sum(axis=0, out=block[:, j, 0])
+            s.sum(axis=0, out=block[:, j, 1])
+
+
 def graphwave_embed(
     graph,
     scales=DEFAULT_SCALES,
@@ -97,11 +156,20 @@ def graphwave_embed(
 
     The width is 2 * len(scales) * sample_points (real and imaginary part
     per evaluation point); passing ``d`` asserts that identity. With the
-    defaults (2 scales, 32 points) the width is 128.
+    defaults (2 scales, 32 points) the width is 128. ``sample_points``
+    must be at least 2 and ``t_max`` positive and finite.
+
+    Each point's phase is the previous one's rotated by exp(i step psi)
+    (see the module docstring), over blocks of at most ``_BLOCK_CELLS``
+    cells of psi; the values differ from exact evaluation of every
+    exp(i t psi) by rounding only, about 1e-15 at the default 32 points.
     """
     scales = tuple(float(s) for s in scales)
     if not scales or any(s <= 0 for s in scales):
         raise EmbeddingError("scales must be positive reals")
+    problems = sampling_problems(sample_points, t_max)
+    if problems:
+        raise EmbeddingError("; ".join(problems))
     width = 2 * len(scales) * sample_points
     if d is not None and d != width:
         raise EmbeddingError(
@@ -109,20 +177,18 @@ def graphwave_embed(
             f"{sample_points} sample points = {width}"
         )
 
-    ts = np.linspace(0.0, t_max, sample_points)
+    step = np.linspace(0.0, t_max, sample_points)[1]
     out = np.zeros((graph.node_count, width), dtype=np.float64)
     for comp in graph.components():
-        idx = np.array(comp)
+        k = len(comp)
         eig = np.linalg.eigh(_component_laplacian(graph, comp))
-        col = 0
-        for s in scales:
-            psi = _heat_kernel_exact(eig, s)
-            for t in ts:
-                phase = np.exp(1j * t * psi)
-                char = phase.mean(axis=0)  # over coefficient rows, 1/|C| norm
-                out[idx, col] = char.real
-                out[idx, col + 1] = char.imag
-                col += 2
+        # node x scale x point x (real, imaginary)
+        sums = np.empty((k, len(scales), sample_points, 2))
+        for i, s in enumerate(scales):
+            _characteristic(_heat_kernel_exact(eig, s), step, sums[:, i])
+        # mean over coefficient rows as sum * (1/k), the way numpy's
+        # complex mean divides
+        out[comp] = sums.reshape(k, width) * (1.0 / k)
     return EmbeddingMatrix(
         vectors=out,
         method_tag="graphwave",
@@ -293,8 +359,28 @@ def embedding_to_csv(embedding: EmbeddingMatrix, table, path) -> None:
         fh.write(f"# method={embedding.method_tag}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"e{i}" for i in range(embedding.d)])
-        for i, ext in enumerate(table.external_ids):
-            writer.writerow([ext] + [repr(float(v)) for v in embedding.vectors[i]])
+        cells = _id_cells(table.external_ids)
+        fh.write(
+            "".join(
+                f"{cell},{','.join(map(repr, row))}\n"
+                for cell, row in zip(cells, embedding.vectors.tolist())
+            )
+        )
+
+
+def _id_cells(ids) -> list:
+    """Each id as ``csv.writer`` writes it as the first of several fields
+    of a row: an empty id stays unquoted there, while alone in a row it
+    would be written as ``""``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for ext in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((ext, ""))
+        cells.append(buf.getvalue()[:-2])
+    return cells
 
 
 def import_embedding(path, table, method_tag: str | None = None) -> EmbeddingMatrix:

@@ -435,6 +435,12 @@ class TestConfigCheckedBeforeCensus:
             ("method = graphwave", "method = nosuch", "explain.method 'nosuch'"),
             ("effect_orbits = 0,17,28", "effect_orbits = 0,73", "effect_orbits [73]"),
             ("chosen_k = 3", "chosen_k = 6", "chosen_k 6 outside [2, 5]"),
+            ("rolx_rank = 3", "rolx_rank = 3\nsample_points = 0", "embed.sample_points 0 < 2"),
+            ("rolx_rank = 3", "rolx_rank = 3\nsample_points = 1", "embed.sample_points 1 < 2"),
+            ("rolx_rank = 3", "rolx_rank = 3\nt_max = 0", "embed.t_max 0.0 is not positive"),
+            ("rolx_rank = 3", "rolx_rank = 3\nt_max = -1", "embed.t_max -1.0 is not positive"),
+            ("rolx_rank = 3", "rolx_rank = 3\nt_max = inf", "embed.t_max inf is not positive"),
+            ("rolx_rank = 3", "rolx_rank = 3\nt_max = nan", "embed.t_max nan is not positive"),
         ],
     )
     def test_bad_config_fails_without_outputs(self, corpus, tmp_path, capsys, old, new, message):
@@ -448,6 +454,51 @@ class TestConfigCheckedBeforeCensus:
         assert message in capsys.readouterr().err
         assert "stage=config" in (out / "FAILED").read_text()
         assert not (out / "orbits.csv").exists()
+
+
+BA_CFG = """
+[pipeline]
+seed = 5
+[cluster]
+k_min = 2
+k_max = 6
+chosen_k = 4
+[explain]
+trees = 10
+importance_repeats = 2
+effect_orbits = 0,27
+"""
+
+
+@pytest.mark.parametrize("graph", ["barbell", "ba"])
+def test_graphwave_rotation_keeps_downstream_outputs(corpus, tmp_path, monkeypatch, graph):
+    # the rotation moves GraphWave values by rounding only: the roles, the
+    # sweep and the explanations built on them keep their bytes
+    import orbitroles.cli
+
+    from embedding_reference import graphwave_exact
+    from util import ba_graph
+
+    if graph == "barbell":
+        argv = [corpus / "edges.txt", "--labels", corpus / "nodes.csv"]
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+    else:
+        edges = tmp_path / "ba.txt"
+        edges.write_text("".join(f"n{u} n{v}\n" for u, v in ba_graph(300, 4, 8).edges()))
+        argv = [edges]
+        cfg = write_config(tmp_path / "cfg.ini", BA_CFG)
+    assert run("pipeline", *argv, "--config", cfg, "--out", tmp_path / "new") == 0
+    monkeypatch.setattr(orbitroles.cli, "graphwave_embed", graphwave_exact)
+    assert run("pipeline", *argv, "--config", cfg, "--out", tmp_path / "exact") == 0
+    new_emb, exact_emb = (
+        np.loadtxt(tmp_path / run_dir / "embedding_graphwave.csv", delimiter=",",
+                   skiprows=2, usecols=range(1, 129))
+        for run_dir in ("new", "exact")
+    )
+    assert 0.0 < np.abs(new_emb - exact_emb).max() <= 1e-12
+    for name in ("roles_graphwave.csv", "sweep.csv", "importance.csv", "effects.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "exact" / name).read_bytes(), name
 
 
 def test_default_rolx_rank_runs_on_ba_graph(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from orbitroles.embeddings import (
     EmbeddingError,
+    EmbeddingMatrix,
     embedding_to_csv,
     graphwave_embed,
     import_embedding,
@@ -50,28 +51,94 @@ class TestGraphWave:
         emb_p = graphwave_embed(permute_graph(g, perm))
         assert np.abs(emb_p.vectors[perm] - emb.vectors).max() < 1e-9
 
-    def test_one_decomposition_per_component_equals_one_per_scale(self):
+    def test_one_decomposition_per_component_equals_one_per_scale(self, monkeypatch):
         # reference: eigh of the component Laplacian again for every scale
-        from orbitroles.embeddings import _component_laplacian
+        from orbitroles import embeddings
 
         triangle = [(9, 10), (10, 11), (9, 11)]
         g = Graph.from_edges(12, list(er_graph(9, 0.4, 5).edges()) + triangle)
         assert len(g.components()) >= 2
-        scales, ts = (0.5, 1.5, 3.0), np.linspace(0.0, 100.0, 8)
-        expected = np.zeros((g.node_count, 2 * len(scales) * ts.size))
+        scales = (0.5, 1.5, 3.0)
+        seen = []
+        characteristic = embeddings._characteristic
+
+        def record(psi, step, sums):
+            seen.append(psi.copy())
+            characteristic(psi, step, sums)
+
+        monkeypatch.setattr(embeddings, "_characteristic", record)
+        graphwave_embed(g, scales=scales, sample_points=8)
+        expected = []
         for comp in g.components():
-            lap = _component_laplacian(g, comp)
-            col = 0
+            lap = embeddings._component_laplacian(g, comp)
             for s in scales:
                 eigval, eigvec = np.linalg.eigh(lap)
-                psi = (eigvec * np.exp(-s * eigval)) @ eigvec.T
-                for t in ts:
-                    char = np.exp(1j * t * psi).mean(axis=0)
-                    expected[comp, col] = char.real
-                    expected[comp, col + 1] = char.imag
-                    col += 2
-        emb = graphwave_embed(g, scales=scales, sample_points=ts.size)
-        assert np.array_equal(emb.vectors, expected)
+                expected.append((eigvec * np.exp(-s * eigval)) @ eigvec.T)
+        assert len(seen) == len(expected)
+        for psi, ref in zip(seen, expected):
+            assert np.array_equal(psi, ref)
+
+    @pytest.mark.parametrize(
+        "scales, points, t_max, block_cells",
+        [
+            ((0.5, 1.5, 3.0), 8, 100.0, None),
+            ((0.5, 1.5), 2, 100.0, None),
+            ((0.5, 1.5), 256, 100.0, None),
+            ((0.5,), 1000, 100.0, None),
+            ((0.5, 1.5), 32, 1000.0, None),
+            ((0.5, 1.5, 3.0), 32, 100.0, 64),  # several column blocks
+        ],
+    )
+    def test_rotation_matches_exact_evaluation(
+        self, monkeypatch, scales, points, t_max, block_cells
+    ):
+        from orbitroles import embeddings
+
+        from embedding_reference import graphwave_exact
+
+        if block_cells is not None:
+            monkeypatch.setattr(embeddings, "_BLOCK_CELLS", block_cells)
+        # a 20-node component, a triangle and two singletons
+        triangle = [(20, 21), (21, 22), (20, 22)]
+        g = Graph.from_edges(25, list(er_graph(20, 0.25, 2).edges()) + triangle)
+        sizes = sorted(len(c) for c in g.components())
+        assert sizes == [1, 1, 3, 20]
+        got = graphwave_embed(g, scales=scales, sample_points=points, t_max=t_max)
+        ref = graphwave_exact(g, scales=scales, sample_points=points, t_max=t_max)
+        assert np.allclose(got.vectors, ref.vectors, rtol=0.0, atol=1e-12)
+        t0 = np.arange(len(scales))[:, None] * 2 * points + np.array([0, 1])
+        assert np.array_equal(got.vectors[:, t0], ref.vectors[:, t0])
+
+    @pytest.mark.parametrize(
+        "points, t_max, message",
+        [
+            (0, 100.0, "sample_points 0 < 2"),
+            (1, 100.0, "sample_points 1 < 2"),
+            (32, 0.0, "t_max 0.0 is not positive"),
+            (32, -5.0, "t_max -5.0 is not positive"),
+            (32, float("inf"), "t_max inf is not positive and finite"),
+            (32, float("nan"), "t_max nan is not positive and finite"),
+        ],
+    )
+    def test_unusable_sampling_rejected(self, points, t_max, message):
+        with pytest.raises(EmbeddingError, match=message):
+            graphwave_embed(er_graph(8, 0.4, 0), sample_points=points, t_max=t_max)
+
+    def test_memory_peak_within_six_dense_matrices(self):
+        import tracemalloc
+
+        from util import ba_graph
+
+        g = ba_graph(600, 4, 3)
+        k = g.node_count
+        assert len(g.components()) == 1
+        tracemalloc.start()
+        try:
+            graphwave_embed(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * k * k * 8
 
     def test_repeat_runs_identical(self):
         g = er_graph(20, 0.2, 4)
@@ -185,6 +252,25 @@ class TestImport:
         back = import_embedding(path, table)
         assert np.array_equal(back.vectors, emb.vectors)
         assert back.method_tag == "graphwave"
+
+    def test_writer_bytes_equal_row_by_row_csv_writer(self, tmp_path):
+        from embedding_reference import embedding_to_csv_rows
+
+        table = NodeTable(external_ids=["", "a,b", 'q"x', "v3", " s"])
+        vectors = np.array(
+            [
+                [-0.0, 1e-300, 123456789.0],
+                [0.1, -2.5e-17, 1.0],
+                [np.pi, -np.e, 0.0],
+                [1e300, -1e-5, 2.0 / 3.0],
+                [5e-324, 1e16, -123456789.0],
+            ]
+        )
+        emb = EmbeddingMatrix(vectors=vectors, method_tag="graphwave")
+        embedding_to_csv(emb, table, tmp_path / "new.csv")
+        embedding_to_csv_rows(emb, table, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[2].startswith(",-0.0,1e-300,")
 
     def test_missing_node_named(self, tmp_path):
         path = tmp_path / "emb.csv"
