@@ -30,7 +30,7 @@ from .clustering import (
 from .config import (
     SECTIONS,
     config_from_dict,
-    effect_orbit_problems,
+    explain_problems,
     load_config,
     validate_config,
 )
@@ -157,16 +157,27 @@ def _validate(embeddings, features, cfg, out, manifest):
     )
     result.to_csv(out / "sweep.csv")
     manifest.add_output(out / "sweep.csv")
+    manifest.metrics["kmeans"] = {
+        f"{method}:{k}": {
+            "iterations": len(a.meta["wcss_trajectory"]),
+            "degenerate": a.degenerate,
+        }
+        for (method, k), a in result.assignments.items()
+    }
     return result
 
 
-def _cluster(embeddings, table, cfg, out, manifest):
+def _cluster(embeddings, table, cfg, out, manifest, swept=None):
     """k-means roles at ``cluster.chosen_k`` for each embedding, keyed by
-    its method."""
+    its method. A sweep over the same embeddings and seed (``swept``)
+    already holds them; otherwise k-means runs here with the sweep's seed."""
     k = cfg.cluster.chosen_k
+    cells = swept.assignments if swept is not None else {}
     assignments = {}
     for emb in embeddings:
-        assignment = kmeans(emb, k, seed=assignment_seed(cfg.seed, emb.method_tag, k))
+        assignment = cells.get((emb.method_tag, k))
+        if assignment is None:
+            assignment = kmeans(emb, k, seed=assignment_seed(cfg.seed, emb.method_tag, k))
         path = out / f"roles_{emb.method_tag}.csv"
         roles_to_csv(assignment, table, path)
         manifest.add_output(path)
@@ -293,10 +304,11 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
         embeddings = _embed(graph, table, cfg, out, manifest)
 
         stage = "validate"
-        _validate(embeddings, features, cfg, out, manifest)
+        swept = _validate(embeddings, features, cfg, out, manifest)
 
         stage = "cluster"
-        assignments = _cluster(embeddings, table, cfg, out, manifest)
+        # validate_config keeps chosen_k inside the swept k range
+        assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
 
         stage = "explain"
         roles = assignments.get(cfg.explain.method)
@@ -491,7 +503,7 @@ def _cmd_validate(args) -> int:
 def _cmd_explain(args) -> int:
     out = _out_dir(args.out)
     cfg = _with_flags(load_config(args.config), args)
-    problems = effect_orbit_problems(cfg.explain.effect_orbits)
+    problems = explain_problems(cfg.explain)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     orbits, orbit_ids = orbits_from_csv(args.orbits)

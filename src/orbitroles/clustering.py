@@ -7,7 +7,13 @@ emits one row per (method, k) for plotting; candidate selection stays
 manual. It first runs k-means for every cell (on a thread pool when
 ``threads`` > 1) and then scores all the labellings in one pass over the
 orbit-space distances, which are shared by every cell because they depend
-on neither the method nor k.
+on neither the method nor k. The pipeline takes its chosen-k roles from
+the sweep's cells.
+
+Each k-means assignment step screens the distances with one BLAS matrix
+product and computes exact distances only for the rows whose nearest
+centroid the product's rounding could change, so the labels are those of
+the exact evaluation whatever kernel the BLAS uses (see ``_nearest``).
 """
 
 from __future__ import annotations
@@ -66,6 +72,41 @@ def _kmeans_pp_init(X, k, rng):
     return centroids
 
 
+def _nearest(X, x_sq, centroids):
+    """Each row's nearest centroid, as the first argmin of the exact
+    distances ``((x - c) ** 2).sum()``; also returns how many rows had to
+    compute them.
+
+    The screen takes every distance from one GEMM, g = |x|^2 - 2 x.c + |c|^2.
+    In any summation order, both g and the exact form lie within
+    gamma_(d+2) (|x| + |c|)^2 of the true squared distance (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1), with gamma_m ~ m eps / 2.
+    The slack s = 4 (d + 4) eps (|x| + |c|)^2 is more than four times their
+    sum, so the exact argmin j* has g_j* - s_j* <= min_j (g_j + s_j): it is a
+    candidate. A row with one candidate takes it; a row with several (near
+    ties, or a point far from the origin relative to its spread) or none
+    (non-finite g) takes the exact argmin over all centroids. The labels
+    therefore do not depend on how the BLAS rounds X @ C^T.
+    """
+    c_sq = (centroids**2).sum(axis=1)
+    g = X @ centroids.T
+    g *= -2.0
+    g += x_sq[:, None]
+    g += c_sq[None, :]
+    slack = np.sqrt(x_sq)[:, None] + np.sqrt(c_sq)[None, :]
+    slack **= 2
+    slack *= 4 * (X.shape[1] + 4) * np.finfo(float).eps
+    upper = (g + slack).min(axis=1)
+    g -= slack
+    candidate = g <= upper[:, None]
+    labels = candidate.argmax(axis=1)
+    recheck = np.flatnonzero(candidate.sum(axis=1) != 1)
+    if recheck.size:
+        d2 = ((X[recheck, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels[recheck] = d2.argmin(axis=1)
+    return labels, int(recheck.size)
+
+
 def kmeans(
     embedding,
     k: int,
@@ -74,6 +115,15 @@ def kmeans(
     tol: float = 1e-6,
 ) -> RoleAssignment:
     """Lloyd's algorithm with k-means++ init, deterministic per seed.
+
+    Each assignment step is ``_nearest``: a GEMM screen settles every row
+    whose nearest centroid is clear by more than a floating-point error
+    bound, and only the remaining rows compute exact distances, so labels
+    and WCSS are those of the exact n x k x d evaluation, bit for bit.
+    ``meta["rechecked_rows"]`` counts those rows over all iterations. The
+    centroid and WCSS update reads each cluster as one contiguous slice of
+    the rows sorted stably by label, which sums the members in the same
+    order as a boolean mask would.
 
     Empty clusters are re-seeded to the point currently farthest from its
     centroid; a cluster still empty at convergence marks the run
@@ -89,25 +139,32 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, k, rng)
+    x_sq = (X**2).sum(axis=1)
     labels = np.zeros(n, dtype=np.int64)
     wcss_prev = np.inf
     trajectory = []
+    rechecked = 0
 
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), labels]
+        labels, count = _nearest(X, x_sq, centroids)
+        rechecked += count
+        point_d2 = None  # each point's distance, needed only to re-seed
 
+        order = np.argsort(labels, kind="stable")
+        Xs = X[order]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
         wcss = 0.0
         new_centroids = centroids.copy()
         for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = X[members].mean(axis=0)
-                wcss += float(((X[members] - new_centroids[j]) ** 2).sum())
+            lo, hi = bounds[j], bounds[j + 1]
+            if hi > lo:
+                new_centroids[j] = Xs[lo:hi].mean(axis=0)
+                wcss += float(((Xs[lo:hi] - new_centroids[j]) ** 2).sum())
             else:
                 # re-seed an empty centroid to the point farthest from its
                 # current centroid; labels stay as assigned
+                if point_d2 is None:
+                    point_d2 = ((X - centroids[labels]) ** 2).sum(axis=1)
                 far = int(point_d2.argmax())
                 new_centroids[j] = X[far]
                 point_d2[far] = 0.0
@@ -132,7 +189,7 @@ def kmeans(
         degenerate=k_eff < k,
         k_effective=k_eff,
         inertia=trajectory[-1] if trajectory else 0.0,
-        meta={"wcss_trajectory": trajectory},
+        meta={"wcss_trajectory": trajectory, "rechecked_rows": rechecked},
     )
 
 
@@ -238,9 +295,11 @@ def silhouette_in_orbit_space(
 
 @dataclass
 class SilhouetteSweep:
-    """Rows of (method_tag, k, silhouette, sampled) for plotting."""
+    """Rows of (method_tag, k, silhouette, sampled) for plotting, and the
+    k-means assignment of each cell keyed by (method_tag, k)."""
 
     rows: list
+    assignments: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -327,7 +386,8 @@ def sweep(
     sample_cap: int = 20000,
     threads: int = 1,
 ) -> SilhouetteSweep:
-    """Run k-means plus orbit-space silhouette for each (method, k).
+    """Run k-means plus orbit-space silhouette for each (method, k); the
+    result keeps each cell's assignment.
 
     The k-means cells are independent pure computations; with ``threads``
     > 1 they run on a worker pool and are collected by index, so the
@@ -377,4 +437,5 @@ def sweep(
     rows = [
         (emb.method_tag, k, score, sampled) for (emb, k), score in zip(jobs, scores)
     ]
-    return SilhouetteSweep(rows=rows)
+    cells = {(emb.method_tag, k): a for (emb, k), a in zip(jobs, assignments)}
+    return SilhouetteSweep(rows=rows, assignments=cells)

@@ -83,10 +83,15 @@ SECTIONS = {
 }
 
 
-def effect_orbit_problems(orbits) -> list:
-    """The range problem of effect orbits outside 0..72, if any."""
-    bad = [o for o in orbits if not 0 <= o < ORBIT_COUNT]
-    return [f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}"] if bad else []
+def explain_problems(ex: ExplainConfig) -> list:
+    """The problems of an [explain] section: effect orbits outside 0..72,
+    and fewer than one tree or importance repeat."""
+    bad = [o for o in ex.effect_orbits if not 0 <= o < ORBIT_COUNT]
+    problems = [f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}"] if bad else []
+    for name in ("trees", "importance_repeats"):
+        if getattr(ex, name) < 1:
+            problems.append(f"explain.{name} {getattr(ex, name)} < 1")
+    return problems
 
 
 def validate_config(cfg: PipelineConfig) -> None:
@@ -102,10 +107,12 @@ def validate_config(cfg: PipelineConfig) -> None:
             f"explain.method {cfg.explain.method!r} not among embed.methods "
             f"{list(cfg.embed.methods)}"
         )
-    problems += effect_orbit_problems(cfg.explain.effect_orbits)
+    problems += explain_problems(cfg.explain)
     e = cfg.embed
     problems += [f"embed.{p}" for p in sampling_problems(e.sample_points, e.t_max)]
     c = cfg.cluster
+    if c.k_min < 2:
+        problems.append(f"cluster.k_min {c.k_min} < 2")
     if not c.k_min <= c.chosen_k <= c.k_max:
         problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
     if problems:

@@ -4,7 +4,9 @@ A manifest records the command, the fully resolved parameters, the seed,
 sha256 digests of every input file, the tool version and timestamps.
 Re-running a command with the parameters stored in a manifest must
 reproduce byte-identical CSV outputs (timestamps in the manifest itself
-are informational and excluded from that contract).
+are informational and excluded from that contract). The ``metrics`` block
+holds counters that explain a result, such as the k-means iterations and
+degeneracy of each sweep cell; it is outside that contract too.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class RunManifest:
     started: str = ""
     finished: str = ""
     notes: list = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
 
     @staticmethod
     def start(command: str, parameters: dict, seed: int, inputs: dict) -> "RunManifest":
@@ -69,6 +72,7 @@ class RunManifest:
             "started": self.started,
             "finished": self.finished,
             "notes": self.notes,
+            "metrics": self.metrics,
         }
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -276,6 +276,23 @@ class TestExplainCommand:
         )
         assert not (out / "importance.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--trees", "explain.trees 0 < 1"), ("--repeats", "explain.importance_repeats 0 < 1")],
+    )
+    def test_zero_trees_or_repeats_rejected_before_outputs(
+        self, census_and_roles, tmp_path, capsys, flag, message
+    ):
+        orbits_path, roles_path = census_and_roles
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--orbits", orbits_path, "--roles", roles_path,
+            "--trees", 5, flag, 0, "--out", out,
+        )
+        assert code != 0
+        assert f"invalid config: {message}" in capsys.readouterr().err
+        assert not (out / "importance.csv").exists()
+
     def test_id_mismatch_lists_first_ten(self, census_and_roles, tmp_path, capsys):
         orbits_path, _ = census_and_roles
         bad_roles = tmp_path / "bad.csv"
@@ -441,6 +458,13 @@ class TestConfigCheckedBeforeCensus:
             ("rolx_rank = 3", "rolx_rank = 3\nt_max = -1", "embed.t_max -1.0 is not positive"),
             ("rolx_rank = 3", "rolx_rank = 3\nt_max = inf", "embed.t_max inf is not positive"),
             ("rolx_rank = 3", "rolx_rank = 3\nt_max = nan", "embed.t_max nan is not positive"),
+            ("k_min = 2", "k_min = 1", "cluster.k_min 1 < 2"),
+            ("trees = 40", "trees = 0", "explain.trees 0 < 1"),
+            (
+                "importance_repeats = 2",
+                "importance_repeats = 0",
+                "explain.importance_repeats 0 < 1",
+            ),
         ],
     )
     def test_bad_config_fails_without_outputs(self, corpus, tmp_path, capsys, old, new, message):
@@ -454,6 +478,51 @@ class TestConfigCheckedBeforeCensus:
         assert message in capsys.readouterr().err
         assert "stage=config" in (out / "FAILED").read_text()
         assert not (out / "orbits.csv").exists()
+
+
+def test_pipeline_runs_one_kmeans_per_sweep_cell(corpus, tmp_path, monkeypatch):
+    # the roles at chosen_k come from the sweep's cell, not a second run
+    import orbitroles.cli
+    import orbitroles.clustering
+
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (orbitroles.clustering, orbitroles.cli):
+        monkeypatch.setattr(module, "kmeans", counting(module.kmeans))
+    cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+    assert run(
+        "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+        "--config", cfg, "--out", tmp_path / "out",
+    ) == 0
+    assert sorted(calls) == sorted([2, 3, 4, 5] * 2)  # 2 methods x k in [2, 5]
+
+
+def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
+    from clustering_reference import kmeans_broadcast
+
+    from orbitroles.clustering import assignment_seed
+    from orbitroles.embeddings import import_embedding
+    from orbitroles.graph import load_node_table
+
+    metrics = json.loads((run_dir / "manifest.json").read_text())["metrics"]
+    cells = metrics["kmeans"]
+    assert sorted(cells) == sorted(f"{m}:{k}" for m in ("graphwave", "rolx") for k in range(2, 6))
+    table = load_node_table(corpus / "nodes.csv")
+    for method in ("graphwave", "rolx"):
+        emb = import_embedding(run_dir / f"embedding_{method}.csv", table)
+        for k in range(2, 6):
+            want = kmeans_broadcast(emb, k, seed=assignment_seed(42, method, k))
+            assert cells[f"{method}:{k}"] == {
+                "iterations": len(want.meta["wcss_trajectory"]),
+                "degenerate": want.degenerate,
+            }
 
 
 BA_CFG = """

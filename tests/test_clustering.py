@@ -22,7 +22,8 @@ from orbitroles.orbits import LogOrbitMatrix, count_orbits, log_transform
 from orbitroles.planted import barbell_template, generate_planted_graph
 from orbitroles.seeds import derive_seed
 
-from util import nmi
+from clustering_reference import kmeans_broadcast
+from util import ba_graph, nmi
 
 
 def emb(points, tag="test"):
@@ -87,6 +88,79 @@ class TestKmeans:
         assignment = kmeans(emb(rng.normal(size=(30, 2))), 3, seed=0)
         assert assignment.labels.min() >= 0
         assert assignment.labels.max() < 3
+
+
+def assert_same_run(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert got.meta["wcss_trajectory"] == want.meta["wcss_trajectory"]
+    assert got.degenerate == want.degenerate
+    assert got.k_effective == want.k_effective
+
+
+@pytest.fixture(scope="module")
+def reference_embeddings():
+    """GraphWave and RolX embeddings of a BA graph and a barbell corpus."""
+    from orbitroles.embeddings import graphwave_embed, rolx_embed
+
+    graphs = {
+        "ba": ba_graph(300, 4, 3),
+        "barbell": generate_planted_graph([barbell_template(5, 3)], 12, seed=0).graph,
+    }
+    out = {}
+    for name, graph in graphs.items():
+        out[f"{name}-graphwave"] = graphwave_embed(graph)
+        out[f"{name}-rolx"] = rolx_embed(graph, rank=4, seed=1)
+    return out
+
+
+class TestKmeansReference:
+    """The GEMM screen against the exact n x k x d loop it replaced: equal
+    labels, WCSS trajectories and degeneracy, whichever way the BLAS
+    rounds X @ C^T."""
+
+    @pytest.mark.parametrize(
+        "name", ["ba-graphwave", "ba-rolx", "barbell-graphwave", "barbell-rolx"]
+    )
+    def test_embeddings_all_k(self, reference_embeddings, name):
+        e = reference_embeddings[name]
+        for k in range(2, 20):
+            assert_same_run(kmeans(e, k, seed=k), kmeans_broadcast(e, k, seed=k))
+
+    @pytest.mark.parametrize(
+        "case", ["offset-1e6", "offset-1e3", "repeated-points", "integer-grid"]
+    )
+    def test_near_ties_are_rechecked(self, reference_embeddings, case):
+        # inputs whose GEMM distances cannot separate some rows: a large
+        # common offset (every row, or some), tied centroids from repeated
+        # points, and equidistant grid points
+        gw = reference_embeddings["ba-graphwave"].vectors
+        X = {
+            "offset-1e6": gw + 1e6,
+            "offset-1e3": gw + 1e3,
+            "repeated-points": np.repeat(
+                np.random.default_rng(0).normal(size=(6, 4)), 20, axis=0
+            ),
+            "integer-grid": np.array([(i, j) for i in range(10) for j in range(10)], float),
+        }[case]
+        rechecked = 0
+        for k in range(2, 20):
+            got = kmeans(emb(X), k, seed=k)
+            assert_same_run(got, kmeans_broadcast(emb(X), k, seed=k))
+            steps = len(got.meta["wcss_trajectory"])
+            assert 0 <= got.meta["rechecked_rows"] <= steps * X.shape[0]
+            if case == "offset-1e6":
+                assert got.meta["rechecked_rows"] == steps * X.shape[0]
+            rechecked += got.meta["rechecked_rows"]
+        assert rechecked > 0
+
+    def test_empty_cluster_reseed(self):
+        got = kmeans(emb(np.ones((12, 3))), 2, seed=0)
+        assert_same_run(got, kmeans_broadcast(emb(np.ones((12, 3))), 2, seed=0))
+        assert got.degenerate
+
+    def test_separated_rows_skip_the_recheck(self, reference_embeddings):
+        got = kmeans(reference_embeddings["ba-graphwave"], 8, seed=8)
+        assert got.meta["rechecked_rows"] == 0
 
 
 class TestSilhouette:
@@ -346,6 +420,16 @@ class TestSweep:
         assert result.best_k("graphwave") == 3
         assignment = kmeans(gw, 3, seed=1)
         assert nmi(assignment.labels, planted.true_role) >= 0.9
+
+    def test_cells_keep_their_assignments(self):
+        rng = np.random.default_rng(8)
+        embeddings = [emb(rng.normal(size=(30, 3)), tag=f"m{i}") for i in range(2)]
+        result = sweep(embeddings, range(2, 5), orbit_features(rng.normal(size=(30, 2))), seed=6)
+        assert sorted(result.assignments) == [(m, k) for m in ("m0", "m1") for k in (2, 3, 4)]
+        for e in embeddings:
+            for k in range(2, 5):
+                alone = kmeans(e, k, seed=assignment_seed(6, e.method_tag, k))
+                assert_same_run(result.assignments[e.method_tag, k], alone)
 
     def test_rows_deterministic(self):
         rng = np.random.default_rng(3)
