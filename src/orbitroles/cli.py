@@ -185,13 +185,16 @@ def _cluster(embeddings, table, cfg, out, manifest, swept=None):
     return assignments
 
 
-def _effect_curves(model, features, ex, note=None):
-    curves = []
+def _effect_curves(model, features, ex, note):
+    """Effect curves of ``explain.effect_orbits`` for every class; an orbit
+    that is constant in ``features`` is skipped and passed to ``note``.
+    Returns the curves and the skipped orbits."""
+    curves, skipped = [], []
     for orbit in ex.effect_orbits:
         col = features.values[:, orbit]
         if col.min() == col.max():
-            if note is not None:
-                note(f"orbit {orbit} constant; effect curve skipped")
+            note(f"orbit {orbit} constant; effect curve skipped")
+            skipped.append(orbit)
             continue
         for cls in model.class_labels:
             curves.append(
@@ -204,7 +207,17 @@ def _effect_curves(model, features, ex, note=None):
                     kind=ex.effect_kind,
                 )
             )
-    return curves
+    return curves, skipped
+
+
+def _explain_metrics(model, report, skipped):
+    return {
+        "holdout_accuracy": model.holdout_accuracy,
+        "tree_nodes": sum(len(tree.feature) for tree in model.trees),
+        "features_used": len(model.features_used()),
+        "importance_cells": report.meta["cells"],
+        "skipped_curves": skipped,
+    }
 
 
 def _explain_roles(features, orbits, roles, cfg, out, manifest):
@@ -226,9 +239,9 @@ def _explain_roles(features, orbits, roles, cfg, out, manifest):
     written = [out / "importance.csv", out / "effects.csv"]
     report.to_csv(written[0])
     threshold = orbit3_threshold(orbits)
-    write_effect_curves(
-        _effect_curves(model, features, ex, manifest.note), threshold, written[1]
-    )
+    curves, skipped = _effect_curves(model, features, ex, manifest.note)
+    write_effect_curves(curves, threshold, written[1])
+    manifest.metrics["explain"] = _explain_metrics(model, report, skipped)
 
     if ex.keep_roles:
         sub = refit_on_subpopulation(
@@ -249,7 +262,11 @@ def _explain_roles(features, orbits, roles, cfg, out, manifest):
         )
         written += [out / "importance_subpop.csv", out / "effects_subpop.csv"]
         sub_report.to_csv(written[2])
-        write_effect_curves(_effect_curves(sub, sub_features, ex), threshold, written[3])
+        curves, skipped = _effect_curves(
+            sub, sub_features, ex, lambda text: manifest.note(f"sub-population: {text}")
+        )
+        write_effect_curves(curves, threshold, written[3])
+        manifest.metrics["explain_subpop"] = _explain_metrics(sub, sub_report, skipped)
     for path in written:
         manifest.add_output(path)
     manifest.parameters["surrogate_holdout_accuracy"] = model.holdout_accuracy

@@ -6,6 +6,21 @@ accuracy they carry, and ALE/PDP effect curves show how a single orbit
 count moves the predicted probability of each role. Forest internals are
 deliberately plain (bootstrap, sqrt-feature subsetting, Gini splits,
 min-leaf 5) so every number in a report is reproducible from the seed.
+
+The split search is a histogram split in the manner of LightGBM (Ke et
+al., NeurIPS 2017). Each column gets integer rank codes once per forest;
+a node counts the classes of all its drawn features in one ``bincount``
+over (feature offset + code, class) and scores every boundary between
+two codes present at the node. Each bin holds exactly one distinct value,
+so the candidates, their Gini and the midpoint thresholds are those of a
+sort-and-scan search, and the trees are the same bit for bit
+(tests/surrogate_reference.py keeps that search).
+
+Permutation importance never re-predicts a whole forest: each tree walks
+the holdout rows once as they are and once for all shuffles of the
+orbits it splits on, with the shuffled column read only at the nodes
+that test it (``_Tree.leaves``), so every accuracy is the one a
+whole-forest prediction on the shuffled rows gives.
 """
 
 from __future__ import annotations
@@ -16,6 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeds import derive_seed
+
+# most (cell, holdout row, class) vote sums one permutation-importance pass
+# holds; more cells run in further passes
+_BLOCK_CELLS = 1 << 20
 
 
 class SurrogateError(ValueError):
@@ -51,59 +70,137 @@ class _Tree:
         self.right = np.array(self.right, dtype=np.int64)
         self.value = np.array(self.value, dtype=np.float64)
 
+    def leaves(self, X, pinned=None, sources=None, start=None):
+        """Leaf reached by every row of X, shape (cells, rows).
+
+        Unpinned (``pinned`` None) there is one cell and each row reads
+        its own values. Pinned, cell q is X with column ``pinned[q]``
+        shuffled: wherever a node tests that column, row i reads it from
+        row ``sources[q, i]``, and its own value everywhere else. Each
+        walk starts at the root, or at ``start[q, i]`` when given.
+        """
+        n = X.shape[0]
+        cells = 1 if pinned is None else len(pinned)
+        row = np.tile(np.arange(n), cells)
+        if pinned is not None:
+            pin = np.repeat(pinned, n)
+            src = np.asarray(sources).ravel()
+        if start is None:
+            node = np.zeros(cells * n, dtype=np.int64)
+        else:
+            node = np.array(start, dtype=np.int64).ravel()
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            feat = self.feature[at]
+            read = row[live]
+            if pinned is not None:
+                read = np.where(feat == pin[live], src[live], read)
+            goes_left = X[read, feat] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            node[live] = at
+            live = live[self.feature[at] >= 0]
+        return node.reshape(cells, n)
+
     def predict_proba(self, X):
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[idx] >= 0
-        while active.any():
-            sel = np.flatnonzero(active)
-            nodes = idx[sel]
-            go_left = X[sel, self.feature[nodes]] <= self.threshold[nodes]
-            idx[sel] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active = self.feature[idx] >= 0
-        return self.value[idx]
+        return self.value[self.leaves(X)[0]]
+
+    def first_splits(self, n_features):
+        """(nodes, features) table: the shallowest proper ancestor of each
+        node that splits on each feature, or -1. A row whose walk ends in
+        leaf L first reads feature f at node ``first_splits[L, f]``."""
+        table = np.full((self.feature.size, n_features), -1, dtype=np.int64)
+        # children are numbered after their parent
+        for node in np.flatnonzero(self.feature >= 0).tolist():
+            below = table[node].copy()
+            f = self.feature[node]
+            if below[f] < 0:
+                below[f] = node
+            table[self.left[node]] = below
+            table[self.right[node]] = below
+        return table
 
 
 def _gini_from_counts(counts, totals):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = counts / totals[..., None]
-    return 1.0 - np.nansum(frac * frac, axis=-1)
+    # (m, classes) counts over m positive totals
+    frac = counts / totals[:, None]
+    return 1.0 - (frac * frac).sum(axis=1)
 
 
-def _best_split(X, y_onehot, rows, mtry, min_leaf, rng):
-    n_features = X.shape[1]
-    feats = rng.choice(n_features, size=mtry, replace=False)
-    n = rows.size
-    total_counts = y_onehot[rows].sum(axis=0)
-    best = (np.inf, -1, 0.0)
-    for f in feats:
-        col = X[rows, f]
-        order = np.argsort(col, kind="stable")
-        vals = col[order]
-        if vals[0] == vals[-1]:
-            continue
-        cum = np.cumsum(y_onehot[rows][order], axis=0)
-        # split after position i: left = rows[:i+1]
-        pos = np.arange(1, n)
-        valid = (vals[1:] != vals[:-1]) & (pos >= min_leaf) & ((n - pos) >= min_leaf)
-        if not valid.any():
-            continue
-        left_counts = cum[:-1][valid]
-        nl = pos[valid].astype(np.float64)
-        nr = n - nl
-        gl = _gini_from_counts(left_counts, nl)
-        gr = _gini_from_counts(total_counts[None, :] - left_counts, nr)
-        weighted = (nl * gl + nr * gr) / n
-        j = int(weighted.argmin())
-        if weighted[j] < best[0] - 1e-15:
-            i = np.flatnonzero(valid)[j]
-            thr = 0.5 * (vals[i] + vals[i + 1])
-            best = (float(weighted[j]), int(f), thr)
-    return best
+@dataclass
+class _RankCodes:
+    """Rank codes of every column: ``codes[f, i]`` is the rank of X[i, f]
+    among the distinct values of column f, and that value is
+    ``values[start[f] + codes[f, i]]``."""
+
+    codes: np.ndarray  # (features, rows)
+    values: np.ndarray
+    start: np.ndarray  # (features + 1,)
+
+    @classmethod
+    def of(cls, X):
+        codes = np.empty((X.shape[1], X.shape[0]), dtype=np.int64)
+        values = []
+        for f in range(X.shape[1]):
+            distinct, codes[f] = np.unique(X[:, f], return_inverse=True)
+            values.append(distinct)
+        start = np.cumsum([0] + [v.size for v in values])
+        return cls(codes, np.concatenate(values), start)
 
 
-def _grow_tree(X, y_idx, n_classes, sample_rows, min_leaf, rng):
-    y_onehot = np.zeros((X.shape[0], n_classes))
-    y_onehot[np.arange(X.shape[0]), y_idx] = 1.0
+def _best_split(ranks, y_idx, rows, class_counts, mtry, min_leaf, rng):
+    """(feature, threshold) of the lowest weighted Gini over the drawn
+    features, or feature -1 when no boundary leaves ``min_leaf`` rows on
+    both sides. Drawn feature j owns the histogram bins offset[j] + code."""
+    feats = rng.choice(ranks.codes.shape[0], size=mtry, replace=False)
+    n, n_classes = rows.size, class_counts.size
+    offset = np.zeros(mtry + 1, dtype=np.int64)
+    np.cumsum(ranks.start[feats + 1] - ranks.start[feats], out=offset[1:])
+    keys = ranks.codes[feats[:, None], rows] + offset[:-1, None]
+    rows_in_bin = np.bincount(keys.ravel(), minlength=offset[-1])
+    present = np.flatnonzero(rows_in_bin)
+    slot = np.empty(offset[-1], dtype=np.int64)
+    slot[present] = np.arange(present.size)
+    hist = np.bincount(
+        (slot[keys] * n_classes + y_idx[rows]).ravel(), minlength=present.size * n_classes
+    ).reshape(present.size, n_classes)
+    # every row sits in one bin of each feature, so the counts below a
+    # feature's bins are j whole nodes
+    bounds = np.searchsorted(present, offset)
+    seg = np.repeat(np.arange(mtry), bounds[1:] - bounds[:-1])
+    nl = np.cumsum(rows_in_bin[present]) - seg * n
+    # a split after code c sends codes <= c left; a feature's last present
+    # code leaves nothing on the right
+    valid = (nl >= min_leaf) & (n - nl >= min_leaf)
+    valid[bounds[1:] - 1] = False
+    cand = np.flatnonzero(valid)
+    if not cand.size:
+        return -1, 0.0
+    m = cand.size
+    left = np.cumsum(hist, axis=0)[cand] - seg[cand, None] * class_counts
+    nl = nl[cand].astype(np.float64)
+    nr = n - nl
+    counts = np.concatenate([left, class_counts - left]).astype(np.float64)
+    gini = _gini_from_counts(counts, np.concatenate([nl, nr]))
+    weighted = (nl * gini[:m] + nr * gini[m:]) / n
+    # within a feature the first minimum wins; across features, draw order
+    # and a 1e-15 margin decide
+    starts = np.searchsorted(seg[cand], np.arange(mtry + 1))
+    firsts = starts[:-1][starts[:-1] < starts[1:]]
+    best, pick = np.inf, -1
+    for k, w in enumerate(np.minimum.reduceat(weighted, firsts).tolist()):
+        if w < best - 1e-15:
+            best, pick = w, k
+    lo = firsts[pick]
+    hi = firsts[pick + 1] if pick + 1 < firsts.size else m
+    p = cand[lo + int(weighted[lo:hi].argmin())]
+    j = seg[p]
+    base = ranks.start[feats[j]] - offset[j]
+    thr = 0.5 * (ranks.values[base + present[p]] + ranks.values[base + present[p + 1]])
+    return int(feats[j]), thr
+
+
+def _grow_tree(X, ranks, y_idx, n_classes, sample_rows, min_leaf, rng):
     mtry = max(1, int(np.sqrt(X.shape[1])))
     tree = _Tree()
 
@@ -118,11 +215,11 @@ def _grow_tree(X, y_idx, n_classes, sample_rows, min_leaf, rng):
     stack = [(new_node(), sample_rows)]
     while stack:
         node, rows = stack.pop()
-        counts = np.bincount(y_idx[rows], minlength=n_classes).astype(np.float64)
+        counts = np.bincount(y_idx[rows], minlength=n_classes)
         tree.value[node] = counts / rows.size
         if counts.max() == rows.size or rows.size < 2 * min_leaf:
             continue
-        impurity, feat, thr = _best_split(X, y_onehot, rows, mtry, min_leaf, rng)
+        feat, thr = _best_split(ranks, y_idx, rows, counts, mtry, min_leaf, rng)
         if feat < 0:
             continue
         go_left = X[rows, feat] <= thr
@@ -188,12 +285,21 @@ def train_surrogate(
     Deterministic for a fixed seed: the holdout split, every bootstrap and
     every feature draw derive from it.
     """
+    if trees < 1:
+        raise SurrogateError(f"trees must be >= 1, got {trees}")
+    if not 0.0 < holdout_fraction < 1.0:
+        raise SurrogateError(
+            f"holdout_fraction must lie in (0, 1), got {holdout_fraction}"
+        )
     X = _as_features(features)
     y = _as_labels(roles)
     if X.shape[0] != y.shape[0]:
         raise SurrogateError(
             f"features have {X.shape[0]} rows but labels have {y.shape[0]}"
         )
+    if np.isnan(X).any():
+        # a NaN has no rank among a column's values
+        raise SurrogateError("features contain NaN")
     class_labels = np.unique(y)
     if class_labels.size < 2:
         raise SurrogateError("surrogate needs at least two classes")
@@ -207,11 +313,12 @@ def train_surrogate(
     if np.unique(y_idx[train_idx]).size < 2:
         raise SurrogateError("training split collapsed to a single class")
 
+    ranks = _RankCodes.of(X)
     forest = []
     for i in range(trees):
         rng = np.random.default_rng(derive_seed(seed, "tree", i))
         boot = train_idx[rng.integers(0, train_idx.size, train_idx.size)]
-        forest.append(_grow_tree(X, y_idx, class_labels.size, boot, min_leaf, rng))
+        forest.append(_grow_tree(X, ranks, y_idx, class_labels.size, boot, min_leaf, rng))
 
     model = SurrogateForest(
         trees=forest,
@@ -268,13 +375,20 @@ def permutation_importance(
     """Holdout accuracy drop when one feature column is shuffled.
 
     The same holdout rows the model was scored on are reused; each
-    (feature, repeat) pair gets its own derived shuffle seed. A tree that
-    never splits on the shuffled feature predicts what it predicted on the
-    unshuffled rows, so each tree is run once on those rows and only the
-    trees that split on the feature are run again. The votes are summed in
+    (feature, repeat) cell gets its own derived shuffle seed. Each tree is
+    run once on the unshuffled rows, and once more, pinned, over all cells
+    of the features it splits on: in cell (f, r) a row reads the shuffled
+    value wherever a node tests f and its own value elsewhere, so no
+    shuffled copy of the rows is made. Up to its first node on f a row
+    walks its unshuffled path, so the pinned walk starts there
+    (``_Tree.first_splits``), and a row whose path never tests f keeps
+    its leaf. A tree that never splits on f votes in cell (f, r) what it
+    voted on the unshuffled rows. The votes of each cell are summed in
     tree order, as ``SurrogateForest.predict_proba`` does, so every
     accuracy equals that of a whole-forest prediction bit for bit. A
     feature no tree splits on gets a drop of exactly 0 without a shuffle.
+    Cells run in passes of at most ``_BLOCK_CELLS`` vote sums;
+    ``meta["cells"]`` counts the cells shuffled.
     """
     if repeats < 1:
         raise SurrogateError("repeats must be >= 1")
@@ -284,41 +398,57 @@ def permutation_importance(
     y = _as_labels(roles)
     X_test = X[model.test_idx]
     y_test = y[model.test_idx]
-    cached = [tree.predict_proba(X_test) for tree in model.trees]
-    users = [[] for _ in range(X.shape[1])]
-    for i, tree in enumerate(model.trees):
-        for f in np.unique(tree.feature[tree.feature >= 0]):
-            users[f].append(i)
+    trees = model.trees
+    n_rows, n_classes = X_test.shape[0], model.class_labels.size
+    cached_leaf = [tree.leaves(X_test)[0] for tree in trees]
+    cached = [tree.value[leaf] for tree, leaf in zip(trees, cached_leaf)]
+    splits_on = np.zeros((len(trees), X.shape[1]), dtype=bool)
+    for i, tree in enumerate(trees):
+        splits_on[i, tree.feature[tree.feature >= 0]] = True
+    used = np.flatnonzero(splits_on.any(axis=0))
 
-    def accuracy(fresh):
-        # fresh: tree index -> probabilities on the shuffled rows
-        acc = np.zeros(cached[0].shape)
-        for i, probs in enumerate(cached):
-            acc += fresh.get(i, probs)
-        pred = model.class_labels[(acc / len(cached)).argmax(axis=1)]
-        return float((pred == y_test).mean())
+    def accuracy(votes):
+        # votes: (..., rows, classes) sums over the trees in tree order
+        pred = model.class_labels[(votes / len(trees)).argmax(axis=-1)]
+        return (pred == y_test).mean(axis=-1)
 
-    baseline = accuracy({})
-    rows = []
-    for f in range(X.shape[1]):
-        if not users[f]:
-            rows.append((f, 0.0, 0.0))
-            continue
-        drops = []
-        for r in range(repeats):
-            rng = np.random.default_rng(derive_seed(seed, "perm", f, r))
-            shuffled = X_test.copy()
-            shuffled[:, f] = shuffled[rng.permutation(X_test.shape[0]), f]
-            fresh = {i: model.trees[i].predict_proba(shuffled) for i in users[f]}
-            drops.append(baseline - accuracy(fresh))
-        drops = np.array(drops)
-        rows.append((f, float(drops.mean()), float(drops.std())))
+    votes = np.zeros((n_rows, n_classes))
+    for probs in cached:
+        votes += probs
+    baseline = float(accuracy(votes))
+
+    cell_feature = np.repeat(used, repeats)
+    cell_repeat = np.tile(np.arange(repeats), used.size)
+    drops = np.empty(cell_feature.size)
+    per_pass = max(1, _BLOCK_CELLS // max(1, n_rows * n_classes))
+    for c0 in range(0, cell_feature.size, per_pass):
+        feats = cell_feature[c0 : c0 + per_pass]
+        sources = np.empty((feats.size, n_rows), dtype=np.int64)
+        for k, (f, r) in enumerate(zip(feats.tolist(), cell_repeat[c0 : c0 + per_pass].tolist())):
+            sources[k] = np.random.default_rng(derive_seed(seed, "perm", f, r)).permutation(n_rows)
+        votes = np.zeros((feats.size, n_rows, n_classes))
+        for i, tree in enumerate(trees):
+            moved = splits_on[i, feats]
+            np.add(votes, cached[i], out=votes, where=~moved[:, None, None])
+            if moved.any():
+                # a row walks its unshuffled path up to its first node on
+                # the cell's feature and re-enters the tree there
+                q = np.flatnonzero(moved)
+                leaf = cached_leaf[i]
+                start = tree.first_splits(X.shape[1])[leaf][:, feats[q]].T
+                start = np.where(start >= 0, start, leaf)
+                votes[q] += tree.value[tree.leaves(X_test, feats[q], sources[q], start)]
+        drops[c0 : c0 + feats.size] = baseline - accuracy(votes)
+
+    rows = [(f, 0.0, 0.0) for f in range(X.shape[1])]
+    for f, d in zip(used.tolist(), drops.reshape(used.size, repeats)):
+        rows[f] = (f, float(d.mean()), float(d.std()))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return ImportanceReport(
         rows=rows,
         baseline_accuracy=baseline,
         repeats=repeats,
-        meta={"protocol": "holdout-20pct", "seed": seed},
+        meta={"protocol": "holdout-20pct", "seed": seed, "cells": int(cell_feature.size)},
     )
 
 

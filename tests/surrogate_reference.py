@@ -1,0 +1,108 @@
+"""Reference forest fit: the per-feature sort-and-scan split search.
+
+Each node draws its features with the same ``rng.choice`` call as
+``orbitroles.surrogate``, then, feature by feature, sorts the node's rows
+by value, takes the cumulative class counts over the sorted rows and
+scores every boundary between two distinct values. The production fit
+must grow the same trees bit for bit.
+"""
+
+import numpy as np
+
+from orbitroles.seeds import derive_seed
+from orbitroles.surrogate import _as_features, _Tree
+
+
+def _gini_from_counts(counts, totals):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = counts / totals[..., None]
+    return 1.0 - np.nansum(frac * frac, axis=-1)
+
+
+def best_split(X, y_onehot, rows, mtry, min_leaf, rng):
+    n_features = X.shape[1]
+    feats = rng.choice(n_features, size=mtry, replace=False)
+    n = rows.size
+    total_counts = y_onehot[rows].sum(axis=0)
+    best = (np.inf, -1, 0.0)
+    for f in feats:
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        vals = col[order]
+        if vals[0] == vals[-1]:
+            continue
+        cum = np.cumsum(y_onehot[rows][order], axis=0)
+        # split after position i: left = rows[:i+1]
+        pos = np.arange(1, n)
+        valid = (vals[1:] != vals[:-1]) & (pos >= min_leaf) & ((n - pos) >= min_leaf)
+        if not valid.any():
+            continue
+        left_counts = cum[:-1][valid]
+        nl = pos[valid].astype(np.float64)
+        nr = n - nl
+        gl = _gini_from_counts(left_counts, nl)
+        gr = _gini_from_counts(total_counts[None, :] - left_counts, nr)
+        weighted = (nl * gl + nr * gr) / n
+        j = int(weighted.argmin())
+        if weighted[j] < best[0] - 1e-15:
+            i = np.flatnonzero(valid)[j]
+            thr = 0.5 * (vals[i] + vals[i + 1])
+            best = (float(weighted[j]), int(f), thr)
+    return best
+
+
+def grow_tree(X, y_idx, n_classes, sample_rows, min_leaf, rng):
+    y_onehot = np.zeros((X.shape[0], n_classes))
+    y_onehot[np.arange(X.shape[0]), y_idx] = 1.0
+    mtry = max(1, int(np.sqrt(X.shape[1])))
+    tree = _Tree()
+
+    def new_node():
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(None)
+        return len(tree.feature) - 1
+
+    stack = [(new_node(), sample_rows)]
+    while stack:
+        node, rows = stack.pop()
+        counts = np.bincount(y_idx[rows], minlength=n_classes).astype(np.float64)
+        tree.value[node] = counts / rows.size
+        if counts.max() == rows.size or rows.size < 2 * min_leaf:
+            continue
+        impurity, feat, thr = best_split(X, y_onehot, rows, mtry, min_leaf, rng)
+        if feat < 0:
+            continue
+        go_left = X[rows, feat] <= thr
+        left_rows = rows[go_left]
+        right_rows = rows[~go_left]
+        if not left_rows.size or not right_rows.size:
+            continue
+        tree.feature[node] = feat
+        tree.threshold[node] = thr
+        left_id = new_node()
+        right_id = new_node()
+        tree.left[node] = left_id
+        tree.right[node] = right_id
+        # right pushed first so the left branch grows first (fixed rng order)
+        stack.append((right_id, right_rows))
+        stack.append((left_id, left_rows))
+    tree.finalize()
+    return tree
+
+
+def reference_trees(model, features, roles, min_leaf=5):
+    """Regrow every tree of ``model`` with the reference split search, from
+    the model's own training rows and the tree seeds ``train_surrogate``
+    derives."""
+    X = _as_features(features)
+    y_idx = np.searchsorted(model.class_labels, np.asarray(roles, dtype=np.int64))
+    train_idx = model.train_idx
+    trees = []
+    for i in range(len(model.trees)):
+        rng = np.random.default_rng(derive_seed(model.seed, "tree", i))
+        boot = train_idx[rng.integers(0, train_idx.size, train_idx.size)]
+        trees.append(grow_tree(X, y_idx, model.class_labels.size, boot, min_leaf, rng))
+    return trees

@@ -592,3 +592,90 @@ def test_default_rolx_rank_runs_on_ba_graph(tmp_path):
     assert (out / "roles_rolx.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["config"]["embed"]["rolx_rank"] == 4
+
+
+class TestExplainMetrics:
+    KEYS = {"holdout_accuracy", "tree_nodes", "features_used", "importance_cells", "skipped_curves"}
+
+    def test_subpopulation_skipped_curve_noted(self, corpus, tmp_path):
+        # clique members and clique attachments all sit in one K5, so the
+        # triangle orbit 3 is constant within them but not in the corpus
+        census = tmp_path / "census"
+        assert run("census", corpus / "edges.txt", "--out", census) == 0
+        counts, ids = orbits_from_csv(census / "orbits.csv")
+        with open(corpus / "roles.csv") as fh:
+            truth = {row["id"]: int(row["true_role"]) for row in csv.DictReader(fh)}
+        labels = np.array([truth[i] for i in ids])
+        keep = np.isin(labels, [0, 1])
+        assert np.ptp(counts.counts[keep, 3]) == 0 and np.ptp(counts.counts[:, 3]) > 0
+        assert np.ptp(counts.counts[keep, 0]) > 0
+        roles_path = tmp_path / "roles.csv"
+        roles_path.write_text(
+            "# method=truth k=3 seed=0\nid,role\n"
+            + "".join(f"{i},{label}\n" for i, label in zip(ids, labels))
+        )
+        cfg = write_config(
+            tmp_path / "cfg.ini",
+            BARBELL_CFG.replace("trees = 40", "trees = 8\nkeep_roles = 0,1").replace(
+                "effect_orbits = 0,17,28", "effect_orbits = 0,3"
+            ),
+        )
+        out = tmp_path / "out"
+        assert run(
+            "explain", "--orbits", census / "orbits.csv", "--roles", roles_path,
+            "--config", cfg, "--out", out,
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["notes"] == ["sub-population: orbit 3 constant; effect curve skipped"]
+        assert manifest["metrics"]["explain"]["skipped_curves"] == []
+        assert manifest["metrics"]["explain_subpop"]["skipped_curves"] == [3]
+        with open(out / "effects_subpop.csv") as fh:
+            orbits = {row["orbit"] for row in csv.DictReader(fh)}
+        assert orbits == {"0", "annotation"}
+
+    def test_metrics_keys_and_csvs_equal_reference(self, corpus, tmp_path, monkeypatch):
+        # the pipeline with the reference split search and the whole-forest
+        # importance patched in writes the same bytes
+        from surrogate_reference import grow_tree
+        from test_surrogate import reference_importance
+
+        from orbitroles import cli, surrogate
+
+        cfg = write_config(
+            tmp_path / "cfg.ini", BARBELL_CFG.replace("trees = 40", "trees = 8\nkeep_roles = 0,1")
+        )
+        args = ("pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv", "--config", cfg)
+        assert run(*args, "--out", tmp_path / "fast") == 0
+
+        def reference_report(model, features, roles, repeats, seed):
+            labels = getattr(roles, "labels", roles)
+            rows, baseline = reference_importance(model, features, labels, repeats, seed)
+            return surrogate.ImportanceReport(
+                rows, baseline, repeats, {"cells": repeats * len(model.features_used())}
+            )
+
+        def reference_grow(X, ranks, y_idx, n_classes, rows, min_leaf, rng):
+            return grow_tree(X, y_idx, n_classes, rows, min_leaf, rng)
+
+        monkeypatch.setattr(surrogate, "_grow_tree", reference_grow)
+        monkeypatch.setattr(cli, "permutation_importance", reference_report)
+        assert run(*args, "--out", tmp_path / "reference") == 0
+
+        fast = sorted(p.name for p in (tmp_path / "fast").glob("*.csv"))
+        assert "importance_subpop.csv" in fast and len(fast) == 13
+        for name in fast:
+            assert (tmp_path / "fast" / name).read_bytes() == (
+                tmp_path / "reference" / name
+            ).read_bytes(), name
+        metrics = {
+            tag: json.loads((tmp_path / tag / "manifest.json").read_text())["metrics"]
+            for tag in ("fast", "reference")
+        }
+        for key in ("explain", "explain_subpop"):
+            assert set(metrics["fast"][key]) == self.KEYS
+            assert metrics["fast"][key] == metrics["reference"][key]
+            assert metrics["fast"][key]["tree_nodes"] > 8
+            assert 0 < metrics["fast"][key]["importance_cells"] <= 73 * 2
+        assert metrics["fast"]["explain"]["holdout_accuracy"] == json.loads(
+            (tmp_path / "fast" / "manifest.json").read_text()
+        )["parameters"]["surrogate_holdout_accuracy"]

@@ -59,6 +59,27 @@ class TestTrainSurrogate:
         with pytest.raises(SurrogateError, match="rows"):
             train_surrogate(features, np.zeros(49, dtype=int), trees=5, seed=0)
 
+    def test_tree_count_checked(self):
+        features = synthetic_features(50, 0)
+        labels = (features.values[:, 0] > 1).astype(int)
+        for trees in (0, -3):
+            with pytest.raises(SurrogateError, match="trees must be >= 1"):
+                train_surrogate(features, labels, trees=trees, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_holdout_fraction_checked(self, fraction):
+        features = synthetic_features(50, 0)
+        labels = (features.values[:, 0] > 1).astype(int)
+        with pytest.raises(SurrogateError, match="holdout_fraction"):
+            train_surrogate(features, labels, trees=3, seed=0, holdout_fraction=fraction)
+
+    def test_nan_features_rejected(self):
+        features = synthetic_features(50, 0)
+        labels = (features.values[:, 0] > 1).astype(int)
+        features.values[7, 12] = np.nan
+        with pytest.raises(SurrogateError, match="NaN"):
+            train_surrogate(features, labels, trees=3, seed=0)
+
     def test_seed_bit_stable(self):
         features = synthetic_features(200, 6)
         labels = (features.values[:, 1] > np.median(features.values[:, 1])).astype(int)
@@ -405,21 +426,71 @@ class TestCachedExplainEqualsReference:
                 assert (mean, std) == (0.0, 0.0)
 
     def test_tree_predictions_counted(self, monkeypatch):
+        # one unpinned pass per tree, and one pinned pass per tree that
+        # splits, over every (orbit, repeat) cell of the orbits it splits on
         from orbitroles import surrogate
 
         model, features, labels = _random_model(trees=9)
         users = sum(len(set(t.feature[t.feature >= 0].tolist())) for t in model.trees)
         calls = []
-        original = surrogate._Tree.predict_proba
+        original = surrogate._Tree.leaves
 
-        def counting(tree, X):
-            calls.append(X.shape[0])
-            return original(tree, X)
+        def counting(tree, X, pinned=None, sources=None, start=None):
+            calls.append(None if pinned is None else len(pinned))
+            return original(tree, X, pinned, sources, start)
 
-        monkeypatch.setattr(surrogate._Tree, "predict_proba", counting)
+        monkeypatch.setattr(surrogate._Tree, "leaves", counting)
         repeats = 4
-        permutation_importance(model, features, labels, repeats=repeats, seed=2)
-        assert len(calls) == len(model.trees) + repeats * users
+        report = permutation_importance(model, features, labels, repeats=repeats, seed=2)
+        pinned = [cells for cells in calls if cells is not None]
+        assert calls.count(None) == len(model.trees)
+        assert len(pinned) == sum(bool((t.feature >= 0).any()) for t in model.trees)
+        assert sum(pinned) == repeats * users
+        assert report.meta["cells"] == repeats * len(model.features_used())
+
+    @pytest.mark.parametrize("make", [_planted_model, _random_model])
+    def test_pinned_walk_equals_shuffled_copy(self, make):
+        # a pinned walk reaches the leaf of the explicitly shuffled rows,
+        # from the root or re-entering at the first node on the feature
+        model, features, _ = make()
+        X = features.values[model.test_idx]
+        rng = np.random.default_rng(4)
+        reentered = 0
+        for tree in model.trees:
+            feats = np.unique(tree.feature[tree.feature >= 0])
+            sources = np.array([rng.permutation(X.shape[0]) for _ in feats])
+            want = []
+            for f, src in zip(feats, sources):
+                shuffled = X.copy()
+                shuffled[:, f] = X[src, f]
+                want.append(tree.leaves(shuffled)[0])
+            leaf = tree.leaves(X)[0]
+            start = tree.first_splits(X.shape[1])[leaf][:, feats].T
+            start = np.where(start >= 0, start, leaf)
+            reentered += int((start != leaf).sum())
+            assert np.array_equal(tree.leaves(X, feats, sources), np.array(want))
+            assert np.array_equal(tree.leaves(X, feats, sources, start), np.array(want))
+        assert 0 < reentered
+
+    def test_importance_in_several_passes_exact(self, monkeypatch):
+        from orbitroles import surrogate
+
+        model, features, labels = _random_model(trees=6)
+        rows = model.test_idx.size * model.class_labels.size
+        monkeypatch.setattr(surrogate, "_BLOCK_CELLS", 7 * rows)
+        passes = []
+        original = surrogate._Tree.leaves
+
+        def counting(tree, X, pinned=None, sources=None, start=None):
+            passes.append(pinned is not None)
+            return original(tree, X, pinned, sources, start)
+
+        monkeypatch.setattr(surrogate._Tree, "leaves", counting)
+        report = permutation_importance(model, features, labels, repeats=3, seed=8)
+        reference, baseline = reference_importance(model, features, labels, 3, 8)
+        assert report.rows == reference
+        assert report.baseline_accuracy == baseline
+        assert sum(passes) > 3 * len(model.trees)  # the 3 x used cells took many passes
 
     @pytest.mark.parametrize("make", [_planted_model, _random_model])
     def test_ale_grid_and_values_exact(self, make):
@@ -457,3 +528,82 @@ class TestCachedExplainEqualsReference:
         monkeypatch.setattr(surrogate.SurrogateForest, "predict_proba", counting)
         curve = effect_curve(model, features, 4, int(model.class_labels[0]), bins=16)
         assert calls == [2 * int(curve.bin_population[1:].sum())]
+
+
+# --- histogram split search against the sort-and-scan reference ---------------
+
+
+def _ba_features():
+    from util import ba_graph
+
+    return log_transform(count_orbits(ba_graph(400, 4, seed=2)))
+
+
+def _fit_cases():
+    planted = generate_planted_graph([barbell_template(5, 3)], 15, noise_edges=6, seed=1)
+    planted_features = log_transform(count_orbits(planted.graph))
+    ba = _ba_features()
+    rng = np.random.default_rng(21)
+    # mostly a function of two orbits, with a fifth of the labels drawn at random
+    ba_labels = np.digitize(ba.values[:, 0], np.quantile(ba.values[:, 0], [0.3, 0.6, 0.85]))
+    ba_labels[ba.values[:, 5] > np.median(ba.values[:, 5])] += 4
+    noisy = rng.random(400) < 0.2
+    ba_labels[noisy] = rng.integers(0, 8, size=int(noisy.sum()))
+    _, random_features, random_labels = _random_model(trees=1)
+    twelve = np.random.default_rng(22).integers(0, 12, size=400)
+    twelve[random_features.values[:, 3] > np.median(random_features.values[:, 3])] %= 3
+    return {
+        "planted": (planted_features, planted.true_role, {"trees": 8, "seed": 3}),
+        "poisson-ties": (random_features, random_labels, {"trees": 8, "seed": 6}),
+        "ba-400": (ba, ba_labels, {"trees": 6, "seed": 4}),
+        "twelve-classes": (random_features, twelve, {"trees": 6, "seed": 7}),
+        "large-min-leaf": (
+            planted_features, planted.true_role, {"trees": 8, "seed": 5, "min_leaf": 40}
+        ),
+        "min-leaf-1": (random_features, random_labels, {"trees": 4, "seed": 8, "min_leaf": 1}),
+    }
+
+
+def _assert_same_trees(model, reference):
+    assert len(model.trees) == len(reference)
+    for tree, ref in zip(model.trees, reference):
+        for attr in ("feature", "threshold", "left", "right", "value"):
+            got, want = getattr(tree, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype, attr
+            assert np.array_equal(got, want), attr
+
+
+class TestHistogramSplitEqualsReference:
+    @pytest.mark.parametrize(
+        "case",
+        ["planted", "poisson-ties", "ba-400", "twelve-classes", "large-min-leaf", "min-leaf-1"],
+    )
+    def test_tree_arrays_exact(self, case):
+        from surrogate_reference import reference_trees
+
+        features, labels, kwargs = _fit_cases()[case]
+        model = train_surrogate(features, labels, **kwargs)
+        reference = reference_trees(model, features, labels, kwargs.get("min_leaf", 5))
+        _assert_same_trees(model, reference)
+        assert any((t.feature >= 0).any() for t in model.trees)
+        if case == "twelve-classes":
+            assert model.class_labels.size == 12
+        if case == "large-min-leaf":
+            # most grown nodes could not be split further
+            leaves = sum(int((t.feature < 0).sum()) for t in model.trees)
+            assert leaves > sum(int((t.feature >= 0).sum()) for t in model.trees)
+
+    def test_refit_on_subpopulation_exact(self):
+        from surrogate_reference import reference_trees
+
+        planted = generate_planted_graph([barbell_template(5, 3)], 15, noise_edges=6, seed=1)
+        features = log_transform(count_orbits(planted.graph))
+        keep = [0, 2]
+        sub = refit_on_subpopulation(
+            features, planted.true_role, keep_roles=keep, trees=8, seed=9
+        )
+        mask = np.isin(planted.true_role, keep)
+        reference = reference_trees(
+            sub, features.values[mask], np.asarray(planted.true_role)[mask]
+        )
+        _assert_same_trees(sub, reference)
