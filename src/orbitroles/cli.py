@@ -9,13 +9,24 @@ same function with its flags folded into the config, so a staged chain
 with the pipeline's seed and config writes the pipeline's CSVs byte for
 byte. Every command writes its outputs plus one manifest into --out; a
 failing pipeline stage leaves a FAILED marker naming the stage and keeps
-partial outputs."""
+partial outputs.
+
+``threads`` (``--threads``, ``ORBITROLES_THREADS``) is the number of worker
+processes, by default the CPUs this process may run on (see ``workers``).
+With two or more, GraphWave and its CSV run on a forked worker while the
+parent counts orbits and runs RolX, and the sweep's k-means cells are dealt
+over the workers; the CSVs are the same for every count. Memory adds up
+over the lanes that run at once. The manifest's ``metrics["stages"]`` holds
+the wall seconds of each stage and of each worker task, and
+``metrics["workers"]`` the worker count."""
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +67,7 @@ from .planted import (
     generate_planted_graph,
     star_template,
 )
-from .seeds import derive_seed, resolve_threads
+from .seeds import derive_seed
 from .surrogate import (
     effect_curve,
     orbit3_threshold,
@@ -66,6 +77,7 @@ from .surrogate import (
     write_effect_curves,
 )
 from .graph import NodeTable
+from .workers import Task, resolve_threads
 
 
 class StageError(RuntimeError):
@@ -111,38 +123,66 @@ def _features(orbits, cfg, manifest):
     return features
 
 
-def _embed(graph, table, cfg, out, manifest):
+def _native_embedding(graph, table, cfg, out, method):
+    """One native embedding of ``graph``, written to its CSV in ``out``."""
     ec = cfg.embed
-    embeddings = []
-    for method in ec.methods:
-        if method == "graphwave":
-            embeddings.append(
-                graphwave_embed(
-                    graph,
-                    scales=ec.graphwave_scales,
-                    sample_points=ec.sample_points,
-                    t_max=ec.t_max,
-                )
-            )
-        elif method == "rolx":
-            embeddings.append(
-                rolx_embed(
-                    graph,
-                    rank=ec.rolx_rank,
-                    refex_depth=ec.refex_depth,
-                    seed=derive_seed(cfg.seed, "rolx"),
-                )
-            )
-        else:
-            raise ValueError(
-                f"unknown native method {method!r}; external methods enter "
-                "via [embed] import_paths"
-            )
-    embeddings += [import_embedding(path, table) for path in ec.import_paths]
+    if method == "graphwave":
+        emb = graphwave_embed(
+            graph,
+            scales=ec.graphwave_scales,
+            sample_points=ec.sample_points,
+            t_max=ec.t_max,
+        )
+    elif method == "rolx":
+        emb = rolx_embed(
+            graph,
+            rank=ec.rolx_rank,
+            refex_depth=ec.refex_depth,
+            seed=derive_seed(cfg.seed, "rolx"),
+        )
+    else:
+        raise ValueError(
+            f"unknown native method {method!r}; external methods enter "
+            "via [embed] import_paths"
+        )
+    embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
+    return emb
+
+
+def _workers(cfg, manifest) -> int:
+    """The worker count that ``cfg.threads`` resolves to, recorded in the
+    manifest."""
+    manifest.metrics["workers"] = workers = resolve_threads(cfg.threads)
+    return workers
+
+
+def _graphwave_lane(graph, table, cfg, out, manifest) -> Task:
+    """GraphWave and its CSV as the task that ``_embed`` joins: forked now
+    when there are two or more workers, otherwise run inline when joined.
+    Use it as a context manager, so that a failure before the join kills
+    and reaps the worker."""
+    fork = _workers(cfg, manifest) > 1 and "graphwave" in cfg.embed.methods
+    return Task(partial(_native_embedding, graph, table, cfg, out, "graphwave"), fork)
+
+
+def _embed(graph, table, cfg, out, manifest, lane):
+    """The embeddings of ``embed.methods`` in their order, then the
+    imported ones, each written to its CSV. GraphWave is the result of
+    ``lane`` (``_graphwave_lane``); the other native methods run here
+    first, beside a forked lane."""
+    ec = cfg.embed
+    native = {
+        m: _native_embedding(graph, table, cfg, out, m) for m in ec.methods if m != "graphwave"
+    }
+    if "graphwave" in ec.methods:
+        native["graphwave"] = lane.result()
+        manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
+    imported = [import_embedding(path, table) for path in ec.import_paths]
+    for emb in imported:
+        embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
+    embeddings = [native[m] for m in ec.methods] + imported
     for emb in embeddings:
-        path = out / f"embedding_{emb.method_tag}.csv"
-        embedding_to_csv(emb, table, path)
-        manifest.add_output(path)
+        manifest.add_output(out / f"embedding_{emb.method_tag}.csv")
     return embeddings
 
 
@@ -153,10 +193,13 @@ def _validate(embeddings, features, cfg, out, manifest):
         features,
         seed=cfg.seed,
         sample_cap=cfg.cluster.sample_cap,
-        threads=resolve_threads(cfg.threads),
+        threads=_workers(cfg, manifest),
     )
     result.to_csv(out / "sweep.csv")
     manifest.add_output(out / "sweep.csv")
+    stages = manifest.metrics.setdefault("stages", {})
+    for i, seconds in enumerate(result.worker_seconds):
+        stages[f"validate/kmeans-{i}"] = seconds
     manifest.metrics["kmeans"] = {
         f"{method}:{k}": {
             "iterations": len(a.meta["wcss_trajectory"]),
@@ -289,6 +332,23 @@ def _idr(graph, table, roles, cfg, out, manifest):
     return binned
 
 
+class _Stages:
+    """The pipeline's current stage, and the wall seconds spent in each."""
+
+    def __init__(self):
+        self.name, self.seconds, self._since = "config", {}, time.perf_counter()
+
+    def split(self) -> None:
+        """Add the time since the last split to the current stage."""
+        now = time.perf_counter()
+        self.seconds[self.name] = self.seconds.get(self.name, 0.0) + now - self._since
+        self._since = now
+
+    def enter(self, name) -> None:
+        self.split()
+        self.name = name
+
+
 def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
     out = _out_dir(out_dir)
     # a marker left by an earlier failed run into the same directory would
@@ -297,10 +357,11 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
     inputs = {"graph": graph_path}
     if labels_path:
         inputs["labels"] = labels_path
-    stage = "config"
+    stage = _Stages()
     try:
         validate_config(cfg)
-        stage = "load"
+        cfg = replace(cfg, threads=resolve_threads(cfg.threads))
+        stage.enter("load")
         manifest = RunManifest.start(
             command="pipeline",
             parameters={
@@ -313,39 +374,43 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
         )
         graph, table = _load_inputs(graph_path, labels_path)
 
-        stage = "census"
-        orbits = _census(graph, table, cfg, out, manifest)
-        features = _features(orbits, cfg, manifest)
+        # GraphWave's lane runs beside the census, features and RolX
+        stage.enter("embed")
+        with _graphwave_lane(graph, table, cfg, out, manifest) as lane:
+            stage.enter("census")
+            orbits = _census(graph, table, cfg, out, manifest)
+            features = _features(orbits, cfg, manifest)
+            stage.enter("embed")
+            embeddings = _embed(graph, table, cfg, out, manifest, lane)
 
-        stage = "embed"
-        embeddings = _embed(graph, table, cfg, out, manifest)
-
-        stage = "validate"
+        stage.enter("validate")
         swept = _validate(embeddings, features, cfg, out, manifest)
 
-        stage = "cluster"
+        stage.enter("cluster")
         # validate_config keeps chosen_k inside the swept k range
         assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
 
-        stage = "explain"
+        stage.enter("explain")
         roles = assignments.get(cfg.explain.method)
         if roles is None:
             raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
         _explain_roles(features, orbits, roles, cfg, out, manifest)
 
-        stage = "idr"
+        stage.enter("idr")
         if len({c for c in table.categories if c is not None}) >= 2:
             _idr(graph, table, roles, cfg, out, manifest)
         else:
             manifest.note("idr stage skipped: fewer than 2 disciplines")
 
+        stage.split()
+        manifest.metrics.setdefault("stages", {}).update(stage.seconds)
         manifest.write(out)
         return manifest
     except Exception as exc:
         marker = out / "FAILED"
         with open(marker, "w", encoding="utf-8") as fh:
-            fh.write(f"stage={stage}\nerror={exc}\n")
-        raise StageError(stage, exc) from exc
+            fh.write(f"stage={stage.name}\nerror={exc}\n")
+        raise StageError(stage.name, exc) from exc
 
 
 # --- staged commands --------------------------------------------------------
@@ -473,7 +538,8 @@ def _cmd_embed(args) -> int:
     cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
     manifest = _start("embed", cfg, {"graph": args.graph, "labels": args.labels})
-    embeddings = _embed(graph, table, cfg, out, manifest)
+    with _graphwave_lane(graph, table, cfg, out, manifest) as lane:
+        embeddings = _embed(graph, table, cfg, out, manifest, lane)
     widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
     return _finish(manifest, out, f"{widths} -> {out}")
 
@@ -571,7 +637,6 @@ def _cmd_pipeline(args) -> int:
     if graph_path is None:
         raise ValueError("pipeline requires a graph (positional or --from-manifest)")
     cfg = _with_flags(cfg, args)
-    cfg = replace(cfg, threads=resolve_threads(cfg.threads))
     manifest = run_pipeline(graph_path, labels_path, cfg, args.out)
     print(f"pipeline: ok ({len(manifest.outputs)} outputs) -> {args.out}")
     return 0
@@ -656,7 +721,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="end-to-end workflow")
     p.add_argument("graph", nargs="?", default=None)
     p.add_argument("--from-manifest", default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes (default: ORBITROLES_THREADS, else the usable CPUs)",
+    )
     common(p)
 
     return parser

@@ -4,11 +4,12 @@ Candidate roles are k-means clusterings of an embedding space; their
 validity is judged where interpretation happens, in the graphlet space,
 by the silhouette score over log-transformed orbit vectors. The sweep
 emits one row per (method, k) for plotting; candidate selection stays
-manual. It first runs k-means for every cell (on a thread pool when
-``threads`` > 1) and then scores all the labellings in one pass over the
-orbit-space distances, which are shared by every cell because they depend
-on neither the method nor k. The pipeline takes its chosen-k roles from
-the sweep's cells.
+manual. It first runs k-means for every cell, dealt over ``threads``
+forked worker processes (``workers.map_shares``; by default one per usable
+CPU, and each holds its own cells' working memory), and then scores all
+the labellings in one pass over the orbit-space distances, which are
+shared by every cell because they depend on neither the method nor k. The
+pipeline takes its chosen-k roles from the sweep's cells.
 
 Each k-means assignment step screens the distances with one BLAS matrix
 product and computes exact distances only for the rows whose nearest
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeds import derive_seed
+from .workers import map_shares
 
 
 class ClusteringError(ValueError):
@@ -127,8 +129,12 @@ def kmeans(
 
     Empty clusters are re-seeded to the point currently farthest from its
     centroid; a cluster still empty at convergence marks the run
-    degenerate with k_effective < k. The within-cluster sum of squares is
-    checked to be non-increasing on every run.
+    degenerate with k_effective < k. The run also stops when the iteration
+    after a re-seed does not lower the WCSS: with fewer distinct rows than
+    k the re-seeded centroid lands on a row that another centroid already
+    holds, the same or another cluster empties, and the re-seed would
+    repeat to ``max_iter`` at a constant WCSS. The within-cluster sum of
+    squares is checked to be non-increasing on every run.
     """
     X = embedding.vectors
     n = X.shape[0]
@@ -144,6 +150,7 @@ def kmeans(
     wcss_prev = np.inf
     trajectory = []
     rechecked = 0
+    reseeded = False  # whether the previous iteration re-seeded a cluster
 
     for _ in range(max_iter):
         labels, count = _nearest(X, x_sq, centroids)
@@ -175,8 +182,9 @@ def kmeans(
             )
         move = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        if move < tol:
+        if move < tol or (reseeded and wcss >= wcss_prev):
             break
+        reseeded = point_d2 is not None
         wcss_prev = wcss
 
     counts = np.bincount(labels, minlength=k)
@@ -295,11 +303,13 @@ def silhouette_in_orbit_space(
 
 @dataclass
 class SilhouetteSweep:
-    """Rows of (method_tag, k, silhouette, sampled) for plotting, and the
-    k-means assignment of each cell keyed by (method_tag, k)."""
+    """Rows of (method_tag, k, silhouette, sampled) for plotting, the
+    k-means assignment of each cell keyed by (method_tag, k), and the wall
+    seconds of each worker's share of the k-means cells."""
 
     rows: list
     assignments: dict = field(default_factory=dict)
+    worker_seconds: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -389,9 +399,10 @@ def sweep(
     """Run k-means plus orbit-space silhouette for each (method, k); the
     result keeps each cell's assignment.
 
-    The k-means cells are independent pure computations; with ``threads``
-    > 1 they run on a worker pool and are collected by index, so the
-    emitted table is identical regardless of thread count. In exact mode
+    The k-means cells are independent pure computations. ``threads`` is
+    the number of worker processes they are dealt over (the parent runs one
+    share, forked workers the others); they are collected by index, so the
+    emitted table is identical whatever the count. In exact mode
     (at most ``sample_cap`` nodes) the orbit-space distances depend on
     neither the method nor k, so one pass over them scores every cell's
     labelling. Beyond ``sample_cap`` each cell scores its own seeded node
@@ -411,13 +422,7 @@ def sweep(
         emb, k = job
         return kmeans(emb, k, seed=assignment_seed(seed, emb.method_tag, k))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            assignments = list(pool.map(cell, jobs))
-    else:
-        assignments = [cell(job) for job in jobs]
+    assignments, seconds = map_shares(cell, jobs, threads)
 
     X = orbit_features.values
     # lazy, so that sampled mode holds one cell's sample at a time
@@ -438,4 +443,4 @@ def sweep(
         (emb.method_tag, k, score, sampled) for (emb, k), score in zip(jobs, scores)
     ]
     cells = {(emb.method_tag, k): a for (emb, k), a in zip(jobs, assignments)}
-    return SilhouetteSweep(rows=rows, assignments=cells)
+    return SilhouetteSweep(rows=rows, assignments=cells, worker_seconds=seconds)

@@ -58,6 +58,11 @@ class IdrConfig:
 
 @dataclass
 class PipelineConfig:
+    """Every knob of a run. ``threads`` is the number of forked worker
+    processes; None means ORBITROLES_THREADS, else the CPUs the process may
+    run on. Lanes that run at once each hold their own memory: GraphWave's
+    dense matrices (1.6 GB at BA n = 5000) sit beside the census's."""
+
     seed: int = 0
     threads: int | None = None
     drop_orbit0: bool = False

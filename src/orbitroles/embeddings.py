@@ -286,17 +286,23 @@ def _nmf_multiplicative(F, rank, seed, max_iter, tol):
 
     Loading rows are initialized uniform(0, 1] from a seed derived from the
     row's feature content, so relabeling nodes permutes the factorization
-    exactly and structurally identical nodes share an initialization.
+    exactly and structurally identical nodes share an initialization. Each
+    distinct row key draws once and is copied to its rows.
     """
     n, f = F.shape
     eps = 1e-12
-    G = np.empty((n, rank))
-    for i in range(n):
-        # quantize before hashing: neighbor-sum rounding noise must not
-        # change the seed under node relabeling
-        key = np.round(F[i], 9).tobytes().hex()
-        row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key))
-        G[i] = 1.0 - row_rng.random(rank)
+    # quantize before hashing: neighbor-sum rounding noise must not change
+    # the seed under node relabeling. Rows are grouped by their bytes, the
+    # key itself, so -0.0 and 0.0 stay apart as they do in the key.
+    rounded = np.ascontiguousarray(np.round(F, 9))
+    keys, inverse = np.unique(
+        rounded.view(np.dtype((np.void, rounded.itemsize * f))).ravel(), return_inverse=True
+    )
+    drawn = np.empty((keys.size, rank))
+    for j, key in enumerate(keys):
+        row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key.tobytes().hex()))
+        drawn[j] = 1.0 - row_rng.random(rank)
+    G = drawn[inverse.ravel()]
     H = 1.0 - np.random.default_rng(derive_seed(seed, "basis")).random((rank, f))
     errors = [float(np.linalg.norm(F - G @ H))]
     converged = False

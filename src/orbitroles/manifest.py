@@ -6,9 +6,10 @@ Re-running a command with the parameters stored in a manifest must
 reproduce byte-identical CSV outputs (timestamps in the manifest itself
 are informational and excluded from that contract). The ``metrics`` block
 holds counters that explain a result, such as the k-means iterations and
-degeneracy of each sweep cell and the surrogate's holdout accuracy, size,
-shuffled importance cells and skipped effect curves; it is outside that
-contract too.
+degeneracy of each sweep cell, the surrogate's holdout accuracy, size,
+shuffled importance cells and skipped effect curves, the wall seconds of
+each stage and worker task (``stages``) and the worker count
+(``workers``); it is outside that contract too.
 """
 
 from __future__ import annotations

@@ -8,11 +8,8 @@ stage can be re-run in isolation and reproduce its output exactly.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
-
-_ENV_THREADS = "ORBITROLES_THREADS"
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -26,15 +23,3 @@ def rng_for(master: int, *parts) -> np.random.Generator:
     """A numpy Generator seeded by the derived seed for this label path."""
     return np.random.default_rng(derive_seed(master, *parts))
 
-
-def resolve_threads(requested=None) -> int:
-    """Worker count: explicit flag wins, then ORBITROLES_THREADS, then 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1

@@ -3,7 +3,9 @@
 It computes every point-to-centroid distance exactly from an n x k x d
 broadcast and gathers each cluster's members with a boolean mask; the
 tests hold the BLAS-screened loop to its labels, WCSS trajectory and
-degeneracy, compared with ``==``.
+degeneracy, compared with ``==``. It shares one rule with
+``clustering.kmeans``: a run stops when the iteration after a re-seed does
+not lower the WCSS.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
     labels = np.zeros(n, dtype=np.int64)
     wcss_prev = np.inf
     trajectory = []
+    reseeded = False
 
     for _ in range(max_iter):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -32,12 +35,14 @@ def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
 
         wcss = 0.0
         new_centroids = centroids.copy()
+        emptied = False
         for j in range(k):
             members = labels == j
             if members.any():
                 new_centroids[j] = X[members].mean(axis=0)
                 wcss += float(((X[members] - new_centroids[j]) ** 2).sum())
             else:
+                emptied = True
                 far = int(point_d2.argmax())
                 new_centroids[j] = X[far]
                 point_d2[far] = 0.0
@@ -48,8 +53,9 @@ def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
             )
         move = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        if move < tol:
+        if move < tol or (reseeded and wcss >= wcss_prev):
             break
+        reseeded = emptied
         wcss_prev = wcss
 
     counts = np.bincount(labels, minlength=k)

@@ -5,6 +5,8 @@
 k x k complex exponential per point; the tests hold the rotation
 recurrence to it by a tolerance. ``embedding_to_csv_rows`` writes every
 row through ``csv.writer``; the tests hold the joined writer to its bytes.
+``initial_loadings_per_row`` seeds RolX's NMF row by row; the tests hold the
+per-key draw to its bits.
 """
 
 import csv
@@ -19,6 +21,7 @@ from orbitroles.embeddings import (
     _component_laplacian,
     _heat_kernel_exact,
 )
+from orbitroles.seeds import derive_seed
 
 
 def graphwave_exact(
@@ -55,3 +58,14 @@ def embedding_to_csv_rows(embedding, table, path):
         writer.writerow(["id"] + [f"e{i}" for i in range(embedding.d)])
         for i, ext in enumerate(table.external_ids):
             writer.writerow([ext] + [repr(float(v)) for v in embedding.vectors[i]])
+
+
+def initial_loadings_per_row(F, rank, seed):
+    """The NMF loading rows as ``_nmf_multiplicative`` first drew them: one
+    derived seed and one generator per row of F."""
+    G = np.empty((F.shape[0], rank))
+    for i in range(F.shape[0]):
+        key = np.round(F[i], 9).tobytes().hex()
+        row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key))
+        G[i] = 1.0 - row_rng.random(rank)
+    return G

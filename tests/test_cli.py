@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from orbitroles.graphlets import count_orbits_bruteforce
 from orbitroles.graph import load_edge_list
 from orbitroles.orbits import orbits_from_csv
 
-from util import er_graph
+from util import assert_no_children, er_graph
 
 
 def run(*argv):
@@ -485,11 +487,13 @@ def test_pipeline_runs_one_kmeans_per_sweep_cell(corpus, tmp_path, monkeypatch):
     import orbitroles.cli
     import orbitroles.clustering
 
-    calls = []
+    log = tmp_path / "calls.txt"
 
     def counting(original):
         def wrapper(*args, **kwargs):
-            calls.append(args[1])
+            # a file, not a list: the sweep's forked workers append to it too
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{args[1]}\n")
             return original(*args, **kwargs)
 
         return wrapper
@@ -501,6 +505,7 @@ def test_pipeline_runs_one_kmeans_per_sweep_cell(corpus, tmp_path, monkeypatch):
         "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
         "--config", cfg, "--out", tmp_path / "out",
     ) == 0
+    calls = [int(k) for k in log.read_text(encoding="utf-8").split()]
     assert sorted(calls) == sorted([2, 3, 4, 5] * 2)  # 2 methods x k in [2, 5]
 
 
@@ -679,3 +684,154 @@ class TestExplainMetrics:
         assert metrics["fast"]["explain"]["holdout_accuracy"] == json.loads(
             (tmp_path / "fast" / "manifest.json").read_text()
         )["parameters"]["surrogate_holdout_accuracy"]
+
+
+def _ba_edges(path):
+    from util import ba_graph
+
+    path.write_text("".join(f"n{u} n{v}\n" for u, v in ba_graph(400, 4, 8).edges()))
+    return path
+
+
+class TestWorkers:
+    """The forked lanes: the same CSVs for every worker count, errors that
+    name the right stage, and no process left behind."""
+
+    @pytest.mark.parametrize("graph", ["barbell", "ba"])
+    def test_csvs_same_for_every_worker_count(self, corpus, tmp_path, graph):
+        if graph == "barbell":
+            graph_file, text = corpus / "edges.txt", BARBELL_CFG
+            labels = ("--labels", corpus / "nodes.csv")
+        else:
+            graph_file, text, labels = _ba_edges(tmp_path / "ba.txt"), BA_CFG, ()
+        runs = {}
+        for threads in (1, 2, 3):
+            out = tmp_path / f"pipe{threads}"
+            cfg = write_config(
+                tmp_path / f"cfg{threads}.ini",
+                text.replace("[pipeline]\n", f"[pipeline]\nthreads = {threads}\n"),
+            )
+            assert run("pipeline", graph_file, *labels, "--config", cfg, "--out", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["metrics"]["workers"] == threads
+            # the staged commands that use workers: embed and validate
+            staged = tmp_path / f"staged{threads}"
+            common = (*labels, "--config", cfg, "--out", staged)
+            assert run("embed", graph_file, *common) == 0
+            embeddings = [staged / f"embedding_{m}.csv" for m in ("graphwave", "rolx")]
+            assert run(
+                "validate", graph_file, *common, "--orbits", out / "orbits.csv",
+                "--embedding", embeddings[0], "--embedding", embeddings[1],
+            ) == 0
+            runs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+            for path in staged.glob("*.csv"):
+                assert path.read_bytes() == runs[threads][path.name], (threads, path.name)
+        assert len(runs[1]) == (11 if graph == "barbell" else 8)
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert_no_children()
+
+    def test_manifest_stage_timings(self, corpus, tmp_path):
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG.replace("seed = 42", "seed = 42\nthreads = 2"))
+        out = tmp_path / "out"
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--out", out,
+        ) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["workers"] == 2
+        stages = metrics["stages"]
+        assert set(stages) == {
+            "config", "load", "census", "embed", "validate", "cluster", "explain", "idr",
+            "embed/graphwave", "validate/kmeans-0", "validate/kmeans-1",
+        }
+        assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+
+    def test_graphwave_error_in_worker_marks_embed(self, corpus, tmp_path, monkeypatch, capsys):
+        import orbitroles.cli
+
+        parent = os.getpid()
+
+        def failing(*args, **kwargs):
+            raise ValueError(f"graphwave failed in {'parent' if os.getpid() == parent else 'worker'}")
+
+        monkeypatch.setattr(orbitroles.cli, "graphwave_embed", failing)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        code = run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", 2, "--out", out,
+        )
+        assert code == 2
+        assert "stage 'embed' failed" in capsys.readouterr().err
+        marker = (out / "FAILED").read_text()
+        assert marker == "stage=embed\nerror=graphwave failed in worker\n"
+        assert (out / "orbits.csv").exists() and (out / "embedding_rolx.csv").exists()
+        assert_no_children()
+
+    def test_census_error_reaps_running_worker(self, corpus, tmp_path, monkeypatch):
+        import orbitroles.cli
+
+        def slow(*args, **kwargs):
+            time.sleep(60)
+
+        def failing(*args, **kwargs):
+            raise ValueError("census failed")
+
+        monkeypatch.setattr(orbitroles.cli, "graphwave_embed", slow)
+        monkeypatch.setattr(orbitroles.cli, "count_orbits", failing)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", 2, "--out", out,
+        ) == 2
+        assert time.monotonic() - start < 30
+        assert (out / "FAILED").read_text() == "stage=census\nerror=census failed\n"
+        assert_no_children()
+
+    @pytest.mark.parametrize("where", ["census", "sweep"])
+    def test_interrupt_leaves_no_process(self, corpus, tmp_path, monkeypatch, where):
+        import orbitroles.cli
+        import orbitroles.clustering
+
+        parent = os.getpid()
+
+        def interrupted(*args, **kwargs):
+            # Ctrl-C in the parent while the workers are still busy
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        if where == "census":
+            monkeypatch.setattr(orbitroles.cli, "graphwave_embed", interrupted)
+            monkeypatch.setattr(orbitroles.cli, "count_orbits", interrupted)
+        else:
+            monkeypatch.setattr(orbitroles.clustering, "kmeans", interrupted)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run(
+                "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+                "--config", cfg, "--threads", 3, "--out", tmp_path / "out",
+            )
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # forking needs neither: they would only add to the set-up time
+    src = str(Path(orbitroles.__file__).resolve().parents[1])
+    probe = (
+        "import sys, orbitroles.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": src, "PATH": ""},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -89,6 +89,17 @@ class TestKmeans:
         assert assignment.labels.min() >= 0
         assert assignment.labels.max() < 3
 
+    def test_reseed_cycle_stops(self):
+        # 6 distinct rows, k > 6: each re-seeded centroid lands on a row
+        # another centroid holds, so a cluster empties on every iteration
+        # at a constant WCSS; the run used to take all 300 iterations
+        X = np.repeat(np.random.default_rng(1).normal(size=(6, 4)), 20, axis=0)
+        for k in range(7, 20):
+            assignment = kmeans(emb(X), k, seed=1)
+            assert len(assignment.meta["wcss_trajectory"]) < 300
+            assert assignment.degenerate and assignment.k_effective == 6
+        assert kmeans(emb(X), 6, seed=1).k_effective == 6
+
 
 def assert_same_run(got, want):
     assert np.array_equal(got.labels, want.labels)

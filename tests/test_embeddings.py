@@ -13,7 +13,7 @@ from orbitroles.embeddings import (
 from orbitroles.graph import Graph, NodeTable
 from orbitroles.planted import barbell_template, generate_planted_graph
 
-from util import complete_graph, cycle_graph, er_graph, permute_graph, star_graph
+from util import ba_graph, complete_graph, cycle_graph, er_graph, permute_graph, star_graph
 
 
 class TestGraphWave:
@@ -237,6 +237,25 @@ class TestRolx:
         emb = rolx_embed(g, rank=3, seed=5)
         emb_p = rolx_embed(permute_graph(g, perm), rank=3, seed=5)
         assert np.allclose(emb_p.vectors[perm], emb.vectors, atol=1e-9)
+
+    @pytest.mark.parametrize("graph", ["barbell", "ba"])
+    def test_per_key_loadings_equal_per_row_draws(self, graph):
+        # one draw per distinct ReFeX row, copied to its rows, gives the
+        # bits of one draw per row; the barbell repeats rows, BA n=400 not
+        from embedding_reference import initial_loadings_per_row
+
+        from orbitroles.embeddings import _nmf_multiplicative
+
+        g = {
+            "barbell": lambda: generate_planted_graph([barbell_template(5, 3)], 12, seed=0).graph,
+            "ba": lambda: ba_graph(400, 4, 3),
+        }[graph]()
+        F = refex_features(g).features
+        distinct = np.unique(np.round(F, 9), axis=0).shape[0]
+        assert (distinct < F.shape[0]) == (graph == "barbell")
+        for rank, seed in ((3, 0), (4, 7)):
+            G0, *_ = _nmf_multiplicative(F, rank, seed, max_iter=0, tol=1e-6)
+            assert np.array_equal(G0, initial_loadings_per_row(F, rank, seed))
 
 
 class TestImport:

@@ -1,8 +1,11 @@
-"""Shared helpers for the test suite: small graph builders and NMI."""
+"""Shared helpers for the test suite: small graph builders, NMI, and a
+check that no worker process is left."""
 
 import itertools
+import os
 
 import numpy as np
+import pytest
 
 from orbitroles.graph import Graph
 
@@ -86,3 +89,9 @@ def permute_graph(graph, perm):
     """Relabel nodes by perm (new index = perm[old index])."""
     edges = [(perm[u], perm[v]) for u, v in graph.edges()]
     return Graph.from_edges(graph.node_count, edges)
+
+
+def assert_no_children():
+    # raises when this process has no child at all, live or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
