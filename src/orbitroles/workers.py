@@ -14,7 +14,9 @@ parent, which is the only path on a one-CPU host.
 The workers are forked, not spawned: a spawned worker would import numpy
 and this package afresh and be sent its inputs, which costs about as much
 as the sections take. The program starts no threads of its own; OpenBLAS
-stops its thread pool across ``fork`` with its own handler.
+stops its thread pool across ``fork`` with its own handler. (From Python
+3.12 on, ``os.fork`` in a process with such threads also emits a
+DeprecationWarning, which is hidden by default.)
 
 Memory adds up over the lanes that run at the same time: GraphWave's
 dense per-component matrices (1.6 GB at BA n = 5000) sit beside the
@@ -55,17 +57,16 @@ class Task:
     """``fn()`` on a forked worker, or inline in the parent.
 
     With ``fork`` true (and ``os.fork`` available) the worker starts at
-    once and sees the parent's memory as it was at the fork. ``result()``
-    returns the worker's value or raises its exception, and reaps it. An
-    inline task calls ``fn`` in ``result()``. ``seconds`` is the wall time
-    of ``fn`` wherever it ran. As a context manager, leaving the block
-    kills and reaps a worker whose result was never read.
+    once and sees the parent's memory as it was at the fork. ``result()``,
+    called once, returns the worker's value or raises its exception, and
+    reaps it. An inline task calls ``fn`` in ``result()``. ``seconds`` is
+    the wall time of ``fn`` wherever it ran. As a context manager, leaving
+    the block kills and reaps a worker whose result was never read.
     """
 
     def __init__(self, fn, fork: bool):
         self.seconds = None
-        self._fn = fn
-        self._pid = None
+        self._fn, self._pid = fn, None
         if fork and hasattr(os, "fork"):
             read, write = os.pipe()
             pid = os.fork()
@@ -73,7 +74,8 @@ class Task:
                 os.close(read)
                 _serve(fn, write)
             os.close(write)
-            self._pid, self._read = pid, read
+            # no inline fallback: a second result() must not run fn again
+            self._fn, self._pid, self._read = None, pid, read
 
     def result(self):
         if self._pid is None:
