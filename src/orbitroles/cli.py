@@ -17,8 +17,9 @@ With two or more, GraphWave and its CSV run on a forked worker while the
 parent counts orbits and runs RolX, and the sweep's k-means cells are dealt
 over the workers; the CSVs are the same for every count. Memory adds up
 over the lanes that run at once. The manifest's ``metrics["stages"]`` holds
-the wall seconds of each stage and of each worker task, and
-``metrics["workers"]`` the worker count."""
+the wall seconds of each stage and of each worker task,
+``metrics["workers"]`` the worker count, and ``metrics["rolx"]`` the NMF
+iterations and convergence and the ReFeX features and generation of RolX."""
 
 from __future__ import annotations
 
@@ -123,8 +124,9 @@ def _features(orbits, cfg, manifest):
     return features
 
 
-def _native_embedding(graph, table, cfg, out, method):
-    """One native embedding of ``graph``, written to its CSV in ``out``."""
+def _native_embedding(graph, table, cfg, out, method, orbits=None):
+    """One native embedding of ``graph``, written to its CSV in ``out``;
+    RolX reads its base features off the orbit census ``orbits``."""
     ec = cfg.embed
     if method == "graphwave":
         emb = graphwave_embed(
@@ -136,6 +138,7 @@ def _native_embedding(graph, table, cfg, out, method):
     elif method == "rolx":
         emb = rolx_embed(
             graph,
+            orbits,
             rank=ec.rolx_rank,
             refex_depth=ec.refex_depth,
             seed=derive_seed(cfg.seed, "rolx"),
@@ -165,15 +168,26 @@ def _graphwave_lane(graph, table, cfg, out, manifest) -> Task:
     return Task(partial(_native_embedding, graph, table, cfg, out, "graphwave"), fork)
 
 
-def _embed(graph, table, cfg, out, manifest, lane):
+def _embed(graph, table, cfg, out, manifest, lane, orbits):
     """The embeddings of ``embed.methods`` in their order, then the
     imported ones, each written to its CSV. GraphWave is the result of
     ``lane`` (``_graphwave_lane``); the other native methods run here
-    first, beside a forked lane."""
+    first, beside a forked lane. RolX takes the census ``orbits`` and
+    leaves its NMF and ReFeX counters in ``metrics["rolx"]``."""
     ec = cfg.embed
     native = {
-        m: _native_embedding(graph, table, cfg, out, m) for m in ec.methods if m != "graphwave"
+        m: _native_embedding(graph, table, cfg, out, m, orbits)
+        for m in ec.methods
+        if m != "graphwave"
     }
+    if "rolx" in native:
+        meta = native["rolx"].meta
+        manifest.metrics["rolx"] = {
+            "nmf_iterations": len(meta["nmf_errors"]) - 1,
+            "nmf_converged": meta["converged"],
+            "refex_features": meta["refex_features"],
+            "refex_generation": meta["refex_generation"],
+        }
     if "graphwave" in ec.methods:
         native["graphwave"] = lane.result()
         manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
@@ -381,7 +395,7 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
             orbits = _census(graph, table, cfg, out, manifest)
             features = _features(orbits, cfg, manifest)
             stage.enter("embed")
-            embeddings = _embed(graph, table, cfg, out, manifest, lane)
+            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
 
         stage.enter("validate")
         swept = _validate(embeddings, features, cfg, out, manifest)
@@ -539,7 +553,10 @@ def _cmd_embed(args) -> int:
     graph, table = _load_inputs(args.graph, args.labels)
     manifest = _start("embed", cfg, {"graph": args.graph, "labels": args.labels})
     with _graphwave_lane(graph, table, cfg, out, manifest) as lane:
-        embeddings = _embed(graph, table, cfg, out, manifest, lane)
+        # RolX's census, beside the GraphWave lane; only ``census`` writes it
+        rolx = "rolx" in cfg.embed.methods
+        orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
+        embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
     widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
     return _finish(manifest, out, f"{widths} -> {out}")
 

@@ -345,13 +345,14 @@ def roles_to_csv(assignment: RoleAssignment, table, path) -> None:
 
 
 def roles_from_csv(path, table=None):
-    """Read a roles CSV; returns (RoleAssignment, external ids)."""
+    """Read a roles CSV; returns (RoleAssignment, external ids). No id may
+    repeat."""
     meta = {}
-    ids = []
+    index = {}
     labels = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header_seen = False
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
@@ -367,13 +368,15 @@ def roles_from_csv(path, table=None):
                     raise ClusteringError(f"{path}: expected header id,role")
                 header_seen = True
                 continue
-            ids.append(cells[0])
+            if cells[0] in index:
+                raise ClusteringError(f"{path}:{lineno}: repeated id {cells[0]!r}")
+            index[cells[0]] = len(labels)
             labels.append(int(cells[1]))
-    if not ids:
+    if not labels:
         raise ClusteringError(f"{path}: no role rows")
     labels = np.array(labels, dtype=np.int64)
+    ids = list(index)
     if table is not None:
-        index = {x: i for i, x in enumerate(ids)}
         missing = [x for x in table.external_ids if x not in index]
         if missing:
             raise ClusteringError(f"{path}: missing roles for ids {missing[:10]}")

@@ -13,16 +13,17 @@ import configparser
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
-from .embeddings import DEFAULT_ROLX_RANK, sampling_problems
+from .embeddings import DEFAULT_ROLX_RANK, DEFAULT_SAMPLE_POINTS, DEFAULT_SCALES
+from .embeddings import DEFAULT_T_MAX, sampling_problems
 from .graphlets import ORBIT_COUNT
 
 
 @dataclass
 class EmbedConfig:
     methods: tuple[str, ...] = ("graphwave", "rolx")
-    graphwave_scales: tuple[float, ...] = (0.5, 1.5)
-    sample_points: int = 32
-    t_max: float = 100.0
+    graphwave_scales: tuple[float, ...] = DEFAULT_SCALES
+    sample_points: int = DEFAULT_SAMPLE_POINTS
+    t_max: float = DEFAULT_T_MAX
     rolx_rank: int = DEFAULT_ROLX_RANK
     refex_depth: int = 2
     import_paths: tuple[str, ...] = ()

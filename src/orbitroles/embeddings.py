@@ -21,7 +21,8 @@ the same to the bit.
 
 RolX: recursive structural features (ReFeX) factorized by non-negative
 matrix factorization with multiplicative updates; a node's embedding is
-its L1-normalized loading row.
+its L1-normalized loading row. ReFeX's base features are census orbits:
+degree is orbit 0, egonet internal edges orbits 0 + 3, boundary edges orbit 1.
 
 Struc2Vec/Role2Vec and any other external method enter the pipeline only
 through ``import_embedding``.
@@ -209,42 +210,29 @@ def _pearson(u, v):
     return float(np.corrcoef(u, v)[0, 1])
 
 
-def refex_features(
-    graph, depth: int = 2, dedup_threshold: float = 0.99
-) -> RefexFeatureMatrix:
+_DEDUP_THRESHOLD = 0.99  # |Pearson r| above which a new ReFeX column is pruned
+
+
+def refex_features(graph, orbits, depth: int = 2) -> RefexFeatureMatrix:
     """Base structural features plus recursive neighbor aggregates.
 
-    Base: degree, egonet internal edge count, egonet boundary edge count.
-    Each generation appends the mean and sum over neighbors of the previous
-    generation's retained columns, pruning near-duplicates by absolute
-    Pearson correlation.
+    Base: degree, egonet internal edge count and egonet boundary edge
+    count, read off the orbit census ``orbits`` of ``graph`` as orbits 0,
+    0 + 3 and 1. Each generation appends the mean and sum over neighbors of
+    the previous generation's retained columns, pruning near-duplicates by
+    absolute Pearson correlation. A node's neighbor sum adds its neighbors
+    in ascending order, as one ``bincount`` over the CSR entries does.
     """
-    n = graph.node_count
-    adjacency = graph.adjacency
-    masks = []
-    for v in range(n):
-        m = 1 << v
-        for w in adjacency[v]:
-            m |= 1 << w
-        masks.append(m)
-
-    deg = graph.degrees().astype(np.float64)
-    internal = np.zeros(n)
-    boundary = np.zeros(n)
-    for v in range(n):
-        ego = masks[v]
-        inside = 0
-        outside = 0
-        members = [v] + list(adjacency[v])
-        for u in members:
-            du = len(adjacency[u])
-            k = bin(masks[u] & ego).count("1") - 1  # drop u itself
-            inside += k
-            outside += du - k
-        internal[v] = inside / 2
-        boundary[v] = outside
-
-    cols = [deg, internal, boundary]
+    if orbits.node_count != graph.node_count:
+        raise EmbeddingError(f"{orbits.node_count} census rows for {graph.node_count} nodes")
+    deg, _, indices = graph.csr()
+    rows = np.repeat(np.arange(graph.node_count), deg)
+    o = orbits.counts
+    cols = [
+        o[:, 0].astype(np.float64),
+        (o[:, 0] + o[:, 3]).astype(np.float64),
+        o[:, 1].astype(np.float64),
+    ]
     names = ["degree", "ego_internal", "ego_boundary"]
     prev_gen = list(range(len(cols)))
     reached = 0
@@ -253,20 +241,12 @@ def refex_features(
         new_cols = []
         new_names = []
         for ci in prev_gen:
-            base = cols[ci]
-            agg_sum = np.zeros(n)
-            for v in range(n):
-                if adjacency[v]:
-                    agg_sum[v] = sum(base[w] for w in adjacency[v])
-            with np.errstate(invalid="ignore"):
-                agg_mean = np.where(deg > 0, agg_sum / np.maximum(deg, 1), 0.0)
-            new_cols.append(agg_mean)
-            new_names.append(f"mean_{names[ci]}")
-            new_cols.append(agg_sum)
-            new_names.append(f"sum_{names[ci]}")
+            agg_sum = np.bincount(rows, weights=cols[ci][indices], minlength=graph.node_count)
+            new_cols += [agg_sum / np.maximum(deg, 1), agg_sum]
+            new_names += [f"mean_{names[ci]}", f"sum_{names[ci]}"]
         kept = []
         for col, name in zip(new_cols, new_names):
-            if any(abs(_pearson(col, cols[j])) > dedup_threshold for j in range(len(cols))):
+            if any(abs(_pearson(col, c)) > _DEDUP_THRESHOLD for c in cols):
                 continue
             cols.append(col)
             names.append(name)
@@ -320,21 +300,23 @@ def _nmf_multiplicative(F, rank, seed, max_iter, tol):
 
 def rolx_embed(
     graph,
+    orbits,
     rank: int = DEFAULT_ROLX_RANK,
     refex_depth: int = 2,
     seed: int = 0,
     max_iter: int = 500,
     tol: float = 1e-6,
 ) -> EmbeddingMatrix:
-    """ReFeX features factorized by seeded multiplicative-update NMF.
+    """ReFeX features of ``graph`` and its orbit census ``orbits``,
+    factorized by seeded multiplicative-update NMF.
 
     Rows of the returned matrix are the loading rows of G normalized to
     unit L1 (all-zero rows stay zero). Non-convergence after ``max_iter``
-    returns the best iterate with ``meta['converged'] = False``.
+    returns the last iterate with ``meta['converged'] = False``.
     """
     if rank < 2:
         raise EmbeddingError("rank must be >= 2")
-    refex = refex_features(graph, depth=refex_depth)
+    refex = refex_features(graph, orbits, depth=refex_depth)
     F = refex.features
     if rank > F.shape[1]:
         raise EmbeddingError(
@@ -350,6 +332,7 @@ def rolx_embed(
             "rank": rank,
             "refex_depth": refex_depth,
             "refex_generation": refex.generation,
+            "refex_features": F.shape[1],
             "seed": seed,
             "nmf_errors": errors,
             "converged": converged,
@@ -393,7 +376,8 @@ def import_embedding(path, table, method_tag: str | None = None) -> EmbeddingMat
     """Load an external embedding CSV and align rows to the node table.
 
     Expected layout: optional ``# method=<tag>`` comment, then a header
-    ``id,e0,...,e{d-1}``. Every graph node must be present.
+    ``id,e0,...,e{d-1}``. Every graph node must be present, and no id may
+    repeat.
     """
     tag = method_tag
     rows = {}
@@ -426,6 +410,8 @@ def import_embedding(path, table, method_tag: str | None = None) -> EmbeddingMat
                 vec = [float(c) for c in cells[1:]]
             except ValueError as exc:
                 raise EmbeddingError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+            if cells[0] in rows:
+                raise EmbeddingError(f"{path}:{lineno}: repeated id {cells[0]!r}")
             rows[cells[0]] = vec
     if header is None:
         raise EmbeddingError(f"{path}: empty embedding file")

@@ -10,6 +10,7 @@ for diversity scoring.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -52,7 +53,18 @@ class Graph:
         return len(self.adjacency[v])
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.node_count)
+
+    def csr(self):
+        """Degrees, row pointers and ascending neighbour indices, all int64:
+        the neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``."""
+        deg = self.degrees()
+        indptr = np.zeros(deg.size + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        indices = np.fromiter(
+            itertools.chain.from_iterable(self.adjacency), dtype=np.int64, count=int(indptr[-1])
+        )
+        return deg, indptr, indices
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.adjacency[u]

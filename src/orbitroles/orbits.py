@@ -19,7 +19,6 @@ overflow 32 bits for 5-node orbits.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,18 +73,6 @@ def log_transform(counts: OrbitMatrix) -> LogOrbitMatrix:
 # each row of an enumeration costs 8 cells. The census plans its blocks of
 # roots, and its memory estimate the largest block, with this one number.
 _BLOCK_CELLS = 1 << 19
-
-
-def _csr(graph):
-    """Degrees, row pointers and ascending neighbour indices, all int64."""
-    n = graph.node_count
-    deg = np.fromiter(map(len, graph.adjacency), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(
-        itertools.chain.from_iterable(graph.adjacency), dtype=np.int64, count=int(indptr[-1])
-    )
-    return deg, indptr, indices
 
 
 def _row_sums(values, indptr):
@@ -160,7 +147,7 @@ def estimate_census_memory_mb(graph) -> float:
     enumeration rows), and the N x 73 output with its transposed copy.
     """
     n = graph.node_count
-    deg, indptr, indices = _csr(graph)
+    deg, indptr, indices = graph.csr()
     _, walks3 = _walks(deg, indptr, indices)
     work = _main_work(n, walks3)
     block = max(min(_BLOCK_CELLS, int(work.sum())), int(work.max(initial=0)))
@@ -189,7 +176,7 @@ class _Tables:
 
     def __init__(self, graph):
         n = self.n = graph.node_count
-        deg, indptr, indices = self.deg, self.indptr, self.indices = _csr(graph)
+        deg, indptr, indices = self.deg, self.indptr, self.indices = graph.csr()
         rows = self.rows = np.repeat(np.arange(n), deg)
         # sorting the entries by (column, row) is a permutation that is its
         # own inverse: the reversed entries
@@ -732,9 +719,9 @@ def orbits_from_csv(path, table=None):
     """Read an orbit CSV; returns (OrbitMatrix, external ids).
 
     With a node table, rows are re-aligned to its id order and every node
-    must be present.
+    must be present. No id may repeat.
     """
-    ids = []
+    index = {}
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -744,12 +731,13 @@ def orbits_from_csv(path, table=None):
         for row in reader:
             if not row:
                 continue
-            ids.append(row[0])
+            if row[0] in index:
+                raise ValueError(f"{path}:{reader.line_num}: repeated id {row[0]!r}")
+            index[row[0]] = len(rows)
             rows.append([int(v) for v in row[1:]])
     counts = np.array(rows, dtype=np.int64) if rows else np.zeros((0, ORBIT_COUNT), np.int64)
     if table is None:
-        return OrbitMatrix(counts=counts), ids
-    index = {x: i for i, x in enumerate(ids)}
+        return OrbitMatrix(counts=counts), list(index)
     missing = [x for x in table.external_ids if x not in index]
     if missing:
         raise ValueError(f"{path}: missing orbit rows for ids {missing[:10]}")

@@ -350,9 +350,6 @@ class ImportanceReport:
     repeats: int
     meta: dict = field(default_factory=dict)
 
-    def top(self, m: int = 5):
-        return self.rows[:m]
-
     def formatted(self, m: int = 5):
         """Rows rendered like '27 (0.022 ±0.0006)'."""
         return [f"{o} ({mean:.3f} ±{std:.4f})" for o, mean, std in self.rows[:m]]

@@ -124,7 +124,7 @@ def test_c04_role_recovery():
     planted = generate_planted_graph([barbell_template(5, 3)], copies=20, noise_edges=0, seed=7)
     gw = graphwave_embed(planted.graph)
     gw_nmi = nmi(kmeans(gw, 3, seed=1).labels, planted.true_role)
-    rx = rolx_embed(planted.graph, rank=3, seed=3)
+    rx = rolx_embed(planted.graph, count_orbits(planted.graph), rank=3, seed=3)
     rx_nmi = nmi(kmeans(rx, 3, seed=1).labels, planted.true_role)
     elapsed = time.perf_counter() - start
     report(

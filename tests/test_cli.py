@@ -509,6 +509,53 @@ def test_pipeline_runs_one_kmeans_per_sweep_cell(corpus, tmp_path, monkeypatch):
     assert sorted(calls) == sorted([2, 3, 4, 5] * 2)  # 2 methods x k in [2, 5]
 
 
+def test_pipeline_counts_orbits_once(corpus, tmp_path, monkeypatch):
+    # RolX reads its base features off the census the pipeline already holds
+    import orbitroles.cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].node_count)
+        return original(*args, **kwargs)
+
+    original = orbitroles.cli.count_orbits
+    monkeypatch.setattr(orbitroles.cli, "count_orbits", counting)
+    cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG.replace("trees = 40", "trees = 4"))
+    assert run(
+        "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+        "--config", cfg, "--threads", 1, "--out", tmp_path / "out",
+    ) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["pipeline", "embed"])
+def test_manifest_metrics_hold_rolx_counters(corpus, tmp_path, command):
+    # the counters are those of a direct rolx_embed call on the same census
+    from orbitroles.embeddings import rolx_embed
+    from orbitroles.orbits import count_orbits
+    from orbitroles.seeds import derive_seed
+
+    cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG.replace("trees = 40", "trees = 4"))
+    out = tmp_path / "out"
+    assert run(
+        command, corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+        "--config", cfg, "--out", out,
+    ) == 0
+    graph, _ = load_edge_list(corpus / "edges.txt")
+    meta = rolx_embed(
+        graph, count_orbits(graph), rank=3, refex_depth=2, seed=derive_seed(42, "rolx")
+    ).meta
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert metrics["rolx"] == {
+        "nmf_iterations": len(meta["nmf_errors"]) - 1,
+        "nmf_converged": meta["converged"],
+        "refex_features": meta["factors"][1].shape[1],
+        "refex_generation": meta["refex_generation"],
+    }
+    assert command == "pipeline" or not (out / "orbits.csv").exists()
+
+
 def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
     from clustering_reference import kmeans_broadcast
 

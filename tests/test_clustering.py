@@ -120,7 +120,7 @@ def reference_embeddings():
     out = {}
     for name, graph in graphs.items():
         out[f"{name}-graphwave"] = graphwave_embed(graph)
-        out[f"{name}-rolx"] = rolx_embed(graph, rank=4, seed=1)
+        out[f"{name}-rolx"] = rolx_embed(graph, count_orbits(graph), rank=4, seed=1)
     return out
 
 
@@ -476,6 +476,13 @@ class TestSweep:
 
 
 class TestRolesCsv:
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "roles.csv"
+        path.write_text("# method=graphwave k=2 seed=0\nid,role\na,0\nb,1\na,1\n")
+        table = NodeTable(external_ids=["a", "b"])
+        with pytest.raises(ClusteringError, match=r"roles\.csv:5: repeated id 'a'"):
+            roles_from_csv(path, table)
+
     def test_round_trip(self, tmp_path):
         table = NodeTable(external_ids=[f"v{i}" for i in range(6)])
         assignment = RoleAssignment(

@@ -11,6 +11,7 @@ from orbitroles.embeddings import (
     rolx_embed,
 )
 from orbitroles.graph import Graph, NodeTable
+from orbitroles.orbits import count_orbits
 from orbitroles.planted import barbell_template, generate_planted_graph
 
 from util import ba_graph, complete_graph, cycle_graph, er_graph, permute_graph, star_graph
@@ -155,62 +156,113 @@ class TestGraphWave:
 class TestRefex:
     def test_base_features(self):
         g = star_graph(3)
-        refex = refex_features(g, depth=0)
+        refex = refex_features(g, count_orbits(g), depth=0)
         deg, internal, boundary = refex.features[:, :3].T
         assert deg[3] == 3
         assert internal[3] == 3  # star egonet of the center has its 3 edges
         assert internal[0] == 1 and boundary[0] == 2
 
     def test_triangle_egonet(self):
-        refex = refex_features(complete_graph(3), depth=0)
+        refex = refex_features(complete_graph(3), count_orbits(complete_graph(3)), depth=0)
         assert list(refex.features[0][:3]) == [2, 3, 0]
 
     def test_recursion_appends_and_prunes(self):
         g = er_graph(25, 0.2, 5)
-        shallow = refex_features(g, depth=0)
-        deep = refex_features(g, depth=2)
+        shallow = refex_features(g, count_orbits(g), depth=0)
+        deep = refex_features(g, count_orbits(g), depth=2)
         assert deep.features.shape[1] >= shallow.features.shape[1]
         assert len(set(deep.column_names)) == len(deep.column_names)
         # regular structure prunes aggregates of constant columns entirely
-        ring = refex_features(cycle_graph(10), depth=2)
+        ring = refex_features(cycle_graph(10), count_orbits(cycle_graph(10)), depth=2)
         assert ring.features.shape[1] == 3
         assert ring.generation == 0
 
 
+def _refex_corpus(name):
+    from test_orbits import scattered_graph
+
+    return {
+        "ba": lambda: ba_graph(400, 4, 3),
+        "noisy-barbell": lambda: generate_planted_graph(
+            [barbell_template(5, 3)], 12, noise_edges=10, seed=3
+        ).graph,
+        "scattered": scattered_graph,
+        "k8": lambda: complete_graph(8),
+        "star": lambda: star_graph(6),
+    }[name]()
+
+
+class TestRefexReference:
+    """Census base features and bincount neighbour sums against the
+    bitmask counter and node-by-node sums they replaced: the same bits."""
+
+    @pytest.mark.parametrize("name", ["ba", "noisy-barbell", "scattered", "k8", "star"])
+    def test_equal_to_bitmask_reference(self, name):
+        from embedding_reference import refex_features_bitmask
+
+        g = _refex_corpus(name)
+        orbits = count_orbits(g)
+        for depth in range(4):
+            got = refex_features(g, orbits, depth=depth)
+            want = refex_features_bitmask(g, depth=depth)
+            assert np.array_equal(got.features, want.features), depth
+            assert got.column_names == want.column_names
+            assert got.generation == want.generation
+
+    def test_peak_memory_linear_in_nodes_and_edges(self):
+        # the bitmasks took N^2 / 8 bytes and the node loops Python floats:
+        # 13 MB here, against under 4 MB for the CSR arrays and the columns
+        import tracemalloc
+
+        g = ba_graph(10_000, 4, 0)
+        orbits = count_orbits(g)
+        tracemalloc.start()
+        try:
+            refex_features(g, orbits, depth=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (g.node_count + 2 * g.edge_count)
+
+    def test_census_of_another_graph_rejected(self):
+        with pytest.raises(EmbeddingError, match="9 census rows for 8 nodes"):
+            refex_features(cycle_graph(8), count_orbits(cycle_graph(9)))
+
+
 class TestRolx:
     def test_regular_graph_rows_identical(self):
-        emb = rolx_embed(cycle_graph(12), rank=2, seed=0)
+        emb = rolx_embed(cycle_graph(12), count_orbits(cycle_graph(12)), rank=2, seed=0)
         assert np.abs(emb.vectors - emb.vectors[0]).max() < 1e-8
 
     def test_nmf_error_non_increasing(self):
-        emb = rolx_embed(er_graph(30, 0.15, 2), rank=4, seed=1)
+        emb = rolx_embed(er_graph(30, 0.15, 2), count_orbits(er_graph(30, 0.15, 2)), rank=4, seed=1)
         errors = emb.meta["nmf_errors"]
         assert len(errors) >= 2
         for prev, cur in zip(errors, errors[1:]):
             assert cur <= prev * (1 + 1e-10) + 1e-12
 
     def test_factors_non_negative(self):
-        emb = rolx_embed(er_graph(30, 0.15, 2), rank=4, seed=1)
+        emb = rolx_embed(er_graph(30, 0.15, 2), count_orbits(er_graph(30, 0.15, 2)), rank=4, seed=1)
         G, H = emb.meta["factors"]
         assert G.min() >= 0
         assert H.min() >= 0
 
     def test_seed_bit_stable(self):
         g = er_graph(20, 0.2, 3)
-        a = rolx_embed(g, rank=3, seed=9)
-        b = rolx_embed(g, rank=3, seed=9)
+        a = rolx_embed(g, count_orbits(g), rank=3, seed=9)
+        b = rolx_embed(g, count_orbits(g), rank=3, seed=9)
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_rank_exceeding_features_rejected(self):
         with pytest.raises(EmbeddingError, match="rank"):
-            rolx_embed(cycle_graph(8), rank=10, seed=0)
+            rolx_embed(cycle_graph(8), count_orbits(cycle_graph(8)), rank=10, seed=0)
 
     def test_rank_below_two_rejected(self):
         with pytest.raises(EmbeddingError, match="rank"):
-            rolx_embed(cycle_graph(8), rank=1, seed=0)
+            rolx_embed(cycle_graph(8), count_orbits(cycle_graph(8)), rank=1, seed=0)
 
     def test_rows_l1_normalized(self):
-        emb = rolx_embed(er_graph(25, 0.2, 4), rank=3, seed=2)
+        emb = rolx_embed(er_graph(25, 0.2, 4), count_orbits(er_graph(25, 0.2, 4)), rank=3, seed=2)
         sums = emb.vectors.sum(axis=1)
         assert np.allclose(sums[sums > 0], 1.0)
 
@@ -218,7 +270,7 @@ class TestRolx:
         # bridge-center nodes must load on a different dominant factor than
         # clique members when rank matches the planted role count
         planted = generate_planted_graph([barbell_template(5, 3)], 10, seed=0)
-        emb = rolx_embed(planted.graph, rank=3, seed=0)
+        emb = rolx_embed(planted.graph, count_orbits(planted.graph), rank=3, seed=0)
         names = planted.role_names
         member = np.flatnonzero(planted.true_role == names.index("clique-member"))
         bridge = np.flatnonzero(planted.true_role == names.index("bridge-center"))
@@ -229,13 +281,17 @@ class TestRolx:
     def test_permutation_equivariance(self):
         g = er_graph(18, 0.25, 6)
         perm = np.random.default_rng(1).permutation(18)
-        ref = refex_features(g).features
-        ref_p = refex_features(permute_graph(g, perm)).features
+        ref = refex_features(g, count_orbits(g)).features
+        ref_p = refex_features(
+            permute_graph(g, perm), count_orbits(permute_graph(g, perm))
+        ).features
         assert np.allclose(ref_p[perm], ref)
         # row-content-seeded NMF init makes the full embedding equivariant
         # up to float summation order
-        emb = rolx_embed(g, rank=3, seed=5)
-        emb_p = rolx_embed(permute_graph(g, perm), rank=3, seed=5)
+        emb = rolx_embed(g, count_orbits(g), rank=3, seed=5)
+        emb_p = rolx_embed(
+            permute_graph(g, perm), count_orbits(permute_graph(g, perm)), rank=3, seed=5
+        )
         assert np.allclose(emb_p.vectors[perm], emb.vectors, atol=1e-9)
 
     @pytest.mark.parametrize("graph", ["barbell", "ba"])
@@ -250,7 +306,7 @@ class TestRolx:
             "barbell": lambda: generate_planted_graph([barbell_template(5, 3)], 12, seed=0).graph,
             "ba": lambda: ba_graph(400, 4, 3),
         }[graph]()
-        F = refex_features(g).features
+        F = refex_features(g, count_orbits(g)).features
         distinct = np.unique(np.round(F, 9), axis=0).shape[0]
         assert (distinct < F.shape[0]) == (graph == "barbell")
         for rank, seed in ((3, 0), (4, 7)):
@@ -308,6 +364,13 @@ class TestImport:
         path.write_text("id,e0,e1\nv0,1.0,2.0\nv1,3.0\n")
         with pytest.raises(EmbeddingError, match="expected 3 cells"):
             import_embedding(path, self._table(2))
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("id,e0\na,1.0\nb,2.0\na,9.0\n")
+        table = NodeTable(external_ids=["a", "b"])
+        with pytest.raises(EmbeddingError, match=r"emb\.csv:4: repeated id 'a'"):
+            import_embedding(path, table)
 
     def test_method_tag_from_comment(self, tmp_path):
         path = tmp_path / "emb.csv"

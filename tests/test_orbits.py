@@ -23,6 +23,7 @@ from orbitroles.orbits import (
     count_orbits,
     estimate_census_memory_mb,
     log_transform,
+    orbit_header,
     orbits_from_csv,
     orbits_to_csv,
 )
@@ -338,6 +339,15 @@ class TestOrbitCsv:
         bigger = NodeTable(external_ids=[f"v{i}" for i in range(6)])
         with pytest.raises(ValueError, match="v5"):
             orbits_from_csv(path, bigger)
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "orbits.csv"
+        zeros = "," + ",".join(["0"] * 73)
+        ones = ",1" + ",0" * 72
+        path.write_text(",".join(orbit_header()) + f"\na{zeros}\nb{zeros}\na{ones}\n")
+        table = NodeTable(external_ids=["a", "b"])
+        with pytest.raises(ValueError, match=r"orbits\.csv:4: repeated id 'a'"):
+            orbits_from_csv(path, table)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
