@@ -18,8 +18,11 @@ parent counts orbits and runs RolX, and the sweep's k-means cells are dealt
 over the workers; the CSVs are the same for every count. Memory adds up
 over the lanes that run at once. The manifest's ``metrics["stages"]`` holds
 the wall seconds of each stage and of each worker task,
-``metrics["workers"]`` the worker count, and ``metrics["rolx"]`` the NMF
-iterations and convergence and the ReFeX features and generation of RolX."""
+``metrics["workers"]`` the worker count, ``metrics["rolx"]`` the NMF
+iterations and convergence and the ReFeX features and generation of RolX,
+``metrics["graphwave"]`` GraphWave's components and distinct components,
+and ``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and
+whether its silhouette was sampled."""
 
 from __future__ import annotations
 
@@ -191,6 +194,10 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
     if "graphwave" in ec.methods:
         native["graphwave"] = lane.result()
         manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
+        meta = native["graphwave"].meta
+        manifest.metrics["graphwave"] = {
+            key: meta[key] for key in ("components", "distinct_components")
+        }
     imported = [import_embedding(path, table) for path in ec.import_paths]
     for emb in imported:
         embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
@@ -214,10 +221,12 @@ def _validate(embeddings, features, cfg, out, manifest):
     stages = manifest.metrics.setdefault("stages", {})
     for i, seconds in enumerate(result.worker_seconds):
         stages[f"validate/kmeans-{i}"] = seconds
+    sampled = {(method, k): flag for method, k, _, flag in result.rows}
     manifest.metrics["kmeans"] = {
         f"{method}:{k}": {
             "iterations": len(a.meta["wcss_trajectory"]),
             "degenerate": a.degenerate,
+            "sampled": sampled[method, k],
         }
         for (method, k), a in result.assignments.items()
     }

@@ -6,7 +6,12 @@ function of its wavelet coefficients at evenly spaced evaluation points.
 Deterministic, seed-free; processed per connected component (the heat
 kernel is block-diagonal), with one eigendecomposition per component
 shared by every scale and the characteristic function normalized by
-component size.
+component size. Each distinct component is computed once: components are
+keyed by their size and local edge list, and a component whose key came
+before copies that component's rows. Its Laplacian would be the same
+bytes, so the copied rows are the bits it would compute. A citation graph
+of many small components repeats few structures (the planted-many bench
+graph at seed 7: 173 components, 22 distinct).
 
 The points are t_j = j * step, so exp(i t_j psi) = exp(i step psi)^j: the
 characteristic function takes one cos and one sin per wavelet coefficient
@@ -26,17 +31,21 @@ degree is orbit 0, egonet internal edges orbits 0 + 3, boundary edges orbit 1.
 
 Struc2Vec/Role2Vec and any other external method enter the pipeline only
 through ``import_embedding``.
+
+``embedding_to_csv`` writes every embedding, native or imported, through
+``graph.write_node_rows``, which formats each distinct row once: the rows
+of repeated components are the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import write_node_rows
 from .seeds import derive_seed
 
 DEFAULT_SCALES = (0.5, 1.5)
@@ -82,16 +91,25 @@ class RefexFeatureMatrix:
     column_names: list
 
 
-def _component_laplacian(graph, comp):
+def _component_key(graph, comp):
+    """(k, the flat positions i * k + j of the -1 entries of the component's
+    k x k Laplacian, ascending, as int64 bytes), built from the edges in
+    O(k + e). The key names the Laplacian: equal keys, equal bytes."""
     k = len(comp)
     pos = {v: i for i, v in enumerate(comp)}
-    lap = np.zeros((k, k), dtype=np.float64)
-    for v in comp:
-        i = pos[v]
-        lap[i, i] = graph.degree(v)
-        for w in graph.adjacency[v]:
-            lap[i, pos[w]] = -1.0
-    return lap
+    # comp and every adjacency row ascend, so the positions come out sorted
+    flat = [i * k + pos[w] for i, v in enumerate(comp) for w in graph.adjacency[v]]
+    return k, np.array(flat, dtype=np.int64).tobytes()
+
+
+def _laplacian(key):
+    """The dense k x k Laplacian that ``_component_key`` names."""
+    k, flat = key
+    flat = np.frombuffer(flat, dtype=np.int64)
+    lap = np.zeros(k * k)
+    lap[flat] = -1.0
+    lap[:: k + 1] = np.bincount(flat // k, minlength=k)
+    return lap.reshape(k, k)
 
 
 def _heat_kernel_exact(eig, scale):
@@ -164,6 +182,8 @@ def graphwave_embed(
     (see the module docstring), over blocks of at most ``_BLOCK_CELLS``
     cells of psi; the values differ from exact evaluation of every
     exp(i t psi) by rounding only, about 1e-15 at the default 32 points.
+    ``meta`` counts the ``components`` and the ``distinct_components``,
+    the ones computed; the others copy rows.
     """
     scales = tuple(float(s) for s in scales)
     if not scales or any(s <= 0 for s in scales):
@@ -180,9 +200,17 @@ def graphwave_embed(
 
     step = np.linspace(0.0, t_max, sample_points)[1]
     out = np.zeros((graph.node_count, width), dtype=np.float64)
-    for comp in graph.components():
+    components = graph.components()
+    firsts = {}  # component key -> the first component with it
+    for comp in components:
+        key = _component_key(graph, comp)
+        first = firsts.setdefault(key, comp)
+        if first is not comp:
+            # the same Laplacian bytes: the rows it would compute, bit for bit
+            out[comp] = out[first]
+            continue
         k = len(comp)
-        eig = np.linalg.eigh(_component_laplacian(graph, comp))
+        eig = np.linalg.eigh(_laplacian(key))
         # node x scale x point x (real, imaginary)
         sums = np.empty((k, len(scales), sample_points, 2))
         for i, s in enumerate(scales):
@@ -197,20 +225,26 @@ def graphwave_embed(
             "scales": scales,
             "sample_points": sample_points,
             "t_max": t_max,
+            "components": len(components),
+            "distinct_components": len(firsts),
         },
     )
 
 
-def _pearson(u, v):
-    su, sv = u.std(), v.std()
-    if su == 0.0 and sv == 0.0:
-        return 1.0  # two constants are duplicates
-    if su == 0.0 or sv == 0.0:
-        return 0.0
-    return float(np.corrcoef(u, v)[0, 1])
-
-
 _DEDUP_THRESHOLD = 0.99  # |Pearson r| above which a new ReFeX column is pruned
+
+
+def _abs_correlations(cols):
+    """|Pearson r| between every two of ``cols`` from one correlation
+    matrix. Two constant columns count as r = 1 (duplicates), a constant
+    against a non-constant one as r = 0."""
+    constant = np.array([c.std() == 0.0 for c in cols])
+    r = np.zeros((len(cols), len(cols)))
+    r[np.ix_(constant, constant)] = 1.0
+    varying = np.flatnonzero(~constant)
+    if varying.size:
+        r[np.ix_(varying, varying)] = np.abs(np.corrcoef(np.array([cols[i] for i in varying])))
+    return r
 
 
 def refex_features(graph, orbits, depth: int = 2) -> RefexFeatureMatrix:
@@ -244,10 +278,15 @@ def refex_features(graph, orbits, depth: int = 2) -> RefexFeatureMatrix:
             agg_sum = np.bincount(rows, weights=cols[ci][indices], minlength=graph.node_count)
             new_cols += [agg_sum / np.maximum(deg, 1), agg_sum]
             new_names += [f"mean_{names[ci]}", f"sum_{names[ci]}"]
+        # a new column is pruned when it nearly duplicates a kept one, old
+        # or of this generation
+        r = _abs_correlations(cols + new_cols)
+        against = list(range(len(cols)))  # the kept columns' rows of r
         kept = []
-        for col, name in zip(new_cols, new_names):
-            if any(abs(_pearson(col, c)) > _DEDUP_THRESHOLD for c in cols):
+        for i, (col, name) in enumerate(zip(new_cols, new_names), start=len(cols)):
+            if (r[i, against] > _DEDUP_THRESHOLD).any():
                 continue
+            against.append(i)
             cols.append(col)
             names.append(name)
             kept.append(len(cols) - 1)
@@ -342,34 +381,15 @@ def rolx_embed(
 
 
 def embedding_to_csv(embedding: EmbeddingMatrix, table, path) -> None:
+    """``# method=<tag>``, the header ``id,e0,...`` and one row per node,
+    each value as its ``repr``; see ``graph.write_node_rows``."""
     if embedding.node_count != len(table):
         raise EmbeddingError("embedding and node table are misaligned")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# method={embedding.method_tag}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"e{i}" for i in range(embedding.d)])
-        cells = _id_cells(table.external_ids)
-        fh.write(
-            "".join(
-                f"{cell},{','.join(map(repr, row))}\n"
-                for cell, row in zip(cells, embedding.vectors.tolist())
-            )
-        )
-
-
-def _id_cells(ids) -> list:
-    """Each id as ``csv.writer`` writes it as the first of several fields
-    of a row: an empty id stays unquoted there, while alone in a row it
-    would be written as ``""``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for ext in ids:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((ext, ""))
-        cells.append(buf.getvalue()[:-2])
-    return cells
+        write_node_rows(fh, table, embedding.vectors)
 
 
 def import_embedding(path, table, method_tag: str | None = None) -> EmbeddingMatrix:

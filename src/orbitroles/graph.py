@@ -4,15 +4,16 @@ Edges are stored as sorted neighbor lists. External string ids map to
 dense indices; every matrix downstream is aligned to that index order.
 Directed inputs are symmetrized at load, but the original line order
 (source cites target) is retained so citation direction can be recovered
-for diversity scoring.
+for diversity scoring. ``write_node_rows`` writes the per-node rows of the
+orbit and embedding CSVs.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +66,6 @@ class Graph:
             itertools.chain.from_iterable(self.adjacency), dtype=np.int64, count=int(indptr[-1])
         )
         return deg, indptr, indices
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.adjacency[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
 
     def edges(self):
         """Yield each undirected edge once as (u, v) with u < v."""
@@ -298,3 +294,42 @@ def write_node_table(table: NodeTable, path) -> None:
             writer.writerow(row)
 
 
+def write_node_rows(fh, table: NodeTable, values) -> None:
+    """One CSV line per node of ``table``: its id as ``csv.writer`` writes
+    it, then the node's row of the 2-d array ``values``, floats by ``repr``
+    and integers by ``str``.
+
+    Rows are grouped by their bytes and each distinct row is formatted
+    once: many nodes share a row (every node of a repeated component, in
+    GraphWave and in the census). Grouping by bytes keeps -0.0 apart from
+    0.0 and NaNs with different payloads apart, so every line is the one
+    its own row formats to.
+    """
+    values = np.ascontiguousarray(values)
+    row_bytes = np.dtype((np.void, values.itemsize * values.shape[1]))
+    _, first, inverse = np.unique(
+        values.view(row_bytes).ravel(), return_index=True, return_inverse=True
+    )
+    fmt = repr if values.dtype.kind == "f" else str
+    tails = [",".join(map(fmt, row)) for row in values[first].tolist()]
+    fh.write(
+        "".join(
+            f"{cell},{tails[j]}\n"
+            for cell, j in zip(_id_cells(table.external_ids), inverse.ravel().tolist())
+        )
+    )
+
+
+def _id_cells(ids) -> list:
+    """Each id as ``csv.writer`` writes it as the first of several fields
+    of a row: an empty id stays unquoted there, while alone in a row it
+    would be written as ``""``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for ext in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((ext, ""))
+        cells.append(buf.getvalue()[:-2])
+    return cells

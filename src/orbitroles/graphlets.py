@@ -280,11 +280,3 @@ def count_orbits_bruteforce(graph, max_nodes: int = 300):
         extend([root], seed_ext, adj_mask[root] | (1 << root), root)
 
     return OrbitMatrix(counts=np.array(counts, dtype=np.int64))
-
-
-def orbit_of_position(template_name: str, position: int) -> int:
-    """Orbit id of a position in a named template (oracle-confirmed ids)."""
-    for t in GRAPHLETS:
-        if t.name == template_name:
-            return t.orbits[position]
-    raise ValueError(f"unknown graphlet template {template_name!r}")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import write_node_rows
 from .graphlets import ORBIT_COUNT
 
 
@@ -705,14 +706,15 @@ def orbit_header():
 
 
 def orbits_to_csv(matrix: OrbitMatrix, table, path) -> None:
-    """Write ``id,o0,...,o72`` rows aligned to the node table."""
+    """Write the header ``id,o0,...,o72`` and one row of counts per node,
+    in the node table's order, with ``graph.write_node_rows``: nodes in the
+    same position of repeated structures share a row, which is formatted
+    once. The bytes are those of ``csv.writer`` writing each row."""
     if matrix.node_count != len(table):
         raise ValueError("orbit matrix and node table are misaligned")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(orbit_header())
-        for i, ext in enumerate(table.external_ids):
-            writer.writerow([ext] + [int(v) for v in matrix.counts[i]])
+        csv.writer(fh, lineterminator="\n").writerow(orbit_header())
+        write_node_rows(fh, table, matrix.counts)
 
 
 def orbits_from_csv(path, table=None):

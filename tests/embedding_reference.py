@@ -1,14 +1,20 @@
-"""The GraphWave loop, the ReFeX feature counter and the embedding CSV
-writer that ``orbitroles.embeddings`` replaced.
+"""The GraphWave loops, the ReFeX feature counter, the pruning and the
+embedding CSV writer that ``orbitroles.embeddings`` replaced.
 
 ``graphwave_exact`` evaluates exp(i t psi) afresh at every point, with a
 k x k complex exponential per point; the tests hold the rotation
-recurrence to it by a tolerance. ``embedding_to_csv_rows`` writes every
-row through ``csv.writer``; the tests hold the joined writer to its bytes.
-``initial_loadings_per_row`` seeds RolX's NMF row by row; the tests hold the
-per-key draw to its bits. ``refex_features_bitmask`` counts the ReFeX base
-features over per-node neighbour bitmasks and sums neighbours node by node;
-the tests hold the census-based features to its bits.
+recurrence to it by a tolerance. ``graphwave_per_component`` runs the
+rotation once for every component, repeated or not, on a Laplacian filled
+entry by entry (``component_laplacian``); the tests hold the one
+computation per distinct component to its bits. ``embedding_to_csv_rows``
+writes every row through ``csv.writer``; the tests hold the shared row
+writer to its bytes. ``initial_loadings_per_row`` seeds RolX's NMF row by
+row; the tests hold the per-key draw to its bits.
+``refex_features_bitmask`` counts the ReFeX base features over per-node
+neighbour bitmasks, sums neighbours node by node and prunes with one
+``np.corrcoef`` per pair of columns (``pearson``); the tests hold the
+census-based features and the one correlation matrix per generation to
+its bits.
 """
 
 import csv
@@ -21,24 +27,59 @@ from orbitroles.embeddings import (
     DEFAULT_T_MAX,
     EmbeddingMatrix,
     RefexFeatureMatrix,
-    _component_laplacian,
+    _characteristic,
     _heat_kernel_exact,
-    _pearson,
 )
 from orbitroles.seeds import derive_seed
+
+
+def component_laplacian(graph, comp):
+    k = len(comp)
+    pos = {v: i for i, v in enumerate(comp)}
+    lap = np.zeros((k, k), dtype=np.float64)
+    for v in comp:
+        i = pos[v]
+        lap[i, i] = graph.degree(v)
+        for w in graph.adjacency[v]:
+            lap[i, pos[w]] = -1.0
+    return lap
+
+
+def graphwave_per_component(
+    graph, scales=DEFAULT_SCALES, sample_points=DEFAULT_SAMPLE_POINTS, t_max=DEFAULT_T_MAX
+):
+    """``graphwave_embed`` without its checks, one eigendecomposition and
+    one set of characteristic sums for every component."""
+    scales = tuple(float(s) for s in scales)
+    width = 2 * len(scales) * sample_points
+    step = np.linspace(0.0, t_max, sample_points)[1]
+    out = np.zeros((graph.node_count, width), dtype=np.float64)
+    for comp in graph.components():
+        k = len(comp)
+        eig = np.linalg.eigh(component_laplacian(graph, comp))
+        sums = np.empty((k, len(scales), sample_points, 2))
+        for i, s in enumerate(scales):
+            _characteristic(_heat_kernel_exact(eig, s), step, sums[:, i])
+        out[comp] = sums.reshape(k, width) * (1.0 / k)
+    return out
 
 
 def graphwave_exact(
     graph, scales=DEFAULT_SCALES, sample_points=DEFAULT_SAMPLE_POINTS, t_max=DEFAULT_T_MAX
 ):
-    """``graphwave_embed`` without its checks: same keywords, same layout."""
+    """``graphwave_embed`` without its checks: same keywords, same layout,
+    and the same component counts in the meta."""
     scales = tuple(float(s) for s in scales)
     width = 2 * len(scales) * sample_points
     ts = np.linspace(0.0, t_max, sample_points)
     out = np.zeros((graph.node_count, width), dtype=np.float64)
-    for comp in graph.components():
+    components = graph.components()
+    laplacians = set()
+    for comp in components:
         idx = np.array(comp)
-        eig = np.linalg.eigh(_component_laplacian(graph, comp))
+        lap = component_laplacian(graph, comp)
+        laplacians.add((len(comp), lap.tobytes()))
+        eig = np.linalg.eigh(lap)
         col = 0
         for s in scales:
             psi = _heat_kernel_exact(eig, s)
@@ -51,7 +92,13 @@ def graphwave_exact(
     return EmbeddingMatrix(
         vectors=out,
         method_tag="graphwave",
-        meta={"scales": scales, "sample_points": sample_points, "t_max": t_max},
+        meta={
+            "scales": scales,
+            "sample_points": sample_points,
+            "t_max": t_max,
+            "components": len(components),
+            "distinct_components": len(laplacians),
+        },
     )
 
 
@@ -73,6 +120,15 @@ def initial_loadings_per_row(F, rank, seed):
         row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key))
         G[i] = 1.0 - row_rng.random(rank)
     return G
+
+
+def pearson(u, v):
+    su, sv = u.std(), v.std()
+    if su == 0.0 and sv == 0.0:
+        return 1.0  # two constants are duplicates
+    if su == 0.0 or sv == 0.0:
+        return 0.0
+    return float(np.corrcoef(u, v)[0, 1])
 
 
 def refex_features_bitmask(graph, depth=2, dedup_threshold=0.99):
@@ -119,7 +175,7 @@ def refex_features_bitmask(graph, depth=2, dedup_threshold=0.99):
             new_names += [f"mean_{names[ci]}", f"sum_{names[ci]}"]
         kept = []
         for col, name in zip(new_cols, new_names):
-            if any(abs(_pearson(col, cols[j])) > dedup_threshold for j in range(len(cols))):
+            if any(abs(pearson(col, cols[j])) > dedup_threshold for j in range(len(cols))):
                 continue
             cols.append(col)
             names.append(name)

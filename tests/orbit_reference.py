@@ -1,13 +1,27 @@
-"""The per-node orbit counter that ``orbits.count_orbits`` replaced.
+"""The per-node orbit counter that ``orbits.count_orbits`` replaced, and
+the row-by-row orbit CSV writer that ``orbits.orbits_to_csv`` replaced.
 
-It visits one root node at a time in Python, with dicts of common
-neighbour counts; the golden tests compare the vectorised census with it
-on graphs too large for the brute-force oracle.
+The counter visits one root node at a time in Python, with dicts of
+common neighbour counts; the golden tests compare the vectorised census
+with it on graphs too large for the brute-force oracle. The writer passes
+every row through ``csv.writer``; the tests hold the shared row writer to
+its bytes.
 """
+
+import csv
 
 import numpy as np
 
 from orbitroles.graphlets import ORBIT_COUNT
+from orbitroles.orbits import orbit_header
+
+
+def orbits_to_csv_rows(matrix, table, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(orbit_header())
+        for i, ext in enumerate(table.external_ids):
+            writer.writerow([ext] + [int(v) for v in matrix.counts[i]])
 
 
 def count_orbits_per_node(graph):

@@ -556,6 +556,42 @@ def test_manifest_metrics_hold_rolx_counters(corpus, tmp_path, command):
     assert command == "pipeline" or not (out / "orbits.csv").exists()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command", ["pipeline", "embed"])
+def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, threads):
+    # the GraphWave counts travel back from a forked lane as from an inline
+    # one; the corpus is 12 copies of one barbell, 156 nodes, so the sweep
+    # samples with two workers (cap 100) and not with one
+    from orbitroles.embeddings import graphwave_embed
+
+    cap = 100 if threads == 2 else 20000
+    cfg = write_config(
+        tmp_path / "cfg.ini",
+        BARBELL_CFG.replace("trees = 40", "trees = 4")
+        .replace("[pipeline]\n", f"[pipeline]\nthreads = {threads}\n")
+        .replace("[cluster]\n", f"[cluster]\nsample_cap = {cap}\n"),
+    )
+    out = tmp_path / "out"
+    assert run(
+        command, corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+        "--config", cfg, "--out", out,
+    ) == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert metrics["workers"] == threads
+    assert metrics["graphwave"] == {"components": 12, "distinct_components": 1}
+    graph, _ = load_edge_list(corpus / "edges.txt")
+    meta = graphwave_embed(graph).meta
+    assert metrics["graphwave"] == {k: meta[k] for k in ("components", "distinct_components")}
+    if command == "pipeline":
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(metrics["kmeans"]) == 8
+        for row in rows:
+            cell = metrics["kmeans"][f"{row['method']}:{row['k']}"]
+            assert cell["sampled"] is (row["sampled"] == "true") is (threads == 2)
+    assert_no_children()
+
+
 def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
     from clustering_reference import kmeans_broadcast
 
@@ -566,6 +602,8 @@ def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
     metrics = json.loads((run_dir / "manifest.json").read_text())["metrics"]
     cells = metrics["kmeans"]
     assert sorted(cells) == sorted(f"{m}:{k}" for m in ("graphwave", "rolx") for k in range(2, 6))
+    with open(run_dir / "sweep.csv") as fh:
+        sampled = {f"{row['method']}:{row['k']}": row["sampled"] for row in csv.DictReader(fh)}
     table = load_node_table(corpus / "nodes.csv")
     for method in ("graphwave", "rolx"):
         emb = import_embedding(run_dir / f"embedding_{method}.csv", table)
@@ -574,6 +612,7 @@ def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
             assert cells[f"{method}:{k}"] == {
                 "iterations": len(want.meta["wcss_trajectory"]),
                 "degenerate": want.degenerate,
+                "sampled": sampled[f"{method}:{k}"] == "true",
             }
 
 

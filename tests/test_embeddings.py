@@ -56,6 +56,8 @@ class TestGraphWave:
         # reference: eigh of the component Laplacian again for every scale
         from orbitroles import embeddings
 
+        from embedding_reference import component_laplacian
+
         triangle = [(9, 10), (10, 11), (9, 11)]
         g = Graph.from_edges(12, list(er_graph(9, 0.4, 5).edges()) + triangle)
         assert len(g.components()) >= 2
@@ -71,7 +73,7 @@ class TestGraphWave:
         graphwave_embed(g, scales=scales, sample_points=8)
         expected = []
         for comp in g.components():
-            lap = embeddings._component_laplacian(g, comp)
+            lap = component_laplacian(g, comp)
             for s in scales:
                 eigval, eigvec = np.linalg.eigh(lap)
                 expected.append((eigvec * np.exp(-s * eigval)) @ eigvec.T)
@@ -153,6 +155,69 @@ class TestGraphWave:
         assert np.isfinite(emb.vectors).all()
 
 
+def repeated_components():
+    """Three interleaved copies of one 6-node shape (nodes 3i, 3i + 1 and
+    3i + 2 are node i of each copy), the same shape with its nodes in
+    another order, four singletons, three pairs and a 20-node component."""
+    shape = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]
+    edges = [(3 * u + c, 3 * v + c) for c in range(3) for u, v in shape]
+    order = [5, 3, 0, 4, 1, 2]
+    edges += [(18 + order[u], 18 + order[v]) for u, v in shape]
+    edges += [(28, 29), (30, 31), (32, 33)]
+    edges += [(34 + u, 34 + v) for u, v in ba_graph(20, 2, 1).edges()]
+    return Graph.from_edges(54, edges)
+
+
+class TestDistinctComponents:
+    """One computation per distinct component key: the rows of a per-
+    component loop, bit for bit, from one eigh per key."""
+
+    def test_bit_equal_to_per_component_loop(self):
+        from embedding_reference import graphwave_per_component
+
+        g = repeated_components()
+        for scales, points in [((0.5, 1.5), 32), ((0.3, 1.0, 2.0), 5)]:
+            got = graphwave_embed(g, scales=scales, sample_points=points)
+            want = graphwave_per_component(g, scales=scales, sample_points=points)
+            assert np.array_equal(got.vectors, want)
+        # the copies share rows; the reordered shape is computed on its own
+        assert np.array_equal(got.vectors[0:18:3], got.vectors[2:18:3])
+        assert not np.array_equal(got.vectors[0:18:3], got.vectors[18:24])
+
+    def test_one_eigh_per_distinct_key(self, monkeypatch):
+        g = repeated_components()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        emb = graphwave_embed(g)
+        # the shape twice (as copied and as reordered), a singleton, a
+        # pair and the 20-node component
+        assert sorted(calls) == [1, 2, 6, 6, 20]
+        assert emb.meta["components"] == 12
+        assert emb.meta["distinct_components"] == 5
+
+    def test_key_names_the_laplacian(self):
+        # (size, flat positions of the Laplacian's -1 entries): the key and
+        # the Laplacian determine each other
+        from orbitroles.embeddings import _component_key, _laplacian
+
+        from embedding_reference import component_laplacian
+
+        g = repeated_components()
+        for comp in g.components():
+            key = _component_key(g, comp)
+            lap = component_laplacian(g, comp)
+            k, flat = key
+            assert k == len(comp)
+            assert np.array_equal(np.frombuffer(flat, np.int64), np.flatnonzero(lap == -1.0))
+            assert _laplacian(key).tobytes() == lap.tobytes()
+
+
 class TestRefex:
     def test_base_features(self):
         g = star_graph(3)
@@ -192,6 +257,25 @@ def _refex_corpus(name):
     }[name]()
 
 
+def bench_graph(name):
+    """The seed-7 input graph of a benchmark workload, built as
+    ``perfbench/workloads.py`` builds it."""
+    if name == "planted-many":
+        return generate_planted_graph([barbell_template(5, 5)], 200, noise_edges=27, seed=7).graph
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    module = "perfbench_workloads"
+    if module not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(module, path)
+        # registered before it runs: its dataclasses look their module up
+        sys.modules[module] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[module])
+    return Graph.from_edges(800, sys.modules[module].ba_edges(800, 4, 7))
+
+
 class TestRefexReference:
     """Census base features and bincount neighbour sums against the
     bitmask counter and node-by-node sums they replaced: the same bits."""
@@ -208,6 +292,19 @@ class TestRefexReference:
             assert np.array_equal(got.features, want.features), depth
             assert got.column_names == want.column_names
             assert got.generation == want.generation
+
+    @pytest.mark.parametrize("name", ["ba-hub", "planted-many"])
+    def test_pruning_unchanged_on_bench_inputs(self, name):
+        # one correlation matrix per generation keeps the columns that one
+        # np.corrcoef per pair of columns kept
+        from embedding_reference import refex_features_bitmask
+
+        g = bench_graph(name)
+        got = refex_features(g, count_orbits(g), depth=2)
+        want = refex_features_bitmask(g, depth=2)
+        assert got.column_names == want.column_names
+        assert got.generation == want.generation
+        assert np.array_equal(got.features, want.features)
 
     def test_peak_memory_linear_in_nodes_and_edges(self):
         # the bitmasks took N^2 / 8 bytes and the node loops Python floats:
@@ -346,6 +443,38 @@ class TestImport:
         embedding_to_csv_rows(emb, table, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[2].startswith(",-0.0,1e-300,")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [0.0, 1.0]],  # differ by sign only
+            [[np.nan, np.inf], [-np.inf, 5e-324], ["payload", np.inf], [np.nan, np.inf]],
+            [[0.5], [0.5], [-0.0], [1e-300]],  # d = 1
+            [],
+        ],
+        ids=["signed-zeros", "non-finite", "one-column", "no-rows"],
+    )
+    def test_shared_writer_bytes_equal_row_by_row_csv_writer(self, tmp_path, rows):
+        # grouped by bytes, each row still writes as its own repr: -0.0
+        # stays apart from 0.0 and a NaN with a payload from plain NaN
+        from types import SimpleNamespace
+
+        from embedding_reference import embedding_to_csv_rows
+
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        vectors = np.array(
+            [[payload_nan if v == "payload" else v for v in row] for row in rows],
+            dtype=np.float64,
+        ).reshape(len(rows), -1 if rows else 3)
+        ids = ["", "a,b", 'q"x', "v3"][: len(rows)]
+        # a stand-in for EmbeddingMatrix, which refuses NaN and inf
+        emb = SimpleNamespace(
+            vectors=vectors, method_tag="graphwave", node_count=len(rows), d=vectors.shape[1]
+        )
+        table = NodeTable(external_ids=ids)
+        embedding_to_csv(emb, table, tmp_path / "new.csv")
+        embedding_to_csv_rows(emb, table, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_missing_node_named(self, tmp_path):
         path = tmp_path / "emb.csv"

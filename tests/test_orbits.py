@@ -16,10 +16,10 @@ from orbitroles.graphlets import (
     _match_orbits,
     _orbit_lookup,
     count_orbits_bruteforce,
-    orbit_of_position,
 )
 from orbitroles.orbits import (
     OrbitCensusError,
+    OrbitMatrix,
     count_orbits,
     estimate_census_memory_mb,
     log_transform,
@@ -35,6 +35,7 @@ from util import (
     complete_graph,
     cycle_graph,
     er_graph,
+    has_edge,
     path_graph,
     permute_graph,
     star_graph,
@@ -97,6 +98,10 @@ class TestTemplateTable:
             assert _match_orbits(a.size, edge_set, b) is None
 
     def test_named_positions(self):
+        def orbit_of_position(template_name, position):
+            (template,) = [t for t in GRAPHLETS if t.name == template_name]
+            return template.orbits[position]
+
         assert orbit_of_position("tadpole", 0) == 27  # free end of the tail
         assert orbit_of_position("tadpole", 4) == 30  # triangle node with tail
         assert orbit_of_position("path5", 2) == 17
@@ -258,7 +263,7 @@ class TestInvariants:
             (u, v)
             for u in range(25)
             for v in range(u + 1, 25)
-            if not g.has_edge(u, v)
+            if not has_edge(g, u, v)
         ]
         u, v = non_edges[0]
         g2 = Graph.from_edges(25, list(g.edges()) + [(u, v)])
@@ -354,3 +359,25 @@ class TestOrbitCsv:
         path.write_text("id,x\na,1\n")
         with pytest.raises(ValueError, match="header"):
             orbits_from_csv(path)
+
+    @pytest.mark.parametrize("graph", ["scattered", "barbells", "empty"])
+    def test_bytes_equal_row_by_row_csv_writer(self, tmp_path, graph):
+        # repeated rows (isolated nodes, barbell copies) are formatted once;
+        # ids that csv.writer quotes keep their quoting
+        from orbit_reference import orbits_to_csv_rows
+
+        if graph == "empty":
+            matrix, ids = OrbitMatrix(counts=np.zeros((0, ORBIT_COUNT))), []
+        else:
+            g = (
+                scattered_graph()
+                if graph == "scattered"
+                else generate_planted_graph([barbell_template(5, 3)], 6, seed=2).graph
+            )
+            matrix = count_orbits(g)
+            ids = [f"v{i}" for i in range(g.node_count)]
+            ids[:4] = ["", "a,b", 'q"x', " s"]
+        table = NodeTable(external_ids=ids)
+        orbits_to_csv(matrix, table, tmp_path / "new.csv")
+        orbits_to_csv_rows(matrix, table, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
