@@ -64,7 +64,6 @@ from .graph import load_edge_list, load_node_table, write_edge_list, write_node_
 from .manifest import RunManifest, load_manifest
 from .orbits import count_orbits, log_transform, orbits_from_csv, orbits_to_csv
 from .planted import (
-    BUILTIN_TEMPLATES,
     barbell_template,
     chain_template,
     clique_template,
@@ -276,14 +275,27 @@ def _effect_curves(model, features, ex, note):
     return curves, skipped
 
 
-def _explain_metrics(model, report, skipped):
-    return {
+def _explain(model, features, labels, threshold, ex, out, manifest, seed, suffix, note):
+    """Importance (seeded by ``seed``) and effect curves of one fitted
+    surrogate, written to ``importance<suffix>.csv`` and
+    ``effects<suffix>.csv``, with their counters in
+    ``metrics["explain<suffix>"]``. Returns the importance report."""
+    report = permutation_importance(
+        model, features, labels, repeats=ex.importance_repeats, seed=seed
+    )
+    report.to_csv(out / f"importance{suffix}.csv")
+    curves, skipped = _effect_curves(model, features, ex, note)
+    write_effect_curves(curves, threshold, out / f"effects{suffix}.csv")
+    manifest.add_output(out / f"importance{suffix}.csv")
+    manifest.add_output(out / f"effects{suffix}.csv")
+    manifest.metrics[f"explain{suffix}"] = {
         "holdout_accuracy": model.holdout_accuracy,
         "tree_nodes": sum(len(tree.feature) for tree in model.trees),
         "features_used": len(model.features_used()),
         "importance_cells": report.meta["cells"],
         "skipped_curves": skipped,
     }
+    return report
 
 
 def _explain_roles(features, orbits, roles, cfg, out, manifest):
@@ -292,23 +304,22 @@ def _explain_roles(features, orbits, roles, cfg, out, manifest):
     derives from the method that made the roles. Returns the model and its
     importance report."""
     ex, seed, method = cfg.explain, cfg.seed, roles.method_tag
+    threshold = orbit3_threshold(orbits)
     model = train_surrogate(
         features, roles, trees=ex.trees, seed=derive_seed(seed, "surrogate", method)
     )
-    report = permutation_importance(
+    report = _explain(
         model,
         features,
-        roles,
-        repeats=ex.importance_repeats,
+        roles.labels,
+        threshold,
+        ex,
+        out,
+        manifest,
         seed=derive_seed(seed, "importance", method),
+        suffix="",
+        note=manifest.note,
     )
-    written = [out / "importance.csv", out / "effects.csv"]
-    report.to_csv(written[0])
-    threshold = orbit3_threshold(orbits)
-    curves, skipped = _effect_curves(model, features, ex, manifest.note)
-    write_effect_curves(curves, threshold, written[1])
-    manifest.metrics["explain"] = _explain_metrics(model, report, skipped)
-
     if ex.keep_roles:
         sub = refit_on_subpopulation(
             features,
@@ -318,23 +329,18 @@ def _explain_roles(features, orbits, roles, cfg, out, manifest):
             seed=derive_seed(seed, "surrogate-sub", method),
         )
         mask = np.isin(roles.labels, list(ex.keep_roles))
-        sub_features = type(features)(values=features.values[mask])
-        sub_report = permutation_importance(
+        _explain(
             sub,
-            sub_features,
+            type(features)(values=features.values[mask]),
             roles.labels[mask],
-            repeats=ex.importance_repeats,
+            threshold,
+            ex,
+            out,
+            manifest,
             seed=derive_seed(seed, "importance-sub", method),
+            suffix="_subpop",
+            note=lambda text: manifest.note(f"sub-population: {text}"),
         )
-        written += [out / "importance_subpop.csv", out / "effects_subpop.csv"]
-        sub_report.to_csv(written[2])
-        curves, skipped = _effect_curves(
-            sub, sub_features, ex, lambda text: manifest.note(f"sub-population: {text}")
-        )
-        write_effect_curves(curves, threshold, written[3])
-        manifest.metrics["explain_subpop"] = _explain_metrics(sub, sub_report, skipped)
-    for path in written:
-        manifest.add_output(path)
     manifest.parameters["surrogate_holdout_accuracy"] = model.holdout_accuracy
     return model, report
 
@@ -486,21 +492,18 @@ def _cmd_census(args) -> int:
     return _finish(manifest, out, f"{graph.node_count} nodes -> {out / 'orbits.csv'}")
 
 
+# ``generate``'s templates, each built from its command-line flags
+_TEMPLATES = {
+    "barbell": lambda args: barbell_template(args.clique_size, args.chain_len),
+    "chain": lambda args: chain_template(args.length),
+    "clique": lambda args: clique_template(args.clique_size),
+    "star": lambda args: star_template(args.length),
+}
+
+
 def _cmd_generate(args) -> int:
     out = _out_dir(args.out)
-    maker = BUILTIN_TEMPLATES.get(args.template)
-    if maker is None:
-        raise ValueError(
-            f"unknown template {args.template!r}; choose from {sorted(BUILTIN_TEMPLATES)}"
-        )
-    if args.template == "barbell":
-        tpl = barbell_template(args.clique_size, args.chain_len)
-    elif args.template == "chain":
-        tpl = chain_template(args.length)
-    elif args.template == "star":
-        tpl = star_template(args.length)
-    else:
-        tpl = clique_template(args.clique_size)
+    tpl = _TEMPLATES[args.template](args)
 
     planted = generate_planted_graph(
         [tpl], copies=args.copies, noise_edges=args.noise_edges, seed=args.seed
@@ -691,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("generate", help="planted-role synthetic corpus")
-    p.add_argument("--template", default="barbell", choices=sorted(BUILTIN_TEMPLATES))
+    p.add_argument("--template", default="barbell", choices=sorted(_TEMPLATES))
     p.add_argument("--clique-size", type=int, default=5)
     p.add_argument("--chain-len", type=int, default=3)
     p.add_argument("--length", type=int, default=4, help="chain/star size")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import read_node_rows, write_node_rows
 from .seeds import derive_seed
 from .workers import map_shares
 
@@ -331,57 +332,28 @@ def assignment_seed(seed: int, method_tag: str, k: int) -> int:
 
 
 def roles_to_csv(assignment: RoleAssignment, table, path) -> None:
+    """``# method=<tag> k=<k> seed=<seed> degenerate=<bool>``, the header
+    ``id,role`` and one label per node, with ``graph.write_node_rows``."""
     if assignment.labels.shape[0] != len(table):
         raise ClusteringError("assignment and node table are misaligned")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(
             f"# method={assignment.method_tag} k={assignment.k} "
             f"seed={assignment.seed} degenerate={str(assignment.degenerate).lower()}\n"
+            "id,role\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "role"])
-        for i, ext in enumerate(table.external_ids):
-            writer.writerow([ext, int(assignment.labels[i])])
+        write_node_rows(fh, table, assignment.labels[:, None])
 
 
 def roles_from_csv(path, table=None):
-    """Read a roles CSV; returns (RoleAssignment, external ids). No id may
-    repeat."""
-    meta = {}
-    index = {}
-    labels = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        key, val = part.split("=", 1)
-                        meta[key] = val
-                continue
-            cells = next(csv.reader([line]))
-            if not header_seen:
-                if cells[:2] != ["id", "role"]:
-                    raise ClusteringError(f"{path}: expected header id,role")
-                header_seen = True
-                continue
-            if cells[0] in index:
-                raise ClusteringError(f"{path}:{lineno}: repeated id {cells[0]!r}")
-            index[cells[0]] = len(labels)
-            labels.append(int(cells[1]))
-    if not labels:
+    """Read a roles CSV with ``graph.read_node_rows``; returns
+    (RoleAssignment, external ids). No id may repeat."""
+    meta, header, ids, rows = read_node_rows(path, int, ClusteringError, table)
+    if header != ["id", "role"]:
+        raise ClusteringError(f"{path}: expected header id,role")
+    if not rows:
         raise ClusteringError(f"{path}: no role rows")
-    labels = np.array(labels, dtype=np.int64)
-    ids = list(index)
-    if table is not None:
-        missing = [x for x in table.external_ids if x not in index]
-        if missing:
-            raise ClusteringError(f"{path}: missing roles for ids {missing[:10]}")
-        labels = labels[[index[x] for x in table.external_ids]]
-        ids = list(table.external_ids)
+    labels = np.array(rows, dtype=np.int64).ravel()
     assignment = RoleAssignment(
         labels=labels,
         k=int(meta.get("k", labels.max() + 1)),

@@ -34,7 +34,8 @@ through ``import_embedding``.
 
 ``embedding_to_csv`` writes every embedding, native or imported, through
 ``graph.write_node_rows``, which formats each distinct row once: the rows
-of repeated components are the same bytes.
+of repeated components are the same bytes. ``import_embedding`` reads an
+embedding CSV back through its other half, ``graph.read_node_rows``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .graph import write_node_rows
+from .graph import read_node_rows, write_node_rows
 from .seeds import derive_seed
 
 DEFAULT_SCALES = (0.5, 1.5)
@@ -396,52 +398,12 @@ def import_embedding(path, table, method_tag: str | None = None) -> EmbeddingMat
     """Load an external embedding CSV and align rows to the node table.
 
     Expected layout: optional ``# method=<tag>`` comment, then a header
-    ``id,e0,...,e{d-1}``. Every graph node must be present, and no id may
-    repeat.
+    ``id,e0,...,e{d-1}``, read by ``graph.read_node_rows``. Every graph
+    node must be present, and no id may repeat. The tag is ``method_tag``,
+    else the comment's, else the file's stem.
     """
-    tag = method_tag
-    rows = {}
-    d = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("method=") and tag is None:
-                    tag = body.split("=", 1)[1].strip()
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-                if not header or header[0] != "id":
-                    raise EmbeddingError(f"{path}: first column must be 'id'")
-                d = len(header) - 1
-                if d < 1:
-                    raise EmbeddingError(f"{path}: no embedding columns")
-                continue
-            if len(cells) != d + 1:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: expected {d + 1} cells, got {len(cells)}"
-                )
-            try:
-                vec = [float(c) for c in cells[1:]]
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-            if cells[0] in rows:
-                raise EmbeddingError(f"{path}:{lineno}: repeated id {cells[0]!r}")
-            rows[cells[0]] = vec
-    if header is None:
-        raise EmbeddingError(f"{path}: empty embedding file")
-
-    missing = [x for x in table.external_ids if x not in rows]
-    if missing:
-        raise EmbeddingError(f"{path}: missing embeddings for ids {missing[:10]}")
-    vectors = np.array([rows[x] for x in table.external_ids], dtype=np.float64)
-    if tag is None:
-        import os
-
-        tag = os.path.splitext(os.path.basename(str(path)))[0]
-    return EmbeddingMatrix(vectors=vectors, method_tag=tag)
+    meta, header, _, rows = read_node_rows(path, float, EmbeddingError, table)
+    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    if method_tag is None:
+        method_tag = meta.get("method", Path(path).stem)
+    return EmbeddingMatrix(vectors=vectors, method_tag=method_tag)

@@ -4,8 +4,13 @@ Edges are stored as sorted neighbor lists. External string ids map to
 dense indices; every matrix downstream is aligned to that index order.
 Directed inputs are symmetrized at load, but the original line order
 (source cites target) is retained so citation direction can be recovered
-for diversity scoring. ``write_node_rows`` writes the per-node rows of the
-orbit and embedding CSVs.
+for diversity scoring.
+
+The per-node CSVs (orbits, embeddings, roles) have one format with two
+halves: ``write_node_rows`` writes each node's row after the caller's
+``#`` comment and ``id,...`` header, and ``read_node_rows`` reads the
+whole file back, so an id that ``csv.writer`` quotes, or one that starts
+with ``#``, reads back as written.
 """
 
 from __future__ import annotations
@@ -333,3 +338,52 @@ def _id_cells(ids) -> list:
         writer.writerow((ext, ""))
         cells.append(buf.getvalue()[:-2])
     return cells
+
+
+def read_node_rows(path, cast, error, table: NodeTable | None = None):
+    """Read a per-node CSV that ``write_node_rows`` wrote: optional ``#``
+    comment lines, the header ``id,<column>,...`` and one row per node.
+
+    Returns ``(meta, header, ids, rows)``: the ``key=value`` words of the
+    comments, the header's cells, the ids and each id's cells after the
+    first, each passed through ``cast``. ``#`` marks a comment only before
+    the header; after it a line is a row whose id starts with ``#``.
+    Blank lines are skipped. A row with another cell count than the
+    header, a cell that ``cast`` refuses and a repeated id are raised as
+    ``error`` naming ``path:line``. With ``table``, ids and rows come in
+    the table's id order, and every id of the table must have a row.
+    """
+    meta, header, index, rows = {}, None, {}, []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or (len(row) == 1 and row[0].isspace()):
+                continue
+            where = f"{path}:{reader.line_num}"
+            if header is None and row[0].startswith("#"):
+                for word in ",".join(row)[1:].split():
+                    key, eq, value = word.partition("=")
+                    if eq:
+                        meta[key] = value
+            elif header is None:
+                if row[0] != "id" or len(row) < 2:
+                    raise error(f"{where}: expected a header id,<column>,...")
+                header = row
+            elif len(row) != len(header):
+                raise error(f"{where}: expected {len(header)} cells, got {len(row)}")
+            elif row[0] in index:
+                raise error(f"{where}: repeated id {row[0]!r}")
+            else:
+                try:
+                    rows.append([cast(cell) for cell in row[1:]])
+                except ValueError as exc:
+                    raise error(f"{where}: non-numeric cell ({exc})") from None
+                index[row[0]] = len(index)
+    if header is None:
+        raise error(f"{path}: no header line")
+    if table is None:
+        return meta, header, list(index), rows
+    missing = [x for x in table.external_ids if x not in index]
+    if missing:
+        raise error(f"{path}: missing rows for ids {missing[:10]}")
+    return meta, header, list(table.external_ids), [rows[index[x]] for x in table.external_ids]

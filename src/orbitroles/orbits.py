@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import write_node_rows
+from .graph import read_node_rows, write_node_rows
 from .graphlets import ORBIT_COUNT
 
 
@@ -718,30 +718,14 @@ def orbits_to_csv(matrix: OrbitMatrix, table, path) -> None:
 
 
 def orbits_from_csv(path, table=None):
-    """Read an orbit CSV; returns (OrbitMatrix, external ids).
+    """Read an orbit CSV with ``graph.read_node_rows``; returns
+    (OrbitMatrix, external ids).
 
     With a node table, rows are re-aligned to its id order and every node
     must be present. No id may repeat.
     """
-    index = {}
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != orbit_header():
-            raise ValueError(f"{path}: unexpected orbit CSV header")
-        for row in reader:
-            if not row:
-                continue
-            if row[0] in index:
-                raise ValueError(f"{path}:{reader.line_num}: repeated id {row[0]!r}")
-            index[row[0]] = len(rows)
-            rows.append([int(v) for v in row[1:]])
-    counts = np.array(rows, dtype=np.int64) if rows else np.zeros((0, ORBIT_COUNT), np.int64)
-    if table is None:
-        return OrbitMatrix(counts=counts), list(index)
-    missing = [x for x in table.external_ids if x not in index]
-    if missing:
-        raise ValueError(f"{path}: missing orbit rows for ids {missing[:10]}")
-    order = [index[x] for x in table.external_ids]
-    return OrbitMatrix(counts=counts[order]), list(table.external_ids)
+    _, header, ids, rows = read_node_rows(path, int, ValueError, table)
+    if header != orbit_header():
+        raise ValueError(f"{path}: unexpected orbit CSV header")
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), ORBIT_COUNT)
+    return OrbitMatrix(counts=counts), ids

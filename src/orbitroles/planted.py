@@ -96,14 +96,6 @@ def barbell_template(clique_size: int = 5, chain_len: int = 3) -> Template:
     return Template(f"barbell{c}x{chain_len}", tuple(edges), tuple(roles))
 
 
-BUILTIN_TEMPLATES = {
-    "chain": chain_template,
-    "star": star_template,
-    "clique": clique_template,
-    "barbell": barbell_template,
-}
-
-
 @dataclass
 class PlantedGraph:
     graph: Graph

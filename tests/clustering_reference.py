@@ -6,7 +6,12 @@ tests hold the BLAS-screened loop to its labels, WCSS trajectory and
 degeneracy, compared with ``==``. It shares one rule with
 ``clustering.kmeans``: a run stops when the iteration after a re-seed does
 not lower the WCSS.
+
+``roles_to_csv_rows`` is the row-by-row ``csv.writer`` loop that
+``clustering.roles_to_csv`` replaced with ``graph.write_node_rows``.
 """
+
+import csv
 
 import numpy as np
 
@@ -70,3 +75,15 @@ def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
         inertia=trajectory[-1] if trajectory else 0.0,
         meta={"wcss_trajectory": trajectory},
     )
+
+
+def roles_to_csv_rows(assignment, table, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(
+            f"# method={assignment.method_tag} k={assignment.k} "
+            f"seed={assignment.seed} degenerate={str(assignment.degenerate).lower()}\n"
+        )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "role"])
+        for i, ext in enumerate(table.external_ids):
+            writer.writerow([ext, int(assignment.labels[i])])

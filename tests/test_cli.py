@@ -370,6 +370,29 @@ class TestValidateAndCluster:
         assert staged == (run_dir / "roles_graphwave.csv").read_bytes()
 
 
+    def test_cluster_reads_pipeline_embedding_with_hash_id(self, tmp_path):
+        # '#d' is an id in the edge list, and a row, not a comment, of the
+        # embedding CSV the pipeline writes
+        graph = tmp_path / "g.txt"
+        graph.write_text("a b\nb c\nc a\nc #d\n#d e\ne f\nf d\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "cfg.ini",
+            "[pipeline]\nseed = 3\n[embed]\nmethods = graphwave\n"
+            "[cluster]\nk_min = 2\nk_max = 3\nchosen_k = 2\n"
+            "[explain]\ntrees = 4\nimportance_repeats = 1\neffect_orbits = 0\n",
+        )
+        pipe = tmp_path / "pipe"
+        assert run("pipeline", graph, "--config", cfg, "--out", pipe) == 0
+        out = tmp_path / "cl"
+        assert run(
+            "cluster", graph, "--embedding", pipe / "embedding_graphwave.csv",
+            "--k", 2, "--config", cfg, "--out", out,
+        ) == 0
+        staged = (out / "roles_graphwave.csv").read_bytes()
+        assert staged == (pipe / "roles_graphwave.csv").read_bytes()
+        assert b"\n#d," in staged
+
+
 class TestStagedExplainMatchesPipeline:
     def test_explain_on_pipeline_outputs_byte_identical(self, corpus, tmp_path):
         cfg = write_config(

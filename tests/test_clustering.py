@@ -22,7 +22,7 @@ from orbitroles.orbits import LogOrbitMatrix, count_orbits, log_transform
 from orbitroles.planted import barbell_template, generate_planted_graph
 from orbitroles.seeds import derive_seed
 
-from clustering_reference import kmeans_broadcast
+from clustering_reference import kmeans_broadcast, roles_to_csv_rows
 from util import ba_graph, nmi
 
 
@@ -496,3 +496,20 @@ class TestRolesCsv:
         assert back.method_tag == "graphwave"
         assert back.seed == 7
         assert ids == table.external_ids
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_bytes_equal_row_by_row_csv_writer(self, tmp_path, n):
+        # ids that csv.writer quotes or leaves empty, one that starts with
+        # the comment marker, and repeated labels, formatted once each
+        ids = ["#d", "a,b", 'q"x', "", " s", "v5", "v6"][:n]
+        table = NodeTable(external_ids=ids)
+        assignment = RoleAssignment(
+            labels=np.array([2, 0, 2, 1, 0, 11, 2][:n]),
+            k=12,
+            method_tag="graphwave",
+            seed=-3,
+            degenerate=True,
+        )
+        roles_to_csv(assignment, table, tmp_path / "new.csv")
+        roles_to_csv_rows(assignment, table, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

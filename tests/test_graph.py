@@ -1,19 +1,30 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitroles.clustering import ClusteringError, RoleAssignment, roles_from_csv, roles_to_csv
+from orbitroles.embeddings import (
+    EmbeddingError,
+    EmbeddingMatrix,
+    embedding_to_csv,
+    import_embedding,
+)
 from orbitroles.graph import (
     Graph,
     GraphFormatError,
     NodeTable,
     load_edge_list,
     load_node_table,
+    read_node_rows,
     write_edge_list,
     write_node_table,
 )
+from orbitroles.graphlets import ORBIT_COUNT
+from orbitroles.orbits import OrbitMatrix, orbits_from_csv, orbits_to_csv
 from orbitroles.planted import (
     barbell_template,
     chain_template,
@@ -131,6 +142,147 @@ class TestNodeTable:
         back = load_node_table(path)
         assert back.external_ids == table.external_ids
         assert back.categories == table.categories
+
+
+# Each per-node CSV as (write it for a table and return its values, read
+# it back aligned to a table as (values, ids), the reader's error class).
+def _write_orbits(table, path):
+    counts = np.arange(len(table) * ORBIT_COUNT).reshape(len(table), ORBIT_COUNT)
+    orbits_to_csv(OrbitMatrix(counts=counts), table, path)
+    return counts
+
+
+def _read_orbits(path, table):
+    matrix, ids = orbits_from_csv(path, table)
+    return matrix.counts, ids
+
+
+def _write_embedding(table, path):
+    vectors = np.arange(len(table) * 3).reshape(len(table), 3) / 7.0
+    embedding_to_csv(EmbeddingMatrix(vectors=vectors, method_tag="struc2vec"), table, path)
+    return vectors
+
+
+def _read_embedding(path, table):
+    emb = import_embedding(path, table)
+    assert emb.method_tag == "struc2vec"
+    return emb.vectors, list(table.external_ids)
+
+
+def _write_roles(table, path):
+    labels = np.arange(len(table)) % 3
+    roles_to_csv(RoleAssignment(labels=labels, k=3, method_tag="rolx", seed=5), table, path)
+    return labels[:, None]
+
+
+def _read_roles(path, table):
+    assignment, ids = roles_from_csv(path, table)
+    assert (assignment.k, assignment.method_tag, assignment.seed) == (3, "rolx", 5)
+    return assignment.labels[:, None], ids
+
+
+NODE_CSVS = {
+    "orbits": (_write_orbits, _read_orbits, ValueError),
+    "embedding": (_write_embedding, _read_embedding, EmbeddingError),
+    "roles": (_write_roles, _read_roles, ClusteringError),
+}
+# ids that csv.writer quotes, leaves empty, or that start with the
+# comment marker
+ODD_IDS = ["v0", "#d", "a,b", 'q"x', "", "v5"]
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_CSVS))
+class TestNodeRows:
+    def _file(self, tmp_path, kind):
+        """The CSV of ``ODD_IDS``, its lines and the line number of its
+        header."""
+        write_csv = NODE_CSVS[kind][0]
+        path = tmp_path / f"{kind}.csv"
+        write_csv(NodeTable(external_ids=ODD_IDS), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines, start=1) if line.startswith("id,"))
+        return path, lines, header
+
+    def test_round_trip_odd_ids(self, tmp_path, kind):
+        write_csv, read_csv, _ = NODE_CSVS[kind]
+        path = tmp_path / f"{kind}.csv"
+        values = write_csv(NodeTable(external_ids=ODD_IDS), path)
+        back, ids = read_csv(path, NodeTable(external_ids=ODD_IDS))
+        assert ids == ODD_IDS
+        assert np.array_equal(back, values)
+        # realigned to another table order
+        order = [3, 0, 5, 1, 4, 2]
+        back, ids = read_csv(path, NodeTable(external_ids=[ODD_IDS[i] for i in order]))
+        assert ids == [ODD_IDS[i] for i in order]
+        assert np.array_equal(back, values[order])
+
+    @pytest.mark.parametrize("fault", ["short", "extra", "non-numeric", "repeated"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, kind, fault):
+        path, lines, header = self._file(tmp_path, kind)
+        row = header + 4  # the row of 'q"x', which csv.writer quotes
+        if fault == "short":
+            lines[row - 1] = lines[row - 1].rsplit(",", 1)[0]
+        elif fault == "extra":
+            lines[row - 1] += ",7"
+        elif fault == "non-numeric":
+            lines[row - 1] = lines[row - 1].rsplit(",", 1)[0] + ",x"
+        else:
+            lines.append(lines[row - 1])
+            row = len(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, read_csv, error = NODE_CSVS[kind]
+        with pytest.raises(error, match=re.escape(f"{path}:{row}: ")):
+            read_csv(path, NodeTable(external_ids=ODD_IDS))
+
+    def test_hash_line_after_header_is_a_row(self, tmp_path, kind):
+        path, lines, header = self._file(tmp_path, kind)
+        # a copy of v0's row under the id '# c'
+        lines.insert(header, "# c" + lines[header][len("v0") :])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv, read_csv, _ = NODE_CSVS[kind]
+        back, ids = read_csv(path, NodeTable(external_ids=["# c"] + ODD_IDS))
+        assert ids == ["# c"] + ODD_IDS
+        values = write_csv(NodeTable(external_ids=ODD_IDS), tmp_path / "again.csv")
+        assert np.array_equal(back, np.concatenate([values[:1], values]))
+
+
+class _LayoutError(Exception):
+    pass
+
+
+class TestReadNodeRows:
+    def test_meta_header_ids_rows(self, tmp_path):
+        path = write(
+            tmp_path, "n.csv", "# method=x k=3 note\n\n#seed=7\nid,a,b\n\nu,1,2\n #w,3,4\n"
+        )
+        meta, header, ids, rows = read_node_rows(path, int, ValueError)
+        assert meta == {"method": "x", "k": "3", "seed": "7"}
+        assert header == ["id", "a", "b"]
+        assert ids == ["u", " #w"]
+        assert rows == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no header"),
+            ("# method=x\n", "no header"),
+            ("u,1\n", "n.csv:1: expected a header"),
+            ("id\nu\n", "n.csv:1: expected a header"),
+            ("id,a\nu,1\n#k=2\n", "n.csv:3: expected 2 cells, got 1"),
+        ],
+    )
+    def test_bad_layout_raised_as_callers_error(self, tmp_path, text, message):
+        path = write(tmp_path, "n.csv", text)
+        with pytest.raises(_LayoutError, match=message):
+            read_node_rows(path, int, _LayoutError)
+
+    def test_first_ten_missing_ids_named(self, tmp_path):
+        path = write(tmp_path, "n.csv", "id,a\nv3,1\n")
+        table = NodeTable(external_ids=[f"v{i}" for i in range(14)])
+        with pytest.raises(ValueError) as info:
+            read_node_rows(path, int, ValueError, table)
+        named = [f"v{i}" for i in range(14) if i != 3][:10]
+        assert str(info.value).endswith(f"missing rows for ids {named}")
 
 
 class TestGraphInvariants:
