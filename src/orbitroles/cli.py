@@ -21,8 +21,9 @@ the wall seconds of each stage and of each worker task,
 ``metrics["workers"]`` the worker count, ``metrics["rolx"]`` the NMF
 iterations and convergence and the ReFeX features and generation of RolX,
 ``metrics["graphwave"]`` GraphWave's components and distinct components,
-and ``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and
-whether its silhouette was sampled."""
+``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and
+whether its silhouette was sampled, and ``metrics["silhouette"]`` the
+nodes and the distinct log-orbit rows that an exact sweep scored over."""
 
 from __future__ import annotations
 
@@ -229,6 +230,11 @@ def _validate(embeddings, features, cfg, out, manifest):
         }
         for (method, k), a in result.assignments.items()
     }
+    if result.distinct_rows is not None:
+        manifest.metrics["silhouette"] = {
+            "rows": features.node_count,
+            "distinct_rows": result.distinct_rows,
+        }
     return result
 
 

@@ -9,6 +9,9 @@ forked worker processes (``workers.map_shares``; by default one per usable
 CPU, and each holds its own cells' working memory), and then scores all
 the labellings in one pass over the orbit-space distances, which are
 shared by every cell because they depend on neither the method nor k. The
+pass computes distances only among the distinct log-orbit rows: nodes of
+repeated structures share a row (the planted-many bench graph at seed 7:
+2,600 nodes, 79 distinct rows), and each node reads its row's sums. The
 pipeline takes its chosen-k roles from the sweep's cells.
 
 Each k-means assignment step screens the distances with one BLAS matrix
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import read_node_rows, write_node_rows
+from .graph import distinct_rows, read_node_rows, write_node_rows
 from .seeds import derive_seed
 from .workers import map_shares
 
@@ -234,39 +237,47 @@ def _distance_block(X, sq_norms, start, stop, out):
     return out
 
 
-def _mean_silhouettes(X, label_sets) -> np.ndarray:
-    """Mean silhouette of every labelling in ``label_sets`` over the rows of X.
+def _mean_silhouettes(X, label_sets):
+    """Mean silhouette of every labelling in ``label_sets`` over the rows of
+    X, and the number of distinct rows of X.
 
-    The pairwise distances are computed once, in row blocks, and shared by
-    all labellings: each labelling's per-cluster distance sums are one
-    product of the block with its n x (populated clusters) indicator matrix.
+    Nodes that hold the same row of X (the same bytes) are the same point,
+    so the distances are computed only among the u distinct rows, in row
+    blocks, and shared by all labellings. Each labelling's per-cluster
+    distance sums are one product of a block with ``weights``, the u x
+    (populated clusters) matrix that counts, for each distinct row, its
+    nodes in each cluster. A node reads its distinct row's sums. With no
+    repeated row, ``weights`` is the nodes' indicator matrix and the scores
+    are those of the n x n pass, bit for bit. With repeated rows they
+    differ from it by rounding only: the GEMM form gives two copies of a
+    row a distance of about sqrt(eps) |x| rather than 0, and the n x n pass
+    adds one such value per pair of copies, this pass one per distinct row.
     Singleton clusters contribute 0 by convention, as does a node whose a
     and b are both 0. Every labelling needs two populated clusters.
     """
     n = X.shape[0]
-    own_col = []  # per labelling: each node's column in the stacked indicator
+    first, inverse = distinct_rows(X)
+    u = first.size
+    U = X if u == n else X[first]
+    own_col = []  # per labelling: each node's column in the stacked clusters
     sizes = []  # per labelling: member count of each populated cluster
     offsets = []  # per labelling: its first column
     width = 0
     for labels in label_sets:
-        _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        _, inv, counts = np.unique(labels, return_inverse=True, return_counts=True)
         offsets.append(width)
-        own_col.append(inverse + width)
+        own_col.append(inv + width)
         sizes.append(counts)
         width += counts.size
     own_col = np.array(own_col)
     sizes = np.concatenate(sizes).astype(float)
-    one_hot = np.zeros((n, sizes.size))
-    one_hot[np.arange(n)[None, :], own_col] = 1.0
-
-    sq_norms = (X**2).sum(axis=1)
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    buf = np.empty((chunk, n))
+    cells = (inverse * width + own_col).ravel()
+    # unit weights give float counts, with no int64 copy of the matrix
+    weights = np.bincount(cells, np.ones(cells.size), u * width).reshape(u, width)
     scores = np.zeros((len(own_col), n))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        d = _distance_block(X, sq_norms, start, stop, buf[: stop - start])
-        sums = d @ one_hot
+
+    def score(sums, start, stop):
+        """Scores of nodes start:stop from their rows of distance sums."""
         own = own_col[:, start:stop].T
         own_size = sizes[own]
         a = np.take_along_axis(sums, own, axis=1) / np.maximum(own_size - 1, 1)
@@ -280,7 +291,27 @@ def _mean_silhouettes(X, label_sets) -> np.ndarray:
             out=np.zeros_like(denom),
             where=(own_size > 1) & (denom != 0),
         ).T
-    return scores.mean(axis=1)
+
+    sq_norms = (U**2).sum(axis=1)
+    chunk = max(1, min(u, 2_000_000 // u))
+    buf = np.empty((chunk, u))
+    # with no repeated row each node is its own distinct row: score each
+    # block as it comes, without holding every row's sums
+    per_row = None if u == n else np.empty((u, width))
+    for start in range(0, u, chunk):
+        stop = min(u, start + chunk)
+        sums = _distance_block(U, sq_norms, start, stop, buf[: stop - start]) @ weights
+        if per_row is None:
+            score(sums, start, stop)
+        else:
+            per_row[start:stop] = sums
+    if per_row is not None:
+        # each node gathers its distinct row's sums, 2_000_000 cells at a time
+        rows = max(1, 2_000_000 // width)
+        for start in range(0, n, rows):
+            stop = min(n, start + rows)
+            score(per_row[inverse[start:stop]], start, stop)
+    return scores.mean(axis=1), u
 
 
 def silhouette_in_orbit_space(
@@ -299,18 +330,21 @@ def silhouette_in_orbit_space(
     X, labels = _scoring_input(
         orbit_features.values, assignment.labels, sample_cap, seed
     )
-    return float(_mean_silhouettes(X, [labels])[0])
+    scores, _ = _mean_silhouettes(X, [labels])
+    return float(scores[0])
 
 
 @dataclass
 class SilhouetteSweep:
     """Rows of (method_tag, k, silhouette, sampled) for plotting, the
-    k-means assignment of each cell keyed by (method_tag, k), and the wall
-    seconds of each worker's share of the k-means cells."""
+    k-means assignment of each cell keyed by (method_tag, k), the wall
+    seconds of each worker's share of the k-means cells, and the number of
+    distinct orbit rows the exact pass scored over (None when sampled)."""
 
     rows: list
     assignments: dict = field(default_factory=dict)
     worker_seconds: list = field(default_factory=list)
+    distinct_rows: int | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -411,11 +445,15 @@ def sweep(
         for assignment, (emb, k) in zip(assignments, jobs)
     )
     if sampled:
-        scores = [float(_mean_silhouettes(Xs, [labels])[0]) for Xs, labels in inputs]
+        scores = [float(_mean_silhouettes(Xs, [labels])[0][0]) for Xs, labels in inputs]
+        distinct = None
     else:
-        scores = _mean_silhouettes(X, [labels for _, labels in inputs]).tolist()
+        scores, distinct = _mean_silhouettes(X, [labels for _, labels in inputs])
+        scores = scores.tolist()
     rows = [
         (emb.method_tag, k, score, sampled) for (emb, k), score in zip(jobs, scores)
     ]
     cells = {(emb.method_tag, k): a for (emb, k), a in zip(jobs, assignments)}
-    return SilhouetteSweep(rows=rows, assignments=cells, worker_seconds=seconds)
+    return SilhouetteSweep(
+        rows=rows, assignments=cells, worker_seconds=seconds, distinct_rows=distinct
+    )

@@ -16,9 +16,11 @@ graph at seed 7: 173 components, 22 distinct).
 The points are t_j = j * step, so exp(i t_j psi) = exp(i step psi)^j: the
 characteristic function takes one cos and one sin per wavelet coefficient
 (the step), and each further point is a rotation of the running phase,
-(c, s) <- (c cos - s sin, c sin + s cos). psi is walked in column blocks
-of at most ``_BLOCK_CELLS`` cells, so the working memory beyond psi is
-O(k * block width), not k x k. Against exact evaluation of each
+(c, s) <- (c cos - s sin, c sin + s cos). psi is walked in row blocks
+of at most ``_BLOCK_CELLS`` cells (or one row), so the working memory
+beyond psi is O(block + points * k), not k x k. Each column's sum runs
+over the rows in order, carried from one block to the next, so the sums
+do not depend on the block height. Against exact evaluation of each
 exp(i t_j psi) the rounding error grows with j: up to 1.4e-15 was seen at
 32 points and 7.4e-15 at 1000 (tests/embedding_reference.py keeps the
 exact form, and the tests hold the two within 1e-12). The t = 0 point is
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import read_node_rows, write_node_rows
+from .graph import distinct_rows, read_node_rows, write_node_rows
 from .seeds import derive_seed
 
 DEFAULT_SCALES = (0.5, 1.5)
@@ -120,10 +122,10 @@ def _heat_kernel_exact(eig, scale):
     return (eigvec * np.exp(-scale * eigval)) @ eigvec.T
 
 
-# Cells per column block of psi in ``_characteristic``. Its seven block
-# arrays (step angle, its cos and sin, running phase, two products) take
-# 7 * 8 * 2**15 bytes = 1.75 MB whatever the component size; on BA graphs
-# of n = 800 wider and narrower blocks both ran slower.
+# Cells per row block of psi in ``_characteristic``. Its six block arrays
+# (cos and sin of the step, the stacked phase and its two products) take
+# about 6 * 8 * 2**15 bytes = 1.5 MB whatever the component size; on BA
+# graphs of n = 800 taller and shorter blocks both ran slower.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -143,27 +145,41 @@ def _characteristic(psi, step, sums):
     """Column sums of cos and sin of t_j * psi at t_j = j * step.
 
     Fills ``sums[v, j] = (sum_u cos(t_j psi[u, v]), sum_u sin(...))`` for
-    the points j < ``sums.shape[1]``, rotating the phase of each block of
-    columns by exp(i step psi) from one point to the next.
+    the points j < ``sums.shape[1]``. psi is walked in blocks of h rows;
+    each block's phase (cos and sin stacked in rows 1..h of one buffer) is
+    rotated by exp(i step psi) from one point to the next. Each point's
+    column sums over the earlier blocks are carried into row 0 of the
+    buffer, so that the sum over the block's rows continues the one
+    sequential sum over u = 0..k-1.
     """
     k, points = psi.shape[0], sums.shape[1]
-    width = max(1, _BLOCK_CELLS // k)
-    for j0 in range(0, k, width):
-        arg = step * psi[:, j0 : j0 + width]
-        cd, sd = np.cos(arg), np.sin(arg)
-        c, s = np.ones_like(arg), np.zeros_like(arg)
-        c_sd, s_sd = np.empty_like(arg), np.empty_like(arg)
-        block = sums[j0 : j0 + width]
+    h = min(k, max(1, _BLOCK_CELLS // k))
+    buf = np.empty((2, h + 1, k))
+    turn = np.empty((2, h, k))
+    # (point, cos or sin, column): a reduce into a strided view of sums is
+    # several times slower than into a contiguous row
+    acc = np.empty((points, 2, k))
+    for r0 in range(0, k, h):
+        rows = min(h, k - r0)
+        cs, t = buf[:, 1 : rows + 1], turn[:, :rows]
+        sd = step * psi[r0 : r0 + rows]
+        cd = np.cos(sd)
+        np.sin(sd, out=sd)
+        cs[0] = 1.0
+        cs[1] = 0.0
+        # the first block starts each point's sums; the others carry them in
+        terms = buf[:, : rows + 1] if r0 else cs
         for j in range(points):
             if j:
-                np.multiply(c, sd, out=c_sd)
-                np.multiply(s, sd, out=s_sd)
-                c *= cd
-                c -= s_sd
-                s *= cd
-                s += c_sd
-            c.sum(axis=0, out=block[:, j, 0])
-            s.sum(axis=0, out=block[:, j, 1])
+                # (c, s) <- (c cos - s sin, s cos + c sin)
+                np.multiply(cs, sd, out=t)
+                cs *= cd
+                cs[0] -= t[1]
+                cs[1] += t[0]
+            if r0:
+                buf[:, 0] = acc[j]
+            np.add.reduce(terms, axis=1, out=acc[j])
+    sums[:] = acc.transpose(2, 0, 1)
 
 
 def graphwave_embed(
@@ -181,9 +197,10 @@ def graphwave_embed(
     must be at least 2 and ``t_max`` positive and finite.
 
     Each point's phase is the previous one's rotated by exp(i step psi)
-    (see the module docstring), over blocks of at most ``_BLOCK_CELLS``
-    cells of psi; the values differ from exact evaluation of every
-    exp(i t psi) by rounding only, about 1e-15 at the default 32 points.
+    (see the module docstring), over row blocks of at most
+    ``_BLOCK_CELLS`` cells of psi; the values differ from exact evaluation
+    of every exp(i t psi) by rounding only, about 1e-15 at the default 32
+    points.
     ``meta`` counts the ``components`` and the ``distinct_components``,
     the ones computed; the others copy rows.
     """
@@ -315,15 +332,14 @@ def _nmf_multiplicative(F, rank, seed, max_iter, tol):
     # quantize before hashing: neighbor-sum rounding noise must not change
     # the seed under node relabeling. Rows are grouped by their bytes, the
     # key itself, so -0.0 and 0.0 stay apart as they do in the key.
-    rounded = np.ascontiguousarray(np.round(F, 9))
-    keys, inverse = np.unique(
-        rounded.view(np.dtype((np.void, rounded.itemsize * f))).ravel(), return_inverse=True
-    )
-    drawn = np.empty((keys.size, rank))
-    for j, key in enumerate(keys):
-        row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key.tobytes().hex()))
+    rounded = np.round(F, 9)
+    first, inverse = distinct_rows(rounded)
+    drawn = np.empty((first.size, rank))
+    for j, i in enumerate(first):
+        key = rounded[i].tobytes().hex()
+        row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key))
         drawn[j] = 1.0 - row_rng.random(rank)
-    G = drawn[inverse.ravel()]
+    G = drawn[inverse]
     H = 1.0 - np.random.default_rng(derive_seed(seed, "basis")).random((rank, f))
     errors = [float(np.linalg.norm(F - G @ H))]
     converged = False

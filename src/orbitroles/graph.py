@@ -159,7 +159,9 @@ class NodeTable:
 def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = None):
     """Read a whitespace-separated edge list into (Graph, NodeTable).
 
-    Lines hold two tokens (source id, target id); '#' lines are comments.
+    Lines hold two tokens (source id, target id); '#' lines are comments,
+    so an id cannot start with '#': a token that does, on any other line,
+    is an error naming ``path:line``.
     Duplicate edges collapse, self loops are dropped with a counted
     warning. With ``id_policy='strict'`` every id must already exist in
     ``table``; with 'create', unseen ids get fresh indices (appended after
@@ -191,6 +193,10 @@ def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = No
                 )
             endpoints = []
             for tok in tokens:
+                if tok.startswith("#"):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: id {tok!r} starts with '#', which marks a comment"
+                    )
                 if tok not in index:
                     if id_policy == "strict":
                         raise GraphFormatError(
@@ -304,25 +310,40 @@ def write_node_rows(fh, table: NodeTable, values) -> None:
     it, then the node's row of the 2-d array ``values``, floats by ``repr``
     and integers by ``str``.
 
-    Rows are grouped by their bytes and each distinct row is formatted
-    once: many nodes share a row (every node of a repeated component, in
-    GraphWave and in the census). Grouping by bytes keeps -0.0 apart from
-    0.0 and NaNs with different payloads apart, so every line is the one
-    its own row formats to.
+    Rows are grouped by their bytes (``distinct_rows``) and each distinct
+    row is formatted once: many nodes share a row (every node of a repeated
+    component, in GraphWave and in the census). Equal bytes format equally,
+    so every line is the one its own row formats to.
+    """
+    values = np.asarray(values)
+    first, inverse = distinct_rows(values)
+    fmt = repr if values.dtype.kind == "f" else str
+    tails = [",".join(map(fmt, row)) for row in values[first].tolist()]
+    fh.write(
+        "".join(
+            f"{cell},{tails[j]}\n"
+            for cell, j in zip(_id_cells(table.external_ids), inverse.tolist())
+        )
+    )
+
+
+def distinct_rows(values):
+    """The distinct rows of the 2-d array ``values``, grouped by their
+    bytes: (first, inverse), where ``first`` holds the index of each
+    distinct row's first occurrence, in order of first appearance, and
+    ``inverse`` each row's position in ``first``. Grouping by bytes keeps
+    -0.0 apart from 0.0 and NaNs with different payloads apart. With no
+    repeated row, ``first`` and ``inverse`` are both 0..n-1.
     """
     values = np.ascontiguousarray(values)
     row_bytes = np.dtype((np.void, values.itemsize * values.shape[1]))
     _, first, inverse = np.unique(
         values.view(row_bytes).ravel(), return_index=True, return_inverse=True
     )
-    fmt = repr if values.dtype.kind == "f" else str
-    tails = [",".join(map(fmt, row)) for row in values[first].tolist()]
-    fh.write(
-        "".join(
-            f"{cell},{tails[j]}\n"
-            for cell, j in zip(_id_cells(table.external_ids), inverse.ravel().tolist())
-        )
-    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
 
 
 def _id_cells(ids) -> list:

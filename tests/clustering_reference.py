@@ -9,13 +9,24 @@ not lower the WCSS.
 
 ``roles_to_csv_rows`` is the row-by-row ``csv.writer`` loop that
 ``clustering.roles_to_csv`` replaced with ``graph.write_node_rows``.
+
+``mean_silhouettes_one_hot`` scores every labelling over all n x n
+orbit-space distances, with an n x (stacked clusters) indicator matrix;
+``clustering._mean_silhouettes`` scores over the distinct rows only, and
+the tests hold it to these bits, compared with ``==``, on inputs with no
+repeated row.
 """
 
 import csv
 
 import numpy as np
 
-from orbitroles.clustering import ClusteringError, RoleAssignment, _kmeans_pp_init
+from orbitroles.clustering import (
+    ClusteringError,
+    RoleAssignment,
+    _distance_block,
+    _kmeans_pp_init,
+)
 
 
 def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
@@ -87,3 +98,44 @@ def roles_to_csv_rows(assignment, table, path):
         writer.writerow(["id", "role"])
         for i, ext in enumerate(table.external_ids):
             writer.writerow([ext, int(assignment.labels[i])])
+
+
+def mean_silhouettes_one_hot(X, label_sets):
+    n = X.shape[0]
+    own_col = []  # per labelling: each node's column in the stacked indicator
+    sizes = []  # per labelling: member count of each populated cluster
+    offsets = []  # per labelling: its first column
+    width = 0
+    for labels in label_sets:
+        _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        offsets.append(width)
+        own_col.append(inverse + width)
+        sizes.append(counts)
+        width += counts.size
+    own_col = np.array(own_col)
+    sizes = np.concatenate(sizes).astype(float)
+    one_hot = np.zeros((n, sizes.size))
+    one_hot[np.arange(n)[None, :], own_col] = 1.0
+
+    sq_norms = (X**2).sum(axis=1)
+    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    buf = np.empty((chunk, n))
+    scores = np.zeros((len(own_col), n))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        d = _distance_block(X, sq_norms, start, stop, buf[: stop - start])
+        sums = d @ one_hot
+        own = own_col[:, start:stop].T
+        own_size = sizes[own]
+        a = np.take_along_axis(sums, own, axis=1) / np.maximum(own_size - 1, 1)
+        means = sums / sizes
+        np.put_along_axis(means, own, np.inf, axis=1)
+        b = np.minimum.reduceat(means, offsets, axis=1)
+        denom = np.maximum(a, b)
+        scores[:, start:stop] = np.divide(
+            b - a,
+            denom,
+            out=np.zeros_like(denom),
+            where=(own_size > 1) & (denom != 0),
+        ).T
+    return scores.mean(axis=1)

@@ -14,7 +14,8 @@ row; the tests hold the per-key draw to its bits.
 neighbour bitmasks, sums neighbours node by node and prunes with one
 ``np.corrcoef`` per pair of columns (``pearson``); the tests hold the
 census-based features and the one correlation matrix per generation to
-its bits.
+its bits. ``characteristic_column_blocks`` walks psi in blocks of columns;
+the tests hold the row-block walk of ``_characteristic`` to its bits.
 """
 
 import csv
@@ -187,3 +188,26 @@ def refex_features_bitmask(graph, depth=2, dedup_threshold=0.99):
     return RefexFeatureMatrix(
         features=np.column_stack(cols), generation=reached, column_names=names
     )
+
+
+def characteristic_column_blocks(psi, step, sums, block_cells=1 << 15):
+    """``_characteristic`` as it walked psi in blocks of columns, with
+    separate cos and sin arrays, before it walked blocks of rows."""
+    k, points = psi.shape[0], sums.shape[1]
+    width = max(1, block_cells // k)
+    for j0 in range(0, k, width):
+        arg = step * psi[:, j0 : j0 + width]
+        cd, sd = np.cos(arg), np.sin(arg)
+        c, s = np.ones_like(arg), np.zeros_like(arg)
+        c_sd, s_sd = np.empty_like(arg), np.empty_like(arg)
+        block = sums[j0 : j0 + width]
+        for j in range(points):
+            if j:
+                np.multiply(c, sd, out=c_sd)
+                np.multiply(s, sd, out=s_sd)
+                c *= cd
+                c -= s_sd
+                s *= cd
+                s += c_sd
+            c.sum(axis=0, out=block[:, j, 0])
+            s.sum(axis=0, out=block[:, j, 1])

@@ -371,10 +371,13 @@ class TestValidateAndCluster:
 
 
     def test_cluster_reads_pipeline_embedding_with_hash_id(self, tmp_path):
-        # '#d' is an id in the edge list, and a row, not a comment, of the
-        # embedding CSV the pipeline writes
+        # '#d' is an isolated node of the node table (an edge list cannot
+        # name it), and a row, not a comment, of the embedding CSV the
+        # pipeline writes
         graph = tmp_path / "g.txt"
-        graph.write_text("a b\nb c\nc a\nc #d\n#d e\ne f\nf d\n", encoding="utf-8")
+        graph.write_text("a b\nb c\nc a\nc d\nd e\ne f\nf d\n", encoding="utf-8")
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id\na\nb\nc\n#d\nd\ne\nf\n", encoding="utf-8")
         cfg = write_config(
             tmp_path / "cfg.ini",
             "[pipeline]\nseed = 3\n[embed]\nmethods = graphwave\n"
@@ -382,10 +385,10 @@ class TestValidateAndCluster:
             "[explain]\ntrees = 4\nimportance_repeats = 1\neffect_orbits = 0\n",
         )
         pipe = tmp_path / "pipe"
-        assert run("pipeline", graph, "--config", cfg, "--out", pipe) == 0
+        assert run("pipeline", graph, "--labels", nodes, "--config", cfg, "--out", pipe) == 0
         out = tmp_path / "cl"
         assert run(
-            "cluster", graph, "--embedding", pipe / "embedding_graphwave.csv",
+            "cluster", graph, "--labels", nodes, "--embedding", pipe / "embedding_graphwave.csv",
             "--k", 2, "--config", cfg, "--out", out,
         ) == 0
         staged = (out / "roles_graphwave.csv").read_bytes()
@@ -583,7 +586,7 @@ def test_manifest_metrics_hold_rolx_counters(corpus, tmp_path, command):
 @pytest.mark.parametrize("command", ["pipeline", "embed"])
 def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, threads):
     # the GraphWave counts travel back from a forked lane as from an inline
-    # one; the corpus is 12 copies of one barbell, 156 nodes, so the sweep
+    # one; the corpus is 12 copies of one barbell, 132 nodes, so the sweep
     # samples with two workers (cap 100) and not with one
     from orbitroles.embeddings import graphwave_embed
 
@@ -612,6 +615,16 @@ def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, 
         for row in rows:
             cell = metrics["kmeans"][f"{row['method']}:{row['k']}"]
             assert cell["sampled"] is (row["sampled"] == "true") is (threads == 2)
+        # the exact pass scores over the distinct log-orbit rows
+        if threads == 2:
+            assert "silhouette" not in metrics
+        else:
+            from orbitroles.orbits import log_transform, orbits_from_csv
+
+            features = log_transform(orbits_from_csv(out / "orbits.csv")[0]).values
+            n, distinct = features.shape[0], np.unique(features, axis=0).shape[0]
+            assert 1 < distinct < n
+            assert metrics["silhouette"] == {"rows": n, "distinct_rows": distinct}
     assert_no_children()
 
 

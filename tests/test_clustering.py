@@ -9,6 +9,7 @@ from orbitroles.clustering import (
     ClusteringError,
     RoleAssignment,
     _distance_block,
+    _mean_silhouettes,
     assignment_seed,
     kmeans,
     roles_from_csv,
@@ -22,7 +23,7 @@ from orbitroles.orbits import LogOrbitMatrix, count_orbits, log_transform
 from orbitroles.planted import barbell_template, generate_planted_graph
 from orbitroles.seeds import derive_seed
 
-from clustering_reference import kmeans_broadcast, roles_to_csv_rows
+from clustering_reference import kmeans_broadcast, mean_silhouettes_one_hot, roles_to_csv_rows
 from util import ba_graph, nmi
 
 
@@ -404,6 +405,78 @@ class TestSilhouetteReference:
                 seed=derive_seed(4, "silhouette", method, k),
             )
             assert abs(score - one) <= 1e-12
+
+
+class TestSilhouetteReferenceDistinctRows:
+    """The pass over the distinct rows of X: the bits of the n x n one-hot
+    pass when no row repeats, the per-row loop's value when rows repeat."""
+
+    @pytest.mark.parametrize("case", ["several_row_blocks", "labels_with_gaps", "singletons"])
+    def test_no_repeated_row_bit_equal_to_one_hot_pass(self, case):
+        rng = np.random.default_rng(31)
+        if case == "several_row_blocks":
+            # 2_000_000 // 1500 = 1333 rows per block: two blocks
+            X = np.log1p(rng.poisson(3.0, size=(1500, 73)).astype(float))
+            label_sets = [rng.integers(0, k, size=1500) for k in (2, 5, 9)]
+        elif case == "labels_with_gaps":
+            X = rng.normal(size=(90, 73))
+            label_sets = [rng.choice([0, 2, 5], size=90), rng.choice([1, 4], size=90)]
+        else:
+            X = rng.normal(size=(60, 73))
+            labels = rng.integers(0, 3, size=60)
+            labels[[5, 17]] = [3, 4]
+            label_sets = [labels, np.minimum(np.arange(60), 40)]
+        got, distinct = _mean_silhouettes(X, label_sets)
+        assert distinct == X.shape[0]
+        assert np.array_equal(got, mean_silhouettes_one_hot(X, label_sets))
+
+    @staticmethod
+    def repeated(rng, n, distinct):
+        """n rows drawn from ``distinct`` log-orbit rows, and each node's
+        row index."""
+        base = np.log1p(rng.poisson(2.0, size=(distinct, 73)).astype(float))
+        which = rng.integers(0, distinct, size=n)
+        return base[which], which
+
+    @pytest.mark.parametrize(
+        "case", ["split_copies", "cluster_of_one_row", "singletons", "several_row_blocks"]
+    )
+    def test_repeated_rows_match_loop(self, case):
+        # Both passes take distances in the GEMM form, which gives two
+        # copies of a row a distance of about sqrt(eps) |x| rather than 0,
+        # rounded differently at different positions of the product. The
+        # loop adds one such value per pair of copies, the distinct-row
+        # pass one per distinct row. Each a and b is a mean of distances
+        # and each score their difference over the larger, which is above
+        # 5 here, so the means differ by less than sqrt(eps) max|x|
+        # (about 1.5e-7; up to 2.8e-9 was seen). A wrong count or row moves them
+        # by far more.
+        rng = np.random.default_rng(32)
+        X, which = self.repeated(rng, 400, 12)
+        if case == "several_row_blocks":
+            # 1,500 distinct rows: two blocks of 2_000_000 // 1500 = 1333
+            X = np.vstack([rng.normal(size=(1500, 73)), X])
+            labels = rng.integers(0, 4, size=1900)
+        elif case == "split_copies":
+            labels = rng.integers(0, 4, size=400)
+        elif case == "cluster_of_one_row":
+            labels = np.where(which == 0, 3, which % 3)
+        else:
+            X = np.vstack([X, rng.normal(size=(2, 73))])
+            labels = np.concatenate([which % 4, [4, 5]])
+        got, distinct = _mean_silhouettes(X, [labels])
+        assert distinct == np.unique(X, axis=0).shape[0] < X.shape[0]
+        tol = np.sqrt(np.finfo(float).eps) * np.linalg.norm(X, axis=1).max()
+        assert abs(got[0] - loop_silhouette(X, labels)) <= tol
+
+    @pytest.mark.parametrize("sample_cap, want", [(20000, 9), (50, None)])
+    def test_sweep_reports_distinct_rows_of_exact_pass(self, sample_cap, want):
+        rng = np.random.default_rng(34)
+        X, _ = self.repeated(rng, 80, 9)
+        assert np.unique(X, axis=0).shape[0] == 9
+        embeddings = [emb(rng.normal(size=(80, 3)))]
+        result = sweep(embeddings, range(2, 4), LogOrbitMatrix(values=X), sample_cap=sample_cap)
+        assert result.distinct_rows == want
 
 
 class TestSweep:

@@ -89,7 +89,7 @@ class TestGraphWave:
             ((0.5, 1.5), 256, 100.0, None),
             ((0.5,), 1000, 100.0, None),
             ((0.5, 1.5), 32, 1000.0, None),
-            ((0.5, 1.5, 3.0), 32, 100.0, 64),  # several column blocks
+            ((0.5, 1.5, 3.0), 32, 100.0, 64),  # several row blocks
         ],
     )
     def test_rotation_matches_exact_evaluation(
@@ -111,6 +111,35 @@ class TestGraphWave:
         assert np.allclose(got.vectors, ref.vectors, rtol=0.0, atol=1e-12)
         t0 = np.arange(len(scales))[:, None] * 2 * points + np.array([0, 1])
         assert np.array_equal(got.vectors[:, t0], ref.vectors[:, t0])
+
+    @pytest.mark.parametrize(
+        "block_cells",
+        [
+            1 << 15,  # one block
+            5 * 30,  # six blocks of 5 rows
+            7 * 30,  # blocks of 7 rows and a last one of 2
+            1,  # one row per block
+        ],
+    )
+    @pytest.mark.parametrize("points, t_max", [(32, 100.0), (7, 1000.0)])
+    def test_row_blocks_bit_equal_to_column_blocks(self, monkeypatch, block_cells, points, t_max):
+        from orbitroles import embeddings
+
+        from embedding_reference import characteristic_column_blocks
+        from util import ba_graph
+
+        g = ba_graph(30, 3, 4)
+        lap = np.diag(g.degrees().astype(float))
+        for u, v in g.edges():
+            lap[u, v] = lap[v, u] = -1.0
+        psi = embeddings._heat_kernel_exact(np.linalg.eigh(lap), 0.5)
+        step = np.linspace(0.0, t_max, points)[1]
+        want = np.empty((30, points, 2))
+        characteristic_column_blocks(psi, step, want)
+        monkeypatch.setattr(embeddings, "_BLOCK_CELLS", block_cells)
+        got = np.empty((30, points, 2))
+        embeddings._characteristic(psi, step, got)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "points, t_max, message",

@@ -67,6 +67,18 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=":2"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a b\nb c\nc a\nc #d\n#d e\ne f\nf d\n", 4),  # '#d e' would be a comment
+            ("a b\n  # x\nb a#c\nb #\n", 4),
+        ],
+    )
+    def test_id_starting_with_hash_rejected(self, tmp_path, text, line):
+        path = write(tmp_path, "g.txt", text)
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}:{line}: id '#")):
+            load_edge_list(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "g.txt", "# nothing\n")
         with pytest.raises(GraphFormatError, match="empty"):
