@@ -246,7 +246,8 @@ def _mean_silhouettes(X, label_sets):
     blocks, and shared by all labellings. Each labelling's per-cluster
     distance sums are one product of a block with ``weights``, the u x
     (populated clusters) matrix that counts, for each distinct row, its
-    nodes in each cluster. A node reads its distinct row's sums. With no
+    nodes in each cluster. A node reads its distinct row's sums from that
+    row's block, so only one block of sums is held at a time. With no
     repeated row, ``weights`` is the nodes' indicator matrix and the scores
     are those of the n x n pass, bit for bit. With repeated rows they
     differ from it by rounding only: the GEMM form gives two copies of a
@@ -274,43 +275,29 @@ def _mean_silhouettes(X, label_sets):
     cells = (inverse * width + own_col).ravel()
     # unit weights give float counts, with no int64 copy of the matrix
     weights = np.bincount(cells, np.ones(cells.size), u * width).reshape(u, width)
+    sq_norms = (U**2).sum(axis=1)
+    chunk = max(1, min(u, 2_000_000 // u))
+    buf = np.empty((chunk, u))
     scores = np.zeros((len(own_col), n))
-
-    def score(sums, start, stop):
-        """Scores of nodes start:stop from their rows of distance sums."""
-        own = own_col[:, start:stop].T
+    for start in range(0, u, chunk):
+        stop = min(u, start + chunk)
+        block = _distance_block(U, sq_norms, start, stop, buf[: stop - start])
+        # the nodes whose distinct row lies in this block read its sums
+        nodes = np.flatnonzero((inverse >= start) & (inverse < stop))
+        sums = (block @ weights)[inverse[nodes] - start]
+        own = own_col[:, nodes].T
         own_size = sizes[own]
         a = np.take_along_axis(sums, own, axis=1) / np.maximum(own_size - 1, 1)
         means = sums / sizes
         np.put_along_axis(means, own, np.inf, axis=1)
         b = np.minimum.reduceat(means, offsets, axis=1)
         denom = np.maximum(a, b)
-        scores[:, start:stop] = np.divide(
+        scores[:, nodes] = np.divide(
             b - a,
             denom,
             out=np.zeros_like(denom),
             where=(own_size > 1) & (denom != 0),
         ).T
-
-    sq_norms = (U**2).sum(axis=1)
-    chunk = max(1, min(u, 2_000_000 // u))
-    buf = np.empty((chunk, u))
-    # with no repeated row each node is its own distinct row: score each
-    # block as it comes, without holding every row's sums
-    per_row = None if u == n else np.empty((u, width))
-    for start in range(0, u, chunk):
-        stop = min(u, start + chunk)
-        sums = _distance_block(U, sq_norms, start, stop, buf[: stop - start]) @ weights
-        if per_row is None:
-            score(sums, start, stop)
-        else:
-            per_row[start:stop] = sums
-    if per_row is not None:
-        # each node gathers its distinct row's sums, 2_000_000 cells at a time
-        rows = max(1, 2_000_000 // width)
-        for start in range(0, n, rows):
-            stop = min(n, start + rows)
-            score(per_row[inverse[start:stop]], start, stop)
     return scores.mean(axis=1), u
 
 

@@ -432,9 +432,9 @@ class TestSilhouetteReferenceDistinctRows:
 
     @staticmethod
     def repeated(rng, n, distinct):
-        """n rows drawn from ``distinct`` log-orbit rows, and each node's
-        row index."""
-        base = np.log1p(rng.poisson(2.0, size=(distinct, 73)).astype(float))
+        """n rows drawn from ``distinct`` rows of orbit counts, and each
+        node's row index."""
+        base = rng.poisson(2.0, size=(distinct, 73)).astype(float)
         which = rng.integers(0, distinct, size=n)
         return base[which], which
 
@@ -442,32 +442,29 @@ class TestSilhouetteReferenceDistinctRows:
         "case", ["split_copies", "cluster_of_one_row", "singletons", "several_row_blocks"]
     )
     def test_repeated_rows_match_loop(self, case):
-        # Both passes take distances in the GEMM form, which gives two
-        # copies of a row a distance of about sqrt(eps) |x| rather than 0,
-        # rounded differently at different positions of the product. The
-        # loop adds one such value per pair of copies, the distinct-row
-        # pass one per distinct row. Each a and b is a mean of distances
-        # and each score their difference over the larger, which is above
-        # 5 here, so the means differ by less than sqrt(eps) max|x|
-        # (about 1.5e-7; up to 2.8e-9 was seen). A wrong count or row moves them
-        # by far more.
+        # Rows of small integers keep the GEMM form exact: every product,
+        # norm and squared distance is an integer below 2**53, so copies of
+        # a row are at distance 0 and each pair's distance has the same bits
+        # in both passes. They differ only in the order of the sums, by a
+        # few ulps of each a and b; a count off by one copy moves the mean
+        # by about 1e-3. (On log rows, copies are about sqrt(eps) |x| apart
+        # in the GEMM form, and the loop adds that once per copy.)
         rng = np.random.default_rng(32)
         X, which = self.repeated(rng, 400, 12)
         if case == "several_row_blocks":
             # 1,500 distinct rows: two blocks of 2_000_000 // 1500 = 1333
-            X = np.vstack([rng.normal(size=(1500, 73)), X])
+            X = np.vstack([rng.integers(0, 20, size=(1500, 73)).astype(float), X])
             labels = rng.integers(0, 4, size=1900)
         elif case == "split_copies":
             labels = rng.integers(0, 4, size=400)
         elif case == "cluster_of_one_row":
             labels = np.where(which == 0, 3, which % 3)
         else:
-            X = np.vstack([X, rng.normal(size=(2, 73))])
+            X = np.vstack([X, rng.integers(0, 20, size=(2, 73)).astype(float)])
             labels = np.concatenate([which % 4, [4, 5]])
         got, distinct = _mean_silhouettes(X, [labels])
         assert distinct == np.unique(X, axis=0).shape[0] < X.shape[0]
-        tol = np.sqrt(np.finfo(float).eps) * np.linalg.norm(X, axis=1).max()
-        assert abs(got[0] - loop_silhouette(X, labels)) <= tol
+        assert abs(got[0] - loop_silhouette(X, labels)) <= 1e-12
 
     @pytest.mark.parametrize("sample_cap, want", [(20000, 9), (50, None)])
     def test_sweep_reports_distinct_rows_of_exact_pass(self, sample_cap, want):
