@@ -51,11 +51,15 @@ from .config import (
     validate_config,
 )
 from .diversity import (
+    DIRECTIONS,
+    DISTANCES,
+    PAIR_COUNTINGS,
     binned_idr_report,
     build_diversity_report,
     discipline_distance,
 )
 from .embeddings import (
+    NATIVE_METHODS,
     embedding_to_csv,
     graphwave_embed,
     import_embedding,
@@ -73,6 +77,7 @@ from .planted import (
 )
 from .seeds import derive_seed
 from .surrogate import (
+    EFFECT_KINDS,
     effect_curve,
     orbit3_threshold,
     permutation_importance,
@@ -148,8 +153,8 @@ def _native_embedding(graph, table, cfg, out, method, orbits=None):
         )
     else:
         raise ValueError(
-            f"unknown native method {method!r}; external methods enter "
-            "via [embed] import_paths"
+            f"unknown native method {method!r} (native: {list(NATIVE_METHODS)}); "
+            "external methods enter via [embed] import_paths"
         )
     embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
     return emb
@@ -267,17 +272,7 @@ def _effect_curves(model, features, ex, note):
             note(f"orbit {orbit} constant; effect curve skipped")
             skipped.append(orbit)
             continue
-        for cls in model.class_labels:
-            curves.append(
-                effect_curve(
-                    model,
-                    features,
-                    orbit=orbit,
-                    class_id=int(cls),
-                    bins=ex.ale_bins,
-                    kind=ex.effect_kind,
-                )
-            )
+        curves += effect_curve(model, features, orbit, bins=ex.ale_bins, kind=ex.effect_kind)
     return curves, skipped
 
 
@@ -713,7 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="native embeddings of a graph")
     p.add_argument("graph")
-    p.add_argument("--method", action="append", default=None, dest="methods")
+    p.add_argument(
+        "--method", action="append", default=None, dest="methods", choices=NATIVE_METHODS
+    )
     common(p)
 
     p = sub.add_parser("cluster", help="k-means roles from an embedding CSV")
@@ -736,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=None)
     p.add_argument("--repeats", type=int, default=None, dest="importance_repeats")
     p.add_argument("--bins", type=int, default=None, dest="ale_bins")
-    p.add_argument("--kind", default=None, choices=["ALE", "PDP"], dest="effect_kind")
+    p.add_argument("--kind", default=None, choices=EFFECT_KINDS, dest="effect_kind")
     p.add_argument("--orbit", action="append", type=int, default=None, dest="effect_orbits")
     p.add_argument("--keep-roles", type=int, nargs="*", default=None)
     p.add_argument("--out", required=True)
@@ -746,11 +743,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("idr", help="Rao-Stirling interdisciplinarity report")
     p.add_argument("graph")
     p.add_argument("--roles", required=True)
-    p.add_argument("--direction", default=None, choices=["citing", "cited", "all"])
-    p.add_argument("--distance", default=None, choices=["uniform", "cocitation_cosine"])
+    p.add_argument("--direction", default=None, choices=DIRECTIONS)
+    p.add_argument("--distance", default=None, choices=DISTANCES)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--min-per-role", type=int, default=None)
-    p.add_argument("--pair-counting", default=None, choices=["ordered", "unordered"])
+    p.add_argument("--pair-counting", default=None, choices=PAIR_COUNTINGS)
     common(p)
 
     p = sub.add_parser("pipeline", help="end-to-end workflow")

@@ -247,14 +247,15 @@ def _mean_silhouettes(X, label_sets):
     distance sums are one product of a block with ``weights``, the u x
     (populated clusters) matrix that counts, for each distinct row, its
     nodes in each cluster. A node reads its distinct row's sums from that
-    row's block, so only one block of sums is held at a time. With no
-    repeated row, ``weights`` is the nodes' indicator matrix and the scores
-    are those of the n x n pass, bit for bit. With repeated rows they
-    differ from it by rounding only: the GEMM form gives two copies of a
-    row a distance of about sqrt(eps) |x| rather than 0, and the n x n pass
-    adds one such value per pair of copies, this pass one per distinct row.
-    Singleton clusters contribute 0 by convention, as does a node whose a
-    and b are both 0. Every labelling needs two populated clusters.
+    row's block, so only one block of sums is held at a time. A row's
+    distance to itself is set to 0: the GEMM form leaves a rounding
+    residual of about sqrt(eps) |x| there, whose bits depend on the BLAS
+    kernel. Copies of a row are one distinct row, so they too are at
+    distance 0, as in exact arithmetic. With no repeated row, ``weights``
+    is the nodes' indicator matrix and the scores are those of the n x n
+    pass, bit for bit. Singleton clusters contribute 0 by convention, as
+    does a node whose a and b are both 0. Every labelling needs two
+    populated clusters.
     """
     n = X.shape[0]
     first, inverse = distinct_rows(X)
@@ -282,6 +283,8 @@ def _mean_silhouettes(X, label_sets):
     for start in range(0, u, chunk):
         stop = min(u, start + chunk)
         block = _distance_block(U, sq_norms, start, stop, buf[: stop - start])
+        own_row = np.arange(stop - start)
+        block[own_row, own_row + start] = 0.0
         # the nodes whose distinct row lies in this block read its sums
         nodes = np.flatnonzero((inverse >= start) & (inverse < stop))
         sums = (block @ weights)[inverse[nodes] - start]

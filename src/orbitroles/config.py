@@ -13,14 +13,16 @@ import configparser
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
+from .diversity import DIRECTIONS, DISTANCES, PAIR_COUNTINGS
 from .embeddings import DEFAULT_ROLX_RANK, DEFAULT_SAMPLE_POINTS, DEFAULT_SCALES
-from .embeddings import DEFAULT_T_MAX, sampling_problems
+from .embeddings import DEFAULT_T_MAX, NATIVE_METHODS, sampling_problems
 from .graphlets import ORBIT_COUNT
+from .surrogate import EFFECT_KINDS
 
 
 @dataclass
 class EmbedConfig:
-    methods: tuple[str, ...] = ("graphwave", "rolx")
+    methods: tuple[str, ...] = NATIVE_METHODS
     graphwave_scales: tuple[float, ...] = DEFAULT_SCALES
     sample_points: int = DEFAULT_SAMPLE_POINTS
     t_max: float = DEFAULT_T_MAX
@@ -89,11 +91,20 @@ SECTIONS = {
 }
 
 
+def _not_among(name, value, allowed) -> list:
+    """The problem of a setting that is not one of ``allowed``, if it is not."""
+    return [] if value in allowed else [f"{name} {value!r} not among {list(allowed)}"]
+
+
 def explain_problems(ex: ExplainConfig) -> list:
     """The problems of an [explain] section: effect orbits outside 0..72,
-    and fewer than one tree or importance repeat."""
+    an unknown effect kind, fewer than two ALE bins, and fewer than one
+    tree or importance repeat."""
     bad = [o for o in ex.effect_orbits if not 0 <= o < ORBIT_COUNT]
     problems = [f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}"] if bad else []
+    problems += _not_among("explain.effect_kind", ex.effect_kind, EFFECT_KINDS)
+    if ex.ale_bins < 2:
+        problems.append(f"explain.ale_bins {ex.ale_bins} < 2")
     for name in ("trees", "importance_repeats"):
         if getattr(ex, name) < 1:
             problems.append(f"explain.{name} {getattr(ex, name)} < 1")
@@ -115,12 +126,28 @@ def validate_config(cfg: PipelineConfig) -> None:
         )
     problems += explain_problems(cfg.explain)
     e = cfg.embed
+    unknown = [m for m in e.methods if m not in NATIVE_METHODS]
+    if unknown:
+        problems.append(
+            f"embed.methods {unknown} not among {list(NATIVE_METHODS)}; "
+            "external methods enter via [embed] import_paths"
+        )
     problems += [f"embed.{p}" for p in sampling_problems(e.sample_points, e.t_max)]
+    if not e.graphwave_scales or not all(s > 0 for s in e.graphwave_scales):
+        problems.append(f"embed.graphwave_scales {list(e.graphwave_scales)} not all > 0")
+    if e.rolx_rank < 2:
+        problems.append(f"embed.rolx_rank {e.rolx_rank} < 2")
     c = cfg.cluster
     if c.k_min < 2:
         problems.append(f"cluster.k_min {c.k_min} < 2")
     if not c.k_min <= c.chosen_k <= c.k_max:
         problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
+    i = cfg.idr
+    problems += _not_among("idr.direction", i.direction, DIRECTIONS)
+    problems += _not_among("idr.distance", i.distance, DISTANCES)
+    problems += _not_among("idr.pair_counting", i.pair_counting, PAIR_COUNTINGS)
+    if i.bins < 1:
+        problems.append(f"idr.bins {i.bins} < 1")
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
 

@@ -16,6 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# the allowed values of ``rao_stirling``'s direction and pair_counting and
+# of ``discipline_distance``'s mode
+DIRECTIONS = ("citing", "cited", "all")
+PAIR_COUNTINGS = ("ordered", "unordered")
+DISTANCES = ("uniform", "cocitation_cosine")
+
+
 class DiversityError(ValueError):
     pass
 
@@ -49,6 +56,8 @@ def discipline_distance(table, graph, mode: str = "uniform") -> DisciplineDistan
     co-occurrence vectors, where vector c_i counts edges incident to
     discipline-i nodes by the discipline on the other endpoint.
     """
+    if mode not in DISTANCES:
+        raise DiversityError(f"unknown distance mode {mode!r}")
     names = sorted({c for c in table.categories if c is not None})
     if len(names) < 2:
         raise DiversityError(f"need >= 2 disciplines, found {len(names)}")
@@ -56,8 +65,6 @@ def discipline_distance(table, graph, mode: str = "uniform") -> DisciplineDistan
     if mode == "uniform":
         d = np.ones((k, k)) - np.eye(k)
         return DisciplineDistanceMatrix(disciplines=names, d=d)
-    if mode != "cocitation_cosine":
-        raise DiversityError(f"unknown distance mode {mode!r}")
 
     index = {name: i for i, name in enumerate(names)}
     co = np.zeros((k, k))
@@ -123,9 +130,9 @@ def rao_stirling(
     each discipline pair twice, matching the double-sum definition;
     'unordered' halves it.
     """
-    if direction not in ("citing", "cited", "all"):
+    if direction not in DIRECTIONS:
         raise DiversityError(f"unknown direction {direction!r}")
-    if pair_counting not in ("ordered", "unordered"):
+    if pair_counting not in PAIR_COUNTINGS:
         raise DiversityError(f"unknown pair_counting {pair_counting!r}")
     dir_index = _dir_index
     if dir_index is None and direction != "all":

@@ -129,6 +129,11 @@ def _heat_kernel_exact(eig, scale):
 _BLOCK_CELLS = 1 << 15
 
 
+# the methods ``[embed] methods`` may name; any other method enters through
+# ``import_embedding``
+NATIVE_METHODS = ("graphwave", "rolx")
+
+
 def sampling_problems(sample_points, t_max) -> list:
     """Why GraphWave's evaluation points are unusable, if they are: with
     fewer than two points or a zero span every node gets the same

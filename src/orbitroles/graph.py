@@ -230,14 +230,15 @@ def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = No
         )
     else:
         out_table = NodeTable(external_ids=ids)
-    ncomp = len(graph.components())
-    logger.info(
-        "%s: %d nodes, %d edges, %d component(s)",
-        path,
-        graph.node_count,
-        graph.edge_count,
-        ncomp,
-    )
+    # counting the components walks the whole graph, so only for a shown line
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "%s: %d nodes, %d edges, %d component(s)",
+            path,
+            graph.node_count,
+            graph.edge_count,
+            len(graph.components()),
+        )
     return graph, out_table
 
 

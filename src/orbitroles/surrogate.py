@@ -16,11 +16,12 @@ so the candidates, their Gini and the midpoint thresholds are those of a
 sort-and-scan search, and the trees are the same bit for bit
 (tests/surrogate_reference.py keeps that search).
 
-Permutation importance never re-predicts a whole forest: each tree walks
-the holdout rows once as they are and once for all shuffles of the
-orbits it splits on, with the shuffled column read only at the nodes
-that test it (``_Tree.leaves``), so every accuracy is the one a
-whole-forest prediction on the shuffled rows gives.
+Importance, ALE and PDP all ask what the forest votes when one column
+reads other values, and one pass answers (``_pinned_votes``): every tree
+walks the rows once, and only a tree that splits on the column walks them
+again, reading the pinned value at the nodes that test it (``_Tree.leaves``).
+Summed in tree order, the votes are those of a whole-forest prediction
+on pinned copies of the rows, bit for bit, and no copy is made.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ import numpy as np
 
 from .seeds import derive_seed
 
-# most (cell, holdout row, class) vote sums one permutation-importance pass
-# holds; more cells run in further passes
+# most (cell, row, class) vote sums one pinned-vote pass holds; more cells
+# run in further passes
 _BLOCK_CELLS = 1 << 20
+
+# the curve kinds ``effect_curve`` draws
+EFFECT_KINDS = ("ALE", "PDP")
 
 
 class SurrogateError(ValueError):
@@ -70,21 +74,21 @@ class _Tree:
         self.right = np.array(self.right, dtype=np.int64)
         self.value = np.array(self.value, dtype=np.float64)
 
-    def leaves(self, X, pinned=None, sources=None, start=None):
+    def leaves(self, X, pinned=None, values=None, start=None):
         """Leaf reached by every row of X, shape (cells, rows).
 
         Unpinned (``pinned`` None) there is one cell and each row reads
-        its own values. Pinned, cell q is X with column ``pinned[q]``
-        shuffled: wherever a node tests that column, row i reads it from
-        row ``sources[q, i]``, and its own value everywhere else. Each
-        walk starts at the root, or at ``start[q, i]`` when given.
+        its own values. Pinned, wherever a node tests column ``pinned[q]``
+        row i of cell q reads ``values[q, i]``, and its own value
+        everywhere else. Each walk starts at the root, or at
+        ``start[q, i]`` when given.
         """
         n = X.shape[0]
         cells = 1 if pinned is None else len(pinned)
         row = np.tile(np.arange(n), cells)
         if pinned is not None:
             pin = np.repeat(pinned, n)
-            src = np.asarray(sources).ravel()
+            val = np.asarray(values).ravel()
         if start is None:
             node = np.zeros(cells * n, dtype=np.int64)
         else:
@@ -93,11 +97,10 @@ class _Tree:
         while live.size:
             at = node[live]
             feat = self.feature[at]
-            read = row[live]
+            x = X[row[live], feat]
             if pinned is not None:
-                read = np.where(feat == pin[live], src[live], read)
-            goes_left = X[read, feat] <= self.threshold[at]
-            at = np.where(goes_left, self.left[at], self.right[at])
+                x = np.where(feat == pin[live], val[live], x)
+            at = np.where(x <= self.threshold[at], self.left[at], self.right[at])
             node[live] = at
             live = live[self.feature[at] >= 0]
         return node.reshape(cells, n)
@@ -362,6 +365,31 @@ class ImportanceReport:
                 writer.writerow([rank, o, repr(float(mean)), repr(float(std))])
 
 
+def _pinned_votes(trees, X, leaves, features, values):
+    """Yield (cells, votes) per pass of at most ``_BLOCK_CELLS`` vote sums
+    (one cell at least) over ``range(features.size)``: ``votes[q, i]`` are
+    the class votes of ``trees``, summed in tree order, for row i of X with
+    column ``features[q]`` read as ``values(cells)[q, i]``. ``leaves[t]``
+    holds tree t's unpinned leaf of each row: a tree that never splits on
+    the feature votes it, and one that does re-walks each row from the
+    row's first node on the feature (``_Tree.first_splits``)."""
+    shape = (X.shape[0], trees[0].value.shape[1])
+    per_pass = max(1, _BLOCK_CELLS // max(1, shape[0] * shape[1]))
+    for c0 in range(0, features.size, per_pass):
+        cells = slice(c0, c0 + per_pass)
+        feats, vals = features[cells], values(cells)
+        votes = np.zeros((feats.size, *shape))
+        for tree, leaf in zip(trees, leaves):
+            moved = np.isin(feats, tree.feature)
+            np.add(votes, tree.value[leaf], out=votes, where=~moved[:, None, None])
+            if moved.any():
+                q = np.flatnonzero(moved)
+                start = tree.first_splits(X.shape[1])[leaf][:, feats[q]].T
+                start = np.where(start >= 0, start, leaf)
+                votes[q] += tree.value[tree.leaves(X, feats[q], vals[q], start)]
+        yield cells, votes
+
+
 def permutation_importance(
     model: SurrogateForest,
     features,
@@ -372,20 +400,12 @@ def permutation_importance(
     """Holdout accuracy drop when one feature column is shuffled.
 
     The same holdout rows the model was scored on are reused; each
-    (feature, repeat) cell gets its own derived shuffle seed. Each tree is
-    run once on the unshuffled rows, and once more, pinned, over all cells
-    of the features it splits on: in cell (f, r) a row reads the shuffled
-    value wherever a node tests f and its own value elsewhere, so no
-    shuffled copy of the rows is made. Up to its first node on f a row
-    walks its unshuffled path, so the pinned walk starts there
-    (``_Tree.first_splits``), and a row whose path never tests f keeps
-    its leaf. A tree that never splits on f votes in cell (f, r) what it
-    voted on the unshuffled rows. The votes of each cell are summed in
-    tree order, as ``SurrogateForest.predict_proba`` does, so every
-    accuracy equals that of a whole-forest prediction bit for bit. A
-    feature no tree splits on gets a drop of exactly 0 without a shuffle.
-    Cells run in passes of at most ``_BLOCK_CELLS`` vote sums;
-    ``meta["cells"]`` counts the cells shuffled.
+    (feature, repeat) cell gets its own derived shuffle seed, and its
+    votes come from ``_pinned_votes`` with the holdout rows pinned to the
+    shuffled column, so every accuracy equals that of a whole-forest
+    prediction on the shuffled rows bit for bit. A feature no tree splits
+    on gets a drop of exactly 0 without a shuffle. ``meta["cells"]``
+    counts the cells shuffled.
     """
     if repeats < 1:
         raise SurrogateError("repeats must be >= 1")
@@ -397,12 +417,8 @@ def permutation_importance(
     y_test = y[model.test_idx]
     trees = model.trees
     n_rows, n_classes = X_test.shape[0], model.class_labels.size
-    cached_leaf = [tree.leaves(X_test)[0] for tree in trees]
-    cached = [tree.value[leaf] for tree, leaf in zip(trees, cached_leaf)]
-    splits_on = np.zeros((len(trees), X.shape[1]), dtype=bool)
-    for i, tree in enumerate(trees):
-        splits_on[i, tree.feature[tree.feature >= 0]] = True
-    used = np.flatnonzero(splits_on.any(axis=0))
+    leaves = [tree.leaves(X_test)[0] for tree in trees]
+    used = np.array(sorted(model.features_used()), dtype=np.int64)
 
     def accuracy(votes):
         # votes: (..., rows, classes) sums over the trees in tree order
@@ -410,32 +426,22 @@ def permutation_importance(
         return (pred == y_test).mean(axis=-1)
 
     votes = np.zeros((n_rows, n_classes))
-    for probs in cached:
-        votes += probs
+    for tree, leaf in zip(trees, leaves):
+        votes += tree.value[leaf]
     baseline = float(accuracy(votes))
 
     cell_feature = np.repeat(used, repeats)
     cell_repeat = np.tile(np.arange(repeats), used.size)
+
+    def shuffled(cells):
+        return np.array([
+            X_test[np.random.default_rng(derive_seed(seed, "perm", f, r)).permutation(n_rows), f]
+            for f, r in zip(cell_feature[cells].tolist(), cell_repeat[cells].tolist())
+        ])
+
     drops = np.empty(cell_feature.size)
-    per_pass = max(1, _BLOCK_CELLS // max(1, n_rows * n_classes))
-    for c0 in range(0, cell_feature.size, per_pass):
-        feats = cell_feature[c0 : c0 + per_pass]
-        sources = np.empty((feats.size, n_rows), dtype=np.int64)
-        for k, (f, r) in enumerate(zip(feats.tolist(), cell_repeat[c0 : c0 + per_pass].tolist())):
-            sources[k] = np.random.default_rng(derive_seed(seed, "perm", f, r)).permutation(n_rows)
-        votes = np.zeros((feats.size, n_rows, n_classes))
-        for i, tree in enumerate(trees):
-            moved = splits_on[i, feats]
-            np.add(votes, cached[i], out=votes, where=~moved[:, None, None])
-            if moved.any():
-                # a row walks its unshuffled path up to its first node on
-                # the cell's feature and re-enters the tree there
-                q = np.flatnonzero(moved)
-                leaf = cached_leaf[i]
-                start = tree.first_splits(X.shape[1])[leaf][:, feats[q]].T
-                start = np.where(start >= 0, start, leaf)
-                votes[q] += tree.value[tree.leaves(X_test, feats[q], sources[q], start)]
-        drops[c0 : c0 + feats.size] = baseline - accuracy(votes)
+    for cells, votes in _pinned_votes(trees, X_test, leaves, cell_feature, shuffled):
+        drops[cells] = baseline - accuracy(votes)
 
     rows = [(f, 0.0, 0.0) for f in range(X.shape[1])]
     for f, d in zip(used.tolist(), drops.reshape(used.size, repeats)):
@@ -471,68 +477,70 @@ def effect_curve(
     model: SurrogateForest,
     features,
     orbit: int,
-    class_id: int,
     bins: int = 32,
     kind: str = "ALE",
-) -> ALECurve:
-    """Effect of one orbit on one role's predicted probability.
+) -> list:
+    """Effect of one orbit on every role's predicted probability: one curve
+    per class, in ``model.class_labels`` order, from one pinned-vote pass
+    (``_pinned_votes``), so the forest never predicts a pinned copy of X.
 
-    ALE: empirical-quantile bins (duplicate edges merged); within each bin
-    the instances inside it are re-predicted with the feature pinned to
-    the bin's upper and lower edge, the mean difference is accumulated
-    across bins, and the curve is centered so the population-weighted mean
-    is zero (instances sitting exactly on the grid minimum anchor to the
-    first grid value). PDP: mean predicted probability with the feature
-    clamped to each grid value, uncentered.
+    ALE (Apley & Zhu, JRSS-B 2020): empirical-quantile bins (duplicate
+    edges merged); each instance is pinned to its bin's upper and lower
+    edge, the mean difference is accumulated across bins, and the curve is
+    centered so the population-weighted mean is zero (instances sitting
+    exactly on the grid minimum anchor to the first grid value). PDP: mean
+    probability with the orbit pinned to each grid value, uncentered.
     """
-    if kind not in ("ALE", "PDP"):
-        raise SurrogateError(f"unknown curve kind {kind!r}")
+    if kind not in EFFECT_KINDS:
+        raise SurrogateError(f"unknown curve kind {kind!r}; expected one of {EFFECT_KINDS}")
     if bins < 2:
         raise SurrogateError("bins must be >= 2")
     X = _as_features(features)
     if not (0 <= orbit < X.shape[1]):
         raise SurrogateError(f"orbit {orbit} outside feature range")
-    cls = np.flatnonzero(model.class_labels == class_id)
-    if cls.size != 1:
-        raise SurrogateError(f"class {class_id} not among model classes")
-    c = int(cls[0])
 
     x = X[:, orbit]
     if x.min() == x.max():
         raise SurrogateError(f"orbit {orbit} is constant; no effect grid")
     edges = np.unique(np.quantile(x, np.linspace(0.0, 1.0, bins + 1)))
-    n_bins = edges.size - 1
 
     # population per grid point: exact minimum anchors to edge 0, the rest
     # fall in bins (edge[k-1], edge[k]]
     bin_of = np.searchsorted(edges, x, side="left")
     population = np.bincount(bin_of, minlength=edges.size).astype(np.int64)
 
-    if kind == "PDP":
-        values = np.empty(edges.size)
-        for i, g in enumerate(edges):
-            clamped = X.copy()
-            clamped[:, orbit] = g
-            values[i] = model.predict_proba(clamped)[:, c].mean()
-        return ALECurve(orbit, class_id, edges, values, "PDP", population)
+    if kind == "PDP":  # cell g pins every row to grid value g
+        rows, pins = X, np.broadcast_to(edges[:, None], (edges.size, X.shape[0]))
+    else:
+        # every instance off the grid minimum, grouped by bin in row order,
+        # pinned to its bin's upper (cell 0) and lower (cell 1) edge
+        members = np.argsort(bin_of, kind="stable")[population[0]:]
+        rows = X[members]
+        pins = np.stack([edges[bin_of[members]], edges[bin_of[members] - 1]])
+    trees = model.trees
+    leaves = [tree.leaves(rows)[0] for tree in trees]
+    probs = []
+    for _, votes in _pinned_votes(trees, rows, leaves, np.full(len(pins), orbit), pins.__getitem__):
+        # (classes, cells, rows): a mean over contiguous rows adds in the
+        # order of numpy's mean over one column of predict_proba
+        p = np.ascontiguousarray((votes / len(trees)).transpose(2, 0, 1))
+        probs.append(p.mean(axis=-1) if kind == "PDP" else p)
+    values = np.concatenate(probs, axis=1)
 
-    # every instance off the grid minimum, grouped by bin in row order,
-    # pinned to its bin's upper (hi) and lower (lo) edge in one forest call
-    members = np.argsort(bin_of, kind="stable")[population[0]:]
-    m = members.size
-    pinned = np.tile(X[members], (2, 1))
-    pinned[:m, orbit] = edges[bin_of[members]]
-    pinned[m:, orbit] = edges[bin_of[members] - 1]
-    probs = model.predict_proba(pinned)[:, c]
-    delta = probs[:m] - probs[m:]
-    diffs = np.zeros(n_bins)
-    ends = np.cumsum(population) - population[0]  # bin k is delta[ends[k-1]:ends[k]]
-    for k in range(1, n_bins + 1):
-        if population[k]:
-            diffs[k - 1] = delta[ends[k - 1] : ends[k]].mean()
-    accumulated = np.concatenate([[0.0], np.cumsum(diffs)])
-    center = float((population * accumulated).sum() / max(1, population.sum()))
-    return ALECurve(orbit, class_id, edges, accumulated - center, "ALE", population)
+    if kind == "ALE":
+        delta = values[:, 0] - values[:, 1]
+        diffs = np.zeros((delta.shape[0], edges.size))  # mean step across each bin
+        ends = np.cumsum(population) - population[0]  # bin k is delta[:, ends[k-1]:ends[k]]
+        for k in range(1, edges.size):
+            if population[k]:
+                diffs[:, k] = delta[:, ends[k - 1] : ends[k]].mean(axis=1)
+        accumulated = np.cumsum(diffs, axis=1)
+        center = (population * accumulated).sum(axis=1) / max(1, population.sum())
+        values = accumulated - center[:, None]
+    return [
+        ALECurve(orbit, int(c), edges, v, kind, population)
+        for c, v in zip(model.class_labels.tolist(), values)
+    ]
 
 
 def orbit3_threshold(counts) -> float:

@@ -124,6 +124,8 @@ def mean_silhouettes_one_hot(X, label_sets):
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         d = _distance_block(X, sq_norms, start, stop, buf[: stop - start])
+        own_row = np.arange(stop - start)
+        d[own_row, own_row + start] = 0.0
         sums = d @ one_hot
         own = own_col[:, start:stop].T
         own_size = sizes[own]

@@ -209,14 +209,14 @@ def test_c07_ale_correctness():
     features = LogOrbitMatrix(values=values)
     model = train_surrogate(features, labels, trees=40, seed=8)
 
-    curve = effect_curve(model, features, orbit=feature, class_id=1, bins=16)
+    curve = effect_curve(model, features, orbit=feature, bins=16)[1]  # class 1
     step_ok = abs(curve.step_location() - cut) <= np.diff(curve.grid).max()
     centering = abs(float((curve.bin_population * curve.values).sum()))
     centering_ok = centering <= 1e-9
 
     eval_values = values.copy()
     eval_values[:, 20] = rng.uniform(0, 2, size=n)
-    unused_curve = effect_curve(model, LogOrbitMatrix(values=eval_values), 20, 1)
+    unused_curve = effect_curve(model, LogOrbitMatrix(values=eval_values), 20)[1]
     unused_ok = 20 not in model.features_used() and np.abs(unused_curve.values).max() <= 1e-12
     report(
         "7 ale-correctness",
@@ -283,7 +283,8 @@ def test_c09_ale_threshold_analogue():
 
     model = train_surrogate(features, assignment, trees=100, seed=3)
     threshold = orbit3_threshold(orbits)
-    curve = effect_curve(model, features, orbit=chain_orbit, class_id=bridge_cluster, bins=32)
+    curves = effect_curve(model, features, orbit=chain_orbit, bins=32)
+    (curve,) = [c for c in curves if c.class_id == bridge_cluster]
     below = curve.values[curve.grid <= threshold]
     above = curve.values[curve.grid > threshold]
     crossing_ok = below.size > 0 and above.size > 0 and (below <= 0).all() and (above > 0).all()

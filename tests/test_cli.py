@@ -493,6 +493,48 @@ class TestConfigCheckedBeforeCensus:
                 "importance_repeats = 0",
                 "explain.importance_repeats 0 < 1",
             ),
+            (
+                "effect_orbits = 0,17,28",
+                "effect_orbits = 0,17,28\neffect_kind = pdp",
+                "explain.effect_kind 'pdp' not among ['ALE', 'PDP']",
+            ),
+            (
+                "effect_orbits = 0,17,28",
+                "effect_orbits = 0,17,28\nale_bins = 1",
+                "explain.ale_bins 1 < 2",
+            ),
+            (
+                "methods = graphwave,rolx",
+                "methods = graphwave,struc2vec",
+                "embed.methods ['struc2vec'] not among ['graphwave', 'rolx']",
+            ),
+            ("rolx_rank = 3", "rolx_rank = 1", "embed.rolx_rank 1 < 2"),
+            (
+                "rolx_rank = 3",
+                "rolx_rank = 3\ngraphwave_scales = 5.0,0",
+                "embed.graphwave_scales [5.0, 0.0] not all > 0",
+            ),
+            (
+                "rolx_rank = 3",
+                "rolx_rank = 3\ngraphwave_scales = -1",
+                "embed.graphwave_scales [-1.0] not all > 0",
+            ),
+            (
+                "direction = all",
+                "direction = citng",
+                "idr.direction 'citng' not among ['citing', 'cited', 'all']",
+            ),
+            (
+                "direction = all",
+                "direction = all\ndistance = cosine",
+                "idr.distance 'cosine' not among ['uniform', 'cocitation_cosine']",
+            ),
+            (
+                "direction = all",
+                "direction = all\npair_counting = both",
+                "idr.pair_counting 'both' not among ['ordered', 'unordered']",
+            ),
+            ("bins = 4", "bins = 0", "idr.bins 0 < 1"),
         ],
     )
     def test_bad_config_fails_without_outputs(self, corpus, tmp_path, capsys, old, new, message):
@@ -505,7 +547,24 @@ class TestConfigCheckedBeforeCensus:
         assert code != 0
         assert message in capsys.readouterr().err
         assert "stage=config" in (out / "FAILED").read_text()
-        assert not (out / "orbits.csv").exists()
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--orbits", "o.csv", "--roles", "r.csv", "--kind", "pdp"],
+            ["idr", "g.txt", "--roles", "r.csv", "--direction", "citng"],
+            ["idr", "g.txt", "--roles", "r.csv", "--distance", "cosine"],
+            ["idr", "g.txt", "--roles", "r.csv", "--pair-counting", "both"],
+            ["embed", "g.txt", "--method", "struc2vec"],
+        ],
+    )
+    def test_bad_choice_flag_rejected_by_parser(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_runs_one_kmeans_per_sweep_cell(corpus, tmp_path, monkeypatch):

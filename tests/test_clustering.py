@@ -300,6 +300,8 @@ def loop_silhouette(X, labels, sample_cap=20000, seed=0):
                 0.0,
             )
         )
+        own_row = np.arange(stop - start)
+        d[own_row, own_row + start] = 0.0
         for row, v in enumerate(range(start, stop)):
             own = int(labels[v])
             own_idx = members[own]
@@ -465,6 +467,21 @@ class TestSilhouetteReferenceDistinctRows:
         got, distinct = _mean_silhouettes(X, [labels])
         assert distinct == np.unique(X, axis=0).shape[0] < X.shape[0]
         assert abs(got[0] - loop_silhouette(X, labels)) <= 1e-12
+
+    def test_copies_of_a_row_at_distance_zero(self):
+        # each cluster holds three copies of one row: a = 0 and b > 0 for
+        # every node, so every score is exactly 1, whatever rounding the
+        # GEMM form leaves on a row's distance to itself (up to 3e-7 on
+        # some of these rows)
+        rng = np.random.default_rng(35)
+        base = rng.normal(size=(40, 73))
+        labels = np.repeat(np.arange(40), 3)
+        X = base[labels]
+        got, distinct = _mean_silhouettes(X, [labels])
+        assert distinct == 40
+        assert got[0] == 1.0
+        assignment = RoleAssignment(labels=labels, k=40, method_tag="t", seed=0)
+        assert silhouette_in_orbit_space(assignment, LogOrbitMatrix(values=X)) == 1.0
 
     @pytest.mark.parametrize("sample_cap, want", [(20000, 9), (50, None)])
     def test_sweep_reports_distinct_rows_of_exact_pass(self, sample_cap, want):

@@ -57,6 +57,20 @@ class TestLoadEdgeList:
         assert graph.edge_count == 1
         assert any("1 self-loop" in rec.getMessage() for rec in caplog.records)
 
+    @pytest.mark.parametrize("level, walks", [(logging.WARNING, 0), (logging.INFO, 1)])
+    def test_components_counted_only_for_a_shown_log_line(
+        self, tmp_path, caplog, monkeypatch, level, walks
+    ):
+        calls = []
+        original = Graph.components
+        monkeypatch.setattr(Graph, "components", lambda g: calls.append(1) or original(g))
+        path = write(tmp_path, "g.txt", "a b\nb c\nd e\n")
+        with caplog.at_level(level, logger="orbitroles.graph"):
+            load_edge_list(path)
+        assert len(calls) == walks
+        shown = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
+        assert shown == ([f"{path}: 5 nodes, 3 edges, 2 component(s)"] if walks else [])
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = write(tmp_path, "g.txt", "# header\n\na b\n# more\nb c\n")
         graph, _ = load_edge_list(path)

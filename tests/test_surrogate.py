@@ -221,34 +221,34 @@ class TestEffectCurves:
         assert 20 not in model.features_used()
         eval_values = values.copy()
         eval_values[:, 20] = rng.uniform(0, 2, size=400)
-        curve = effect_curve(model, LogOrbitMatrix(values=eval_values), 20, 1)
-        assert np.abs(curve.values).max() <= 1e-12
+        for curve in effect_curve(model, LogOrbitMatrix(values=eval_values), 20):
+            assert np.abs(curve.values).max() <= 1e-12
 
     def test_step_located_within_one_bin(self):
         cut = 1.2
         model, features, _ = self._step_model(cut=cut)
-        curve = effect_curve(model, features, orbit=5, class_id=1, bins=16)
+        curve = effect_curve(model, features, orbit=5, bins=16)[1]  # class 1
         widths = np.diff(curve.grid)
         assert abs(curve.step_location() - cut) <= widths.max()
 
     def test_centering_identity(self):
         model, features, _ = self._step_model(seed=4)
-        curve = effect_curve(model, features, orbit=5, class_id=1, bins=16)
-        weighted = float((curve.bin_population * curve.values).sum())
-        assert abs(weighted) <= 1e-9 * max(1.0, np.abs(curve.values).max())
+        for curve in effect_curve(model, features, orbit=5, bins=16):
+            weighted = float((curve.bin_population * curve.values).sum())
+            assert abs(weighted) <= 1e-9 * max(1.0, np.abs(curve.values).max())
 
     def test_constant_feature_rejected_by_name(self):
         model, features, _ = self._step_model(seed=5)
         features.values[:, 30] = 1.0
         with pytest.raises(SurrogateError, match="orbit 30"):
-            effect_curve(model, features, orbit=30, class_id=1)
+            effect_curve(model, features, orbit=30)
 
     def test_pdp_and_ale_agree_for_single_feature_model(self):
         # one informative feature: after aligning the constant offset the
         # two curves must tell the same story
         model, features, _ = self._step_model(seed=6)
-        ale = effect_curve(model, features, orbit=5, class_id=1, bins=16, kind="ALE")
-        pdp = effect_curve(model, features, orbit=5, class_id=1, bins=16, kind="PDP")
+        ale = effect_curve(model, features, orbit=5, bins=16, kind="ALE")[1]
+        pdp = effect_curve(model, features, orbit=5, bins=16, kind="PDP")[1]
         pop = pdp.bin_population
         centered_pdp = pdp.values - float((pop * pdp.values).sum() / pop.sum())
         widths = np.diff(ale.grid)
@@ -262,26 +262,33 @@ class TestEffectCurves:
         labels = (values[:, 5] > np.median(values[:, 5])).astype(int)
         model_a = train_surrogate(features, labels, trees=15, seed=8)
         model_b = train_surrogate(features, labels + 10, trees=15, seed=8)
-        curve_a = effect_curve(model_a, features, 5, 1, bins=8)
-        curve_b = effect_curve(model_b, features, 5, 11, bins=8)
-        assert np.allclose(curve_a.values, curve_b.values, atol=1e-15)
+        curves_a = effect_curve(model_a, features, 5, bins=8)
+        curves_b = effect_curve(model_b, features, 5, bins=8)
+        assert [c.class_id for c in curves_a] == [0, 1]
+        assert [c.class_id for c in curves_b] == [10, 11]
+        for curve_a, curve_b in zip(curves_a, curves_b):
+            assert np.allclose(curve_a.values, curve_b.values, atol=1e-15)
 
     def test_bad_inputs(self):
         model, features, _ = self._step_model(seed=9)
-        with pytest.raises(SurrogateError, match="class"):
-            effect_curve(model, features, orbit=5, class_id=99)
         with pytest.raises(SurrogateError, match="bins"):
-            effect_curve(model, features, orbit=5, class_id=1, bins=1)
+            effect_curve(model, features, orbit=5, bins=1)
         with pytest.raises(SurrogateError, match="kind"):
-            effect_curve(model, features, orbit=5, class_id=1, kind="ICE")
+            effect_curve(model, features, orbit=5, kind="ICE")
+        with pytest.raises(SurrogateError, match="orbit 73"):
+            effect_curve(model, features, orbit=73)
 
     def test_effect_csv_carries_annotation(self, tmp_path):
         model, features, _ = self._step_model(seed=10)
-        curve = effect_curve(model, features, orbit=5, class_id=1, bins=8)
+        curves = effect_curve(model, features, orbit=5, bins=8)
         path = tmp_path / "effects.csv"
-        write_effect_curves([curve], 1.945910149, path)
+        write_effect_curves(curves, 1.945910149, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "orbit,class,kind,grid_value,effect"
+        assert len(lines) == 2 + 2 * curves[0].grid.size  # header, annotation
+        assert [line.split(",")[1] for line in lines[1:-1]] == (
+            ["0"] * curves[0].grid.size + ["1"] * curves[0].grid.size
+        )
         assert lines[-1].startswith("annotation,,orbit3_threshold,1.945910149")
 
 
@@ -390,6 +397,20 @@ def reference_ale(model, features, orbit, class_id, bins):
     return edges, accumulated - center, population
 
 
+def reference_pdp(model, features, orbit, class_id, bins):
+    """PDP from one clamped copy of X per grid value, each sent through the
+    whole forest."""
+    X = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    c = int(np.flatnonzero(model.class_labels == class_id)[0])
+    edges = np.unique(np.quantile(X[:, orbit], np.linspace(0.0, 1.0, bins + 1)))
+    values = np.empty(edges.size)
+    for i, g in enumerate(edges):
+        clamped = X.copy()
+        clamped[:, orbit] = g
+        values[i] = model.predict_proba(clamped)[:, c].mean()
+    return edges, values
+
+
 def _planted_model(trees=12, seed=3):
     planted = generate_planted_graph([barbell_template(5, 3)], 15, noise_edges=6, seed=1)
     features = log_transform(count_orbits(planted.graph))
@@ -435,9 +456,9 @@ class TestCachedExplainEqualsReference:
         calls = []
         original = surrogate._Tree.leaves
 
-        def counting(tree, X, pinned=None, sources=None, start=None):
+        def counting(tree, X, pinned=None, values=None, start=None):
             calls.append(None if pinned is None else len(pinned))
-            return original(tree, X, pinned, sources, start)
+            return original(tree, X, pinned, values, start)
 
         monkeypatch.setattr(surrogate._Tree, "leaves", counting)
         repeats = 4
@@ -459,6 +480,7 @@ class TestCachedExplainEqualsReference:
         for tree in model.trees:
             feats = np.unique(tree.feature[tree.feature >= 0])
             sources = np.array([rng.permutation(X.shape[0]) for _ in feats])
+            values = X[sources, feats[:, None]]
             want = []
             for f, src in zip(feats, sources):
                 shuffled = X.copy()
@@ -468,8 +490,8 @@ class TestCachedExplainEqualsReference:
             start = tree.first_splits(X.shape[1])[leaf][:, feats].T
             start = np.where(start >= 0, start, leaf)
             reentered += int((start != leaf).sum())
-            assert np.array_equal(tree.leaves(X, feats, sources), np.array(want))
-            assert np.array_equal(tree.leaves(X, feats, sources, start), np.array(want))
+            assert np.array_equal(tree.leaves(X, feats, values), np.array(want))
+            assert np.array_equal(tree.leaves(X, feats, values, start), np.array(want))
         assert 0 < reentered
 
     def test_importance_in_several_passes_exact(self, monkeypatch):
@@ -481,9 +503,9 @@ class TestCachedExplainEqualsReference:
         passes = []
         original = surrogate._Tree.leaves
 
-        def counting(tree, X, pinned=None, sources=None, start=None):
+        def counting(tree, X, pinned=None, values=None, start=None):
             passes.append(pinned is not None)
-            return original(tree, X, pinned, sources, start)
+            return original(tree, X, pinned, values, start)
 
         monkeypatch.setattr(surrogate._Tree, "leaves", counting)
         report = permutation_importance(model, features, labels, repeats=3, seed=8)
@@ -500,12 +522,14 @@ class TestCachedExplainEqualsReference:
             col = features.values[:, orbit]
             if col.min() == col.max():
                 continue
-            for cls in model.class_labels:
-                for bins in (4, 32):
-                    curve = effect_curve(model, features, orbit, int(cls), bins=bins)
+            for bins in (4, 32):
+                curves = effect_curve(model, features, orbit, bins=bins)
+                assert [c.class_id for c in curves] == model.class_labels.tolist()
+                for curve in curves:
                     grid, values, population = reference_ale(
-                        model, features, orbit, int(cls), bins
+                        model, features, orbit, curve.class_id, bins
                     )
+                    assert (curve.orbit, curve.kind) == (orbit, "ALE")
                     assert np.array_equal(curve.grid, grid)
                     assert np.array_equal(curve.values, values)
                     assert np.array_equal(curve.bin_population, population)
@@ -514,20 +538,62 @@ class TestCachedExplainEqualsReference:
                     checked_merged |= grid.size < bins + 1
         assert checked_merged  # duplicate quantile edges were merged somewhere
 
-    def test_ale_one_forest_call(self, monkeypatch):
+    @pytest.mark.parametrize("make", [_planted_model, _random_model])
+    def test_pdp_values_exact(self, make):
+        model, features, _ = make()
+        for orbit in (0, 4, 17, 27):
+            col = features.values[:, orbit]
+            if col.min() == col.max():
+                continue
+            curves = effect_curve(model, features, orbit, bins=16, kind="PDP")
+            assert [c.class_id for c in curves] == model.class_labels.tolist()
+            for curve in curves:
+                grid, values = reference_pdp(model, features, orbit, curve.class_id, 16)
+                assert (curve.orbit, curve.kind) == (orbit, "PDP")
+                assert np.array_equal(curve.grid, grid)
+                assert np.array_equal(curve.values, values)
+
+    @pytest.mark.parametrize("kind", ["ALE", "PDP"])
+    def test_curves_in_one_cell_passes_exact(self, monkeypatch, kind):
+        # a pass too small for two cells: ALE's upper and lower pins, and
+        # each PDP grid value, run in passes of their own
+        from orbitroles import surrogate
+
+        model, features, _ = _random_model(trees=6)
+        want = effect_curve(model, features, 4, bins=16, kind=kind)
+        monkeypatch.setattr(surrogate, "_BLOCK_CELLS", 1)
+        got = effect_curve(model, features, 4, bins=16, kind=kind)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("kind", ["ALE", "PDP"])
+    def test_curves_walk_each_tree_once_unpinned(self, monkeypatch, kind):
+        # no forest prediction: one unpinned walk per tree over the curve's
+        # rows, and one pinned walk per tree that splits on the orbit
         from orbitroles import surrogate
 
         model, features, _ = _random_model()
-        calls = []
-        original = surrogate.SurrogateForest.predict_proba
+        orbit = 17  # split on by 2 of the 15 trees
+        predictions, walks = [], []
+        original = surrogate._Tree.leaves
 
-        def counting(self, X):
-            calls.append(X.shape[0])
-            return original(self, X)
+        def counting(tree, X, pinned=None, values=None, start=None):
+            walks.append((id(tree), None if pinned is None else len(pinned), X.shape[0]))
+            return original(tree, X, pinned, values, start)
 
-        monkeypatch.setattr(surrogate.SurrogateForest, "predict_proba", counting)
-        curve = effect_curve(model, features, 4, int(model.class_labels[0]), bins=16)
-        assert calls == [2 * int(curve.bin_population[1:].sum())]
+        monkeypatch.setattr(surrogate._Tree, "leaves", counting)
+        monkeypatch.setattr(
+            surrogate.SurrogateForest, "predict_proba", lambda *a: predictions.append(a)
+        )
+        curves = effect_curve(model, features, orbit, bins=16, kind=kind)
+        assert predictions == []
+        population = curves[0].bin_population
+        rows = features.node_count if kind == "PDP" else int(population[1:].sum())
+        cells = population.size if kind == "PDP" else 2
+        splitters = [id(t) for t in model.trees if orbit in t.feature]
+        assert 0 < len(splitters) < len(model.trees)
+        assert [w for w in walks if w[1] is None] == [(id(t), None, rows) for t in model.trees]
+        assert [w for w in walks if w[1] is not None] == [(t, cells, rows) for t in splitters]
 
 
 # --- histogram split search against the sort-and-scan reference ---------------
