@@ -616,11 +616,11 @@ def _cmd_validate(args) -> int:
 def _cmd_explain(args) -> int:
     out = _out_dir(args.out)
     cfg = _with_flags(load_config(args.config), args)
-    problems = explain_problems(cfg.explain)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
     orbits, orbit_ids = orbits_from_csv(args.orbits)
     roles, role_ids = roles_from_csv(args.roles)
+    problems = explain_problems(cfg.explain, roles.k)
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
     if orbit_ids != role_ids:
         mismatched = [
             (a, b) for a, b in zip(orbit_ids, role_ids) if a != b

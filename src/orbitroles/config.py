@@ -96,12 +96,19 @@ def _not_among(name, value, allowed) -> list:
     return [] if value in allowed else [f"{name} {value!r} not among {list(allowed)}"]
 
 
-def explain_problems(ex: ExplainConfig) -> list:
-    """The problems of an [explain] section: effect orbits outside 0..72,
-    an unknown effect kind, fewer than two ALE bins, and fewer than one
-    tree or importance repeat."""
+def explain_problems(ex: ExplainConfig, k: int) -> list:
+    """The problems of an [explain] section for roles 0..k-1: effect orbits
+    outside 0..72, an unknown effect kind, fewer than two ALE bins, fewer
+    than one tree or importance repeat, and ``keep_roles`` with fewer than
+    two distinct roles or a role outside [0, k)."""
     bad = [o for o in ex.effect_orbits if not 0 <= o < ORBIT_COUNT]
     problems = [f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}"] if bad else []
+    if ex.keep_roles:
+        if len(set(ex.keep_roles)) < 2:
+            problems.append(f"explain.keep_roles {list(ex.keep_roles)} has < 2 distinct roles")
+        bad = [r for r in ex.keep_roles if not 0 <= r < k]
+        if bad:
+            problems.append(f"explain.keep_roles {bad} outside [0, {k})")
     problems += _not_among("explain.effect_kind", ex.effect_kind, EFFECT_KINDS)
     if ex.ale_bins < 2:
         problems.append(f"explain.ale_bins {ex.ale_bins} < 2")
@@ -124,7 +131,7 @@ def validate_config(cfg: PipelineConfig) -> None:
             f"explain.method {cfg.explain.method!r} not among embed.methods "
             f"{list(cfg.embed.methods)}"
         )
-    problems += explain_problems(cfg.explain)
+    problems += explain_problems(cfg.explain, cfg.cluster.chosen_k)
     e = cfg.embed
     unknown = [m for m in e.methods if m not in NATIVE_METHODS]
     if unknown:
@@ -142,6 +149,8 @@ def validate_config(cfg: PipelineConfig) -> None:
         problems.append(f"cluster.k_min {c.k_min} < 2")
     if not c.k_min <= c.chosen_k <= c.k_max:
         problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
+    if c.sample_cap < 2:
+        problems.append(f"cluster.sample_cap {c.sample_cap} < 2")
     i = cfg.idr
     problems += _not_among("idr.direction", i.direction, DIRECTIONS)
     problems += _not_among("idr.distance", i.distance, DISTANCES)

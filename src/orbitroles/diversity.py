@@ -1,10 +1,16 @@
 """Rao-Stirling interdisciplinarity from neighbor discipline labels.
 
-A node's IDR is D = sum over ordered pairs i != j of p_i * p_j * d_ij,
+A node's IDR is D = sum over ordered pairs a != b of p_a * p_b * d_ab,
 where p is the discipline distribution of its labeled neighbors (in a
 chosen citation direction) and d is a discipline distance matrix. With
-uniform distances this is exactly the Simpson diversity 1 - sum p_i^2.
+uniform distances this is exactly the Simpson diversity 1 - sum p_a^2.
 Nodes without labeled neighbors get no score (absent, not zero).
+
+``build_diversity_report`` scores every node in one array pass. Each
+node's disciplines are ordered by their first appearance among its
+neighbors; the terms p_a * p_b * d_ab run over the ordered pairs with a
+outer and b inner, and one ``np.bincount`` adds each node's terms one
+after the other from 0.0, so every IDR has the same bits on every input.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# the allowed values of ``rao_stirling``'s direction and pair_counting and
-# of ``discipline_distance``'s mode
+# the allowed values of ``build_diversity_report``'s direction and
+# pair_counting and of ``discipline_distance``'s mode
 DIRECTIONS = ("citing", "cited", "all")
 PAIR_COUNTINGS = ("ordered", "unordered")
 DISTANCES = ("uniform", "cocitation_cosine")
@@ -44,8 +50,32 @@ class DisciplineDistanceMatrix:
         if self.d.min() < -1e-12 or self.d.max() > 1 + 1e-12:
             raise DiversityError("distances must lie in [0, 1]")
 
-    def index_of(self, name: str) -> int:
-        return self.disciplines.index(name)
+
+def _codes(categories, names) -> np.ndarray:
+    """Each node's index in ``names``, -1 for an unlabeled node."""
+    index = {name: i for i, name in enumerate(names)}
+    missing = sorted({c for c in categories if c is not None} - index.keys())
+    if missing:
+        raise DiversityError(f"distance matrix lacks discipline {missing[0]!r}")
+    return np.fromiter(
+        (-1 if c is None else index[c] for c in categories), dtype=np.int64, count=len(categories)
+    )
+
+
+def _direction_pairs(graph, direction):
+    """(node, neighbor) arrays of ``direction``, by ascending node. A node's
+    neighbors keep their order: ascending for 'all', and the as-read order
+    of the recorded pairs (u, v), read 'u cites v', for 'citing' (the u
+    that cite a node v) and 'cited' (the v that a node u cites)."""
+    if direction == "all":
+        deg, _, indices = graph.csr()
+        return np.repeat(np.arange(graph.node_count), deg), indices
+    if graph.directed_pairs is None:
+        raise DiversityError("graph carries no direction information; use direction='all'")
+    pairs = np.array(graph.directed_pairs, dtype=np.int64).reshape(-1, 2)
+    node, nbr = (pairs[:, 1], pairs[:, 0]) if direction == "citing" else pairs.T
+    order = np.argsort(node, kind="stable")
+    return node[order], nbr[order]
 
 
 def discipline_distance(table, graph, mode: str = "uniform") -> DisciplineDistanceMatrix:
@@ -54,7 +84,8 @@ def discipline_distance(table, graph, mode: str = "uniform") -> DisciplineDistan
     uniform: d = 1 off-diagonal (IDR becomes Simpson diversity).
     cocitation_cosine: d[i][j] = 1 - cosine of the discipline
     co-occurrence vectors, where vector c_i counts edges incident to
-    discipline-i nodes by the discipline on the other endpoint.
+    discipline-i nodes by the discipline on the other endpoint. The
+    counts are integers, so ``co @ co.T`` is exact on any BLAS kernel.
     """
     if mode not in DISTANCES:
         raise DiversityError(f"unknown distance mode {mode!r}")
@@ -66,97 +97,19 @@ def discipline_distance(table, graph, mode: str = "uniform") -> DisciplineDistan
         d = np.ones((k, k)) - np.eye(k)
         return DisciplineDistanceMatrix(disciplines=names, d=d)
 
-    index = {name: i for i, name in enumerate(names)}
-    co = np.zeros((k, k))
-    for u, v in graph.edges():
-        cu, cv = table.categories[u], table.categories[v]
-        if cu is None or cv is None:
-            continue
-        iu, iv = index[cu], index[cv]
-        co[iu, iv] += 1
-        co[iv, iu] += 1
+    # each edge is counted from both of its endpoints
+    codes = _codes(table.categories, names)
+    node, nbr = _direction_pairs(graph, "all")
+    a, b = codes[node], codes[nbr]
+    both = (a >= 0) & (b >= 0)
+    co = np.bincount(a[both] * k + b[both], minlength=k * k).reshape(k, k).astype(np.float64)
     norms = np.linalg.norm(co, axis=1)
-    d = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if norms[i] == 0 or norms[j] == 0:
-                dist = 1.0
-            else:
-                cos = float(co[i] @ co[j] / (norms[i] * norms[j]))
-                dist = min(1.0, max(0.0, 1.0 - cos))
-            d[i, j] = d[j, i] = dist
+    empty = norms == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (co @ co.T) / np.outer(norms, norms)
+    d = np.where(empty[:, None] | empty[None, :], 1.0, np.clip(1.0 - cos, 0.0, 1.0))
+    np.fill_diagonal(d, 0.0)
     return DisciplineDistanceMatrix(disciplines=names, d=d)
-
-
-def _direction_index(graph):
-    """(citers, cited) adjacency derived from the as-read edge order.
-
-    A recorded pair (u, v) reads as 'u cites v': u is one of v's citing
-    papers, v one of u's cited papers.
-    """
-    if graph.directed_pairs is None:
-        return None
-    citing = [[] for _ in range(graph.node_count)]
-    cited = [[] for _ in range(graph.node_count)]
-    for u, v in graph.directed_pairs:
-        citing[v].append(u)
-        cited[u].append(v)
-    return citing, cited
-
-
-def _neighbors_for(graph, node, direction, dir_index):
-    if direction == "all":
-        return graph.adjacency[node]
-    if dir_index is None:
-        raise DiversityError(
-            "graph carries no direction information; use direction='all'"
-        )
-    citing, cited = dir_index
-    return citing[node] if direction == "citing" else cited[node]
-
-
-def rao_stirling(
-    node: int,
-    graph,
-    table,
-    dmat: DisciplineDistanceMatrix,
-    direction: str = "citing",
-    pair_counting: str = "ordered",
-    _dir_index=None,
-):
-    """IDR of one node, or None when it has no labeled neighbors.
-
-    Proportions renormalize over labeled neighbors only. 'ordered' counts
-    each discipline pair twice, matching the double-sum definition;
-    'unordered' halves it.
-    """
-    if direction not in DIRECTIONS:
-        raise DiversityError(f"unknown direction {direction!r}")
-    if pair_counting not in PAIR_COUNTINGS:
-        raise DiversityError(f"unknown pair_counting {pair_counting!r}")
-    dir_index = _dir_index
-    if dir_index is None and direction != "all":
-        dir_index = _direction_index(graph)
-    neighbors = _neighbors_for(graph, node, direction, dir_index)
-    counts: dict = {}
-    used = 0
-    for w in neighbors:
-        cat = table.categories[w]
-        if cat is None:
-            continue
-        counts[cat] = counts.get(cat, 0) + 1
-        used += 1
-    if used == 0:
-        return None, 0
-    props = [(dmat.index_of(cat), c / used) for cat, c in counts.items()]
-    total = 0.0
-    for i, pi in props:
-        for j, pj in props:
-            if i != j:
-                total += pi * pj * dmat.d[i, j]
-    if pair_counting == "unordered":
-        total /= 2.0
-    return total, used
 
 
 @dataclass
@@ -195,22 +148,43 @@ def build_diversity_report(
     direction: str = "citing",
     pair_counting: str = "ordered",
 ) -> DiversityReport:
+    """IDR of every node. Proportions renormalize over labeled neighbors
+    only. 'ordered' counts each discipline pair twice, matching the
+    double-sum definition; 'unordered' halves it."""
     labels = np.asarray(getattr(roles, "labels", roles), dtype=np.int64)
     n = graph.node_count
     if labels.shape[0] != n or len(table) != n:
         raise DiversityError("graph, table and roles are misaligned")
-    idr = np.full(n, np.nan)
-    used = np.zeros(n, dtype=np.int64)
-    dir_index = _direction_index(graph) if direction != "all" else None
-    for v in range(n):
-        score, cnt = rao_stirling(
-            v, graph, table, dmat, direction, pair_counting, _dir_index=dir_index
-        )
-        used[v] = cnt
-        if score is not None:
-            idr[v] = score
+    if direction not in DIRECTIONS:
+        raise DiversityError(f"unknown direction {direction!r}")
+    if pair_counting not in PAIR_COUNTINGS:
+        raise DiversityError(f"unknown pair_counting {pair_counting!r}")
+    codes = _codes(table.categories, dmat.disciplines)
+    node, nbr = _direction_pairs(graph, direction)
+    disc = codes[nbr]
+    labeled = disc >= 0
+    node, disc = node[labeled], disc[labeled]
+    used = np.bincount(node, minlength=n)
+
+    # one entry per (node, discipline), in order of first appearance
+    k = len(dmat.disciplines)
+    keys, first, count = np.unique(node * k + disc, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    owner, disc = np.divmod(keys[order], k)
+    p = count[order] / used[owner]
+    # entry a pairs with every other entry b of its node, a outer, b inner:
+    # a's run of ``size`` slots holds its node's entries from ``start`` on
+    per_node = np.bincount(owner, minlength=n)
+    size, start = per_node[owner], (np.cumsum(per_node) - per_node)[owner]
+    a = np.repeat(np.arange(owner.size), size)
+    b = np.arange(a.size) + np.repeat(start - (np.cumsum(size) - size), size)
+    other = a != b
+    a, b = a[other], b[other]
+    total = np.bincount(owner[a], weights=p[a] * p[b] * dmat.d[disc[a], disc[b]], minlength=n)
+    if pair_counting == "unordered":
+        total = total / 2.0
     return DiversityReport(
-        idr=idr,
+        idr=np.where(used > 0, total, np.nan),
         degree=graph.degrees(),
         role=labels,
         neighbors_used=used,

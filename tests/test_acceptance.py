@@ -17,7 +17,6 @@ from orbitroles.diversity import (
     binned_idr_report,
     build_diversity_report,
     discipline_distance,
-    rao_stirling,
 )
 from orbitroles.embeddings import graphwave_embed, rolx_embed
 from orbitroles.graph import Graph, NodeTable
@@ -241,7 +240,8 @@ def test_c08_rao_stirling_exactness():
             categories=cats + [None],
         )
         dmat = discipline_distance(table, graph)
-        score, _ = rao_stirling(len(cats), graph, table, dmat, direction="all")
+        roles = np.zeros(len(cats) + 1, dtype=int)
+        score = build_diversity_report(graph, table, dmat, roles, direction="all").idr[len(cats)]
         p = counts / counts.sum()
         worst = max(worst, abs(score - (1.0 - float((p * p).sum()))))
 
@@ -251,7 +251,7 @@ def test_c08_rao_stirling_exactness():
         categories=["A", "A", "B", "C", None],
     )
     dmat = discipline_distance(table, graph)
-    quarter, _ = rao_stirling(4, graph, table, dmat, direction="all")
+    quarter = build_diversity_report(graph, table, dmat, np.zeros(5, dtype=int), direction="all").idr[4]
     report(
         "8 rao-stirling-exactness",
         worst < 1e-12 and quarter == 0.625,

@@ -295,6 +295,27 @@ class TestExplainCommand:
         assert f"invalid config: {message}" in capsys.readouterr().err
         assert not (out / "importance.csv").exists()
 
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            ((0, 5), "explain.keep_roles [5] outside [0, 2)"),
+            ((1,), "explain.keep_roles [1] has < 2 distinct roles"),
+        ],
+    )
+    def test_bad_keep_roles_rejected_before_outputs(
+        self, census_and_roles, tmp_path, capsys, keep, message
+    ):
+        # the roles CSV says k=2: its roles are 0 and 1
+        orbits_path, roles_path = census_and_roles
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--orbits", orbits_path, "--roles", roles_path,
+            "--trees", 5, "--keep-roles", *keep, "--out", out,
+        )
+        assert code != 0
+        assert f"invalid config: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_id_mismatch_lists_first_ten(self, census_and_roles, tmp_path, capsys):
         orbits_path, _ = census_and_roles
         bad_roles = tmp_path / "bad.csv"
@@ -487,6 +508,22 @@ class TestConfigCheckedBeforeCensus:
             ("rolx_rank = 3", "rolx_rank = 3\nt_max = inf", "embed.t_max inf is not positive"),
             ("rolx_rank = 3", "rolx_rank = 3\nt_max = nan", "embed.t_max nan is not positive"),
             ("k_min = 2", "k_min = 1", "cluster.k_min 1 < 2"),
+            ("chosen_k = 3", "chosen_k = 3\nsample_cap = 1", "cluster.sample_cap 1 < 2"),
+            (
+                "effect_orbits = 0,17,28",
+                "effect_orbits = 0,17,28\nkeep_roles = 7,8",
+                "explain.keep_roles [7, 8] outside [0, 3)",
+            ),
+            (
+                "effect_orbits = 0,17,28",
+                "effect_orbits = 0,17,28\nkeep_roles = 1",
+                "explain.keep_roles [1] has < 2 distinct roles",
+            ),
+            (
+                "effect_orbits = 0,17,28",
+                "effect_orbits = 0,17,28\nkeep_roles = 2,2",
+                "explain.keep_roles [2, 2] has < 2 distinct roles",
+            ),
             ("trees = 40", "trees = 0", "explain.trees 0 < 1"),
             (
                 "importance_repeats = 2",

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from orbitroles.diversity import (
+    DISTANCES,
+    DIRECTIONS,
+    PAIR_COUNTINGS,
+    DisciplineDistanceMatrix,
     DiversityError,
     binned_idr_report,
     build_diversity_report,
     discipline_distance,
-    rao_stirling,
 )
 from orbitroles.graph import Graph, NodeTable
 from orbitroles.planted import barbell_template, generate_planted_graph
 
+import diversity_reference as reference
 from util import star_graph
 
 
@@ -48,7 +52,7 @@ class TestDisciplineDistance:
             categories=["A", "B", "C", "B"],
         )
         dmat = discipline_distance(table, graph, mode="cocitation_cosine")
-        assert dmat.d[dmat.index_of("A"), dmat.index_of("C")] == pytest.approx(0.0, abs=1e-12)
+        assert dmat.d[dmat.disciplines.index("A"), dmat.disciplines.index("C")] == pytest.approx(0.0, abs=1e-12)
 
     def test_cocitation_hand_computed(self):
         # corpus: A-B edge, C-B edge, A-A edge. co-occurrence rows:
@@ -76,9 +80,17 @@ class TestDisciplineDistance:
         dmat = discipline_distance(table, graph, mode="cocitation_cosine")
         for a, b in [("A", "B"), ("A", "C"), ("B", "C")]:
             expected = 1.0 - cosine(co[a], co[b])
-            assert dmat.d[dmat.index_of(a), dmat.index_of(b)] == pytest.approx(
+            assert dmat.d[dmat.disciplines.index(a), dmat.disciplines.index(b)] == pytest.approx(
                 expected, abs=1e-12
             )
+
+
+def node_score(graph, table, dmat, node, direction="all", pair_counting="ordered"):
+    """One node's (idr, neighbors_used) from the report of every node."""
+    report = build_diversity_report(
+        graph, table, dmat, np.zeros(graph.node_count, dtype=int), direction, pair_counting
+    )
+    return report.idr[node], report.neighbors_used[node]
 
 
 class TestRaoStirling:
@@ -87,14 +99,14 @@ class TestRaoStirling:
         dmat = discipline_distance(table, graph)
         center = 4
         # all of leaf 3's neighbors (just the center) are unlabeled: absent
-        score, used = rao_stirling(center, graph, table, dmat, direction="all")
+        score, used = node_score(graph, table, dmat, center)
         assert used == 4
         assert score == pytest.approx(2 * (0.75 * 0.25), abs=1e-12)
 
     def test_half_half_gives_half(self):
         graph, table = star_with_labels(["A", "B"])
         dmat = discipline_distance(table, graph)
-        score, used = rao_stirling(2, graph, table, dmat, direction="all")
+        score, used = node_score(graph, table, dmat, 2)
         assert used == 2
         assert score == pytest.approx(0.5, abs=1e-12)
 
@@ -102,28 +114,26 @@ class TestRaoStirling:
         # proportions (0.5, 0.25, 0.25): D = 2*(0.125 + 0.125 + 0.0625) = 0.625
         graph, table = star_with_labels(["A", "A", "B", "C"])
         dmat = discipline_distance(table, graph)
-        score, _ = rao_stirling(4, graph, table, dmat, direction="all")
+        score, _ = node_score(graph, table, dmat, 4)
         assert score == pytest.approx(0.625, abs=1e-15)
 
     def test_unordered_halves(self):
         graph, table = star_with_labels(["A", "B"])
         dmat = discipline_distance(table, graph)
-        ordered, _ = rao_stirling(2, graph, table, dmat, direction="all")
-        unordered, _ = rao_stirling(
-            2, graph, table, dmat, direction="all", pair_counting="unordered"
-        )
+        ordered, _ = node_score(graph, table, dmat, 2)
+        unordered, _ = node_score(graph, table, dmat, 2, pair_counting="unordered")
         assert unordered == pytest.approx(ordered / 2, abs=1e-15)
 
     def test_absent_when_no_labeled_neighbors(self):
         graph, table = star_with_labels(["A", "B"])
         dmat = discipline_distance(table, graph)
-        score, used = rao_stirling(0, graph, table, dmat, direction="all")
-        assert score is None and used == 0
+        score, used = node_score(graph, table, dmat, 0)
+        assert np.isnan(score) and used == 0
 
     def test_unlabeled_neighbors_excluded_from_proportions(self):
         graph, table = star_with_labels(["A", "B", None, None])
         dmat = discipline_distance(table, graph)
-        score, used = rao_stirling(4, graph, table, dmat, direction="all")
+        score, used = node_score(graph, table, dmat, 4)
         assert used == 2
         assert score == pytest.approx(0.5, abs=1e-12)
 
@@ -138,7 +148,7 @@ class TestRaoStirling:
                 cats.extend([f"D{i}"] * int(c))
             graph, table = star_with_labels(cats)
             dmat = discipline_distance(table, graph)
-            score, _ = rao_stirling(len(cats), graph, table, dmat, direction="all")
+            score, _ = node_score(graph, table, dmat, len(cats))
             p = counts / counts.sum()
             assert score == pytest.approx(1.0 - float((p * p).sum()), abs=1e-12)
 
@@ -149,21 +159,21 @@ class TestRaoStirling:
         graph2, table2 = star_with_labels(["A", "B", "B"] * 2)
         dmat1 = discipline_distance(table1, graph1)
         dmat2 = discipline_distance(table2, graph2)
-        d1, _ = rao_stirling(3, graph1, table1, dmat1, direction="all")
-        d2, _ = rao_stirling(6, graph2, table2, dmat2, direction="all")
+        d1, _ = node_score(graph1, table1, dmat1, 3)
+        d2, _ = node_score(graph2, table2, dmat2, 6)
         assert d1 == pytest.approx(d2, abs=1e-15)
 
     def test_discipline_label_permutation_symmetry(self):
         graph, table = star_with_labels(["A", "A", "B", "C", "C"])
         dmat = discipline_distance(table, graph)
-        baseline, _ = rao_stirling(5, graph, table, dmat, direction="all")
+        baseline, _ = node_score(graph, table, dmat, 5)
         swap = {"A": "C", "B": "A", "C": "B"}
         table2 = NodeTable(
             external_ids=table.external_ids,
             categories=[swap[c] if c else None for c in table.categories],
         )
         dmat2 = discipline_distance(table2, graph)
-        permuted, _ = rao_stirling(5, graph, table2, dmat2, direction="all")
+        permuted, _ = node_score(graph, table2, dmat2, 5)
         assert permuted == pytest.approx(baseline, abs=1e-15)
 
     def test_directions_use_edge_orientation(self, tmp_path):
@@ -178,11 +188,11 @@ class TestRaoStirling:
         )
         dmat = discipline_distance(table, graph)
         b = 1
-        citing_score, used = rao_stirling(b, graph, table, dmat, direction="citing")
+        citing_score, used = node_score(graph, table, dmat, b, direction="citing")
         assert used == 2 and citing_score == pytest.approx(0.5)
-        cited_score, used_cited = rao_stirling(b, graph, table, dmat, direction="cited")
-        assert cited_score is None and used_cited == 0
-        a_cited, used_a = rao_stirling(0, graph, table, dmat, direction="cited")
+        cited_score, used_cited = node_score(graph, table, dmat, b, direction="cited")
+        assert np.isnan(cited_score) and used_cited == 0
+        a_cited, used_a = node_score(graph, table, dmat, 0, direction="cited")
         assert used_a == 1 and a_cited == 0.0
 
     def test_direction_without_info_rejected(self):
@@ -193,7 +203,77 @@ class TestRaoStirling:
         )
         dmat = discipline_distance(table, planted.graph)
         with pytest.raises(DiversityError, match="direction"):
-            rao_stirling(0, planted.graph, table, dmat, direction="citing")
+            node_score(planted.graph, table, dmat, 0, direction="citing")
+
+
+def random_citation_graph(rng):
+    """A random graph with as-read citation pairs, some of them citing
+    both ways, and a random labelling with >= 2 disciplines and some
+    unlabeled nodes."""
+    n = int(rng.integers(2, 40))
+    m = int(rng.integers(1, 4 * n))
+    pairs = []
+    for u, v in rng.integers(0, n, size=(m, 2)).tolist():
+        if u != v and (u, v) not in pairs:
+            pairs.append((u, v))
+    graph = Graph.from_edges(n, pairs, directed_pairs=pairs)
+    names = [f"D{i}" for i in range(int(rng.integers(2, 7)))]
+    cats = [names[i] for i in rng.integers(0, len(names), size=n)]
+    cats[:2] = names[:2]
+    for i in np.flatnonzero(rng.random(n) < 0.2):
+        cats[i] = None
+    order = rng.permutation(n)
+    table = NodeTable(
+        external_ids=[f"v{i}" for i in range(n)], categories=[cats[i] for i in order]
+    )
+    return graph, table
+
+
+class TestArrayPassEqualsReference:
+    def test_fuzz_every_setting(self):
+        # the node-by-node loop's bits, for every direction, pair counting
+        # and distance: the array pass adds each node's terms in the same
+        # order (first appearance, a outer, b inner)
+        rng = np.random.default_rng(20221)
+        for _ in range(40):
+            graph, table = random_citation_graph(rng)
+            cosine = discipline_distance(table, graph, mode="cocitation_cosine")
+            assert np.array_equal(cosine.d, reference.cocitation_cosine(table, graph).d)
+            roles = np.zeros(graph.node_count, dtype=int)
+            for distance in DISTANCES:
+                dmat = discipline_distance(table, graph, mode=distance)
+                for direction in DIRECTIONS:
+                    for counting in PAIR_COUNTINGS:
+                        report = build_diversity_report(
+                            graph, table, dmat, roles, direction, counting
+                        )
+                        idr, used = reference.diversity_report(
+                            graph, table, dmat, direction, counting
+                        )
+                        assert np.array_equal(report.idr, idr, equal_nan=True)
+                        assert np.array_equal(report.neighbors_used, used)
+
+    def test_fuzz_random_distances(self):
+        # a distance matrix with distinct entries makes every term's order
+        # show in the sum
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            graph, table = random_citation_graph(rng)
+            names = sorted({c for c in table.categories if c is not None})
+            d = np.triu(rng.random((len(names), len(names))), 1)
+            dmat = DisciplineDistanceMatrix(disciplines=names, d=d + d.T)
+            report = build_diversity_report(
+                graph, table, dmat, np.zeros(graph.node_count, dtype=int), "citing"
+            )
+            idr, used = reference.diversity_report(graph, table, dmat, "citing")
+            assert np.array_equal(report.idr, idr, equal_nan=True)
+            assert np.array_equal(report.neighbors_used, used)
+
+    def test_discipline_missing_from_matrix_named(self):
+        graph, table = star_with_labels(["A", "B", "C"])
+        dmat = DisciplineDistanceMatrix(disciplines=["A", "B"], d=[[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DiversityError, match="'C'"):
+            build_diversity_report(graph, table, dmat, np.zeros(4, dtype=int), direction="all")
 
 
 def corpus_with_bridge_mixing(copies=30, noise=0, seed=0):
