@@ -20,10 +20,11 @@ over the lanes that run at once. The manifest's ``metrics["stages"]`` holds
 the wall seconds of each stage and of each worker task,
 ``metrics["workers"]`` the worker count, ``metrics["rolx"]`` the NMF
 iterations and convergence and the ReFeX features and generation of RolX,
-``metrics["graphwave"]`` GraphWave's components and distinct components,
-``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and
-whether its silhouette was sampled, and ``metrics["silhouette"]`` the
-nodes and the distinct log-orbit rows that an exact sweep scored over."""
+``metrics["graphwave"]`` GraphWave's estimated working set, components and
+distinct components, ``metrics["kmeans"]`` each sweep cell's iterations,
+degeneracy and whether its silhouette was sampled, and
+``metrics["silhouette"]`` the nodes and the distinct log-orbit rows that an
+exact sweep scored over."""
 
 from __future__ import annotations
 
@@ -60,7 +61,9 @@ from .diversity import (
 )
 from .embeddings import (
     NATIVE_METHODS,
+    EmbeddingError,
     embedding_to_csv,
+    estimate_graphwave_memory_mb,
     graphwave_embed,
     import_embedding,
     rolx_embed,
@@ -170,9 +173,20 @@ def _workers(cfg, manifest) -> int:
 def _graphwave_lane(graph, table, cfg, out, manifest) -> Task:
     """GraphWave and its CSV as the task that ``_embed`` joins: forked now
     when there are two or more workers, otherwise run inline when joined.
+    GraphWave's estimated working set is first checked, in the parent,
+    against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``.
     Use it as a context manager, so that a failure before the join kills
     and reaps the worker."""
-    fork = _workers(cfg, manifest) > 1 and "graphwave" in cfg.embed.methods
+    ec = cfg.embed
+    if "graphwave" in ec.methods:
+        est = estimate_graphwave_memory_mb(graph, ec.graphwave_scales, ec.sample_points)
+        manifest.metrics["graphwave"] = {"estimate_mb": est}
+        if est > cfg.memory_budget_mb:
+            raise EmbeddingError(
+                f"estimated GraphWave working set {est:.1f} MB exceeds the "
+                f"{cfg.memory_budget_mb:g} MB budget; [embed] methods = rolx skips GraphWave"
+            )
+    fork = _workers(cfg, manifest) > 1 and "graphwave" in ec.methods
     return Task(partial(_native_embedding, graph, table, cfg, out, "graphwave"), fork)
 
 
@@ -199,10 +213,8 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
     if "graphwave" in ec.methods:
         native["graphwave"] = lane.result()
         manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
-        meta = native["graphwave"].meta
-        manifest.metrics["graphwave"] = {
-            key: meta[key] for key in ("components", "distinct_components")
-        }
+        for key in ("components", "distinct_components"):
+            manifest.metrics["graphwave"][key] = native["graphwave"].meta[key]
     imported = [import_embedding(path, table) for path in ec.import_paths]
     for emb in imported:
         embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")

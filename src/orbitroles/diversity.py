@@ -68,12 +68,10 @@ def _direction_pairs(graph, direction):
     of the recorded pairs (u, v), read 'u cites v', for 'citing' (the u
     that cite a node v) and 'cited' (the v that a node u cites)."""
     if direction == "all":
-        deg, _, indices = graph.csr()
-        return np.repeat(np.arange(graph.node_count), deg), indices
+        return np.repeat(np.arange(graph.node_count), graph.degrees()), graph.indices
     if graph.directed_pairs is None:
         raise DiversityError("graph carries no direction information; use direction='all'")
-    pairs = np.array(graph.directed_pairs, dtype=np.int64).reshape(-1, 2)
-    node, nbr = (pairs[:, 1], pairs[:, 0]) if direction == "citing" else pairs.T
+    node, nbr = graph.directed_pairs.T[::-1] if direction == "citing" else graph.directed_pairs.T
     order = np.argsort(node, kind="stable")
     return node[order], nbr[order]
 

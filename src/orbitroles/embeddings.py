@@ -97,13 +97,14 @@ class RefexFeatureMatrix:
 
 def _component_key(graph, comp):
     """(k, the flat positions i * k + j of the -1 entries of the component's
-    k x k Laplacian, ascending, as int64 bytes), built from the edges in
-    O(k + e). The key names the Laplacian: equal keys, equal bytes."""
-    k = len(comp)
-    pos = {v: i for i, v in enumerate(comp)}
-    # comp and every adjacency row ascend, so the positions come out sorted
-    flat = [i * k + pos[w] for i, v in enumerate(comp) for w in graph.adjacency[v]]
-    return k, np.array(flat, dtype=np.int64).tobytes()
+    k x k Laplacian, ascending, as int64 bytes), from the CSR rows of its
+    nodes. The key names the Laplacian: equal keys, equal bytes."""
+    comp = np.asarray(comp, dtype=np.int64)
+    start, deg = graph.indptr[comp], graph.indptr[comp + 1] - graph.indptr[comp]
+    row = np.repeat(np.arange(comp.size), deg)
+    entry = np.arange(row.size) + np.repeat(start - np.cumsum(deg) + deg, deg)
+    # comp and every CSR row ascend, so the positions come out sorted
+    return comp.size, (row * comp.size + np.searchsorted(comp, graph.indices[entry])).tobytes()
 
 
 def _laplacian(key):
@@ -185,6 +186,21 @@ def _characteristic(psi, step, sums):
                 buf[:, 0] = acc[j]
             np.add.reduce(terms, axis=1, out=acc[j])
     sums[:] = acc.transpose(2, 0, 1)
+
+
+def estimate_graphwave_memory_mb(
+    graph, scales=DEFAULT_SCALES, sample_points: int = DEFAULT_SAMPLE_POINTS
+) -> float:
+    """Upper bound on the working set of ``graphwave_embed``, in MB. Components
+    are embedded one at a time, so the k x k matrices are the largest one's:
+    five while ``eigh`` runs (``_laplacian``'s, LAPACK's copy, 2k^2 + 6k + 1
+    doubles of workspace, the eigenvectors), two beside ``_characteristic``'s
+    six blocks of min(k^2, ``_BLOCK_CELLS``) cells. Add the output and sums,
+    per node and CSR entry the component lists and keys, and 64 kB."""
+    k, n = max(map(len, graph.components()), default=0), graph.node_count
+    width = 2 * len(scales) * sample_points
+    cells = 5 * k * k + 6 * min(k * k, _BLOCK_CELLS) + (12 + 2 * sample_points + width) * k
+    return (8 * (cells + n * width) + 250 * n + 50 * graph.indices.size + 2**16) / 1e6
 
 
 def graphwave_embed(
@@ -283,7 +299,7 @@ def refex_features(graph, orbits, depth: int = 2) -> RefexFeatureMatrix:
     """
     if orbits.node_count != graph.node_count:
         raise EmbeddingError(f"{orbits.node_count} census rows for {graph.node_count} nodes")
-    deg, _, indices = graph.csr()
+    deg, indices = graph.degrees(), graph.indices
     rows = np.repeat(np.arange(graph.node_count), deg)
     o = orbits.counts
     cols = [

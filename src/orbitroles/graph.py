@@ -1,10 +1,10 @@
 """Immutable undirected simple graph plus node attribute tables.
 
-Edges are stored as sorted neighbor lists. External string ids map to
-dense indices; every matrix downstream is aligned to that index order.
-Directed inputs are symmetrized at load, but the original line order
-(source cites target) is retained so citation direction can be recovered
-for diversity scoring.
+Edges are stored as CSR arrays, built once at load and read by every
+stage. External string ids map to dense indices; every matrix downstream
+is aligned to that index order. Directed inputs are symmetrized at load,
+but the original line order (source cites target) is retained as an array
+so citation direction can be recovered for diversity scoring.
 
 The per-node CSVs (orbits, embeddings, roles) have one format with two
 halves: ``write_node_rows`` writes each node's row after the caller's
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,96 +30,88 @@ class GraphFormatError(ValueError):
     """Malformed edge-list or node-table input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph over dense node indices [0, N).
+    """Undirected simple graph over dense node indices [0, N), in CSR form.
 
-    ``adjacency[v]`` is the ascending tuple of v's neighbors: no self
-    loops, no duplicates, and u in adj(v) iff v in adj(u).
-    ``directed_pairs`` optionally records the as-read (source, target)
-    pairs of the input file; None for graphs with no direction info.
-    """
+    The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, ascending:
+    no self loops, no repeats, and u is a neighbour of v iff v is one of u.
+    ``directed_pairs`` optionally holds the as-read (source, target) pairs
+    of the input file as an (m, 2) array; None for graphs with no direction
+    info. All three are read-only int64 arrays."""
 
-    adjacency: tuple
-    edge_count: int
-    directed_pairs: tuple | None = None
-
-    def __post_init__(self):
-        total = sum(len(a) for a in self.adjacency)
-        if total != 2 * self.edge_count:
-            raise ValueError(
-                f"adjacency lists sum to {total}, expected {2 * self.edge_count}"
-            )
+    indptr: np.ndarray
+    indices: np.ndarray
+    directed_pairs: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return self.indptr.size - 1
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+    @property
+    def edge_count(self) -> int:
+        return self.indices.size // 2
 
     def degrees(self) -> np.ndarray:
-        return np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.node_count)
+        return np.diff(self.indptr)
 
-    def csr(self):
-        """Degrees, row pointers and ascending neighbour indices, all int64:
-        the neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``."""
-        deg = self.degrees()
-        indptr = np.zeros(deg.size + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.fromiter(
-            itertools.chain.from_iterable(self.adjacency), dtype=np.int64, count=int(indptr[-1])
-        )
-        return deg, indptr, indices
+    @cached_property
+    def adjacency(self) -> tuple:
+        """The neighbours of each node as an ascending tuple of Python ints,
+        for the oracle, whose bitmasks ``1 << w`` overflow int64 at w = 63."""
+        bounds, flat = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def edges(self):
-        """Yield each undirected edge once as (u, v) with u < v."""
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                if v > u:
-                    yield (u, v)
+        """Each undirected edge once as (u, v) with u < v, ascending."""
+        rows = np.repeat(np.arange(self.node_count), self.degrees())
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def components(self) -> list:
-        """Connected components as lists of node indices, ascending."""
-        n = self.node_count
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                u = frontier.pop()
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        frontier.append(w)
-            comp.sort()
-            out.append(comp)
-        return out
+        """Connected components as lists of node indices: each ascending,
+        in the order of their smallest nodes. Min-label hooking with pointer
+        jumping: each round hooks every tree's root to the least root across
+        its edges, then points every node at its root."""
+        parent = np.arange(self.node_count)
+        rows, cols = np.repeat(parent, self.degrees()), self.indices
+        while rows.size:
+            a, b = parent[rows], parent[cols]
+            # an edge inside one tree stays inside it
+            cross = a != b
+            rows, cols = rows[cross], cols[cross]
+            np.minimum.at(parent, a[cross], b[cross])
+            while not np.array_equal(parent[parent], parent):
+                parent = parent[parent]
+        # labels only fall, so each root is its component's smallest node
+        order = np.argsort(parent, kind="stable").tolist()
+        sizes = np.bincount(parent)
+        ends = np.cumsum(sizes[sizes > 0]).tolist()
+        return [order[a:b] for a, b in zip([0] + ends, ends)]
 
     @staticmethod
     def from_edges(node_count: int, edges, directed_pairs=None) -> "Graph":
-        """Build from an iterable of index pairs; dedups and symmetrizes."""
-        adj = [set() for _ in range(node_count)]
-        kept = 0
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u}, {v}) outside [0, {node_count})")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                kept += 1
-        return Graph(
-            adjacency=tuple(tuple(sorted(a)) for a in adj),
-            edge_count=kept,
-            directed_pairs=tuple(directed_pairs) if directed_pairs is not None else None,
-        )
+        """Build from index pairs (a sequence of pairs or an (m, 2) array);
+        drops self loops, dedups and symmetrizes. The first pair with an
+        endpoint outside [0, node_count) that is not a self loop raises."""
+        n = node_count
+        uv = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        keep = uv[:, 0] != uv[:, 1]
+        bad = keep & ((uv < 0) | (uv >= n)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"edge {tuple(uv[np.argmax(bad)].tolist())} outside [0, {n})")
+        u, v = uv[keep].T
+        # sort, then keep each run's first key: np.unique is many times slower
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indptr.flags.writeable = indices.flags.writeable = False
+        if directed_pairs is not None:
+            # a view, so that a caller's own array stays writeable
+            directed_pairs = np.asarray(directed_pairs, dtype=np.int64).reshape(-1, 2).view()
+            directed_pairs.flags.writeable = False
+        return Graph(indptr=indptr, indices=indices, directed_pairs=directed_pairs)
 
 
 @dataclass
@@ -152,9 +144,6 @@ class NodeTable:
     def index_of(self, external_id: str) -> int:
         return self._index[external_id]
 
-    def __contains__(self, external_id: str) -> bool:
-        return external_id in self._index
-
 
 def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = None):
     """Read a whitespace-separated edge list into (Graph, NodeTable).
@@ -173,25 +162,21 @@ def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = No
     if id_policy == "strict" and table is None:
         raise ValueError("strict id_policy requires a pre-loaded node table")
 
-    ids: list = list(table.external_ids) if table is not None else []
+    base = table if table is not None else NodeTable(external_ids=[])
+    ids = list(base.external_ids)
     index = {x: i for i, x in enumerate(ids)}
-    pairs = []
-    seen_pairs = set()
-    self_loops = 0
-    any_line = False
+    flat = []  # the two endpoints of every line, in line order
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            any_line = True
             tokens = line.split()
             if len(tokens) != 2:
                 raise GraphFormatError(
                     f"{path}:{lineno}: expected two tokens, got {len(tokens)}"
                 )
-            endpoints = []
             for tok in tokens:
                 if tok.startswith("#"):
                     raise GraphFormatError(
@@ -204,41 +189,30 @@ def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = No
                         )
                     index[tok] = len(ids)
                     ids.append(tok)
-                endpoints.append(index[tok])
-            u, v = endpoints
-            if u == v:
-                self_loops += 1
-                continue
-            if (u, v) not in seen_pairs:
-                seen_pairs.add((u, v))
-                pairs.append((u, v))
+                flat.append(index[tok])
 
-    if not any_line:
+    if not flat:
         raise GraphFormatError(f"{path}: empty edge list")
-    if self_loops:
-        logger.warning("%s: dropped %d self-loop(s)", path, self_loops)
-
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    del flat  # its slots would sit beside every array below
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        logger.warning("%s: dropped %d self-loop(s)", path, int(loops.sum()))
+        pairs = pairs[~loops]
+    # each ordered pair once, where it first appears
+    _, first = np.unique(pairs[:, 0] * len(ids) + pairs[:, 1], return_index=True)
+    pairs = pairs[np.sort(first)]
     graph = Graph.from_edges(len(ids), pairs, directed_pairs=pairs)
-    if table is not None:
-        out_table = NodeTable(
-            external_ids=ids,
-            categories=list(table.categories) + [None] * (len(ids) - len(table)),
-            extra={
-                k: list(col) + [""] * (len(ids) - len(table))
-                for k, col in table.extra.items()
-            },
-        )
-    else:
-        out_table = NodeTable(external_ids=ids)
-    # counting the components walks the whole graph, so only for a shown line
+    pad = len(ids) - len(base)
+    out_table = NodeTable(
+        external_ids=ids,
+        categories=list(base.categories) + [None] * pad,
+        extra={k: list(col) + [""] * pad for k, col in base.extra.items()},
+    )
+    # components() takes passes over the edges: only for a line that is shown
     if logger.isEnabledFor(logging.INFO):
-        logger.info(
-            "%s: %d nodes, %d edges, %d component(s)",
-            path,
-            graph.node_count,
-            graph.edge_count,
-            len(graph.components()),
-        )
+        n, m, c = graph.node_count, graph.edge_count, len(graph.components())
+        logger.info("%s: %d nodes, %d edges, %d component(s)", path, n, m, c)
     return graph, out_table
 
 

@@ -147,8 +147,7 @@ def estimate_census_memory_mb(graph) -> float:
     largest block of roots at 16 bytes per unit of work (dense rows and
     enumeration rows), and the N x 73 output with its transposed copy.
     """
-    n = graph.node_count
-    deg, indptr, indices = graph.csr()
+    n, deg, indptr, indices = graph.node_count, graph.degrees(), graph.indptr, graph.indices
     _, walks3 = _walks(deg, indptr, indices)
     work = _main_work(n, walks3)
     block = max(min(_BLOCK_CELLS, int(work.sum())), int(work.max(initial=0)))
@@ -176,8 +175,8 @@ class _Tables:
     """
 
     def __init__(self, graph):
-        n = self.n = graph.node_count
-        deg, indptr, indices = self.deg, self.indptr, self.indices = graph.csr()
+        n, deg, indptr, indices = graph.node_count, graph.degrees(), graph.indptr, graph.indices
+        self.n, self.deg, self.indptr, self.indices = n, deg, indptr, indices
         rows = self.rows = np.repeat(np.arange(n), deg)
         # sorting the entries by (column, row) is a permutation that is its
         # own inverse: the reversed entries

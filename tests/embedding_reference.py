@@ -40,7 +40,7 @@ def component_laplacian(graph, comp):
     lap = np.zeros((k, k), dtype=np.float64)
     for v in comp:
         i = pos[v]
-        lap[i, i] = graph.degree(v)
+        lap[i, i] = len(graph.adjacency[v])
         for w in graph.adjacency[v]:
             lap[i, pos[w]] = -1.0
     return lap

@@ -264,7 +264,7 @@ def test_c09_ale_threshold_analogue():
     # chain hanging off a clique (tadpole tail tip)
     tadpole = Graph.from_edges(5, [(0, 1), (1, 4), (2, 3), (2, 4), (3, 4)])
     oracle_counts = count_orbits_bruteforce(tadpole).counts
-    tail_tip = [v for v in range(5) if tadpole.degree(v) == 1][0]
+    tail_tip = [v for v in range(5) if tadpole.degrees()[v] == 1][0]
     five_node_orbits = np.flatnonzero(oracle_counts[tail_tip][15:]) + 15
     chain_orbit = int(five_node_orbits[0])
     index_ok = chain_orbit == 27

@@ -684,7 +684,7 @@ def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, 
     # the GraphWave counts travel back from a forked lane as from an inline
     # one; the corpus is 12 copies of one barbell, 132 nodes, so the sweep
     # samples with two workers (cap 100) and not with one
-    from orbitroles.embeddings import graphwave_embed
+    from orbitroles.embeddings import estimate_graphwave_memory_mb, graphwave_embed
 
     cap = 100 if threads == 2 else 20000
     cfg = write_config(
@@ -700,10 +700,11 @@ def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, 
     ) == 0
     metrics = json.loads((out / "manifest.json").read_text())["metrics"]
     assert metrics["workers"] == threads
-    assert metrics["graphwave"] == {"components": 12, "distinct_components": 1}
     graph, _ = load_edge_list(corpus / "edges.txt")
     meta = graphwave_embed(graph).meta
-    assert metrics["graphwave"] == {k: meta[k] for k in ("components", "distinct_components")}
+    counts = {k: meta[k] for k in ("components", "distinct_components")}
+    assert counts == {"components": 12, "distinct_components": 1}
+    assert metrics["graphwave"] == {"estimate_mb": estimate_graphwave_memory_mb(graph), **counts}
     if command == "pipeline":
         with open(out / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -722,6 +723,43 @@ def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, 
             assert 1 < distinct < n
             assert metrics["silhouette"] == {"rows": n, "distinct_rows": distinct}
     assert_no_children()
+
+
+class TestGraphWaveBudget:
+    """GraphWave's estimated working set is checked against
+    ``memory_budget_mb`` in stage embed, before the lane forks and so
+    before the census runs beside it."""
+
+    def _config(self, tmp_path, methods):
+        return write_config(
+            tmp_path / "cfg.ini",
+            BARBELL_CFG.replace("[pipeline]\n", "[pipeline]\nmemory_budget_mb = 0.1\nthreads = 2\n")
+            .replace("methods = graphwave,rolx", f"methods = {methods}"),
+        )
+
+    def test_pipeline_fails_in_embed_before_the_census(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        code = run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", self._config(tmp_path, "graphwave,rolx"), "--out", out,
+        )
+        assert code == 2
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith("stage=embed\nerror=estimated GraphWave working set ")
+        assert marker.endswith("exceeds the 0.1 MB budget; [embed] methods = rolx skips GraphWave\n")
+        assert not list(out.glob("*.csv"))
+        assert_no_children()
+
+    def test_staged_embed_fails_without_outputs(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            "embed", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", self._config(tmp_path, "graphwave"), "--out", out,
+        )
+        assert code == 1
+        assert "0.1 MB budget; [embed] methods = rolx skips GraphWave" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+        assert_no_children()
 
 
 def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):

@@ -5,6 +5,7 @@ from orbitroles.embeddings import (
     EmbeddingError,
     EmbeddingMatrix,
     embedding_to_csv,
+    estimate_graphwave_memory_mb,
     graphwave_embed,
     import_embedding,
     refex_features,
@@ -171,6 +172,36 @@ class TestGraphWave:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * k * k * 8
+
+    @pytest.mark.parametrize(
+        "name", ["ba-hub", "planted-many", "isolated", "pairs", "single-edge"]
+    )
+    def test_estimate_bounds_traced_peak(self, name):
+        # one BA component of 800 nodes, where the k x k matrices dominate;
+        # many small components; nodes alone, each its own component
+        import tracemalloc
+
+        g = {
+            "isolated": lambda: Graph.from_edges(3000, [(0, 1)]),
+            "pairs": lambda: Graph.from_edges(3000, [(i, i + 1) for i in range(0, 3000, 2)]),
+            "single-edge": lambda: Graph.from_edges(2, [(0, 1)]),
+        }.get(name, lambda: bench_graph(name))()
+        estimate = estimate_graphwave_memory_mb(g)
+        tracemalloc.start()
+        try:
+            graphwave_embed(g)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
+
+    def test_estimate_grows_with_the_largest_component(self):
+        # the k x k terms are those of the largest component, not of N
+        one = estimate_graphwave_memory_mb(Graph.from_edges(400, [(i, i + 1) for i in range(399)]))
+        many = estimate_graphwave_memory_mb(
+            Graph.from_edges(400, [(i, i + 1) for i in range(399) if i % 20 != 19])
+        )
+        assert one > 5 * 8 * 400**2 / 1e6 > 5 * many
 
     def test_repeat_runs_identical(self):
         g = er_graph(20, 0.2, 4)

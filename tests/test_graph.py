@@ -33,6 +33,7 @@ from orbitroles.planted import (
     star_template,
 )
 
+import graph_reference
 from util import er_graph, has_edge
 
 
@@ -114,13 +115,44 @@ class TestLoadEdgeList:
         path = write(tmp_path, "g.txt", "a b\n")
         graph, out = load_edge_list(path, id_policy="create", table=table)
         assert graph.node_count == 3
-        assert graph.degree(out.index_of("ghost")) == 0
+        assert graph.degrees()[out.index_of("ghost")] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_and_ids_match_the_set_loop(self, tmp_path, seed):
+        # repeated, reversed and self-loop lines; ids in order of first sight
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        lines = rng.integers(0, n, size=(int(rng.integers(1, 400)), 2)).tolist()
+        path = write(tmp_path, "g.txt", "".join(f"v{u} v{v}\n" for u, v in lines))
+        graph, table = load_edge_list(path)
+        assert table.external_ids == list(dict.fromkeys(f"v{x}" for line in lines for x in line))
+        pairs = list(dict.fromkeys(
+            (table.index_of(f"v{u}"), table.index_of(f"v{v}")) for u, v in lines if u != v
+        ))
+        want = graph_reference.from_edges(len(table), pairs, directed_pairs=pairs)
+        assert graph.directed_pairs.tolist() == [list(p) for p in want.directed_pairs]
+        assert graph.indices.tolist() == want.indices.tolist()
+
+    def test_memory_per_line(self, tmp_path):
+        # a citation file, n=20,000 and m=100,000: the set of seen pairs,
+        # the pair tuples and the neighbour sets took 365 bytes a line
+        import tracemalloc
+
+        lines = np.random.default_rng(3).integers(0, 20_000, size=(100_000, 2))
+        path = write(tmp_path, "g.txt", "".join(f"p{u} p{v}\n" for u, v in lines.tolist()))
+        tracemalloc.start()
+        try:
+            load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * len(lines)
 
     def test_direction_pairs_follow_line_order(self, tmp_path):
         path = write(tmp_path, "g.txt", "a b\nc a\n")
         graph, table = load_edge_list(path)
         a, b, c = (table.index_of(x) for x in "abc")
-        assert graph.directed_pairs == ((a, b), (c, a))
+        assert graph.directed_pairs.tolist() == [[a, b], [c, a]]
 
 
 class TestNodeTable:
@@ -345,6 +377,60 @@ class TestGraphInvariants:
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         comps = g.components()
         assert comps == [[0, 1], [2, 3], [4]]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, pairs): random pairs over n nodes with repeats, reversed pairs,
+    self loops and isolated nodes, for n from 0 to past 63; sometimes with
+    one endpoint outside [0, n) somewhere in the list."""
+    n = draw(st.sampled_from([0, 1, 2, 63, 64, 100]) | st.integers(0, 40))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n)) if n else []
+    pairs += [p[::-1] for p in draw(st.lists(st.sampled_from(pairs)))] if pairs else []
+    pairs = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        bad = draw(st.tuples(st.integers(-2, n + 2), st.sampled_from([-1, n, n + 5])))
+        pairs.insert(draw(st.integers(0, len(pairs))), bad[:: draw(st.sampled_from([1, -1]))])
+    return n, pairs
+
+
+class TestGraphArraysEqualReference:
+    """``from_edges`` and ``components`` against the set loop and the BFS
+    they replaced (``tests/graph_reference.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_csr_components_and_pairs(self, case):
+        n, pairs = case
+        try:
+            want = graph_reference.from_edges(n, pairs, directed_pairs=pairs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Graph.from_edges(n, pairs, directed_pairs=pairs)
+            assert str(info.value) == str(exc)
+            return
+        got = Graph.from_edges(n, pairs, directed_pairs=pairs)
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.edge_count == want.edge_count
+        assert got.components() == want.components()
+        assert got.directed_pairs.tolist() == [list(p) for p in want.directed_pairs]
+        assert got.adjacency == want.adjacency
+        assert list(got.edges()) == [(u, v) for u, row in enumerate(want.adjacency) for v in row if v > u]
+        for arr in (got.indptr, got.indices, got.directed_pairs):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+
+    def test_self_loop_outside_range_skipped_as_before(self):
+        pairs = [(0, 1), (5, 5), (-1, -1), (2, 7), (9, 0)]
+        with pytest.raises(ValueError, match=re.escape("edge (2, 7) outside [0, 4)")):
+            Graph.from_edges(4, pairs)
+
+    def test_components_of_long_path_in_shuffled_order(self):
+        # labels must flow the whole length of the path
+        order = np.random.default_rng(0).permutation(500).tolist()
+        g = Graph.from_edges(501, list(zip(order, order[1:])))
+        assert g.components() == [list(range(500)), [500]]
 
 
 class TestPlantedGraphs:
