@@ -70,7 +70,13 @@ from .embeddings import (
 )
 from .graph import load_edge_list, load_node_table, write_edge_list, write_node_table
 from .manifest import RunManifest, load_manifest
-from .orbits import count_orbits, log_transform, orbits_from_csv, orbits_to_csv
+from .orbits import (
+    count_orbits,
+    estimate_census_memory_mb,
+    log_transform,
+    orbits_from_csv,
+    orbits_to_csv,
+)
 from .planted import (
     barbell_template,
     chain_template,
@@ -170,23 +176,32 @@ def _workers(cfg, manifest) -> int:
     return workers
 
 
-def _graphwave_lane(graph, table, cfg, out, manifest) -> Task:
+def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
     """GraphWave and its CSV as the task that ``_embed`` joins: forked now
     when there are two or more workers, otherwise run inline when joined.
     GraphWave's estimated working set is first checked, in the parent,
     against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``.
-    Use it as a context manager, so that a failure before the join kills
-    and reaps the worker."""
-    ec = cfg.embed
+    When the lane forks and the caller runs the census beside it
+    (``census``), the two estimates are checked together as well. Use it
+    as a context manager, so that a failure before the join kills and
+    reaps the worker."""
+    ec, budget = cfg.embed, cfg.memory_budget_mb
+    fork = _workers(cfg, manifest) > 1 and "graphwave" in ec.methods
     if "graphwave" in ec.methods:
         est = estimate_graphwave_memory_mb(graph, ec.graphwave_scales, ec.sample_points)
         manifest.metrics["graphwave"] = {"estimate_mb": est}
-        if est > cfg.memory_budget_mb:
+        if est > budget:
             raise EmbeddingError(
                 f"estimated GraphWave working set {est:.1f} MB exceeds the "
-                f"{cfg.memory_budget_mb:g} MB budget; [embed] methods = rolx skips GraphWave"
+                f"{budget:g} MB budget; [embed] methods = rolx skips GraphWave"
             )
-    fork = _workers(cfg, manifest) > 1 and "graphwave" in ec.methods
+        beside = estimate_census_memory_mb(graph) if fork and census else 0.0
+        if beside and est + beside > budget:
+            raise EmbeddingError(
+                f"estimated GraphWave working set {est:.1f} MB and census working set "
+                f"{beside:.1f} MB, side by side, exceed the {budget:g} MB budget; "
+                "threads = 1 runs them one after the other"
+            )
     return Task(partial(_native_embedding, graph, table, cfg, out, "graphwave"), fork)
 
 
@@ -304,6 +319,7 @@ def _explain(model, features, labels, threshold, ex, out, manifest, seed, suffix
     manifest.metrics[f"explain{suffix}"] = {
         "holdout_accuracy": model.holdout_accuracy,
         "tree_nodes": sum(len(tree.feature) for tree in model.trees),
+        "fit_rounds": model.fit_rounds,
         "features_used": len(model.features_used()),
         "importance_cells": report.meta["cells"],
         "skipped_curves": skipped,
@@ -418,7 +434,7 @@ def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
 
         # GraphWave's lane runs beside the census, features and RolX
         stage.enter("embed")
-        with _graphwave_lane(graph, table, cfg, out, manifest) as lane:
+        with _graphwave_lane(graph, table, cfg, out, manifest, census=True) as lane:
             stage.enter("census")
             orbits = _census(graph, table, cfg, out, manifest)
             features = _features(orbits, cfg, manifest)
@@ -577,9 +593,9 @@ def _cmd_embed(args) -> int:
     cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
     manifest = _start("embed", cfg, {"graph": args.graph, "labels": args.labels})
-    with _graphwave_lane(graph, table, cfg, out, manifest) as lane:
-        # RolX's census, beside the GraphWave lane; only ``census`` writes it
-        rolx = "rolx" in cfg.embed.methods
+    # RolX's census, beside the GraphWave lane; only ``census`` writes it
+    rolx = "rolx" in cfg.embed.methods
+    with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as lane:
         orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
         embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
     widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)

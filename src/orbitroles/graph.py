@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -263,7 +264,7 @@ def load_node_table(path) -> NodeTable:
     if not ids:
         raise GraphFormatError(f"{path}: node table has no rows")
     if len(set(ids)) != len(ids):
-        dup = sorted({x for x in ids if ids.count(x) > 1})
+        dup = sorted(x for x, count in Counter(ids).items() if count > 1)
         raise GraphFormatError(f"{path}: duplicate id(s): {dup[:5]}")
     return NodeTable(external_ids=ids, categories=cats, extra=extra)
 

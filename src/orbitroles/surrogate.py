@@ -16,12 +16,23 @@ so the candidates, their Gini and the midpoint thresholds are those of a
 sort-and-scan search, and the trees are the same bit for bit
 (tests/surrogate_reference.py keeps that search).
 
-Importance, ALE and PDP all ask what the forest votes when one column
-reads other values, and one pass answers (``_pinned_votes``): every tree
-walks the rows once, and only a tree that splits on the column walks them
-again, reading the pinned value at the nodes that test it (``_Tree.leaves``).
-Summed in tree order, the votes are those of a whole-forest prediction
-on pinned copies of the rows, bit for bit, and no copy is made.
+The trees grow in lockstep (``_grow_forest``), in groups of up to
+``_LOCKSTEP_TREES``, because a split search costs about the same numpy
+calls on 10 rows as on 1,000. Each tree keeps its own depth-first stack
+and its own rng, so it draws and numbers its nodes as a tree grown alone
+would. A round pops the top node of every tree of the group, and one
+batched histogram scores them all, with keys offset per (node, drawn
+feature); the same batch partitions the rows of the nodes that split.
+
+The forest is walked as one packed set of node arrays (``_Pack``), all
+trees at once: the holdout accuracy, and the leaves behind importance and
+the effect curves. Importance, ALE and PDP all ask what the forest votes
+when one column reads other values, and one pass answers
+(``_pinned_votes``): every tree walks the rows once, and walks again only
+the rows whose walk reads the column, from the first node that tests it,
+reading the pinned value there. Summed tree by tree in tree order, the
+votes are those of a whole-forest prediction on pinned copies of the
+rows, bit for bit, and no copy is made.
 """
 
 from __future__ import annotations
@@ -33,9 +44,18 @@ import numpy as np
 
 from .seeds import derive_seed
 
-# most (cell, row, class) vote sums one pinned-vote pass holds; more cells
-# run in further passes
-_BLOCK_CELLS = 1 << 20
+# most (cell, row, class) vote sums one pinned-vote pass holds, and most
+# (tree, cell, row) entries one walk of the packed forest holds; more run
+# in further passes
+_BLOCK_CELLS = 1 << 18
+
+# about the most histogram keys one batch of a fit round holds (a batch
+# counts at most 8 bins a key, ``_best_splits``)
+_FIT_CELLS = 1 << 16
+
+# most trees grown in lockstep: a group holds its trees' rows and nodes
+# until its last tree is done
+_LOCKSTEP_TREES = 32
 
 # the curve kinds ``effect_curve`` draws
 EFFECT_KINDS = ("ALE", "PDP")
@@ -56,78 +76,121 @@ def _as_features(features):
 
 
 class _Tree:
-    """Flat-array decision tree; feature == -1 marks a leaf."""
+    """Flat-array decision tree: int64 ``feature`` (-1 marks a leaf),
+    ``left`` and ``right``, float64 ``threshold`` and (nodes, classes)
+    ``value``. Children are numbered after their parent, the right one
+    next to the left."""
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature, self.threshold, self.value = feature, threshold, value
+        self.left, self.right = left, right
 
-    def finalize(self):
-        self.feature = np.array(self.feature, dtype=np.int64)
-        self.threshold = np.array(self.threshold, dtype=np.float64)
-        self.left = np.array(self.left, dtype=np.int64)
-        self.right = np.array(self.right, dtype=np.int64)
-        self.value = np.array(self.value, dtype=np.float64)
 
-    def leaves(self, X, pinned=None, values=None, start=None):
-        """Leaf reached by every row of X, shape (cells, rows).
+@dataclass
+class _Pack:
+    """The nodes of every tree in one set of arrays: node i of tree t is
+    node ``root[t] + i``, and the children are numbered the same way.
+    Node ids are int32; a right child is numbered next to its left one, as
+    the fit numbers them, and the class votes stay in the trees' own
+    ``value`` arrays."""
 
-        Unpinned (``pinned`` None) there is one cell and each row reads
-        its own values. Pinned, wherever a node tests column ``pinned[q]``
-        row i of cell q reads ``values[q, i]``, and its own value
-        everywhere else. Each walk starts at the root, or at
-        ``start[q, i]`` when given.
-        """
-        n = X.shape[0]
-        cells = 1 if pinned is None else len(pinned)
-        row = np.tile(np.arange(n), cells)
-        if pinned is not None:
-            pin = np.repeat(pinned, n)
-            val = np.asarray(values).ravel()
-        if start is None:
-            node = np.zeros(cells * n, dtype=np.int64)
-        else:
-            node = np.array(start, dtype=np.int64).ravel()
-        live = np.flatnonzero(self.feature[node] >= 0)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    root: np.ndarray  # (trees + 1,): tree t owns nodes root[t]:root[t + 1]
+    values: list  # tree t's (nodes, classes) value
+
+    @classmethod
+    def of(cls, trees):
+        root = np.zeros(len(trees) + 1, dtype=np.int64)
+        np.cumsum([tree.feature.size for tree in trees], out=root[1:])
+        feature = np.concatenate([tree.feature for tree in trees]).astype(np.int32)
+        left = np.concatenate([tree.left for tree in trees])
+        left = np.where(feature >= 0, left + np.repeat(root[:-1], np.diff(root)), -1)
+        return cls(
+            feature,
+            np.concatenate([tree.threshold for tree in trees]),
+            left.astype(np.int32),
+            root,
+            [tree.value for tree in trees],
+        )
+
+    def walk(self, X, node, row, pin=None, val=None):
+        """Leaf that row ``row[e]`` of X reaches from node ``node[e]``, for
+        every entry e. Wherever a node tests column ``pin[e]``, entry e
+        reads ``val[e]`` instead of its row's own value."""
+        node = node.copy()
+        flat, cell = np.ascontiguousarray(X).ravel(), row * np.int64(X.shape[1])
+        live = np.flatnonzero(self.feature.take(node) >= 0)
         while live.size:
-            at = node[live]
-            feat = self.feature[at]
-            x = X[row[live], feat]
-            if pinned is not None:
-                x = np.where(feat == pin[live], val[live], x)
-            at = np.where(x <= self.threshold[at], self.left[at], self.right[at])
+            at = node.take(live)
+            feat = self.feature.take(at)
+            x = flat.take(cell.take(live) + feat)
+            if pin is not None:
+                x = np.where(feat == pin.take(live), val.take(live), x)
+            at = self.left.take(at) + ~(x <= self.threshold.take(at))
             node[live] = at
-            live = live[self.feature[at] >= 0]
-        return node.reshape(cells, n)
+            live = live[self.feature.take(at) >= 0]
+        return node
 
-    def predict_proba(self, X):
-        return self.value[self.leaves(X)[0]]
+    def leaves(self, X):
+        """(trees, rows) leaf of every row of X in every tree, walked in
+        passes of at most ``_BLOCK_CELLS`` (tree, row) entries."""
+        n, trees = X.shape[0], self.root.size - 1
+        per_pass = max(1, _BLOCK_CELLS // max(1, n))
+        out = np.empty((trees, n), dtype=np.int32)
+        for t0 in range(0, trees, per_pass):
+            roots = self.root[t0 : min(t0 + per_pass, trees)]
+            rows = np.tile(np.arange(n, dtype=np.int32), roots.size)
+            node = self.walk(X, np.repeat(roots.astype(np.int32), n), rows)
+            out[t0 : t0 + roots.size] = node.reshape(roots.size, n)
+        return out
 
-    def first_splits(self, n_features):
-        """(nodes, features) table: the shallowest proper ancestor of each
-        node that splits on each feature, or -1. A row whose walk ends in
-        leaf L first reads feature f at node ``first_splits[L, f]``."""
-        table = np.full((self.feature.size, n_features), -1, dtype=np.int64)
-        # children are numbered after their parent
-        for node in np.flatnonzero(self.feature >= 0).tolist():
-            below = table[node].copy()
-            f = self.feature[node]
-            if below[f] < 0:
-                below[f] = node
-            table[self.left[node]] = below
-            table[self.right[node]] = below
+    def vote(self, t, leaf):
+        """Class votes (..., classes) of tree t's leaves ``leaf``."""
+        return self.values[t].take(leaf - self.root[t], axis=0)
+
+    def add_votes(self, votes, leaves):
+        """Add the class votes of ``leaves`` (trees, ...) to ``votes``
+        (..., classes), tree by tree in tree order."""
+        for t, leaf in enumerate(leaves):
+            votes += self.vote(t, leaf)
+        return votes
+
+    def first_splits(self, t0, t1, feats):
+        """(nodes, features) table over the nodes of trees t0..t1 - 1, node
+        ``root[t0]`` first: the shallowest proper ancestor of each node
+        that splits on ``feats[j]``, or -1. A row whose walk ends in leaf L
+        first reads that feature at node ``table[L - root[t0], j]``."""
+        base = self.root[t0]
+        table = np.full((self.root[t1] - base, feats.size), -1, dtype=np.int32)
+        parents = self.root[t0:t1]
+        while parents.size:
+            parents = parents[self.feature[parents] >= 0]
+            kids = np.concatenate([self.left[parents], self.left[parents] + 1])
+            parents = np.concatenate([parents, parents])
+            above = table[parents - base]
+            first = (above < 0) & (self.feature[parents][:, None] == feats)
+            table[kids - base] = np.where(first, parents[:, None], above)
+            parents = kids
         return table
+
+    def uses(self, n_features):
+        """(trees, features) mask: whether tree t splits on feature f."""
+        tree = np.repeat(np.arange(self.root.size - 1), np.diff(self.root))
+        split = self.feature >= 0
+        mask = np.zeros((self.root.size - 1, n_features), dtype=bool)
+        mask[tree[split], self.feature[split]] = True
+        return mask
 
 
 def _gini_from_counts(counts, totals):
     # (m, classes) counts over m positive totals
     frac = counts / totals[:, None]
-    return 1.0 - (frac * frac).sum(axis=1)
+    frac *= frac
+    return 1.0 - frac.sum(axis=1)
 
 
 @dataclass
@@ -142,7 +205,9 @@ class _RankCodes:
 
     @classmethod
     def of(cls, X):
-        codes = np.empty((X.shape[1], X.shape[0]), dtype=np.int64)
+        # the smallest unsigned dtype that holds every code: a smaller
+        # table gathers faster
+        codes = np.empty((X.shape[1], X.shape[0]), dtype=np.min_scalar_type(X.shape[0]))
         values = []
         for f in range(X.shape[1]):
             distinct, codes[f] = np.unique(X[:, f], return_inverse=True)
@@ -151,96 +216,210 @@ class _RankCodes:
         return cls(codes, np.concatenate(values), start)
 
 
-def _best_split(ranks, y_idx, rows, class_counts, mtry, min_leaf, rng):
-    """(feature, threshold) of the lowest weighted Gini over the drawn
-    features, or feature -1 when no boundary leaves ``min_leaf`` rows on
-    both sides. Drawn feature j owns the histogram bins offset[j] + code."""
-    feats = rng.choice(ranks.codes.shape[0], size=mtry, replace=False)
-    n, n_classes = rows.size, class_counts.size
-    offset = np.zeros(mtry + 1, dtype=np.int64)
-    np.cumsum(ranks.start[feats + 1] - ranks.start[feats], out=offset[1:])
-    keys = ranks.codes[feats[:, None], rows] + offset[:-1, None]
-    rows_in_bin = np.bincount(keys.ravel(), minlength=offset[-1])
-    present = np.flatnonzero(rows_in_bin)
-    slot = np.empty(offset[-1], dtype=np.int64)
-    slot[present] = np.arange(present.size)
+def _best_splits(ranks, y_idx, rows, node, sizes, counts, feats, min_leaf):
+    """(feature, threshold) of each node of a batch: the lowest weighted
+    Gini over the node's drawn features, or feature -1 when no boundary
+    leaves ``min_leaf`` rows on both sides. ``rows`` holds the nodes' rows
+    end to end and ``node`` the node of each; node k has ``sizes[k]`` rows
+    and class counts ``counts[k]``, and drew ``feats[k]``. Its j-th drawn
+    feature is pair p = k * mtry + j, which owns the histogram bins
+    offset[p] + code. A batch with many more bins than keys finds its
+    present bins by sorting the keys instead of counting every bin."""
+    n_nodes, mtry = feats.shape
+    n_classes = counts.shape[1]
+    pair_feat = feats.ravel()
+    offset = np.zeros(pair_feat.size + 1, dtype=np.int64)
+    (ranks.start.take(pair_feat + 1) - ranks.start.take(pair_feat)).cumsum(out=offset[1:])
+    # take, and methods rather than functions: a batch is a few nodes, so
+    # call overhead counts
+    at = (feats * ranks.codes.shape[1]).take(node, axis=0) + rows[:, None]
+    keys = ranks.codes.ravel().take(at) + offset[:-1].reshape(n_nodes, mtry).take(node, axis=0)
+    if offset[-1] > 8 * keys.size:
+        present, slot, rows_in_bin = np.unique(keys, return_inverse=True, return_counts=True)
+    else:
+        rows_in_bin = np.bincount(keys.ravel(), minlength=offset[-1])
+        present = rows_in_bin.nonzero()[0]
+        rows_in_bin = rows_in_bin.take(present)
+        slot = np.empty(offset[-1], dtype=np.int64)
+        slot[present] = np.arange(present.size)
+        slot = slot.take(keys)
+    # slot: the present bin of each key; rows_in_bin: the rows of each
     hist = np.bincount(
-        (slot[keys] * n_classes + y_idx[rows]).ravel(), minlength=present.size * n_classes
+        (slot.reshape(keys.shape) * n_classes + y_idx.take(rows)[:, None]).ravel(),
+        minlength=present.size * n_classes,
     ).reshape(present.size, n_classes)
-    # every row sits in one bin of each feature, so the counts below a
-    # feature's bins are j whole nodes
-    bounds = np.searchsorted(present, offset)
-    seg = np.repeat(np.arange(mtry), bounds[1:] - bounds[:-1])
-    nl = np.cumsum(rows_in_bin[present]) - seg * n
-    # a split after code c sends codes <= c left; a feature's last present
+    # every row sits in one bin of each pair, so the counts below a pair's
+    # bins are those of the whole pairs before it
+    bounds = present.searchsorted(offset)
+    seg = np.arange(pair_feat.size).repeat(bounds[1:] - bounds[:-1])
+    pair_rows = sizes.repeat(mtry)
+    pair_counts = counts.repeat(mtry, axis=0)
+    n = pair_rows.take(seg)
+    nl = rows_in_bin.cumsum() - (pair_rows.cumsum() - pair_rows).take(seg)
+    # a split after code c sends codes <= c left; a pair's last present
     # code leaves nothing on the right
     valid = (nl >= min_leaf) & (n - nl >= min_leaf)
     valid[bounds[1:] - 1] = False
-    cand = np.flatnonzero(valid)
+    cand = valid.nonzero()[0]
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    threshold = np.zeros(n_nodes)
     if not cand.size:
-        return -1, 0.0
-    m = cand.size
-    left = np.cumsum(hist, axis=0)[cand] - seg[cand, None] * class_counts
-    nl = nl[cand].astype(np.float64)
+        return feature, threshold
+    m, pair = cand.size, seg.take(cand)
+    below = pair_counts.cumsum(axis=0) - pair_counts
+    left = hist.cumsum(axis=0).take(cand, axis=0) - below.take(pair, axis=0)
+    nl = nl.take(cand).astype(np.float64)
+    n = n.take(cand)
     nr = n - nl
-    counts = np.concatenate([left, class_counts - left]).astype(np.float64)
-    gini = _gini_from_counts(counts, np.concatenate([nl, nr]))
+    split_counts = np.concatenate([left, pair_counts.take(pair, axis=0) - left])
+    gini = _gini_from_counts(split_counts, np.concatenate([nl, nr]))
     weighted = (nl * gini[:m] + nr * gini[m:]) / n
-    # within a feature the first minimum wins; across features, draw order
-    # and a 1e-15 margin decide
-    starts = np.searchsorted(seg[cand], np.arange(mtry + 1))
-    firsts = starts[:-1][starts[:-1] < starts[1:]]
-    best, pick = np.inf, -1
-    for k, w in enumerate(np.minimum.reduceat(weighted, firsts).tolist()):
-        if w < best - 1e-15:
-            best, pick = w, k
-    lo = firsts[pick]
-    hi = firsts[pick + 1] if pick + 1 < firsts.size else m
-    p = cand[lo + int(weighted[lo:hi].argmin())]
-    j = seg[p]
-    base = ranks.start[feats[j]] - offset[j]
-    thr = 0.5 * (ranks.values[base + present[p]] + ranks.values[base + present[p + 1]])
-    return int(feats[j]), thr
+    # within a pair the first minimum wins; across a node's pairs, draw
+    # order and a 1e-15 margin decide
+    firsts = np.concatenate([[0], (pair[1:] != pair[:-1]).nonzero()[0] + 1])
+    pair_min = np.full(pair_feat.size, np.inf)
+    pair_min[pair.take(firsts)] = np.minimum.reduceat(weighted, firsts)
+    # (a batch holds one node of each tree of a lockstep group at most)
+    chosen = np.zeros(pair_feat.size, dtype=bool)
+    for k, row in enumerate(pair_min.reshape(n_nodes, mtry).tolist()):
+        best, pick = np.inf, -1
+        for j, w in enumerate(row):
+            if w < best - 1e-15:
+                best, pick = w, j
+        if pick >= 0:
+            chosen[k * mtry + pick] = True
+    # the first candidate at its pair's minimum, in each chosen pair
+    hits = (chosen.take(pair) & (weighted == pair_min.take(pair))).nonzero()[0]
+    pair = pair.take(hits)
+    first = np.ones(hits.size, dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    p, pair = cand.take(hits[first]), pair[first]
+    base = ranks.start.take(pair_feat.take(pair)) - offset.take(pair)
+    feature[pair // mtry] = pair_feat.take(pair)
+    threshold[pair // mtry] = 0.5 * (
+        ranks.values.take(base + present.take(p)) + ranks.values.take(base + present.take(p + 1))
+    )
+    return feature, threshold
 
 
-def _grow_tree(X, ranks, y_idx, n_classes, sample_rows, min_leaf, rng):
+def _split_rows(flat, n_features, y_idx, n_classes, rows, node, feature, threshold):
+    """The children of every node k of a batch: child 2k gets the rows of
+    node k whose value of ``feature[k]`` is at most ``threshold[k]``, and
+    child 2k + 1 the others (a node with feature -1 reads column 0).
+    Returns the rows grouped by child in their order, where child c owns
+    ``rows[edge[c]:edge[c + 1]]``, and the children's class counts."""
+    x = flat.take(rows * np.int64(n_features) + np.maximum(feature, 0).take(node))
+    child = 2 * node + ~(x <= threshold.take(node))
+    n_children = 2 * feature.size
+    edge = np.zeros(n_children + 1, dtype=np.int64)
+    np.bincount(child, minlength=n_children).cumsum(out=edge[1:])
+    counts = np.bincount(child * n_classes + y_idx.take(rows), minlength=n_children * n_classes)
+    # the smallest dtype that holds every child sorts by radix
+    order = child.astype(np.min_scalar_type(n_children)).argsort(kind="stable")
+    return rows.take(order), edge, counts.reshape(n_children, n_classes)
+
+
+def _grow_forest(X, ranks, y_idx, n_classes, boots, rngs, min_leaf):
+    """One tree per (bootstrap rows, rng), grown in lockstep; returns the
+    trees and the number of rounds.
+
+    Each tree keeps a depth-first stack of its nodes that need a split
+    search (impure, with 2 * ``min_leaf`` rows or more). A round pops the
+    top node of every tree that has one, and each draws its features from
+    its tree's rng. One ``_best_splits`` histogram scores the popped nodes,
+    in batches of about ``_FIT_CELLS`` keys, and the same batch splits
+    their rows (``_split_rows``). A tree draws and numbers its nodes in the
+    order of a tree grown alone. The new nodes and splits of a batch are
+    kept as arrays, and the trees are assembled from them at the end
+    (``_assemble``).
+    """
     mtry = max(1, int(np.sqrt(X.shape[1])))
-    tree = _Tree()
+    flat = np.ascontiguousarray(X).ravel()
+    counts = np.array([np.bincount(y_idx[rows], minlength=n_classes) for rows in boots])
+    size = np.ones(len(boots), dtype=np.int32)  # nodes numbered in each tree
+    # (tree, node, class counts) of every node and (tree, node, feature,
+    # threshold, left child) of every split
+    made = [(np.arange(len(boots)), np.zeros(len(boots), dtype=np.int32), counts)]
+    splits = []
+    stacks = [
+        [(0, rows, c)] if rows.size >= 2 * min_leaf and max(c) < rows.size else []
+        for rows, c in zip(boots, counts.tolist())
+    ]
+    del boots  # the stacks hold the roots' rows, until they split
+    rounds = 0
+    while any(stacks):
+        rounds += 1
+        popped = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
+        feats = np.array([
+            rngs[t].choice(X.shape[1], size=mtry, replace=False) for t, *_ in popped
+        ])
+        sizes = np.array([rows.size for _, _, rows, _ in popped])
+        # a new batch wherever the running count of keys passes a multiple
+        # of the bound; its bins are at most 8 times its keys
+        batch_of = (sizes * mtry).cumsum() // _FIT_CELLS
+        ends = (batch_of[1:] != batch_of[:-1]).nonzero()[0] + 1
+        for k0, k1 in zip([0, *ends.tolist()], [*ends.tolist(), len(popped)]):
+            batch = popped[k0:k1]
+            rows = np.concatenate([r for _, _, r, _ in batch])
+            node = np.arange(len(batch)).repeat(sizes[k0:k1])
+            feature, threshold = _best_splits(
+                ranks, y_idx, rows, node, sizes[k0:k1],
+                np.array([c for *_, c in batch]), feats[k0:k1], min_leaf,
+            )
+            rows, edge, counts = _split_rows(
+                flat, X.shape[1], y_idx, n_classes, rows, node, feature, threshold
+            )
+            kid_rows = edge[1:] - edge[:-1]
+            split = ((feature >= 0) & (kid_rows[0::2] > 0) & (kid_rows[1::2] > 0)).nonzero()[0]
+            if not split.size:
+                continue
+            # the records are int32 but for the thresholds: all trees'
+            # nodes are held until the end
+            tree = np.array([t for t, *_ in batch], dtype=np.int32).take(split)
+            first = size.take(tree)
+            size[tree] += 2  # a batch holds one node of a tree at most
+            splits.append((
+                tree, np.array([at for _, at, *_ in batch], dtype=np.int32).take(split),
+                feature.take(split), threshold.take(split), first,
+            ))
+            kids, kid_ids = (2 * split).repeat(2), first.repeat(2)
+            kids[1::2] += 1
+            kid_ids[1::2] += 1
+            kid_counts, kid_rows = counts.take(kids, axis=0), kid_rows.take(kids)
+            made.append((tree.repeat(2), kid_ids, kid_counts.astype(np.int32)))
+            search = (kid_rows >= 2 * min_leaf) & (kid_counts.max(axis=1) < kid_rows)
+            edge, counts, search = edge.tolist(), counts.tolist(), search.tolist()
+            for i, (t, c, at) in enumerate(zip(tree.tolist(), kids[0::2].tolist(), first.tolist())):
+                # right child first, so that the left one is searched
+                # first; the right one may wait long and gets its own copy
+                # of its rows, which frees the batch's
+                if search[2 * i + 1]:
+                    right = rows[edge[c + 1] : edge[c + 2]].copy()
+                    stacks[t].append((at + 1, right, counts[c + 1]))
+                if search[2 * i]:
+                    stacks[t].append((at, rows[edge[c] : edge[c + 1]], counts[c]))
+    return _assemble(size, made, splits), rounds
 
-    def new_node():
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(None)
-        return len(tree.feature) - 1
 
-    stack = [(new_node(), sample_rows)]
-    while stack:
-        node, rows = stack.pop()
-        counts = np.bincount(y_idx[rows], minlength=n_classes)
-        tree.value[node] = counts / rows.size
-        if counts.max() == rows.size or rows.size < 2 * min_leaf:
-            continue
-        feat, thr = _best_split(ranks, y_idx, rows, counts, mtry, min_leaf, rng)
-        if feat < 0:
-            continue
-        go_left = X[rows, feat] <= thr
-        left_rows = rows[go_left]
-        right_rows = rows[~go_left]
-        if not left_rows.size or not right_rows.size:
-            continue
-        tree.feature[node] = feat
-        tree.threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        tree.left[node] = left_id
-        tree.right[node] = right_id
-        # right pushed first so the left branch grows first (fixed rng order)
-        stack.append((right_id, right_rows))
-        stack.append((left_id, left_rows))
-    tree.finalize()
-    return tree
+def _assemble(size, made, splits):
+    """The trees of ``_grow_forest`` from its node and split records; tree
+    t has ``size[t]`` nodes."""
+    root = np.zeros(size.size + 1, dtype=np.int64)
+    np.cumsum(size, out=root[1:])
+    feature = np.full(root[-1], -1, dtype=np.int64)
+    threshold = np.zeros(root[-1])
+    left = np.full(root[-1], -1, dtype=np.int64)
+    value = np.empty((root[-1], made[0][2].shape[1]))
+    for tree, node, counts in made:
+        value[root.take(tree) + node] = counts / counts.sum(axis=1, keepdims=True)
+    for tree, node, feat, thr, first in splits:
+        at = root.take(tree) + node
+        feature[at], threshold[at], left[at] = feat, thr, first
+    right = np.where(left >= 0, left + 1, -1)
+    trees = []
+    for a, b in zip(root[:-1].tolist(), root[1:].tolist()):
+        trees.append(_Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b]))
+    return trees
 
 
 @dataclass
@@ -255,13 +434,13 @@ class SurrogateForest:
     train_idx: np.ndarray
     test_idx: np.ndarray
     params: dict = field(default_factory=dict)
+    fit_rounds: int = 0  # lockstep rounds of the fit, summed over the groups
 
     def predict_proba(self, X):
         X = _as_features(X)
-        acc = np.zeros((X.shape[0], len(self.class_labels)))
-        for tree in self.trees:
-            acc += tree.predict_proba(X)
-        return acc / len(self.trees)
+        pack = _Pack.of(self.trees)
+        votes = np.zeros((X.shape[0], len(self.class_labels)))
+        return pack.add_votes(votes, pack.leaves(X)) / len(self.trees)
 
     def predict(self, X):
         probs = self.predict_proba(X)
@@ -317,11 +496,21 @@ def train_surrogate(
         raise SurrogateError("training split collapsed to a single class")
 
     ranks = _RankCodes.of(X)
-    forest = []
-    for i in range(trees):
-        rng = np.random.default_rng(derive_seed(seed, "tree", i))
-        boot = train_idx[rng.integers(0, train_idx.size, train_idx.size)]
-        forest.append(_grow_tree(X, ranks, y_idx, class_labels.size, boot, min_leaf, rng))
+    forest, rounds = [], 0
+    for g in range(0, trees, _LOCKSTEP_TREES):
+        rngs = [
+            np.random.default_rng(derive_seed(seed, "tree", i))
+            for i in range(g, min(g + _LOCKSTEP_TREES, trees))
+        ]
+        # int32 rows, and no name kept for them here: every tree's rows
+        # wait on its stack at once, and the fit frees them as roots split
+        draws = (r.integers(0, train_idx.size, train_idx.size) for r in rngs)
+        group, group_rounds = _grow_forest(
+            X, ranks, y_idx, class_labels.size,
+            [train_idx[d].astype(np.int32) for d in draws], rngs, min_leaf,
+        )
+        forest += group
+        rounds += group_rounds
 
     model = SurrogateForest(
         trees=forest,
@@ -338,6 +527,7 @@ def train_surrogate(
             "split": "gini",
             "mtry": "sqrt",
         },
+        fit_rounds=rounds,
     )
     pred = model.predict(X[test_idx])
     model.holdout_accuracy = float((pred == y[test_idx]).mean())
@@ -365,28 +555,56 @@ class ImportanceReport:
                 writer.writerow([rank, o, repr(float(mean)), repr(float(std))])
 
 
-def _pinned_votes(trees, X, leaves, features, values):
-    """Yield (cells, votes) per pass of at most ``_BLOCK_CELLS`` vote sums
-    (one cell at least) over ``range(features.size)``: ``votes[q, i]`` are
-    the class votes of ``trees``, summed in tree order, for row i of X with
-    column ``features[q]`` read as ``values(cells)[q, i]``. ``leaves[t]``
-    holds tree t's unpinned leaf of each row: a tree that never splits on
-    the feature votes it, and one that does re-walks each row from the
-    row's first node on the feature (``_Tree.first_splits``)."""
-    shape = (X.shape[0], trees[0].value.shape[1])
-    per_pass = max(1, _BLOCK_CELLS // max(1, shape[0] * shape[1]))
+def _pinned_votes(pack, X, leaves, features, values):
+    """Yield (cells, votes) per pass over ``range(features.size)``:
+    ``votes[q, i]`` are the class votes of the forest, summed in tree
+    order, for row i of X with column ``features[q]`` read as
+    ``values(cells)[q, i]``. ``leaves[t]`` holds tree t's unpinned leaf of
+    each row. A tree that never splits on the feature votes it, and one
+    that does re-walks each row whose walk reads the feature, from the
+    row's first node on it (``_Pack.first_splits``). A pass holds at most
+    ``_BLOCK_CELLS`` (cell, row, class) vote sums, and walks its trees in
+    groups of at most ``_BLOCK_CELLS`` (tree, cell, row) entries (one cell
+    of one tree at least)."""
+    n_trees, n = leaves.shape
+    n_classes = pack.values[0].shape[1]
+    uses = pack.uses(X.shape[1])
+    per_pass = max(1, _BLOCK_CELLS // max(1, n * n_classes))
     for c0 in range(0, features.size, per_pass):
         cells = slice(c0, c0 + per_pass)
-        feats, vals = features[cells], values(cells)
-        votes = np.zeros((feats.size, *shape))
-        for tree, leaf in zip(trees, leaves):
-            moved = np.isin(feats, tree.feature)
-            np.add(votes, tree.value[leaf], out=votes, where=~moved[:, None, None])
-            if moved.any():
-                q = np.flatnonzero(moved)
-                start = tree.first_splits(X.shape[1])[leaf][:, feats[q]].T
-                start = np.where(start >= 0, start, leaf)
-                votes[q] += tree.value[tree.leaves(X, feats[q], vals[q], start)]
+        # int32 node, row and column ids keep a walk's entries small
+        feats, vals = features[cells].astype(np.int32), values(cells)
+        distinct, column = np.unique(feats, return_inverse=True)
+        votes = np.zeros((feats.size, n, n_classes))
+        per_walk = max(1, _BLOCK_CELLS // max(1, feats.size * n))
+        for t0 in range(0, n_trees, per_walk):
+            t1 = min(t0 + per_walk, n_trees)
+            moved = uses[t0:t1][:, feats]
+            t, q = np.nonzero(moved)
+            if t.size:
+                # (pair, row) entries, flat; only a row whose walk reads the
+                # pinned column moves
+                node = leaves[t0 + t]
+                table = pack.first_splits(t0, t1, distinct)
+                start = table.ravel().take(
+                    (node - pack.root[t0]) * distinct.size + column.take(q)[:, None]
+                ).ravel()
+                entry = (start >= 0).nonzero()[0]
+                pair, row = np.divmod(entry, n)
+                node.ravel()[entry] = pack.walk(
+                    X, start.take(entry), row.astype(np.int32), feats.take(q.take(pair)),
+                    vals.ravel().take(q.take(pair) * n + row),
+                )
+            # tree t0 + i re-walked the cells q[ends[i]:ends[i + 1]]
+            ends = np.searchsorted(t, np.arange(t1 - t0 + 1)).tolist()
+            for i in range(t1 - t0):
+                vote = pack.vote(t0 + i, leaves[t0 + i])
+                if ends[i] == ends[i + 1]:
+                    votes += vote
+                else:
+                    np.add(votes, vote, out=votes, where=~moved[i][:, None, None])
+                    at = slice(ends[i], ends[i + 1])
+                    votes[q[at]] += pack.vote(t0 + i, node[at])
         yield cells, votes
 
 
@@ -415,20 +633,17 @@ def permutation_importance(
     y = _as_labels(roles)
     X_test = X[model.test_idx]
     y_test = y[model.test_idx]
-    trees = model.trees
     n_rows, n_classes = X_test.shape[0], model.class_labels.size
-    leaves = [tree.leaves(X_test)[0] for tree in trees]
+    pack = _Pack.of(model.trees)
+    leaves = pack.leaves(X_test)
     used = np.array(sorted(model.features_used()), dtype=np.int64)
 
     def accuracy(votes):
         # votes: (..., rows, classes) sums over the trees in tree order
-        pred = model.class_labels[(votes / len(trees)).argmax(axis=-1)]
+        pred = model.class_labels[(votes / len(model.trees)).argmax(axis=-1)]
         return (pred == y_test).mean(axis=-1)
 
-    votes = np.zeros((n_rows, n_classes))
-    for tree, leaf in zip(trees, leaves):
-        votes += tree.value[leaf]
-    baseline = float(accuracy(votes))
+    baseline = float(accuracy(pack.add_votes(np.zeros((n_rows, n_classes)), leaves)))
 
     cell_feature = np.repeat(used, repeats)
     cell_repeat = np.tile(np.arange(repeats), used.size)
@@ -440,7 +655,7 @@ def permutation_importance(
         ])
 
     drops = np.empty(cell_feature.size)
-    for cells, votes in _pinned_votes(trees, X_test, leaves, cell_feature, shuffled):
+    for cells, votes in _pinned_votes(pack, X_test, leaves, cell_feature, shuffled):
         drops[cells] = baseline - accuracy(votes)
 
     rows = [(f, 0.0, 0.0) for f in range(X.shape[1])]
@@ -517,13 +732,13 @@ def effect_curve(
         members = np.argsort(bin_of, kind="stable")[population[0]:]
         rows = X[members]
         pins = np.stack([edges[bin_of[members]], edges[bin_of[members] - 1]])
-    trees = model.trees
-    leaves = [tree.leaves(rows)[0] for tree in trees]
+    pack = _Pack.of(model.trees)
+    cells = np.full(len(pins), orbit)
     probs = []
-    for _, votes in _pinned_votes(trees, rows, leaves, np.full(len(pins), orbit), pins.__getitem__):
+    for _, votes in _pinned_votes(pack, rows, pack.leaves(rows), cells, pins.__getitem__):
         # (classes, cells, rows): a mean over contiguous rows adds in the
         # order of numpy's mean over one column of predict_proba
-        p = np.ascontiguousarray((votes / len(trees)).transpose(2, 0, 1))
+        p = np.ascontiguousarray((votes / len(model.trees)).transpose(2, 0, 1))
         probs.append(p.mean(axis=-1) if kind == "PDP" else p)
     values = np.concatenate(probs, axis=1)
 

@@ -3,9 +3,13 @@
 Each node draws its features with the same ``rng.choice`` call as
 ``orbitroles.surrogate``, then, feature by feature, sorts the node's rows
 by value, takes the cumulative class counts over the sorted rows and
-scores every boundary between two distinct values. The production fit
-must grow the same trees bit for bit.
+scores every boundary between two distinct values. The trees grow one at
+a time. The production fit, which grows them in lockstep, must grow the
+same trees bit for bit. ``reference_leaves`` and ``reference_reads`` walk
+one tree row by row.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,7 +59,7 @@ def grow_tree(X, y_idx, n_classes, sample_rows, min_leaf, rng):
     y_onehot = np.zeros((X.shape[0], n_classes))
     y_onehot[np.arange(X.shape[0]), y_idx] = 1.0
     mtry = max(1, int(np.sqrt(X.shape[1])))
-    tree = _Tree()
+    tree = SimpleNamespace(feature=[], threshold=[], left=[], right=[], value=[])
 
     def new_node():
         tree.feature.append(-1)
@@ -89,14 +93,31 @@ def grow_tree(X, y_idx, n_classes, sample_rows, min_leaf, rng):
         # right pushed first so the left branch grows first (fixed rng order)
         stack.append((right_id, right_rows))
         stack.append((left_id, left_rows))
-    tree.finalize()
-    return tree
+    return _Tree(
+        np.array(tree.feature, dtype=np.int64),
+        np.array(tree.threshold, dtype=np.float64),
+        np.array(tree.left, dtype=np.int64),
+        np.array(tree.right, dtype=np.int64),
+        np.array(tree.value, dtype=np.float64),
+    )
 
 
-def reference_trees(model, features, roles, min_leaf=5):
+class CountingRng:
+    """A generator that counts its ``choice`` calls: one per split search."""
+
+    def __init__(self, rng):
+        self.rng, self.searches = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.searches += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def reference_trees(model, features, roles, min_leaf=5, searches=None):
     """Regrow every tree of ``model`` with the reference split search, from
     the model's own training rows and the tree seeds ``train_surrogate``
-    derives."""
+    derives. Each tree's number of split searches is appended to
+    ``searches`` when it is given."""
     X = _as_features(features)
     y_idx = np.searchsorted(model.class_labels, np.asarray(roles, dtype=np.int64))
     train_idx = model.train_idx
@@ -104,5 +125,29 @@ def reference_trees(model, features, roles, min_leaf=5):
     for i in range(len(model.trees)):
         rng = np.random.default_rng(derive_seed(model.seed, "tree", i))
         boot = train_idx[rng.integers(0, train_idx.size, train_idx.size)]
-        trees.append(grow_tree(X, y_idx, model.class_labels.size, boot, min_leaf, rng))
+        counting = CountingRng(rng)
+        trees.append(grow_tree(X, y_idx, model.class_labels.size, boot, min_leaf, counting))
+        if searches is not None:
+            searches.append(counting.searches)
     return trees
+
+
+def _walks(tree, X):
+    # (leaf, features read on the way) of every row of X, row by row
+    for x in np.asarray(X, dtype=np.float64):
+        node, read = 0, set()
+        while tree.feature[node] >= 0:
+            read.add(int(tree.feature[node]))
+            below = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if below else tree.right[node]
+        yield node, read
+
+
+def reference_leaves(tree, X):
+    """Local leaf of every row of X in one tree, walked row by row."""
+    return np.array([leaf for leaf, _ in _walks(tree, X)], dtype=np.int64)
+
+
+def reference_reads(tree, X):
+    """The set of features each row of X reads on its walk of one tree."""
+    return [read for _, read in _walks(tree, X)]

@@ -750,6 +750,40 @@ class TestGraphWaveBudget:
         assert not list(out.glob("*.csv"))
         assert_no_children()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lanes_side_by_side_checked_together(self, tmp_path, threads):
+        # BA n=2,000: GraphWave's estimate (168.2 MB) and the census's
+        # (19.8 MB) each fit a 170-MB budget, but not side by side on two
+        # workers; one worker runs them one after the other
+        from util import ba_graph
+
+        graph_file = tmp_path / "ba.txt"
+        graph_file.write_text(
+            "".join(f"n{u} n{v}\n" for u, v in ba_graph(2000, 4, 7).edges())
+        )
+        cfg = write_config(
+            tmp_path / "cfg.ini",
+            BA_CFG.replace(
+                "[pipeline]\n", f"[pipeline]\nmemory_budget_mb = 170\nthreads = {threads}\n"
+            )
+            .replace("k_max = 6\nchosen_k = 4", "k_max = 3\nchosen_k = 3")
+            .replace("trees = 10", "trees = 2")
+            .replace("effect_orbits = 0,27", "effect_orbits = 0"),
+        )
+        out = tmp_path / "out"
+        code = run("pipeline", graph_file, "--config", cfg, "--out", out)
+        if threads == 1:
+            assert code == 0 and not (out / "FAILED").exists()
+        else:
+            assert code == 2
+            assert (out / "FAILED").read_text() == (
+                "stage=embed\nerror=estimated GraphWave working set 168.2 MB and census "
+                "working set 19.8 MB, side by side, exceed the 170 MB budget; "
+                "threads = 1 runs them one after the other\n"
+            )
+            assert not list(out.glob("*.csv"))
+        assert_no_children()
+
     def test_staged_embed_fails_without_outputs(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(
@@ -856,7 +890,14 @@ def test_default_rolx_rank_runs_on_ba_graph(tmp_path):
 
 
 class TestExplainMetrics:
-    KEYS = {"holdout_accuracy", "tree_nodes", "features_used", "importance_cells", "skipped_curves"}
+    KEYS = {
+        "holdout_accuracy",
+        "tree_nodes",
+        "fit_rounds",
+        "features_used",
+        "importance_cells",
+        "skipped_curves",
+    }
 
     def test_subpopulation_skipped_curve_noted(self, corpus, tmp_path):
         # clique members and clique attachments all sit in one K5, so the
@@ -895,9 +936,10 @@ class TestExplainMetrics:
         assert orbits == {"0", "annotation"}
 
     def test_metrics_keys_and_csvs_equal_reference(self, corpus, tmp_path, monkeypatch):
-        # the pipeline with the reference split search and the whole-forest
-        # importance patched in writes the same bytes
-        from surrogate_reference import grow_tree
+        # the pipeline with the reference split search, its trees grown one
+        # at a time, and the whole-forest importance patched in writes the
+        # same bytes and counts as many rounds as its longest tree searches
+        from surrogate_reference import CountingRng, grow_tree
         from test_surrogate import reference_importance
 
         from orbitroles import cli, surrogate
@@ -915,10 +957,15 @@ class TestExplainMetrics:
                 rows, baseline, repeats, {"cells": repeats * len(model.features_used())}
             )
 
-        def reference_grow(X, ranks, y_idx, n_classes, rows, min_leaf, rng):
-            return grow_tree(X, y_idx, n_classes, rows, min_leaf, rng)
+        def reference_grow(X, ranks, y_idx, n_classes, boots, rngs, min_leaf):
+            counting = [CountingRng(rng) for rng in rngs]
+            trees = [
+                grow_tree(X, y_idx, n_classes, rows, min_leaf, rng)
+                for rows, rng in zip(boots, counting)
+            ]
+            return trees, max(rng.searches for rng in counting)
 
-        monkeypatch.setattr(surrogate, "_grow_tree", reference_grow)
+        monkeypatch.setattr(surrogate, "_grow_forest", reference_grow)
         monkeypatch.setattr(cli, "permutation_importance", reference_report)
         assert run(*args, "--out", tmp_path / "reference") == 0
 
@@ -936,6 +983,7 @@ class TestExplainMetrics:
             assert set(metrics["fast"][key]) == self.KEYS
             assert metrics["fast"][key] == metrics["reference"][key]
             assert metrics["fast"][key]["tree_nodes"] > 8
+            assert 0 < metrics["fast"][key]["fit_rounds"] < metrics["fast"][key]["tree_nodes"]
             assert 0 < metrics["fast"][key]["importance_cells"] <= 73 * 2
         assert metrics["fast"]["explain"]["holdout_accuracy"] == json.loads(
             (tmp_path / "fast" / "manifest.json").read_text()

@@ -188,6 +188,25 @@ class TestNodeTable:
         with pytest.raises(GraphFormatError, match="duplicate"):
             load_node_table(path)
 
+    def test_duplicate_ids_found_in_one_pass(self, tmp_path):
+        # 20,000 rows and one repeated id: one counting pass, not a count
+        # per id (which took seconds)
+        import time
+
+        rows = "".join(f"p{i},X\n" for i in range(20000)) + "p123,Y\n"
+        path = write(tmp_path, "n.csv", "id,category\n" + rows)
+        start = time.perf_counter()
+        with pytest.raises(GraphFormatError, match=re.escape("duplicate id(s): ['p123']")):
+            load_node_table(path)
+        assert time.perf_counter() - start < 1.0
+
+    def test_duplicate_ids_named_sorted_first_five(self, tmp_path):
+        ids = ["g", "b", "g", "f", "a", "e", "d", "c", "a", "b", "c", "d", "e", "f", "x"]
+        path = write(tmp_path, "n.csv", "id\n" + "".join(f"{i}\n" for i in ids))
+        with pytest.raises(GraphFormatError) as err:
+            load_node_table(path)
+        assert str(err.value).endswith("duplicate id(s): ['a', 'b', 'c', 'd', 'e']")
+
     def test_extra_columns_preserved(self, tmp_path):
         path = write(tmp_path, "n.csv", "id,category,year\na,X,2017\nb,,2018\n")
         table = load_node_table(path)

@@ -102,14 +102,9 @@ class TestTrainSurrogate:
         from orbitroles.surrogate import SurrogateForest, _Tree
 
         def leaf_tree(probs):
-            tree = _Tree()
-            tree.feature.append(-1)
-            tree.threshold.append(0.0)
-            tree.left.append(-1)
-            tree.right.append(-1)
-            tree.value.append(list(probs))
-            tree.finalize()
-            return tree
+            return _Tree(
+                np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([probs])
+            )
 
         model = SurrogateForest(
             trees=[leaf_tree([1.0, 0.0]), leaf_tree([0.0, 1.0])],
@@ -428,7 +423,44 @@ def _random_model(trees=15, seed=5):
     return train_surrogate(features, labels, trees=trees, seed=seed + 1), features, labels
 
 
+def _count_walks(monkeypatch):
+    """Record (pinned, entries) of every call of the packed walker."""
+    from orbitroles import surrogate
+
+    walks = []
+    original = surrogate._Pack.walk
+
+    def counting(pack, X, node, row, pin=None, val=None):
+        walks.append((pin is not None, node.size))
+        return original(pack, X, node, row, pin, val)
+
+    monkeypatch.setattr(surrogate._Pack, "walk", counting)
+    return walks
+
+
 class TestCachedExplainEqualsReference:
+    @pytest.mark.parametrize("block", [None, 1, 1000])
+    @pytest.mark.parametrize("make", [_planted_model, _random_model])
+    def test_predict_proba_equals_tree_order_sum(self, monkeypatch, make, block):
+        # the packed walk of all trees, in one pass or in passes of a few
+        # trees, votes what each tree's own leaves vote, added in tree order
+        from surrogate_reference import reference_leaves
+
+        from orbitroles import surrogate
+
+        model, features, _ = make()
+        X = features.values
+        votes = np.zeros((X.shape[0], model.class_labels.size))
+        for tree in model.trees:
+            votes += tree.value[reference_leaves(tree, X)]
+        if block is not None:
+            monkeypatch.setattr(surrogate, "_BLOCK_CELLS", block)
+        walks = _count_walks(monkeypatch)
+        assert np.array_equal(model.predict_proba(features), votes / len(model.trees))
+        assert sum(entries for _, entries in walks) == len(model.trees) * X.shape[0]
+        per_walk = len(model.trees) if block is None else max(1, block // X.shape[0])
+        assert len(walks) == -(-len(model.trees) // per_walk)
+
     @pytest.mark.parametrize("make", [_planted_model, _random_model])
     def test_importance_rows_and_baseline_exact(self, make):
         model, features, labels = make()
@@ -447,72 +479,94 @@ class TestCachedExplainEqualsReference:
                 assert (mean, std) == (0.0, 0.0)
 
     def test_tree_predictions_counted(self, monkeypatch):
-        # one unpinned pass per tree, and one pinned pass per tree that
-        # splits, over every (orbit, repeat) cell of the orbits it splits on
+        # one walk of every tree over every holdout row, then pinned walks:
+        # for each (orbit, repeat) cell, every tree walks again the rows
+        # whose walk reads the orbit, and no other row
+        from surrogate_reference import reference_reads
+
         from orbitroles import surrogate
 
         model, features, labels = _random_model(trees=9)
-        users = sum(len(set(t.feature[t.feature >= 0].tolist())) for t in model.trees)
-        calls = []
-        original = surrogate._Tree.leaves
-
-        def counting(tree, X, pinned=None, values=None, start=None):
-            calls.append(None if pinned is None else len(pinned))
-            return original(tree, X, pinned, values, start)
-
-        monkeypatch.setattr(surrogate._Tree, "leaves", counting)
+        X_test = features.values[model.test_idx]
+        reads = sum(len(r) for t in model.trees for r in reference_reads(t, X_test))
+        rows = model.test_idx.size
+        walks = _count_walks(monkeypatch)
+        predictions = []
+        monkeypatch.setattr(
+            surrogate.SurrogateForest, "predict_proba", lambda *a: predictions.append(a)
+        )
         repeats = 4
         report = permutation_importance(model, features, labels, repeats=repeats, seed=2)
-        pinned = [cells for cells in calls if cells is not None]
-        assert calls.count(None) == len(model.trees)
-        assert len(pinned) == sum(bool((t.feature >= 0).any()) for t in model.trees)
-        assert sum(pinned) == repeats * users
+        assert predictions == []
+        assert walks[0] == (False, len(model.trees) * rows)
+        pinned = [entries for is_pinned, entries in walks[1:] if is_pinned]
+        assert len(pinned) == len(walks) - 1
+        assert sum(pinned) == repeats * reads
+        assert max(pinned) <= surrogate._BLOCK_CELLS
         assert report.meta["cells"] == repeats * len(model.features_used())
 
     @pytest.mark.parametrize("make", [_planted_model, _random_model])
     def test_pinned_walk_equals_shuffled_copy(self, make):
-        # a pinned walk reaches the leaf of the explicitly shuffled rows,
-        # from the root or re-entering at the first node on the feature
+        # a pinned walk of the packed forest reaches the leaf of the
+        # explicitly shuffled rows, from the root or re-entering at the
+        # first node on the feature
+        from surrogate_reference import reference_leaves
+
+        from orbitroles.surrogate import _Pack
+
         model, features, _ = make()
         X = features.values[model.test_idx]
+        n = X.shape[0]
+        pack = _Pack.of(model.trees)
+        leaves = pack.leaves(X)
         rng = np.random.default_rng(4)
         reentered = 0
-        for tree in model.trees:
+        for t, tree in enumerate(model.trees):
+            root = pack.root[t]
+            assert np.array_equal(leaves[t], root + reference_leaves(tree, X))
             feats = np.unique(tree.feature[tree.feature >= 0])
-            sources = np.array([rng.permutation(X.shape[0]) for _ in feats])
+            sources = np.array([rng.permutation(n) for _ in feats])
             values = X[sources, feats[:, None]]
             want = []
             for f, src in zip(feats, sources):
                 shuffled = X.copy()
                 shuffled[:, f] = X[src, f]
-                want.append(tree.leaves(shuffled)[0])
-            leaf = tree.leaves(X)[0]
-            start = tree.first_splits(X.shape[1])[leaf][:, feats].T
-            start = np.where(start >= 0, start, leaf)
-            reentered += int((start != leaf).sum())
-            assert np.array_equal(tree.leaves(X, feats, values), np.array(want))
-            assert np.array_equal(tree.leaves(X, feats, values, start), np.array(want))
+                want.append(root + reference_leaves(tree, shuffled))
+            table = pack.first_splits(t, t + 1, feats)
+            start = table[leaves[t] - root].T
+            start = np.where(start >= 0, start, leaves[t])
+            reentered += int((start != leaves[t]).sum())
+            rows, pin = np.tile(np.arange(n), feats.size), np.repeat(feats, n)
+            from_root = pack.walk(X, np.full(feats.size * n, root), rows, pin, values.ravel())
+            from_start = pack.walk(X, start.ravel(), rows, pin, values.ravel())
+            assert np.array_equal(from_root.reshape(feats.size, n), np.array(want))
+            assert np.array_equal(from_start.reshape(feats.size, n), np.array(want))
         assert 0 < reentered
 
     def test_importance_in_several_passes_exact(self, monkeypatch):
+        # passes of 7 cells, each walking its trees in groups of as many
+        # trees as there are classes: no walk holds more (tree, cell, row)
+        # entries than the bound
+        from surrogate_reference import reference_reads
+
         from orbitroles import surrogate
 
         model, features, labels = _random_model(trees=6)
-        rows = model.test_idx.size * model.class_labels.size
-        monkeypatch.setattr(surrogate, "_BLOCK_CELLS", 7 * rows)
-        passes = []
-        original = surrogate._Tree.leaves
-
-        def counting(tree, X, pinned=None, values=None, start=None):
-            passes.append(pinned is not None)
-            return original(tree, X, pinned, values, start)
-
-        monkeypatch.setattr(surrogate._Tree, "leaves", counting)
+        X_test = features.values[model.test_idx]
+        reads = sum(len(r) for t in model.trees for r in reference_reads(t, X_test))
+        rows, classes = model.test_idx.size, model.class_labels.size
+        block = 7 * rows * classes
+        monkeypatch.setattr(surrogate, "_BLOCK_CELLS", block)
+        walks = _count_walks(monkeypatch)
         report = permutation_importance(model, features, labels, repeats=3, seed=8)
         reference, baseline = reference_importance(model, features, labels, 3, 8)
         assert report.rows == reference
         assert report.baseline_accuracy == baseline
-        assert sum(passes) > 3 * len(model.trees)  # the 3 x used cells took many passes
+        pinned = [entries for is_pinned, entries in walks if is_pinned]
+        passes = -(-report.meta["cells"] // 7)
+        assert passes > 3 and len(pinned) > passes  # several passes, several walks each
+        assert max(pinned) <= block
+        assert sum(pinned) == 3 * reads
 
     @pytest.mark.parametrize("make", [_planted_model, _random_model])
     def test_ale_grid_and_values_exact(self, make):
@@ -568,20 +622,17 @@ class TestCachedExplainEqualsReference:
 
     @pytest.mark.parametrize("kind", ["ALE", "PDP"])
     def test_curves_walk_each_tree_once_unpinned(self, monkeypatch, kind):
-        # no forest prediction: one unpinned walk per tree over the curve's
-        # rows, and one pinned walk per tree that splits on the orbit
+        # no forest prediction: one walk of every tree over the curve's
+        # rows, then, in each tree that splits on the orbit, pinned walks of
+        # every cell of the rows whose walk reads the orbit
+        from surrogate_reference import reference_reads
+
         from orbitroles import surrogate
 
         model, features, _ = _random_model()
         orbit = 17  # split on by 2 of the 15 trees
-        predictions, walks = [], []
-        original = surrogate._Tree.leaves
-
-        def counting(tree, X, pinned=None, values=None, start=None):
-            walks.append((id(tree), None if pinned is None else len(pinned), X.shape[0]))
-            return original(tree, X, pinned, values, start)
-
-        monkeypatch.setattr(surrogate._Tree, "leaves", counting)
+        predictions = []
+        walks = _count_walks(monkeypatch)
         monkeypatch.setattr(
             surrogate.SurrogateForest, "predict_proba", lambda *a: predictions.append(a)
         )
@@ -590,10 +641,15 @@ class TestCachedExplainEqualsReference:
         population = curves[0].bin_population
         rows = features.node_count if kind == "PDP" else int(population[1:].sum())
         cells = population.size if kind == "PDP" else 2
-        splitters = [id(t) for t in model.trees if orbit in t.feature]
-        assert 0 < len(splitters) < len(model.trees)
-        assert [w for w in walks if w[1] is None] == [(id(t), None, rows) for t in model.trees]
-        assert [w for w in walks if w[1] is not None] == [(t, cells, rows) for t in splitters]
+        splitters = sum(orbit in t.feature for t in model.trees)
+        assert 0 < splitters < len(model.trees)
+        x = features.values[:, orbit]
+        curve_rows = features.values if kind == "PDP" else features.values[x > x.min()]
+        reads = sum(orbit in r for t in model.trees for r in reference_reads(t, curve_rows))
+        assert 0 < reads < splitters * rows
+        assert walks[0] == (False, len(model.trees) * rows)
+        assert all(is_pinned for is_pinned, _ in walks[1:])
+        assert sum(entries for _, entries in walks[1:]) == cells * reads
 
 
 # --- histogram split search against the sort-and-scan reference ---------------
@@ -618,6 +674,10 @@ def _fit_cases():
     _, random_features, random_labels = _random_model(trees=1)
     twelve = np.random.default_rng(22).integers(0, 12, size=400)
     twelve[random_features.values[:, 3] > np.median(random_features.values[:, 3])] %= 3
+    # three rows of class 1: a bootstrap that draws none of them grows a
+    # single leaf, beside trees that split
+    rare = np.zeros(400, dtype=np.int64)
+    rare[[5, 102, 199]] = 1
     return {
         "planted": (planted_features, planted.true_role, {"trees": 8, "seed": 3}),
         "poisson-ties": (random_features, random_labels, {"trees": 8, "seed": 6}),
@@ -627,6 +687,14 @@ def _fit_cases():
             planted_features, planted.true_role, {"trees": 8, "seed": 5, "min_leaf": 40}
         ),
         "min-leaf-1": (random_features, random_labels, {"trees": 4, "seed": 8, "min_leaf": 1}),
+        # lockstep: many trees whose stacks empty at very different rounds
+        "sixteen-min-leaf-40": (
+            random_features, random_labels, {"trees": 16, "seed": 9, "min_leaf": 40}
+        ),
+        "sixteen-min-leaf-1": (
+            random_features, random_labels, {"trees": 16, "seed": 10, "min_leaf": 1}
+        ),
+        "single-leaf-trees": (random_features, rare, {"trees": 20, "seed": 0}),
     }
 
 
@@ -639,11 +707,21 @@ def _assert_same_trees(model, reference):
             assert np.array_equal(got, want), attr
 
 
+FIT_CASES = [
+    "planted",
+    "poisson-ties",
+    "ba-400",
+    "twelve-classes",
+    "large-min-leaf",
+    "min-leaf-1",
+    "sixteen-min-leaf-40",
+    "sixteen-min-leaf-1",
+    "single-leaf-trees",
+]
+
+
 class TestHistogramSplitEqualsReference:
-    @pytest.mark.parametrize(
-        "case",
-        ["planted", "poisson-ties", "ba-400", "twelve-classes", "large-min-leaf", "min-leaf-1"],
-    )
+    @pytest.mark.parametrize("case", FIT_CASES)
     def test_tree_arrays_exact(self, case):
         from surrogate_reference import reference_trees
 
@@ -658,6 +736,62 @@ class TestHistogramSplitEqualsReference:
             # most grown nodes could not be split further
             leaves = sum(int((t.feature < 0).sum()) for t in model.trees)
             assert leaves > sum(int((t.feature >= 0).sum()) for t in model.trees)
+        if case == "single-leaf-trees":
+            sizes = [t.feature.size for t in model.trees]
+            assert min(sizes) == 1 and max(sizes) > 9
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_fit_rounds_are_the_most_searches_of_a_tree(self, case):
+        # a round searches the top node of every tree that has one, so the
+        # fit takes as many rounds as its longest tree searches
+        from surrogate_reference import reference_trees
+
+        features, labels, kwargs = _fit_cases()[case]
+        model = train_surrogate(features, labels, **kwargs)
+        searches = []
+        reference_trees(model, features, labels, kwargs.get("min_leaf", 5), searches)
+        assert model.fit_rounds == max(searches)
+        if case in ("sixteen-min-leaf-1", "single-leaf-trees"):
+            assert min(searches) < max(searches) // 2
+
+    def test_lockstep_groups_exact(self, monkeypatch):
+        # groups of 3 trees grow one after the other, each in lockstep: the
+        # same trees, and the rounds of the groups add up
+        from surrogate_reference import reference_trees
+
+        from orbitroles import surrogate
+
+        features, labels, kwargs = _fit_cases()["sixteen-min-leaf-1"]
+        monkeypatch.setattr(surrogate, "_LOCKSTEP_TREES", 3)
+        model = train_surrogate(features, labels, **kwargs)
+        searches = []
+        reference = reference_trees(model, features, labels, 1, searches)
+        _assert_same_trees(model, reference)
+        assert model.fit_rounds == sum(max(searches[g : g + 3]) for g in range(0, 16, 3))
+
+    @pytest.mark.parametrize("block", [1, 6000])
+    @pytest.mark.parametrize("case", ["ba-400", "sixteen-min-leaf-1", "single-leaf-trees"])
+    def test_batched_rounds_exact(self, monkeypatch, case, block):
+        # a round scored in batches of one node, or of a few nodes, grows
+        # the same trees: the nodes of a round are independent
+        from surrogate_reference import reference_trees
+
+        from orbitroles import surrogate
+
+        features, labels, kwargs = _fit_cases()[case]
+        monkeypatch.setattr(surrogate, "_FIT_CELLS", block)
+        batches = []
+        original = surrogate._best_splits
+
+        def counting(ranks, y_idx, rows, *args):
+            batches.append(rows.size)
+            return original(ranks, y_idx, rows, *args)
+
+        monkeypatch.setattr(surrogate, "_best_splits", counting)
+        model = train_surrogate(features, labels, **kwargs)
+        reference = reference_trees(model, features, labels, kwargs.get("min_leaf", 5))
+        _assert_same_trees(model, reference)
+        assert len(batches) > model.fit_rounds
 
     def test_refit_on_subpopulation_exact(self):
         from surrogate_reference import reference_trees
