@@ -11,6 +11,12 @@ byte. Every command writes its outputs plus one manifest into --out; a
 failing pipeline stage leaves a FAILED marker naming the stage and keeps
 partial outputs.
 
+An embedding imported through ``[embed] import_paths`` (or given to
+``validate`` with ``--embedding``) is known by the tag of its CSV, which
+names its output files and its roles. Imported tags must differ from
+each other and from the native ``embed.methods``; a clash fails stage
+``embed`` before any imported CSV is written.
+
 ``threads`` (``--threads``, ``ORBITROLES_THREADS``) is the number of worker
 processes, by default the CPUs this process may run on (see ``workers``).
 With two or more, GraphWave and its CSV run on a forked worker while the
@@ -205,6 +211,24 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
     return Task(partial(_native_embedding, graph, table, cfg, out, "graphwave"), fork)
 
 
+def _imported(paths, table, native=()):
+    """The embeddings of the CSVs ``paths``. A tag names an embedding's
+    CSVs and its roles, so each must differ from the other imports' and
+    from the native methods ``native``."""
+    owner = {m: f"native method {m!r}" for m in native}
+    embeddings = []
+    for path in paths:
+        emb = import_embedding(path, table)
+        if emb.method_tag in owner:
+            raise EmbeddingError(
+                f"imported embedding {path} has tag {emb.method_tag!r}, "
+                f"as has {owner[emb.method_tag]}"
+            )
+        owner[emb.method_tag] = f"imported embedding {path}"
+        embeddings.append(emb)
+    return embeddings
+
+
 def _embed(graph, table, cfg, out, manifest, lane, orbits):
     """The embeddings of ``embed.methods`` in their order, then the
     imported ones, each written to its CSV. GraphWave is the result of
@@ -230,7 +254,7 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
         manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
         for key in ("components", "distinct_components"):
             manifest.metrics["graphwave"][key] = native["graphwave"].meta[key]
-    imported = [import_embedding(path, table) for path in ec.import_paths]
+    imported = _imported(ec.import_paths, table, ec.methods)
     for emb in imported:
         embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
     embeddings = [native[m] for m in ec.methods] + imported
@@ -318,7 +342,7 @@ def _explain(model, features, labels, threshold, ex, out, manifest, seed, suffix
     manifest.add_output(out / f"effects{suffix}.csv")
     manifest.metrics[f"explain{suffix}"] = {
         "holdout_accuracy": model.holdout_accuracy,
-        "tree_nodes": sum(len(tree.feature) for tree in model.trees),
+        "tree_nodes": model.nodes.feature.size,
         "fit_rounds": model.fit_rounds,
         "features_used": len(model.features_used()),
         "importance_cells": report.meta["cells"],
@@ -626,7 +650,7 @@ def _cmd_validate(args) -> int:
     cfg = _with_flags(load_config(args.config), args)
     graph, table = _load_inputs(args.graph, args.labels)
     orbits, _ = orbits_from_csv(args.orbits, table)
-    embeddings = [import_embedding(p, table) for p in args.embedding]
+    embeddings = _imported(args.embedding, table)
     manifest = _start(
         "validate",
         cfg,

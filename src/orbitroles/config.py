@@ -139,6 +139,10 @@ def validate_config(cfg: PipelineConfig) -> None:
             f"embed.methods {unknown} not among {list(NATIVE_METHODS)}; "
             "external methods enter via [embed] import_paths"
         )
+    # a method names its CSVs and its roles
+    repeated = sorted({m for m in e.methods if e.methods.count(m) > 1})
+    if repeated:
+        problems.append(f"embed.methods {repeated} repeated")
     problems += [f"embed.{p}" for p in sampling_problems(e.sample_points, e.t_max)]
     if not e.graphwave_scales or not all(s > 0 for s in e.graphwave_scales):
         problems.append(f"embed.graphwave_scales {list(e.graphwave_scales)} not all > 0")

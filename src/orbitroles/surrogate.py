@@ -24,7 +24,9 @@ would. A round pops the top node of every tree of the group, and one
 batched histogram scores them all, with keys offset per (node, drawn
 feature); the same batch partitions the rows of the nodes that split.
 
-The forest is walked as one packed set of node arrays (``_Pack``), all
+The fit builds every tree's nodes into one set of arrays (``_Pack``),
+and the forest keeps only that set; ``SurrogateForest.trees`` slices
+per-tree views of it for readers of one tree at a time. It is walked all
 trees at once: the holdout accuracy, and the leaves behind importance and
 the effect curves. Importance, ALE and PDP all ask what the forest votes
 when one column reads other values, and one pass answers
@@ -70,16 +72,22 @@ def _as_labels(roles):
     return np.asarray(labels, dtype=np.int64)
 
 
-def _as_features(features):
-    values = getattr(features, "values", features)
-    return np.asarray(values, dtype=np.float64)
+def _as_features(features, width=None):
+    """The features as a float64 matrix, which must have ``width`` columns
+    when it is given: a walk reads X at row * columns + feature, so a
+    matrix of another width reads other rows' cells."""
+    values = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    if width is not None and (values.ndim != 2 or values.shape[1] != width):
+        raise SurrogateError(
+            f"features have shape {values.shape}, but the forest was fit on {width} columns"
+        )
+    return values
 
 
 class _Tree:
-    """Flat-array decision tree: int64 ``feature`` (-1 marks a leaf),
-    ``left`` and ``right``, float64 ``threshold`` and (nodes, classes)
-    ``value``. Children are numbered after their parent, the right one
-    next to the left."""
+    """One tree of a forest, as ``SurrogateForest.trees`` slices it: int32
+    ``feature`` (-1 marks a leaf), ``left`` and ``right``, numbered within
+    the tree, float64 ``threshold`` and (nodes, classes) ``value``."""
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
@@ -90,32 +98,21 @@ class _Tree:
 
 @dataclass
 class _Pack:
-    """The nodes of every tree in one set of arrays: node i of tree t is
-    node ``root[t] + i``, and the children are numbered the same way.
-    Node ids are int32; a right child is numbered next to its left one, as
-    the fit numbers them, and the class votes stay in the trees' own
-    ``value`` arrays."""
+    """The nodes of every tree of a forest in one set of arrays, built once
+    by the fit: node i of tree t is node ``root[t] + i``. ``feature`` and
+    ``left`` are int32, and ``feature`` is -1 at a leaf; ``left`` numbers
+    a split's left child across the whole forest, and the right child is
+    ``left + 1``."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
+    value: np.ndarray  # (nodes, classes): the class votes of each node
     root: np.ndarray  # (trees + 1,): tree t owns nodes root[t]:root[t + 1]
-    values: list  # tree t's (nodes, classes) value
 
-    @classmethod
-    def of(cls, trees):
-        root = np.zeros(len(trees) + 1, dtype=np.int64)
-        np.cumsum([tree.feature.size for tree in trees], out=root[1:])
-        feature = np.concatenate([tree.feature for tree in trees]).astype(np.int32)
-        left = np.concatenate([tree.left for tree in trees])
-        left = np.where(feature >= 0, left + np.repeat(root[:-1], np.diff(root)), -1)
-        return cls(
-            feature,
-            np.concatenate([tree.threshold for tree in trees]),
-            left.astype(np.int32),
-            root,
-            [tree.value for tree in trees],
-        )
+    @property
+    def n_trees(self) -> int:
+        return self.root.size - 1
 
     def walk(self, X, node, row, pin=None, val=None):
         """Leaf that row ``row[e]`` of X reaches from node ``node[e]``, for
@@ -138,7 +135,7 @@ class _Pack:
     def leaves(self, X):
         """(trees, rows) leaf of every row of X in every tree, walked in
         passes of at most ``_BLOCK_CELLS`` (tree, row) entries."""
-        n, trees = X.shape[0], self.root.size - 1
+        n, trees = X.shape[0], self.n_trees
         per_pass = max(1, _BLOCK_CELLS // max(1, n))
         out = np.empty((trees, n), dtype=np.int32)
         for t0 in range(0, trees, per_pass):
@@ -148,15 +145,11 @@ class _Pack:
             out[t0 : t0 + roots.size] = node.reshape(roots.size, n)
         return out
 
-    def vote(self, t, leaf):
-        """Class votes (..., classes) of tree t's leaves ``leaf``."""
-        return self.values[t].take(leaf - self.root[t], axis=0)
-
     def add_votes(self, votes, leaves):
         """Add the class votes of ``leaves`` (trees, ...) to ``votes``
         (..., classes), tree by tree in tree order."""
-        for t, leaf in enumerate(leaves):
-            votes += self.vote(t, leaf)
+        for leaf in leaves:
+            votes += self.value.take(leaf, axis=0)
         return votes
 
     def first_splits(self, t0, t1, feats):
@@ -179,9 +172,9 @@ class _Pack:
 
     def uses(self, n_features):
         """(trees, features) mask: whether tree t splits on feature f."""
-        tree = np.repeat(np.arange(self.root.size - 1), np.diff(self.root))
+        tree = np.repeat(np.arange(self.n_trees), np.diff(self.root))
         split = self.feature >= 0
-        mask = np.zeros((self.root.size - 1, n_features), dtype=bool)
+        mask = np.zeros((self.n_trees, n_features), dtype=bool)
         mask[tree[split], self.feature[split]] = True
         return mask
 
@@ -320,127 +313,144 @@ def _split_rows(flat, n_features, y_idx, n_classes, rows, node, feature, thresho
 
 
 def _grow_forest(X, ranks, y_idx, n_classes, boots, rngs, min_leaf):
-    """One tree per (bootstrap rows, rng), grown in lockstep; returns the
-    trees and the number of rounds.
+    """The forest of one tree per rng of ``rngs``, each grown from the next
+    bootstrap rows of ``boots``, as one node set (``_Pack``); returns it
+    and the number of rounds.
 
+    The trees grow in lockstep, in groups of up to ``_LOCKSTEP_TREES`` one
+    group after the other, and ``boots`` is drawn from a group at a time.
     Each tree keeps a depth-first stack of its nodes that need a split
     search (impure, with 2 * ``min_leaf`` rows or more). A round pops the
-    top node of every tree that has one, and each draws its features from
-    its tree's rng. One ``_best_splits`` histogram scores the popped nodes,
-    in batches of about ``_FIT_CELLS`` keys, and the same batch splits
-    their rows (``_split_rows``). A tree draws and numbers its nodes in the
-    order of a tree grown alone. The new nodes and splits of a batch are
-    kept as arrays, and the trees are assembled from them at the end
-    (``_assemble``).
+    top node of every tree of the group that has one, and each draws its
+    features from its tree's rng. One ``_best_splits`` histogram scores the
+    popped nodes, in batches of about ``_FIT_CELLS`` keys, and the same
+    batch splits their rows (``_split_rows``). A tree draws and numbers its
+    nodes in the order of a tree grown alone. The new nodes and splits of a
+    batch are kept as arrays, and the node set is assembled from them at
+    the end (``_assemble``).
     """
     mtry = max(1, int(np.sqrt(X.shape[1])))
     flat = np.ascontiguousarray(X).ravel()
-    counts = np.array([np.bincount(y_idx[rows], minlength=n_classes) for rows in boots])
-    size = np.ones(len(boots), dtype=np.int32)  # nodes numbered in each tree
+    boots = iter(boots)
+    size = np.ones(len(rngs), dtype=np.int32)  # nodes numbered in each tree
     # (tree, node, class counts) of every node and (tree, node, feature,
     # threshold, left child) of every split
-    made = [(np.arange(len(boots)), np.zeros(len(boots), dtype=np.int32), counts)]
-    splits = []
-    stacks = [
-        [(0, rows, c)] if rows.size >= 2 * min_leaf and max(c) < rows.size else []
-        for rows, c in zip(boots, counts.tolist())
-    ]
-    del boots  # the stacks hold the roots' rows, until they split
-    rounds = 0
-    while any(stacks):
-        rounds += 1
-        popped = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
-        feats = np.array([
-            rngs[t].choice(X.shape[1], size=mtry, replace=False) for t, *_ in popped
-        ])
-        sizes = np.array([rows.size for _, _, rows, _ in popped])
-        # a new batch wherever the running count of keys passes a multiple
-        # of the bound; its bins are at most 8 times its keys
-        batch_of = (sizes * mtry).cumsum() // _FIT_CELLS
-        ends = (batch_of[1:] != batch_of[:-1]).nonzero()[0] + 1
-        for k0, k1 in zip([0, *ends.tolist()], [*ends.tolist(), len(popped)]):
-            batch = popped[k0:k1]
-            rows = np.concatenate([r for _, _, r, _ in batch])
-            node = np.arange(len(batch)).repeat(sizes[k0:k1])
-            feature, threshold = _best_splits(
-                ranks, y_idx, rows, node, sizes[k0:k1],
-                np.array([c for *_, c in batch]), feats[k0:k1], min_leaf,
-            )
-            rows, edge, counts = _split_rows(
-                flat, X.shape[1], y_idx, n_classes, rows, node, feature, threshold
-            )
-            kid_rows = edge[1:] - edge[:-1]
-            split = ((feature >= 0) & (kid_rows[0::2] > 0) & (kid_rows[1::2] > 0)).nonzero()[0]
-            if not split.size:
-                continue
-            # the records are int32 but for the thresholds: all trees'
-            # nodes are held until the end
-            tree = np.array([t for t, *_ in batch], dtype=np.int32).take(split)
-            first = size.take(tree)
-            size[tree] += 2  # a batch holds one node of a tree at most
-            splits.append((
-                tree, np.array([at for _, at, *_ in batch], dtype=np.int32).take(split),
-                feature.take(split), threshold.take(split), first,
-            ))
-            kids, kid_ids = (2 * split).repeat(2), first.repeat(2)
-            kids[1::2] += 1
-            kid_ids[1::2] += 1
-            kid_counts, kid_rows = counts.take(kids, axis=0), kid_rows.take(kids)
-            made.append((tree.repeat(2), kid_ids, kid_counts.astype(np.int32)))
-            search = (kid_rows >= 2 * min_leaf) & (kid_counts.max(axis=1) < kid_rows)
-            edge, counts, search = edge.tolist(), counts.tolist(), search.tolist()
-            for i, (t, c, at) in enumerate(zip(tree.tolist(), kids[0::2].tolist(), first.tolist())):
-                # right child first, so that the left one is searched
-                # first; the right one may wait long and gets its own copy
-                # of its rows, which frees the batch's
-                if search[2 * i + 1]:
-                    right = rows[edge[c + 1] : edge[c + 2]].copy()
-                    stacks[t].append((at + 1, right, counts[c + 1]))
-                if search[2 * i]:
-                    stacks[t].append((at, rows[edge[c] : edge[c + 1]], counts[c]))
+    made, splits, rounds = [], [], 0
+    for g in range(0, len(rngs), _LOCKSTEP_TREES):
+        group = range(g, min(g + _LOCKSTEP_TREES, len(rngs)))
+        roots = [next(boots) for _ in group]
+        counts = np.array([np.bincount(y_idx[rows], minlength=n_classes) for rows in roots])
+        made.append((np.array(group), np.zeros(len(group), dtype=np.int32), counts))
+        stacks = {
+            t: [(0, rows, c)] if rows.size >= 2 * min_leaf and max(c) < rows.size else []
+            for t, rows, c in zip(group, roots, counts.tolist())
+        }
+        del roots  # the stacks hold the roots' rows, until they split
+        while any(stacks.values()):
+            rounds += 1
+            popped = [(t, *stack.pop()) for t, stack in stacks.items() if stack]
+            feats = np.array([
+                rngs[t].choice(X.shape[1], size=mtry, replace=False) for t, *_ in popped
+            ])
+            sizes = np.array([rows.size for _, _, rows, _ in popped])
+            # a new batch wherever the running count of keys passes a
+            # multiple of the bound; its bins are at most 8 times its keys
+            batch_of = (sizes * mtry).cumsum() // _FIT_CELLS
+            ends = (batch_of[1:] != batch_of[:-1]).nonzero()[0] + 1
+            for k0, k1 in zip([0, *ends.tolist()], [*ends.tolist(), len(popped)]):
+                batch = popped[k0:k1]
+                rows = np.concatenate([r for _, _, r, _ in batch])
+                node = np.arange(len(batch)).repeat(sizes[k0:k1])
+                feature, threshold = _best_splits(
+                    ranks, y_idx, rows, node, sizes[k0:k1],
+                    np.array([c for *_, c in batch]), feats[k0:k1], min_leaf,
+                )
+                rows, edge, counts = _split_rows(
+                    flat, X.shape[1], y_idx, n_classes, rows, node, feature, threshold
+                )
+                kid_rows = edge[1:] - edge[:-1]
+                split = (feature >= 0) & (kid_rows[0::2] > 0) & (kid_rows[1::2] > 0)
+                split = split.nonzero()[0]
+                if not split.size:
+                    continue
+                # the records are int32 but for the thresholds: all trees'
+                # nodes are held until the end
+                tree = np.array([t for t, *_ in batch], dtype=np.int32).take(split)
+                first = size.take(tree)
+                size[tree] += 2  # a batch holds one node of a tree at most
+                splits.append((
+                    tree, np.array([at for _, at, *_ in batch], dtype=np.int32).take(split),
+                    feature.take(split), threshold.take(split), first,
+                ))
+                kids, kid_ids = (2 * split).repeat(2), first.repeat(2)
+                kids[1::2] += 1
+                kid_ids[1::2] += 1
+                kid_counts, kid_rows = counts.take(kids, axis=0), kid_rows.take(kids)
+                made.append((tree.repeat(2), kid_ids, kid_counts.astype(np.int32)))
+                search = (kid_rows >= 2 * min_leaf) & (kid_counts.max(axis=1) < kid_rows)
+                edge, counts, search = edge.tolist(), counts.tolist(), search.tolist()
+                for i, (t, c, at) in enumerate(
+                    zip(tree.tolist(), kids[0::2].tolist(), first.tolist())
+                ):
+                    # right child first, so that the left one is searched
+                    # first; the right one may wait long and gets its own
+                    # copy of its rows, which frees the batch's
+                    if search[2 * i + 1]:
+                        right = rows[edge[c + 1] : edge[c + 2]].copy()
+                        stacks[t].append((at + 1, right, counts[c + 1]))
+                    if search[2 * i]:
+                        stacks[t].append((at, rows[edge[c] : edge[c + 1]], counts[c]))
     return _assemble(size, made, splits), rounds
 
 
 def _assemble(size, made, splits):
-    """The trees of ``_grow_forest`` from its node and split records; tree
-    t has ``size[t]`` nodes."""
+    """The node set (``_Pack``) of ``_grow_forest``'s node and split
+    records; tree t has ``size[t]`` nodes."""
     root = np.zeros(size.size + 1, dtype=np.int64)
     np.cumsum(size, out=root[1:])
-    feature = np.full(root[-1], -1, dtype=np.int64)
+    feature = np.full(root[-1], -1, dtype=np.int32)
     threshold = np.zeros(root[-1])
-    left = np.full(root[-1], -1, dtype=np.int64)
+    left = np.full(root[-1], -1, dtype=np.int32)
     value = np.empty((root[-1], made[0][2].shape[1]))
     for tree, node, counts in made:
         value[root.take(tree) + node] = counts / counts.sum(axis=1, keepdims=True)
     for tree, node, feat, thr, first in splits:
-        at = root.take(tree) + node
-        feature[at], threshold[at], left[at] = feat, thr, first
-    right = np.where(left >= 0, left + 1, -1)
-    trees = []
-    for a, b in zip(root[:-1].tolist(), root[1:].tolist()):
-        trees.append(_Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b]))
-    return trees
+        base = root.take(tree)
+        at = base + node
+        feature[at], threshold[at], left[at] = feat, thr, base + first
+    return _Pack(feature, threshold, left, value, root)
 
 
 @dataclass
 class SurrogateForest:
-    """Random forest over orbit features with a held-out accuracy."""
+    """Random forest over orbit features with a held-out accuracy: one node
+    set (``nodes``), fit on ``n_features`` columns."""
 
-    trees: list
-    feature_names: list
+    nodes: _Pack
+    n_features: int
     class_labels: np.ndarray
     holdout_accuracy: float
     seed: int
     train_idx: np.ndarray
     test_idx: np.ndarray
-    params: dict = field(default_factory=dict)
     fit_rounds: int = 0  # lockstep rounds of the fit, summed over the groups
 
+    @property
+    def trees(self) -> list:
+        """Per-tree views of ``nodes`` (``_Tree``), with child ids local to
+        each tree, for readers of one tree at a time."""
+        nodes, trees = self.nodes, []
+        for a, b in zip(nodes.root[:-1].tolist(), nodes.root[1:].tolist()):
+            feature = nodes.feature[a:b]
+            left = np.where(feature >= 0, nodes.left[a:b] - a, -1)
+            right = np.where(feature >= 0, left + 1, -1)
+            trees.append(_Tree(feature, nodes.threshold[a:b], left, right, nodes.value[a:b]))
+        return trees
+
     def predict_proba(self, X):
-        X = _as_features(X)
-        pack = _Pack.of(self.trees)
-        votes = np.zeros((X.shape[0], len(self.class_labels)))
-        return pack.add_votes(votes, pack.leaves(X)) / len(self.trees)
+        X = _as_features(X, self.n_features)
+        votes = np.zeros((X.shape[0], self.class_labels.size))
+        return self.nodes.add_votes(votes, self.nodes.leaves(X)) / self.nodes.n_trees
 
     def predict(self, X):
         probs = self.predict_proba(X)
@@ -448,10 +458,8 @@ class SurrogateForest:
         return self.class_labels[probs.argmax(axis=1)]
 
     def features_used(self):
-        used = set()
-        for tree in self.trees:
-            used.update(int(f) for f in tree.feature if f >= 0)
-        return used
+        feature = self.nodes.feature
+        return set(np.unique(feature[feature >= 0]).tolist())
 
 
 def train_surrogate(
@@ -495,38 +503,21 @@ def train_surrogate(
     if np.unique(y_idx[train_idx]).size < 2:
         raise SurrogateError("training split collapsed to a single class")
 
-    ranks = _RankCodes.of(X)
-    forest, rounds = [], 0
-    for g in range(0, trees, _LOCKSTEP_TREES):
-        rngs = [
-            np.random.default_rng(derive_seed(seed, "tree", i))
-            for i in range(g, min(g + _LOCKSTEP_TREES, trees))
-        ]
-        # int32 rows, and no name kept for them here: every tree's rows
-        # wait on its stack at once, and the fit frees them as roots split
-        draws = (r.integers(0, train_idx.size, train_idx.size) for r in rngs)
-        group, group_rounds = _grow_forest(
-            X, ranks, y_idx, class_labels.size,
-            [train_idx[d].astype(np.int32) for d in draws], rngs, min_leaf,
-        )
-        forest += group
-        rounds += group_rounds
-
+    rngs = [np.random.default_rng(derive_seed(seed, "tree", i)) for i in range(trees)]
+    # int32 rows, drawn as their lockstep group starts
+    draws = (r.integers(0, train_idx.size, train_idx.size) for r in rngs)
+    boots = (train_idx[d].astype(np.int32) for d in draws)
+    nodes, rounds = _grow_forest(
+        X, _RankCodes.of(X), y_idx, class_labels.size, boots, rngs, min_leaf
+    )
     model = SurrogateForest(
-        trees=forest,
-        feature_names=[f"o{i}" for i in range(X.shape[1])],
+        nodes=nodes,
+        n_features=X.shape[1],
         class_labels=class_labels,
         holdout_accuracy=0.0,
         seed=seed,
         train_idx=train_idx,
         test_idx=test_idx,
-        params={
-            "trees": trees,
-            "min_leaf": min_leaf,
-            "holdout_fraction": holdout_fraction,
-            "split": "gini",
-            "mtry": "sqrt",
-        },
         fit_rounds=rounds,
     )
     pred = model.predict(X[test_idx])
@@ -567,7 +558,7 @@ def _pinned_votes(pack, X, leaves, features, values):
     groups of at most ``_BLOCK_CELLS`` (tree, cell, row) entries (one cell
     of one tree at least)."""
     n_trees, n = leaves.shape
-    n_classes = pack.values[0].shape[1]
+    n_classes = pack.value.shape[1]
     uses = pack.uses(X.shape[1])
     per_pass = max(1, _BLOCK_CELLS // max(1, n * n_classes))
     for c0 in range(0, features.size, per_pass):
@@ -598,13 +589,13 @@ def _pinned_votes(pack, X, leaves, features, values):
             # tree t0 + i re-walked the cells q[ends[i]:ends[i + 1]]
             ends = np.searchsorted(t, np.arange(t1 - t0 + 1)).tolist()
             for i in range(t1 - t0):
-                vote = pack.vote(t0 + i, leaves[t0 + i])
+                vote = pack.value.take(leaves[t0 + i], axis=0)
                 if ends[i] == ends[i + 1]:
                     votes += vote
                 else:
                     np.add(votes, vote, out=votes, where=~moved[i][:, None, None])
                     at = slice(ends[i], ends[i + 1])
-                    votes[q[at]] += pack.vote(t0 + i, node[at])
+                    votes[q[at]] += pack.value.take(node[at], axis=0)
         yield cells, votes
 
 
@@ -627,20 +618,20 @@ def permutation_importance(
     """
     if repeats < 1:
         raise SurrogateError("repeats must be >= 1")
-    if not model.trees:
+    if model.nodes.n_trees < 1:
         raise SurrogateError("untrained model")
-    X = _as_features(features)
+    X = _as_features(features, model.n_features)
     y = _as_labels(roles)
     X_test = X[model.test_idx]
     y_test = y[model.test_idx]
     n_rows, n_classes = X_test.shape[0], model.class_labels.size
-    pack = _Pack.of(model.trees)
+    pack = model.nodes
     leaves = pack.leaves(X_test)
     used = np.array(sorted(model.features_used()), dtype=np.int64)
 
     def accuracy(votes):
         # votes: (..., rows, classes) sums over the trees in tree order
-        pred = model.class_labels[(votes / len(model.trees)).argmax(axis=-1)]
+        pred = model.class_labels[(votes / pack.n_trees).argmax(axis=-1)]
         return (pred == y_test).mean(axis=-1)
 
     baseline = float(accuracy(pack.add_votes(np.zeros((n_rows, n_classes)), leaves)))
@@ -710,7 +701,7 @@ def effect_curve(
         raise SurrogateError(f"unknown curve kind {kind!r}; expected one of {EFFECT_KINDS}")
     if bins < 2:
         raise SurrogateError("bins must be >= 2")
-    X = _as_features(features)
+    X = _as_features(features, model.n_features)
     if not (0 <= orbit < X.shape[1]):
         raise SurrogateError(f"orbit {orbit} outside feature range")
 
@@ -732,13 +723,13 @@ def effect_curve(
         members = np.argsort(bin_of, kind="stable")[population[0]:]
         rows = X[members]
         pins = np.stack([edges[bin_of[members]], edges[bin_of[members] - 1]])
-    pack = _Pack.of(model.trees)
+    pack = model.nodes
     cells = np.full(len(pins), orbit)
     probs = []
     for _, votes in _pinned_votes(pack, rows, pack.leaves(rows), cells, pins.__getitem__):
         # (classes, cells, rows): a mean over contiguous rows adds in the
         # order of numpy's mean over one column of predict_proba
-        p = np.ascontiguousarray((votes / len(model.trees)).transpose(2, 0, 1))
+        p = np.ascontiguousarray((votes / pack.n_trees).transpose(2, 0, 1))
         probs.append(p.mean(axis=-1) if kind == "PDP" else p)
     values = np.concatenate(probs, axis=1)
 

@@ -6,7 +6,8 @@ by value, takes the cumulative class counts over the sorted rows and
 scores every boundary between two distinct values. The trees grow one at
 a time. The production fit, which grows them in lockstep, must grow the
 same trees bit for bit. ``reference_leaves`` and ``reference_reads`` walk
-one tree row by row.
+one tree row by row, and ``pack_trees`` lays such trees out as the node
+set a fitted forest holds.
 """
 
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from orbitroles.seeds import derive_seed
-from orbitroles.surrogate import _as_features, _Tree
+from orbitroles.surrogate import _as_features, _Pack, _Tree
 
 
 def _gini_from_counts(counts, totals):
@@ -94,11 +95,33 @@ def grow_tree(X, y_idx, n_classes, sample_rows, min_leaf, rng):
         stack.append((right_id, right_rows))
         stack.append((left_id, left_rows))
     return _Tree(
-        np.array(tree.feature, dtype=np.int64),
+        np.array(tree.feature, dtype=np.int32),
         np.array(tree.threshold, dtype=np.float64),
-        np.array(tree.left, dtype=np.int64),
-        np.array(tree.right, dtype=np.int64),
+        np.array(tree.left, dtype=np.int32),
+        np.array(tree.right, dtype=np.int32),
         np.array(tree.value, dtype=np.float64),
+    )
+
+
+def pack_trees(trees):
+    """The node set (``_Pack``) of ``trees``, whose child ids are local to
+    each tree: node i of tree t becomes node ``root[t] + i``, and so do its
+    children. No trees make a node set with no nodes."""
+    sizes = [len(tree.feature) for tree in trees]
+    root = np.zeros(len(trees) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=root[1:])
+
+    def joined(attr, empty):
+        return np.concatenate([getattr(tree, attr) for tree in trees]) if trees else empty
+
+    feature = joined("feature", np.zeros(0)).astype(np.int32)
+    left = joined("left", np.zeros(0)) + np.repeat(root[:-1], sizes)
+    return _Pack(
+        feature,
+        joined("threshold", np.zeros(0)),
+        np.where(feature >= 0, left, -1).astype(np.int32),
+        joined("value", np.zeros((0, 0))),
+        root,
     )
 
 

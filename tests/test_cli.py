@@ -417,6 +417,92 @@ class TestValidateAndCluster:
         assert b"\n#d," in staged
 
 
+class TestImportedEmbeddings:
+    """``[embed] import_paths`` through ``pipeline``, and the same files
+    through staged ``validate``. An imported embedding is known by its tag,
+    which names its CSVs and its roles."""
+
+    def _retagged(self, run_dir, path, tag):
+        # the pipeline's RolX embedding under another tag
+        lines = (run_dir / "embedding_rolx.csv").read_text().split("\n")
+        path.write_text("\n".join([f"# method={tag}"] + lines[1:]))
+        return path
+
+    def _pipeline(self, corpus, tmp_path, *imports):
+        cfg = write_config(
+            tmp_path / "imports.ini",
+            BARBELL_CFG.replace(
+                "rolx_rank = 3", "rolx_rank = 3\nimport_paths = " + ",".join(map(str, imports))
+            ),
+        )
+        out = tmp_path / "out"
+        code = run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--out", out,
+        )
+        return code, out, cfg
+
+    def test_distinct_tag_adds_its_outputs_only(self, corpus, run_dir, tmp_path):
+        other = self._retagged(run_dir, tmp_path / "other.csv", "cmp")
+        code, out, cfg = self._pipeline(corpus, tmp_path, other)
+        assert code == 0
+        assert (out / "embedding_cmp.csv").read_bytes() == other.read_bytes()
+        assert (out / "roles_cmp.csv").exists()
+        native = {p.name for p in run_dir.glob("*.csv")} - {"sweep.csv"}
+        assert {p.name for p in out.glob("*.csv")} == native | {
+            "sweep.csv", "embedding_cmp.csv", "roles_cmp.csv",
+        }
+        for name in native:
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [r for r in rows if not r.startswith("cmp,")] == (
+            (run_dir / "sweep.csv").read_text().splitlines()
+        )
+        assert [r.split(",")[1] for r in rows if r.startswith("cmp,")] == ["2", "3", "4", "5"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["outputs"]) == len(set(manifest["outputs"]))
+        staged = tmp_path / "staged"
+        assert run(
+            "validate", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--orbits", out / "orbits.csv",
+            "--embedding", out / "embedding_graphwave.csv",
+            "--embedding", out / "embedding_rolx.csv",
+            "--embedding", other, "--config", cfg, "--out", staged,
+        ) == 0
+        assert (staged / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+    def test_tag_of_a_native_method_fails_embed(self, corpus, run_dir, tmp_path):
+        other = self._retagged(run_dir, tmp_path / "other.csv", "graphwave")
+        code, out, _ = self._pipeline(corpus, tmp_path, other)
+        assert code == 2
+        assert (out / "FAILED").read_text() == (
+            f"stage=embed\nerror=imported embedding {other} has tag 'graphwave', "
+            "as has native method 'graphwave'\n"
+        )
+        # the native CSV stands, and no later stage ran
+        for name in ("embedding_graphwave.csv", "embedding_rolx.csv", "orbits.csv"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert not (out / "sweep.csv").exists()
+
+    def test_tag_of_another_import_fails(self, corpus, run_dir, tmp_path, capsys):
+        first = self._retagged(run_dir, tmp_path / "a.csv", "cmp")
+        second = self._retagged(run_dir, tmp_path / "b.csv", "cmp")
+        clash = f"imported embedding {second} has tag 'cmp', as has imported embedding {first}"
+        code, out, cfg = self._pipeline(corpus, tmp_path, first, second)
+        assert code == 2
+        assert (out / "FAILED").read_text() == f"stage=embed\nerror={clash}\n"
+        assert not (out / "embedding_cmp.csv").exists()
+        capsys.readouterr()
+        staged = tmp_path / "staged"
+        assert run(
+            "validate", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--orbits", run_dir / "orbits.csv", "--embedding", first, "--embedding", second,
+            "--config", cfg, "--out", staged,
+        ) == 1
+        assert clash in capsys.readouterr().err
+        assert not (staged / "sweep.csv").exists()
+
+
 class TestStagedExplainMatchesPipeline:
     def test_explain_on_pipeline_outputs_byte_identical(self, corpus, tmp_path):
         cfg = write_config(
@@ -499,6 +585,7 @@ class TestConfigCheckedBeforeCensus:
         "old, new, message",
         [
             ("method = graphwave", "method = nosuch", "explain.method 'nosuch'"),
+            ("methods = graphwave,rolx", "methods = rolx,graphwave,rolx", "embed.methods ['rolx']"),
             ("effect_orbits = 0,17,28", "effect_orbits = 0,73", "effect_orbits [73]"),
             ("chosen_k = 3", "chosen_k = 6", "chosen_k 6 outside [2, 5]"),
             ("rolx_rank = 3", "rolx_rank = 3\nsample_points = 0", "embed.sample_points 0 < 2"),
@@ -939,7 +1026,7 @@ class TestExplainMetrics:
         # the pipeline with the reference split search, its trees grown one
         # at a time, and the whole-forest importance patched in writes the
         # same bytes and counts as many rounds as its longest tree searches
-        from surrogate_reference import CountingRng, grow_tree
+        from surrogate_reference import CountingRng, grow_tree, pack_trees
         from test_surrogate import reference_importance
 
         from orbitroles import cli, surrogate
@@ -963,7 +1050,7 @@ class TestExplainMetrics:
                 grow_tree(X, y_idx, n_classes, rows, min_leaf, rng)
                 for rows, rng in zip(boots, counting)
             ]
-            return trees, max(rng.searches for rng in counting)
+            return pack_trees(trees), max(rng.searches for rng in counting)
 
         monkeypatch.setattr(surrogate, "_grow_forest", reference_grow)
         monkeypatch.setattr(cli, "permutation_importance", reference_report)

@@ -88,17 +88,39 @@ class TestTrainSurrogate:
         assert np.array_equal(a.predict(features), b.predict(features))
         assert a.holdout_accuracy == b.holdout_accuracy
 
+    @pytest.mark.parametrize("width", [50, 74])
+    def test_features_of_another_width_rejected(self, width):
+        # a walk reads X at row * columns + feature: 50 columns would read
+        # the next row's cells, or past the end of X
+        features = synthetic_features(300, 8)
+        labels = (features.values[:, 40] > np.median(features.values[:, 40])).astype(int)
+        model = train_surrogate(features, labels, trees=10, seed=1)
+        assert 40 in model.features_used()
+        X = np.hstack([features.values, features.values])[:, :width]
+        message = rf"shape \(300, {width}\), but the forest was fit on 73 columns"
+        with pytest.raises(SurrogateError, match=message):
+            model.predict_proba(X)
+        with pytest.raises(SurrogateError, match=message):
+            permutation_importance(model, X, labels, repeats=1)
+        for kind in ("ALE", "PDP"):
+            with pytest.raises(SurrogateError, match=message):
+                effect_curve(model, X, 0, kind=kind)
+
     def test_prediction_invariant_to_tree_order(self):
+        from surrogate_reference import pack_trees
+
         features = synthetic_features(150, 7)
         labels = (features.values[:, 2] > np.median(features.values[:, 2])).astype(int)
         model = train_surrogate(features, labels, trees=15, seed=3)
         before = model.predict_proba(features)
-        model.trees = list(reversed(model.trees))
+        model.nodes = pack_trees(list(reversed(model.trees)))
         assert np.allclose(model.predict_proba(features), before, atol=1e-15)
 
     def test_tie_break_lowest_class_id(self):
         # two single-leaf trees voting for opposite classes: an exact
         # probability tie must resolve to the lowest class id
+        from surrogate_reference import pack_trees
+
         from orbitroles.surrogate import SurrogateForest, _Tree
 
         def leaf_tree(probs):
@@ -107,8 +129,8 @@ class TestTrainSurrogate:
             )
 
         model = SurrogateForest(
-            trees=[leaf_tree([1.0, 0.0]), leaf_tree([0.0, 1.0])],
-            feature_names=["o0"],
+            nodes=pack_trees([leaf_tree([1.0, 0.0]), leaf_tree([0.0, 1.0])]),
+            n_features=1,
             class_labels=np.array([3, 7]),
             holdout_accuracy=1.0,
             seed=0,
@@ -175,10 +197,12 @@ class TestPermutationImportance:
         assert all(row[2] >= 0 for row in report.rows)
 
     def test_untrained_model_rejected(self):
+        from surrogate_reference import pack_trees
+
         features = synthetic_features(50, 17)
         labels = (features.values[:, 0] > 1).astype(int)
         model = train_surrogate(features, labels, trees=5, seed=18)
-        model.trees = []
+        model.nodes = pack_trees([])
         with pytest.raises(SurrogateError, match="untrained"):
             permutation_importance(model, features, labels)
 
@@ -510,14 +534,12 @@ class TestCachedExplainEqualsReference:
         # a pinned walk of the packed forest reaches the leaf of the
         # explicitly shuffled rows, from the root or re-entering at the
         # first node on the feature
-        from surrogate_reference import reference_leaves
-
-        from orbitroles.surrogate import _Pack
+        from surrogate_reference import pack_trees, reference_leaves
 
         model, features, _ = make()
         X = features.values[model.test_idx]
         n = X.shape[0]
-        pack = _Pack.of(model.trees)
+        pack = pack_trees(model.trees)
         leaves = pack.leaves(X)
         rng = np.random.default_rng(4)
         reentered = 0
