@@ -4,12 +4,19 @@ generate, and the end-to-end pipeline.
 Each stage is one function: ``_census``, ``_features`` (log-orbit
 features), ``_embed``, ``_validate``, ``_cluster``, ``_explain_roles`` and
 ``_idr``. Each writes its CSVs and adds them to the manifest it is passed.
-``run_pipeline`` calls them in order, and every staged command calls the
-same function with its flags folded into the config, so a staged chain
-with the pipeline's seed and config writes the pipeline's CSVs byte for
-byte. Every command writes its outputs plus one manifest into --out; a
-failing pipeline stage leaves a FAILED marker naming the stage and keeps
-partial outputs.
+``pipeline`` calls them in order, and every staged command calls the same
+function with its flags folded into the config, so a staged chain with
+the pipeline's seed and config writes the pipeline's CSVs byte for byte.
+
+Every command but ``generate`` runs through ``_run``, so each writes its
+outputs and one manifest of one layout into --out: ``parameters`` holds
+``inputs`` (name -> absolute path of each input file, digested in
+``input_digests``) and ``config`` (the resolved config, its
+``import_paths`` absolute), plus what the stages add, and
+``metrics["stages"]`` the wall seconds of each stage. ``pipeline
+--from-manifest`` replays ``inputs`` and ``config`` from any directory. A
+failing command of any kind leaves a FAILED marker naming the stage and
+keeps partial outputs; the next run into the directory removes it.
 
 An embedding imported through ``[embed] import_paths`` (or given to
 ``validate`` with ``--embedding``) is known by the tag of its CSV, which
@@ -22,19 +29,19 @@ processes, by default the CPUs this process may run on (see ``workers``).
 With two or more, GraphWave and its CSV run on a forked worker while the
 parent counts orbits and runs RolX, and the sweep's k-means cells are dealt
 over the workers; the CSVs are the same for every count. Memory adds up
-over the lanes that run at once. The manifest's ``metrics["stages"]`` holds
-the wall seconds of each stage and of each worker task,
-``metrics["workers"]`` the worker count, ``metrics["rolx"]`` the NMF
-iterations and convergence and the ReFeX features and generation of RolX,
-``metrics["graphwave"]`` GraphWave's estimated working set, components and
-distinct components, ``metrics["kmeans"]`` each sweep cell's iterations,
-degeneracy and whether its silhouette was sampled, and
-``metrics["silhouette"]`` the nodes and the distinct log-orbit rows that an
-exact sweep scored over."""
+over the lanes that run at once. ``metrics["stages"]`` also holds the wall
+seconds of each worker task, ``metrics["workers"]`` the worker count,
+``metrics["rolx"]`` the NMF iterations and convergence and the ReFeX
+features and generation of RolX, ``metrics["graphwave"]`` GraphWave's
+estimated working set, components and distinct components,
+``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and whether
+its silhouette was sampled, and ``metrics["silhouette"]`` the nodes and the
+distinct log-orbit rows that an exact sweep scored over."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -117,10 +124,11 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _load_inputs(graph_path, labels_path):
-    table0 = load_node_table(labels_path) if labels_path else None
-    graph, table = load_edge_list(graph_path, "create", table=table0)
-    return graph, table
+def _load_inputs(paths):
+    """The graph and node table of the inputs ``paths`` (``graph`` and,
+    when given, ``labels``)."""
+    table = load_node_table(paths["labels"]) if "labels" in paths else None
+    return load_edge_list(paths["graph"], table=table)
 
 
 # --- stages: each writes its CSVs into ``out`` and lists them in ``manifest``
@@ -415,7 +423,7 @@ def _idr(graph, table, roles, cfg, out, manifest):
 
 
 class _Stages:
-    """The pipeline's current stage, and the wall seconds spent in each."""
+    """A run's current stage, and the wall seconds spent in each."""
 
     def __init__(self):
         self.name, self.seconds, self._since = "config", {}, time.perf_counter()
@@ -429,73 +437,6 @@ class _Stages:
     def enter(self, name) -> None:
         self.split()
         self.name = name
-
-
-def run_pipeline(graph_path, labels_path, cfg, out_dir) -> RunManifest:
-    out = _out_dir(out_dir)
-    # a marker left by an earlier failed run into the same directory would
-    # otherwise outlive this run
-    (out / "FAILED").unlink(missing_ok=True)
-    inputs = {"graph": graph_path}
-    if labels_path:
-        inputs["labels"] = labels_path
-    stage = _Stages()
-    try:
-        validate_config(cfg)
-        cfg = replace(cfg, threads=resolve_threads(cfg.threads))
-        stage.enter("load")
-        manifest = RunManifest.start(
-            command="pipeline",
-            parameters={
-                "graph_path": str(graph_path),
-                "labels_path": str(labels_path) if labels_path else None,
-                "config": cfg.to_dict(),
-            },
-            seed=cfg.seed,
-            inputs=inputs,
-        )
-        graph, table = _load_inputs(graph_path, labels_path)
-
-        # GraphWave's lane runs beside the census, features and RolX
-        stage.enter("embed")
-        with _graphwave_lane(graph, table, cfg, out, manifest, census=True) as lane:
-            stage.enter("census")
-            orbits = _census(graph, table, cfg, out, manifest)
-            features = _features(orbits, cfg, manifest)
-            stage.enter("embed")
-            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
-
-        stage.enter("validate")
-        swept = _validate(embeddings, features, cfg, out, manifest)
-
-        stage.enter("cluster")
-        # validate_config keeps chosen_k inside the swept k range
-        assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
-
-        stage.enter("explain")
-        roles = assignments.get(cfg.explain.method)
-        if roles is None:
-            raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
-        _explain_roles(features, orbits, roles, cfg, out, manifest)
-
-        stage.enter("idr")
-        if len({c for c in table.categories if c is not None}) >= 2:
-            _idr(graph, table, roles, cfg, out, manifest)
-        else:
-            manifest.note("idr stage skipped: fewer than 2 disciplines")
-
-        stage.split()
-        manifest.metrics.setdefault("stages", {}).update(stage.seconds)
-        manifest.write(out)
-        return manifest
-    except Exception as exc:
-        marker = out / "FAILED"
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write(f"stage={stage.name}\nerror={exc}\n")
-        raise StageError(stage.name, exc) from exc
-
-
-# --- staged commands --------------------------------------------------------
 
 
 def _pick(obj, args):
@@ -517,32 +458,73 @@ def _with_flags(cfg, args):
     return replace(cfg, **{name: _pick(getattr(cfg, name), args) for name in SECTIONS})
 
 
-def _start(command, cfg, inputs):
-    """A staged command's manifest: its resolved config and input files."""
-    inputs = {name: path for name, path in inputs.items() if path is not None}
-    return RunManifest.start(
-        command,
-        {"inputs": {name: str(path) for name, path in inputs.items()}, "config": cfg.to_dict()},
-        seed=cfg.seed,
-        inputs=inputs,
-    )
+def _run(command, args, inputs, body, check=None, imports=False) -> int:
+    """Run ``command``: the bookkeeping of every command but ``generate``.
 
-
-def _finish(manifest, out, summary) -> int:
-    manifest.write(out)
+    It makes ``--out`` and removes a FAILED marker left there. In stage
+    ``config`` it reads the config file, or the config and inputs that
+    ``--from-manifest`` recorded, folds in the flags and passes the result
+    to ``check``. It resolves the worker count, and makes the paths of
+    ``[embed] import_paths`` and of the input files ``inputs`` (name ->
+    path or None) absolute; with ``imports`` the imported CSVs are inputs
+    too. In stage ``load`` the manifest starts with ``parameters``
+    ``inputs`` and ``config`` and a digest of every input. ``body(cfg,
+    paths, out, manifest, stage)`` runs the stages, entering each with
+    ``stage.enter``, and returns the summary line. Then the stage seconds
+    go to ``metrics["stages"]``, the manifest is written, and the notes
+    and the summary are printed. Any error leaves ``FAILED``
+    (``stage=<name>``, ``error=<message>``) and is raised as a
+    StageError."""
+    out = _out_dir(args.out)
+    (out / "FAILED").unlink(missing_ok=True)
+    stage = _Stages()
+    try:
+        if getattr(args, "from_manifest", None):
+            recorded = load_manifest(args.from_manifest)["parameters"]
+            cfg, inputs = config_from_dict(recorded["config"]), recorded["inputs"]
+        else:
+            cfg = load_config(args.config)
+        cfg = _with_flags(cfg, args)
+        if check is not None:
+            check(cfg)
+        ec = cfg.embed
+        cfg = replace(
+            cfg,
+            threads=resolve_threads(cfg.threads),
+            embed=replace(ec, import_paths=tuple(map(os.path.abspath, ec.import_paths))),
+        )
+        if imports:
+            imported = enumerate(cfg.embed.import_paths)
+            inputs = {**inputs, **{f"import{i}": path for i, path in imported}}
+        paths = {name: os.path.abspath(p) for name, p in inputs.items() if p is not None}
+        stage.enter("load")
+        manifest = RunManifest.start(
+            command, {"inputs": paths, "config": cfg.to_dict()}, seed=cfg.seed, inputs=paths
+        )
+        summary = body(cfg, paths, out, manifest, stage)
+        stage.split()
+        manifest.metrics.setdefault("stages", {}).update(stage.seconds)
+        manifest.write(out)
+    except Exception as exc:
+        (out / "FAILED").write_text(f"stage={stage.name}\nerror={exc}\n", encoding="utf-8")
+        raise StageError(stage.name, exc) from exc
     for message in manifest.notes:
-        print(f"{manifest.command}: {message}", file=sys.stderr)
-    print(f"{manifest.command}: {summary}")
+        print(f"{command}: {message}", file=sys.stderr)
+    print(f"{command}: {summary}")
     return 0
 
 
+# --- commands ---------------------------------------------------------------
+
+
 def _cmd_census(args) -> int:
-    out = _out_dir(args.out)
-    cfg = _with_flags(load_config(args.config), args)
-    graph, table = _load_inputs(args.graph, args.labels)
-    manifest = _start("census", cfg, {"graph": args.graph, "labels": args.labels})
-    _census(graph, table, cfg, out, manifest)
-    return _finish(manifest, out, f"{graph.node_count} nodes -> {out / 'orbits.csv'}")
+    def body(cfg, paths, out, manifest, stage):
+        graph, table = _load_inputs(paths)
+        stage.enter("census")
+        _census(graph, table, cfg, out, manifest)
+        return f"{graph.node_count} nodes -> {out / 'orbits.csv'}"
+
+    return _run("census", args, {"graph": args.graph, "labels": args.labels}, body)
 
 
 # ``generate``'s templates, each built from its command-line flags
@@ -613,115 +595,128 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    out = _out_dir(args.out)
-    cfg = _with_flags(load_config(args.config), args)
-    graph, table = _load_inputs(args.graph, args.labels)
-    manifest = _start("embed", cfg, {"graph": args.graph, "labels": args.labels})
-    # RolX's census, beside the GraphWave lane; only ``census`` writes it
-    rolx = "rolx" in cfg.embed.methods
-    with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as lane:
-        orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
-        embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
-    widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
-    return _finish(manifest, out, f"{widths} -> {out}")
+    def body(cfg, paths, out, manifest, stage):
+        graph, table = _load_inputs(paths)
+        stage.enter("embed")
+        # RolX's census, beside the GraphWave lane; only ``census`` writes it
+        rolx = "rolx" in cfg.embed.methods
+        with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as lane:
+            orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
+            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
+        widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
+        return f"{widths} -> {out}"
+
+    inputs = {"graph": args.graph, "labels": args.labels}
+    return _run("embed", args, inputs, body, imports=True)
 
 
 def _cmd_cluster(args) -> int:
-    out = _out_dir(args.out)
-    cfg = _with_flags(load_config(args.config), args)
-    graph, table = _load_inputs(args.graph, args.labels)
-    emb = import_embedding(args.embedding, table)
-    manifest = _start(
-        "cluster",
-        cfg,
-        {"graph": args.graph, "labels": args.labels, "embedding": args.embedding},
-    )
-    (assignment,) = _cluster([emb], table, cfg, out, manifest).values()
-    return _finish(
-        manifest,
-        out,
-        f"k={assignment.k} k_effective={assignment.k_effective} "
-        f"-> {out / f'roles_{emb.method_tag}.csv'}",
-    )
+    def body(cfg, paths, out, manifest, stage):
+        graph, table = _load_inputs(paths)
+        emb = import_embedding(paths["embedding"], table)
+        stage.enter("cluster")
+        (assignment,) = _cluster([emb], table, cfg, out, manifest).values()
+        return (
+            f"k={assignment.k} k_effective={assignment.k_effective} "
+            f"-> {out / f'roles_{emb.method_tag}.csv'}"
+        )
+
+    inputs = {"graph": args.graph, "labels": args.labels, "embedding": args.embedding}
+    return _run("cluster", args, inputs, body)
 
 
 def _cmd_validate(args) -> int:
-    out = _out_dir(args.out)
-    cfg = _with_flags(load_config(args.config), args)
-    graph, table = _load_inputs(args.graph, args.labels)
-    orbits, _ = orbits_from_csv(args.orbits, table)
-    embeddings = _imported(args.embedding, table)
-    manifest = _start(
-        "validate",
-        cfg,
-        {
-            "graph": args.graph,
-            "labels": args.labels,
-            "orbits": args.orbits,
-            **{f"embedding{i}": p for i, p in enumerate(args.embedding)},
-        },
-    )
-    result = _validate(embeddings, _features(orbits, cfg, manifest), cfg, out, manifest)
-    return _finish(manifest, out, f"{len(result.rows)} rows -> {out / 'sweep.csv'}")
+    names = [f"embedding{i}" for i in range(len(args.embedding))]
+
+    def body(cfg, paths, out, manifest, stage):
+        graph, table = _load_inputs(paths)
+        orbits, _ = orbits_from_csv(paths["orbits"], table)
+        embeddings = _imported([paths[name] for name in names], table)
+        stage.enter("validate")
+        result = _validate(embeddings, _features(orbits, cfg, manifest), cfg, out, manifest)
+        return f"{len(result.rows)} rows -> {out / 'sweep.csv'}"
+
+    inputs = {"graph": args.graph, "labels": args.labels, "orbits": args.orbits}
+    return _run("validate", args, {**inputs, **dict(zip(names, args.embedding))}, body)
 
 
 def _cmd_explain(args) -> int:
-    out = _out_dir(args.out)
-    cfg = _with_flags(load_config(args.config), args)
-    orbits, orbit_ids = orbits_from_csv(args.orbits)
-    roles, role_ids = roles_from_csv(args.roles)
-    problems = explain_problems(cfg.explain, roles.k)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    if orbit_ids != role_ids:
-        mismatched = [
-            (a, b) for a, b in zip(orbit_ids, role_ids) if a != b
-        ] + [(a, "<missing>") for a in orbit_ids[len(role_ids):]] + [
-            ("<missing>", b) for b in role_ids[len(orbit_ids):]
-        ]
-        raise ValueError(
-            f"orbit/role id mismatch; first differences: {mismatched[:10]}"
-        )
-    manifest = _start("explain", cfg, {"orbits": args.orbits, "roles": args.roles})
-    features = _features(orbits, cfg, manifest)
-    # the roles CSV names the embedding it came from; the seeds derive
-    # from it as in the pipeline
-    model, report = _explain_roles(features, orbits, roles, cfg, out, manifest)
-    return _finish(
-        manifest,
-        out,
-        f"accuracy={model.holdout_accuracy:.3f} top={report.formatted(3)} -> {out}",
-    )
+    def body(cfg, paths, out, manifest, stage):
+        orbits, orbit_ids = orbits_from_csv(paths["orbits"])
+        roles, role_ids = roles_from_csv(paths["roles"])
+        if orbit_ids != role_ids:
+            mismatched = [
+                (a, b) for a, b in zip(orbit_ids, role_ids) if a != b
+            ] + [(a, "<missing>") for a in orbit_ids[len(role_ids):]] + [
+                ("<missing>", b) for b in role_ids[len(orbit_ids):]
+            ]
+            raise ValueError(
+                f"orbit/role id mismatch; first differences: {mismatched[:10]}"
+            )
+        # the roles' count bounds explain.keep_roles
+        stage.enter("config")
+        problems = explain_problems(cfg.explain, roles.k)
+        if problems:
+            raise ValueError("invalid config: " + "; ".join(problems))
+        stage.enter("explain")
+        features = _features(orbits, cfg, manifest)
+        # the roles CSV names the embedding it came from; the seeds derive
+        # from it as in the pipeline
+        model, report = _explain_roles(features, orbits, roles, cfg, out, manifest)
+        return f"accuracy={model.holdout_accuracy:.3f} top={report.formatted(3)} -> {out}"
+
+    return _run("explain", args, {"orbits": args.orbits, "roles": args.roles}, body)
 
 
 def _cmd_idr(args) -> int:
-    out = _out_dir(args.out)
-    cfg = _with_flags(load_config(args.config), args)
-    graph, table = _load_inputs(args.graph, args.labels)
-    roles, _ = roles_from_csv(args.roles, table)
-    manifest = _start(
-        "idr", cfg, {"graph": args.graph, "labels": args.labels, "roles": args.roles}
-    )
-    binned = _idr(graph, table, roles, cfg, out, manifest)
-    return _finish(manifest, out, f"{len(binned.included_bins)} included bin(s) -> {out}")
+    def body(cfg, paths, out, manifest, stage):
+        graph, table = _load_inputs(paths)
+        roles, _ = roles_from_csv(paths["roles"], table)
+        stage.enter("idr")
+        binned = _idr(graph, table, roles, cfg, out, manifest)
+        return f"{len(binned.included_bins)} included bin(s) -> {out}"
+
+    inputs = {"graph": args.graph, "labels": args.labels, "roles": args.roles}
+    return _run("idr", args, inputs, body)
 
 
 def _cmd_pipeline(args) -> int:
-    if args.from_manifest:
-        params = load_manifest(args.from_manifest)["parameters"]
-        cfg = config_from_dict(params["config"])
-        graph_path = params["graph_path"]
-        labels_path = params["labels_path"]
-    else:
-        cfg = load_config(args.config)
-        graph_path = args.graph
-        labels_path = args.labels
-    if graph_path is None:
-        raise ValueError("pipeline requires a graph (positional or --from-manifest)")
-    cfg = _with_flags(cfg, args)
-    manifest = run_pipeline(graph_path, labels_path, cfg, args.out)
-    print(f"pipeline: ok ({len(manifest.outputs)} outputs) -> {args.out}")
-    return 0
+    def body(cfg, paths, out, manifest, stage):
+        if "graph" not in paths:
+            raise ValueError("pipeline requires a graph (positional or --from-manifest)")
+        graph, table = _load_inputs(paths)
+
+        # GraphWave's lane runs beside the census, features and RolX
+        stage.enter("embed")
+        with _graphwave_lane(graph, table, cfg, out, manifest, census=True) as lane:
+            stage.enter("census")
+            orbits = _census(graph, table, cfg, out, manifest)
+            features = _features(orbits, cfg, manifest)
+            stage.enter("embed")
+            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
+
+        stage.enter("validate")
+        swept = _validate(embeddings, features, cfg, out, manifest)
+
+        stage.enter("cluster")
+        # validate_config keeps chosen_k inside the swept k range
+        assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
+
+        stage.enter("explain")
+        roles = assignments.get(cfg.explain.method)
+        if roles is None:
+            raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
+        _explain_roles(features, orbits, roles, cfg, out, manifest)
+
+        stage.enter("idr")
+        if len({c for c in table.categories if c is not None}) >= 2:
+            _idr(graph, table, roles, cfg, out, manifest)
+        else:
+            manifest.note("idr stage skipped: fewer than 2 disciplines")
+        return f"ok ({len(manifest.outputs)} outputs) -> {out}"
+
+    inputs = {"graph": args.graph, "labels": args.labels}
+    return _run("pipeline", args, inputs, body, check=validate_config, imports=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -207,14 +207,12 @@ def graphwave_embed(
     graph,
     scales=DEFAULT_SCALES,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
-    d: int | None = None,
     t_max: float = DEFAULT_T_MAX,
 ) -> EmbeddingMatrix:
     """Heat-wavelet characteristic-function embedding.
 
     The width is 2 * len(scales) * sample_points (real and imaginary part
-    per evaluation point); passing ``d`` asserts that identity. With the
-    defaults (2 scales, 32 points) the width is 128. ``sample_points``
+    per evaluation point): 128 with the defaults (2 scales, 32 points). ``sample_points``
     must be at least 2 and ``t_max`` positive and finite.
 
     Each point's phase is the previous one's rotated by exp(i step psi)
@@ -232,11 +230,6 @@ def graphwave_embed(
     if problems:
         raise EmbeddingError("; ".join(problems))
     width = 2 * len(scales) * sample_points
-    if d is not None and d != width:
-        raise EmbeddingError(
-            f"d={d} inconsistent with 2 x {len(scales)} scales x "
-            f"{sample_points} sample points = {width}"
-        )
 
     step = np.linspace(0.0, t_max, sample_points)[1]
     out = np.zeros((graph.node_count, width), dtype=np.float64)
@@ -431,16 +424,14 @@ def embedding_to_csv(embedding: EmbeddingMatrix, table, path) -> None:
         write_node_rows(fh, table, embedding.vectors)
 
 
-def import_embedding(path, table, method_tag: str | None = None) -> EmbeddingMatrix:
+def import_embedding(path, table) -> EmbeddingMatrix:
     """Load an external embedding CSV and align rows to the node table.
 
     Expected layout: optional ``# method=<tag>`` comment, then a header
     ``id,e0,...,e{d-1}``, read by ``graph.read_node_rows``. Every graph
-    node must be present, and no id may repeat. The tag is ``method_tag``,
-    else the comment's, else the file's stem.
+    node must be present, and no id may repeat. The tag is the comment's,
+    else the file's stem.
     """
     meta, header, _, rows = read_node_rows(path, float, EmbeddingError, table)
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
-    if method_tag is None:
-        method_tag = meta.get("method", Path(path).stem)
-    return EmbeddingMatrix(vectors=vectors, method_tag=method_tag)
+    return EmbeddingMatrix(vectors=vectors, method_tag=meta.get("method", Path(path).stem))

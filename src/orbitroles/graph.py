@@ -146,23 +146,17 @@ class NodeTable:
         return self._index[external_id]
 
 
-def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = None):
+def load_edge_list(path, table: NodeTable | None = None):
     """Read a whitespace-separated edge list into (Graph, NodeTable).
 
     Lines hold two tokens (source id, target id); '#' lines are comments,
     so an id cannot start with '#': a token that does, on any other line,
     is an error naming ``path:line``.
     Duplicate edges collapse, self loops are dropped with a counted
-    warning. With ``id_policy='strict'`` every id must already exist in
-    ``table``; with 'create', unseen ids get fresh indices (appended after
-    the table's ids when a table is given, so isolated table nodes are
-    retained with degree 0).
+    warning. Unseen ids get fresh indices, appended after the ids of
+    ``table`` when one is given, so isolated table nodes are retained with
+    degree 0.
     """
-    if id_policy not in ("strict", "create"):
-        raise ValueError(f"unknown id_policy {id_policy!r}")
-    if id_policy == "strict" and table is None:
-        raise ValueError("strict id_policy requires a pre-loaded node table")
-
     base = table if table is not None else NodeTable(external_ids=[])
     ids = list(base.external_ids)
     index = {x: i for i, x in enumerate(ids)}
@@ -184,10 +178,6 @@ def load_edge_list(path, id_policy: str = "create", table: NodeTable | None = No
                         f"{path}:{lineno}: id {tok!r} starts with '#', which marks a comment"
                     )
                 if tok not in index:
-                    if id_policy == "strict":
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: id {tok!r} not in node table (strict mode)"
-                        )
                     index[tok] = len(ids)
                     ids.append(tok)
                 flat.append(index[tok])

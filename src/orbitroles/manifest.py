@@ -2,14 +2,18 @@
 
 A manifest records the command, the fully resolved parameters, the seed,
 sha256 digests of every input file, the tool version and timestamps.
-Re-running a command with the parameters stored in a manifest must
+Every command but ``generate`` writes one ``parameters`` layout:
+``inputs`` (name -> absolute path of each input file; ``input_digests``
+has the same names), ``config`` (the resolved config), and what its stages
+add. Re-running a command with the parameters stored in a manifest must
 reproduce byte-identical CSV outputs (timestamps in the manifest itself
 are informational and excluded from that contract). The ``metrics`` block
 holds counters that explain a result, such as the k-means iterations and
 degeneracy of each sweep cell, the surrogate's holdout accuracy, size,
 shuffled importance cells and skipped effect curves, the wall seconds of
-each stage and worker task (``stages``) and the worker count
-(``workers``); it is outside that contract too.
+each stage and worker task (``stages``, in every command's manifest) and
+the worker count (``workers``); it is outside that contract too. A failed
+command writes no manifest but a ``FAILED`` marker naming its stage.
 """
 
 from __future__ import annotations

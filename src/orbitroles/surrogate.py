@@ -760,7 +760,7 @@ def orbit3_threshold(counts) -> float:
 
 
 def refit_on_subpopulation(
-    features, roles, keep_roles, trees: int = 200, seed: int = 0, **kwargs
+    features, roles, keep_roles, trees: int = 200, seed: int = 0
 ) -> SurrogateForest:
     """Retrain the surrogate on the nodes of selected roles only."""
     X = _as_features(features)
@@ -772,7 +772,7 @@ def refit_on_subpopulation(
         raise SurrogateError(
             f"need at least 2 populated roles after filtering, got {populated.size}"
         )
-    return train_surrogate(X[mask], y[mask], trees=trees, seed=seed, **kwargs)
+    return train_surrogate(X[mask], y[mask], trees=trees, seed=seed)
 
 
 def write_effect_curves(curves, threshold, path) -> None:

@@ -73,8 +73,9 @@ class TestCensus:
 
     def test_missing_file_names_path(self, tmp_path, capsys):
         code = run("census", tmp_path / "nope.txt", "--out", tmp_path / "out")
-        assert code != 0
+        assert code == 2
         assert "nope.txt" in capsys.readouterr().err
+        assert (tmp_path / "out" / "FAILED").read_text().startswith("stage=load\nerror=")
 
     def test_census_matches_oracle(self, tmp_path):
         g = er_graph(60, 0.06, 9)
@@ -191,7 +192,8 @@ class TestPipeline:
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert "stage=load" in marker
 
-    def test_good_run_clears_stale_failed_marker(self, corpus, tmp_path):
+    @pytest.mark.parametrize("command", ["pipeline", "census"])
+    def test_good_run_clears_stale_failed_marker(self, corpus, tmp_path, command):
         out = tmp_path / "out"
         assert run("pipeline", tmp_path / "missing.txt", "--out", out) != 0
         assert (out / "FAILED").exists()
@@ -200,7 +202,7 @@ class TestPipeline:
             BARBELL_CFG.replace("trees = 40", "trees = 5"),
         )
         assert run(
-            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            command, corpus / "edges.txt", "--labels", corpus / "nodes.csv",
             "--config", cfg, "--out", out,
         ) == 0
         assert not (out / "FAILED").exists()
@@ -314,7 +316,8 @@ class TestExplainCommand:
         )
         assert code != 0
         assert f"invalid config: {message}" in capsys.readouterr().err
-        assert not list(out.glob("*"))
+        assert [p.name for p in out.iterdir()] == ["FAILED"]
+        assert (out / "FAILED").read_text().startswith("stage=config\nerror=invalid config: ")
 
     def test_id_mismatch_lists_first_ten(self, census_and_roles, tmp_path, capsys):
         orbits_path, _ = census_and_roles
@@ -498,9 +501,61 @@ class TestImportedEmbeddings:
             "validate", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
             "--orbits", run_dir / "orbits.csv", "--embedding", first, "--embedding", second,
             "--config", cfg, "--out", staged,
-        ) == 1
+        ) == 2
         assert clash in capsys.readouterr().err
+        assert (staged / "FAILED").read_text() == f"stage=load\nerror={clash}\n"
         assert not (staged / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "embed"])
+    def test_imports_are_digested_inputs(self, corpus, run_dir, tmp_path, command):
+        from orbitroles.manifest import file_digest
+
+        other = self._retagged(run_dir, tmp_path / "cmp.csv", "cmp")
+        cfg = write_config(
+            tmp_path / "imports.ini",
+            BARBELL_CFG.replace("trees = 40", "trees = 4").replace(
+                "rolx_rank = 3", f"rolx_rank = 3\nimport_paths = {other}"
+            ),
+        )
+        digests = []
+        for edit in ("", "\n"):
+            other.write_text(other.read_text() + edit)
+            out = tmp_path / f"out{len(digests)}"
+            assert run(
+                command, corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+                "--config", cfg, "--out", out,
+            ) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["parameters"]["inputs"]["import0"] == str(other)
+            assert manifest["input_digests"]["import0"] == file_digest(other)
+            digests.append(manifest["input_digests"]["import0"])
+        assert digests[0] != digests[1]
+
+    def test_replay_from_another_directory(self, corpus, run_dir, tmp_path, monkeypatch):
+        # the manifest records absolute input and import paths, so the
+        # replay of a run given relative ones reads the same files
+        (tmp_path / "corpus").mkdir()
+        for name in ("edges.txt", "nodes.csv"):
+            (tmp_path / "corpus" / name).write_bytes((corpus / name).read_bytes())
+        self._retagged(run_dir, tmp_path / "cmp.csv", "cmp")
+        write_config(
+            tmp_path / "cfg.ini",
+            BARBELL_CFG.replace("trees = 40", "trees = 8").replace(
+                "rolx_rank = 3", "rolx_rank = 3\nimport_paths = cmp.csv"
+            ),
+        )
+        monkeypatch.chdir(tmp_path)
+        assert run(
+            "pipeline", "corpus/edges.txt", "--labels", "corpus/nodes.csv",
+            "--config", "cfg.ini", "--out", "first",
+        ) == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run("pipeline", "--from-manifest", "../first/manifest.json", "--out", "replay") == 0
+        first = {p.name: p.read_bytes() for p in (tmp_path / "first").glob("*.csv")}
+        assert "embedding_cmp.csv" in first and len(first) == 13
+        replay = tmp_path / "elsewhere" / "replay"
+        assert {p.name: p.read_bytes() for p in replay.glob("*.csv")} == first
 
 
 class TestStagedExplainMatchesPipeline:
@@ -541,23 +596,31 @@ def test_staged_chain_matches_pipeline(corpus, tmp_path, drop_orbit0):
     pipe, staged = tmp_path / "pipe", tmp_path / "staged"
     assert run("pipeline", graph, *common, "--out", pipe) == 0
 
-    assert run("census", graph, *common, "--out", staged) == 0
-    assert run("embed", graph, *common, "--out", staged) == 0
+    def staged_run(command, *argv):
+        # every command writes one manifest layout and its stage timings
+        assert run(command, *argv, "--out", staged) == 0
+        manifest = json.loads((staged / "manifest.json").read_text())
+        inputs = manifest["parameters"]["inputs"]
+        assert set(manifest["input_digests"]) == set(inputs)
+        assert all(os.path.isabs(path) for path in inputs.values())
+        assert manifest["parameters"]["config"]["seed"] == 5
+        assert set(manifest["metrics"]["stages"]) >= {"config", "load", command}
+
+    staged_run("census", graph, *common)
+    staged_run("embed", graph, *common)
     embeddings = [staged / f"embedding_{m}.csv" for m in ("graphwave", "rolx")]
-    assert run(
+    staged_run(
         "validate", graph, *common, "--orbits", staged / "orbits.csv",
-        "--embedding", embeddings[0], "--embedding", embeddings[1], "--out", staged,
-    ) == 0
+        "--embedding", embeddings[0], "--embedding", embeddings[1],
+    )
     for path in embeddings:
-        assert run(
-            "cluster", graph, *common, "--embedding", path, "--k", 3, "--out", staged,
-        ) == 0
+        staged_run("cluster", graph, *common, "--embedding", path, "--k", 3)
     roles = staged / "roles_graphwave.csv"
-    assert run(
+    staged_run(
         "explain", "--orbits", staged / "orbits.csv", "--roles", roles,
-        "--config", cfg, "--seed", 5, "--out", staged,
-    ) == 0
-    assert run("idr", graph, *common, "--roles", roles, "--out", staged) == 0
+        "--config", cfg, "--seed", 5,
+    )
+    staged_run("idr", graph, *common, "--roles", roles)
 
     names = sorted(p.name for p in pipe.glob("*.csv"))
     assert names == sorted(p.name for p in staged.glob("*.csv"))
@@ -877,8 +940,9 @@ class TestGraphWaveBudget:
             "embed", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
             "--config", self._config(tmp_path, "graphwave"), "--out", out,
         )
-        assert code == 1
+        assert code == 2
         assert "0.1 MB budget; [embed] methods = rolx skips GraphWave" in capsys.readouterr().err
+        assert (out / "FAILED").read_text().startswith("stage=embed\nerror=estimated GraphWave")
         assert not list(out.glob("*.csv"))
         assert_no_children()
 

@@ -36,12 +36,6 @@ class TestGraphWave:
         assert emb.d == 128
         assert emb.method_tag == "graphwave"
 
-    def test_width_assertion(self):
-        g = er_graph(8, 0.4, 0)
-        assert graphwave_embed(g, d=128).d == 128
-        with pytest.raises(EmbeddingError, match="inconsistent"):
-            graphwave_embed(g, d=100)
-
     def test_bad_scales_rejected(self):
         with pytest.raises(EmbeddingError, match="positive"):
             graphwave_embed(er_graph(8, 0.4, 0), scales=(0.5, -1.0))

@@ -99,21 +99,10 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="empty"):
             load_edge_list(path)
 
-    def test_strict_requires_known_ids(self, tmp_path):
-        table = NodeTable(external_ids=["a", "b"])
-        path = write(tmp_path, "g.txt", "a b\nb c\n")
-        with pytest.raises(GraphFormatError, match="'c'"):
-            load_edge_list(path, id_policy="strict", table=table)
-
-    def test_strict_without_table_rejected(self, tmp_path):
-        path = write(tmp_path, "g.txt", "a b\n")
-        with pytest.raises(ValueError, match="strict"):
-            load_edge_list(path, id_policy="strict")
-
     def test_isolated_table_nodes_kept_with_degree_zero(self, tmp_path):
         table = NodeTable(external_ids=["a", "b", "ghost"])
         path = write(tmp_path, "g.txt", "a b\n")
-        graph, out = load_edge_list(path, id_policy="create", table=table)
+        graph, out = load_edge_list(path, table=table)
         assert graph.node_count == 3
         assert graph.degrees()[out.index_of("ghost")] == 0
 
@@ -388,7 +377,7 @@ class TestGraphInvariants:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.txt"
             write_edge_list(g, table, path)
-            back, back_table = load_edge_list(path, id_policy="create", table=table)
+            back, back_table = load_edge_list(path, table=table)
         assert back.adjacency == g.adjacency
         assert back_table.external_ids == table.external_ids
 
