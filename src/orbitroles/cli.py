@@ -15,8 +15,9 @@ outputs and one manifest of one layout into --out: ``parameters`` holds
 ``import_paths`` absolute), plus what the stages add, and
 ``metrics["stages"]`` the wall seconds of each stage. ``pipeline
 --from-manifest`` replays ``inputs`` and ``config`` from any directory. A
-failing command of any kind leaves a FAILED marker naming the stage and
-keeps partial outputs; the next run into the directory removes it.
+failing command of any kind leaves a FAILED marker naming the stage, no
+manifest, and its partial outputs; the next run into the directory removes
+the marker.
 
 An embedding imported through ``[embed] import_paths`` (or given to
 ``validate`` with ``--embedding``) is known by the tag of its CSV, which
@@ -30,7 +31,8 @@ With two or more, GraphWave and its CSV run on a forked worker while the
 parent counts orbits and runs RolX, and the sweep's k-means cells are dealt
 over the workers; the CSVs are the same for every count. Memory adds up
 over the lanes that run at once. ``metrics["stages"]`` also holds the wall
-seconds of each worker task, ``metrics["workers"]`` the worker count,
+seconds of each worker task and of GraphWave's CSV write within its task
+(``embed/graphwave-write``), ``metrics["workers"]`` the worker count,
 ``metrics["rolx"]`` the NMF iterations and convergence and the ReFeX
 features and generation of RolX, ``metrics["graphwave"]`` GraphWave's
 estimated working set, components and distinct components,
@@ -82,7 +84,7 @@ from .embeddings import (
     rolx_embed,
 )
 from .graph import load_edge_list, load_node_table, write_edge_list, write_node_table
-from .manifest import RunManifest, load_manifest
+from .manifest import MANIFEST_NAME, RunManifest, load_manifest
 from .orbits import (
     count_orbits,
     estimate_census_memory_mb,
@@ -156,8 +158,9 @@ def _features(orbits, cfg, manifest):
 
 
 def _native_embedding(graph, table, cfg, out, method, orbits=None):
-    """One native embedding of ``graph``, written to its CSV in ``out``;
-    RolX reads its base features off the orbit census ``orbits``."""
+    """One native embedding of ``graph``, written to its CSV in ``out``,
+    and the wall seconds of the write; RolX reads its base features off
+    the orbit census ``orbits``."""
     ec = cfg.embed
     if method == "graphwave":
         emb = graphwave_embed(
@@ -179,8 +182,9 @@ def _native_embedding(graph, table, cfg, out, method, orbits=None):
             f"unknown native method {method!r} (native: {list(NATIVE_METHODS)}); "
             "external methods enter via [embed] import_paths"
         )
+    start = time.perf_counter()
     embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
-    return emb
+    return emb, time.perf_counter() - start
 
 
 def _workers(cfg, manifest) -> int:
@@ -240,12 +244,14 @@ def _imported(paths, table, native=()):
 def _embed(graph, table, cfg, out, manifest, lane, orbits):
     """The embeddings of ``embed.methods`` in their order, then the
     imported ones, each written to its CSV. GraphWave is the result of
-    ``lane`` (``_graphwave_lane``); the other native methods run here
-    first, beside a forked lane. RolX takes the census ``orbits`` and
-    leaves its NMF and ReFeX counters in ``metrics["rolx"]``."""
+    ``lane`` (``_graphwave_lane``), whose seconds, and those of its CSV
+    write within them, go to ``metrics["stages"]``; the other native
+    methods run here first, beside a forked lane. RolX takes the census
+    ``orbits`` and leaves its NMF and ReFeX counters in
+    ``metrics["rolx"]``."""
     ec = cfg.embed
     native = {
-        m: _native_embedding(graph, table, cfg, out, m, orbits)
+        m: _native_embedding(graph, table, cfg, out, m, orbits)[0]
         for m in ec.methods
         if m != "graphwave"
     }
@@ -258,8 +264,9 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
             "refex_generation": meta["refex_generation"],
         }
     if "graphwave" in ec.methods:
-        native["graphwave"] = lane.result()
-        manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
+        native["graphwave"], write = lane.result()
+        stages = manifest.metrics.setdefault("stages", {})
+        stages["embed/graphwave"], stages["embed/graphwave-write"] = lane.seconds, write
         for key in ("components", "distinct_components"):
             manifest.metrics["graphwave"][key] = native["graphwave"].meta[key]
     imported = _imported(ec.import_paths, table, ec.methods)
@@ -472,9 +479,9 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
     paths, out, manifest, stage)`` runs the stages, entering each with
     ``stage.enter``, and returns the summary line. Then the stage seconds
     go to ``metrics["stages"]``, the manifest is written, and the notes
-    and the summary are printed. Any error leaves ``FAILED``
-    (``stage=<name>``, ``error=<message>``) and is raised as a
-    StageError."""
+    and the summary are printed. Any error removes a manifest left in
+    ``--out``, leaves ``FAILED`` (``stage=<name>``, ``error=<message>``)
+    and is raised as a StageError."""
     out = _out_dir(args.out)
     (out / "FAILED").unlink(missing_ok=True)
     stage = _Stages()
@@ -506,6 +513,9 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
         manifest.metrics.setdefault("stages", {}).update(stage.seconds)
         manifest.write(out)
     except Exception as exc:
+        # an earlier run's manifest must not sit beside this run's marker;
+        # it is kept until now, as --from-manifest may replay it into --out
+        (out / MANIFEST_NAME).unlink(missing_ok=True)
         (out / "FAILED").write_text(f"stage={stage.name}\nerror={exc}\n", encoding="utf-8")
         raise StageError(stage.name, exc) from exc
     for message in manifest.notes:

@@ -15,16 +15,24 @@ graph at seed 7: 173 components, 22 distinct).
 
 The points are t_j = j * step, so exp(i t_j psi) = exp(i step psi)^j: the
 characteristic function takes one cos and one sin per wavelet coefficient
-(the step), and each further point is a rotation of the running phase,
-(c, s) <- (c cos - s sin, c sin + s cos). psi is walked in row blocks
-of at most ``_BLOCK_CELLS`` cells (or one row), so the working memory
-beyond psi is O(block + points * k), not k x k. Each column's sum runs
-over the rows in order, carried from one block to the next, so the sums
-do not depend on the block height. Against exact evaluation of each
-exp(i t_j psi) the rounding error grows with j: up to 1.4e-15 was seen at
-32 points and 7.4e-15 at 1000 (tests/embedding_reference.py keeps the
-exact form, and the tests hold the two within 1e-12). The t = 0 point is
-the same to the bit.
+(the step), held as one complex rotation r = cos + i sin, and each
+further point multiplies the running complex phase by it, z <- z * r. psi
+is walked in row blocks of at most ``_BLOCK_CELLS`` cells (or one row), so
+the working memory beyond psi is O(block + points * k), not k x k. Each
+column's sum runs over the rows in order, carried from one block to the
+next, so the sums do not depend on the block height.
+
+numpy's complex multiply is (c cos - s sin, c sin + s cos). On CPUs with
+FMA (x86-64-v3 and newer) numpy dispatches a fused loop, which rounds each
+product of a pair once instead of twice; with the dispatch held to the
+baseline (``NPY_DISABLE_CPU_FEATURES``) it equals the separate multiplies
+and adds bit for bit. The two differ by rounding only: at most 8.9e-16 in
+an embedding value on the ba-hub bench graph and 1.1e-15 on planted-many
+(seed 7). Against exact evaluation of each exp(i t_j psi) the rounding
+error grows with j: up to 6.1e-15 was seen at 32 points and 2.3e-14 at
+1000 on the 25-node graph of the tests, fused or not
+(tests/embedding_reference.py keeps the exact form, and the tests hold
+the two within 1e-12). The t = 0 point is the same to the bit.
 
 RolX: recursive structural features (ReFeX) factorized by non-negative
 matrix factorization with multiplicative updates; a node's embedding is
@@ -123,10 +131,11 @@ def _heat_kernel_exact(eig, scale):
     return (eigvec * np.exp(-scale * eigval)) @ eigvec.T
 
 
-# Cells per row block of psi in ``_characteristic``. Its six block arrays
-# (cos and sin of the step, the stacked phase and its two products) take
-# about 6 * 8 * 2**15 bytes = 1.5 MB whatever the component size; on BA
-# graphs of n = 800 taller and shorter blocks both ran slower.
+# Cells per row block of psi in ``_characteristic``. Its block arrays (the
+# complex phase and rotation, two planes each, step * psi and the
+# temporary of its cos) take about 6 * 8 * 2**15 bytes = 1.5 MB whatever
+# the component size; on BA graphs of n = 800 and 2,000 blocks of 2**14
+# and 2**16 cells both ran slower.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -152,40 +161,36 @@ def _characteristic(psi, step, sums):
 
     Fills ``sums[v, j] = (sum_u cos(t_j psi[u, v]), sum_u sin(...))`` for
     the points j < ``sums.shape[1]``. psi is walked in blocks of h rows;
-    each block's phase (cos and sin stacked in rows 1..h of one buffer) is
-    rotated by exp(i step psi) from one point to the next. Each point's
-    column sums over the earlier blocks are carried into row 0 of the
-    buffer, so that the sum over the block's rows continues the one
-    sequential sum over u = 0..k-1.
+    each block's phase z (complex, in rows 1..h of one buffer) is rotated
+    by r = exp(i step psi) from one point to the next with one complex
+    multiply. Each point's column sums over the earlier blocks are carried
+    into row 0 of the buffer, so that the sum over the block's rows
+    continues the one sequential sum over u = 0..k-1.
     """
     k, points = psi.shape[0], sums.shape[1]
     h = min(k, max(1, _BLOCK_CELLS // k))
-    buf = np.empty((2, h + 1, k))
-    turn = np.empty((2, h, k))
-    # (point, cos or sin, column): a reduce into a strided view of sums is
-    # several times slower than into a contiguous row
-    acc = np.empty((points, 2, k))
+    buf = np.empty((h + 1, k), dtype=np.complex128)
+    rot = np.empty((h, k), dtype=np.complex128)
+    # (point, column): a reduce into a strided view of sums is several
+    # times slower than into a contiguous row
+    acc = np.empty((points, k), dtype=np.complex128)
     for r0 in range(0, k, h):
         rows = min(h, k - r0)
-        cs, t = buf[:, 1 : rows + 1], turn[:, :rows]
+        z, r = buf[1 : rows + 1], rot[:rows]
         sd = step * psi[r0 : r0 + rows]
-        cd = np.cos(sd)
-        np.sin(sd, out=sd)
-        cs[0] = 1.0
-        cs[1] = 0.0
+        # copied from contiguous cos and sin, the loops the tests' reference runs
+        r.real = np.cos(sd)
+        r.imag = np.sin(sd, out=sd)
+        z[:] = 1.0
         # the first block starts each point's sums; the others carry them in
-        terms = buf[:, : rows + 1] if r0 else cs
+        terms = buf[: rows + 1] if r0 else z
         for j in range(points):
             if j:
-                # (c, s) <- (c cos - s sin, s cos + c sin)
-                np.multiply(cs, sd, out=t)
-                cs *= cd
-                cs[0] -= t[1]
-                cs[1] += t[0]
+                z *= r
             if r0:
-                buf[:, 0] = acc[j]
-            np.add.reduce(terms, axis=1, out=acc[j])
-    sums[:] = acc.transpose(2, 0, 1)
+                buf[0] = acc[j]
+            np.add.reduce(terms, axis=0, out=acc[j])
+    sums[:] = acc.view(np.float64).reshape(points, k, 2).transpose(1, 0, 2)
 
 
 def estimate_graphwave_memory_mb(
@@ -195,8 +200,10 @@ def estimate_graphwave_memory_mb(
     are embedded one at a time, so the k x k matrices are the largest one's:
     five while ``eigh`` runs (``_laplacian``'s, LAPACK's copy, 2k^2 + 6k + 1
     doubles of workspace, the eigenvectors), two beside ``_characteristic``'s
-    six blocks of min(k^2, ``_BLOCK_CELLS``) cells. Add the output and sums,
-    per node and CSR entry the component lists and keys, and 64 kB."""
+    block arrays: the complex phase and rotation (two planes each), step *
+    psi and its cos, six planes of min(k^2, ``_BLOCK_CELLS``) cells. Add the
+    output and the complex sums, per node and CSR entry the component lists
+    and keys, and 64 kB."""
     k, n = max(map(len, graph.components()), default=0), graph.node_count
     width = 2 * len(scales) * sample_points
     cells = 5 * k * k + 6 * min(k * k, _BLOCK_CELLS) + (12 + 2 * sample_points + width) * k
@@ -215,11 +222,10 @@ def graphwave_embed(
     per evaluation point): 128 with the defaults (2 scales, 32 points). ``sample_points``
     must be at least 2 and ``t_max`` positive and finite.
 
-    Each point's phase is the previous one's rotated by exp(i step psi)
-    (see the module docstring), over row blocks of at most
-    ``_BLOCK_CELLS`` cells of psi; the values differ from exact evaluation
-    of every exp(i t psi) by rounding only, about 1e-15 at the default 32
-    points.
+    Each point's phase is the previous one's times exp(i step psi) (see
+    the module docstring), over row blocks of at most ``_BLOCK_CELLS``
+    cells of psi; the values differ from exact evaluation of every
+    exp(i t psi) by rounding only, a few 1e-15 at the default 32 points.
     ``meta`` counts the ``components`` and the ``distinct_components``,
     the ones computed; the others copy rows.
     """

@@ -191,23 +191,19 @@ def refex_features_bitmask(graph, depth=2, dedup_threshold=0.99):
 
 
 def characteristic_column_blocks(psi, step, sums, block_cells=1 << 15):
-    """``_characteristic`` as it walked psi in blocks of columns, with
-    separate cos and sin arrays, before it walked blocks of rows."""
+    """``_characteristic`` as it walked psi in blocks of columns, before it
+    walked blocks of rows, with its rotation as it is now: one complex
+    multiply of the phase by exp(i step psi) per point."""
     k, points = psi.shape[0], sums.shape[1]
     width = max(1, block_cells // k)
     for j0 in range(0, k, width):
         arg = step * psi[:, j0 : j0 + width]
-        cd, sd = np.cos(arg), np.sin(arg)
-        c, s = np.ones_like(arg), np.zeros_like(arg)
-        c_sd, s_sd = np.empty_like(arg), np.empty_like(arg)
+        rot = np.cos(arg) + 1j * np.sin(arg)
+        z = np.ones_like(rot)
         block = sums[j0 : j0 + width]
         for j in range(points):
             if j:
-                np.multiply(c, sd, out=c_sd)
-                np.multiply(s, sd, out=s_sd)
-                c *= cd
-                c -= s_sd
-                s *= cd
-                s += c_sd
-            c.sum(axis=0, out=block[:, j, 0])
-            s.sum(axis=0, out=block[:, j, 1])
+                z *= rot
+            total = z.sum(axis=0)
+            block[:, j, 0] = total.real
+            block[:, j, 1] = total.imag

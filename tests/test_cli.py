@@ -77,6 +77,17 @@ class TestCensus:
         assert "nope.txt" in capsys.readouterr().err
         assert (tmp_path / "out" / "FAILED").read_text().startswith("stage=load\nerror=")
 
+    def test_failure_removes_earlier_manifest(self, tmp_path):
+        # the first run's manifest would describe the failed one
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("a b\nb c\na c\n")
+        out = tmp_path / "out"
+        assert run("census", graph_file, "--out", out) == 0
+        assert (out / "manifest.json").exists()
+        assert run("census", tmp_path / "missing.txt", "--out", out) == 2
+        assert (out / "FAILED").read_text().startswith("stage=load\nerror=")
+        assert not (out / "manifest.json").exists()
+
     def test_census_matches_oracle(self, tmp_path):
         g = er_graph(60, 0.06, 9)
         lines = [f"n{u} n{v}" for u, v in g.edges()]
@@ -184,6 +195,15 @@ class TestPipeline:
         assert (run_dir / "orbits.csv").read_bytes() == (
             tmp_path / "r3" / "orbits.csv"
         ).read_bytes()
+
+    def test_rerun_from_manifest_into_its_own_directory(self, run_dir, tmp_path):
+        # the manifest being replayed is the one that the replay replaces
+        replay = tmp_path / "replay"
+        assert run("pipeline", "--from-manifest", run_dir / "manifest.json", "--out", replay) == 0
+        assert run("pipeline", "--from-manifest", replay / "manifest.json", "--out", replay) == 0
+        assert (replay / "manifest.json").exists() and not (replay / "FAILED").exists()
+        for path in run_dir.glob("*.csv"):
+            assert (replay / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_failure_names_stage_and_marks(self, tmp_path, capsys):
         code = run("pipeline", tmp_path / "missing.txt", "--out", tmp_path / "out")
@@ -1197,8 +1217,9 @@ class TestWorkers:
         stages = metrics["stages"]
         assert set(stages) == {
             "config", "load", "census", "embed", "validate", "cluster", "explain", "idr",
-            "embed/graphwave", "validate/kmeans-0", "validate/kmeans-1",
+            "embed/graphwave", "embed/graphwave-write", "validate/kmeans-0", "validate/kmeans-1",
         }
+        assert stages["embed/graphwave-write"] < stages["embed/graphwave"]
         assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
 
     def test_graphwave_error_in_worker_marks_embed(self, corpus, tmp_path, monkeypatch, capsys):
