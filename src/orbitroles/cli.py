@@ -16,8 +16,8 @@ outputs and one manifest of one layout into --out: ``parameters`` holds
 ``metrics["stages"]`` the wall seconds of each stage. ``pipeline
 --from-manifest`` replays ``inputs`` and ``config`` from any directory. A
 failing command of any kind leaves a FAILED marker naming the stage, no
-manifest, and its partial outputs; the next run into the directory removes
-the marker.
+manifest but the one it replays, and its partial outputs; the next run into
+the directory removes the marker.
 
 An embedding imported through ``[embed] import_paths`` (or given to
 ``validate`` with ``--embedding``) is known by the tag of its CSV, which
@@ -158,18 +158,11 @@ def _features(orbits, cfg, manifest):
 
 
 def _native_embedding(graph, table, cfg, out, method, orbits=None):
-    """One native embedding of ``graph``, written to its CSV in ``out``,
-    and the wall seconds of the write; RolX reads its base features off
-    the orbit census ``orbits``."""
+    """One native embedding of ``graph`` other than GraphWave (which
+    ``_graphwave_lane`` runs), written to its CSV in ``out``; RolX reads
+    its base features off the orbit census ``orbits``."""
     ec = cfg.embed
-    if method == "graphwave":
-        emb = graphwave_embed(
-            graph,
-            scales=ec.graphwave_scales,
-            sample_points=ec.sample_points,
-            t_max=ec.t_max,
-        )
-    elif method == "rolx":
+    if method == "rolx":
         emb = rolx_embed(
             graph,
             orbits,
@@ -182,6 +175,20 @@ def _native_embedding(graph, table, cfg, out, method, orbits=None):
             f"unknown native method {method!r} (native: {list(NATIVE_METHODS)}); "
             "external methods enter via [embed] import_paths"
         )
+    embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
+    return emb
+
+
+def _graphwave_written(graph, table, cfg, out):
+    """GraphWave's embedding of ``graph``, written to its CSV in ``out``,
+    and the wall seconds of the write."""
+    ec = cfg.embed
+    emb = graphwave_embed(
+        graph,
+        scales=ec.graphwave_scales,
+        sample_points=ec.sample_points,
+        t_max=ec.t_max,
+    )
     start = time.perf_counter()
     embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
     return emb, time.perf_counter() - start
@@ -220,7 +227,7 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
                 f"{beside:.1f} MB, side by side, exceed the {budget:g} MB budget; "
                 "threads = 1 runs them one after the other"
             )
-    return Task(partial(_native_embedding, graph, table, cfg, out, "graphwave"), fork)
+    return Task(partial(_graphwave_written, graph, table, cfg, out), fork)
 
 
 def _imported(paths, table, native=()):
@@ -251,7 +258,7 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
     ``metrics["rolx"]``."""
     ec = cfg.embed
     native = {
-        m: _native_embedding(graph, table, cfg, out, m, orbits)[0]
+        m: _native_embedding(graph, table, cfg, out, m, orbits)
         for m in ec.methods
         if m != "graphwave"
     }
@@ -480,8 +487,9 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
     ``stage.enter``, and returns the summary line. Then the stage seconds
     go to ``metrics["stages"]``, the manifest is written, and the notes
     and the summary are printed. Any error removes a manifest left in
-    ``--out``, leaves ``FAILED`` (``stage=<name>``, ``error=<message>``)
-    and is raised as a StageError."""
+    ``--out``, unless it is the one ``--from-manifest`` replays, leaves
+    ``FAILED`` (``stage=<name>``, ``error=<message>``) and is raised as a
+    StageError."""
     out = _out_dir(args.out)
     (out / "FAILED").unlink(missing_ok=True)
     stage = _Stages()
@@ -513,9 +521,14 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
         manifest.metrics.setdefault("stages", {}).update(stage.seconds)
         manifest.write(out)
     except Exception as exc:
-        # an earlier run's manifest must not sit beside this run's marker;
-        # it is kept until now, as --from-manifest may replay it into --out
-        (out / MANIFEST_NAME).unlink(missing_ok=True)
+        # an earlier run's manifest must not sit beside this run's marker,
+        # unless it is the one that --from-manifest replays: that is the
+        # record to mend and replay again
+        stale, source = out / MANIFEST_NAME, getattr(args, "from_manifest", None)
+        if stale.exists() and not (
+            source and os.path.exists(source) and os.path.samefile(stale, source)
+        ):
+            stale.unlink()
         (out / "FAILED").write_text(f"stage={stage.name}\nerror={exc}\n", encoding="utf-8")
         raise StageError(stage.name, exc) from exc
     for message in manifest.notes:

@@ -29,8 +29,10 @@ baseline (``NPY_DISABLE_CPU_FEATURES``) it equals the separate multiplies
 and adds bit for bit. The two differ by rounding only: at most 8.9e-16 in
 an embedding value on the ba-hub bench graph and 1.1e-15 on planted-many
 (seed 7). Against exact evaluation of each exp(i t_j psi) the rounding
-error grows with j: up to 6.1e-15 was seen at 32 points and 2.3e-14 at
-1000 on the 25-node graph of the tests, fused or not
+error grows with j. On the 25-node graph of test_embeddings.py (a
+20-node ER component, a triangle and two singletons; t_max 100), up to
+6.1e-15 was seen in an embedding value at 32 points and 2.3e-14 at 1000,
+fused or not, as four separate real multiplies and adds give
 (tests/embedding_reference.py keeps the exact form, and the tests hold
 the two within 1e-12). The t = 0 point is the same to the bit.
 

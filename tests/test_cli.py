@@ -205,6 +205,28 @@ class TestPipeline:
         for path in run_dir.glob("*.csv"):
             assert (replay / path.name).read_bytes() == path.read_bytes(), path.name
 
+    @pytest.mark.parametrize(
+        "stage, spoil",
+        [
+            ("config", lambda params, tmp: params.pop("inputs")),
+            ("load", lambda params, tmp: params["inputs"].update(graph=str(tmp / "moved.txt"))),
+        ],
+        ids=["older-layout", "moved-input"],
+    )
+    def test_failed_replay_into_its_own_directory_keeps_manifest(
+        self, run_dir, tmp_path, stage, spoil
+    ):
+        # the replayed manifest is the record to mend and replay again
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        spoil(manifest["parameters"], tmp_path)
+        (replay / "manifest.json").write_text(json.dumps(manifest))
+        before = (replay / "manifest.json").read_bytes()
+        assert run("pipeline", "--from-manifest", replay / "manifest.json", "--out", replay) == 2
+        assert (replay / "FAILED").read_text().startswith(f"stage={stage}\nerror=")
+        assert (replay / "manifest.json").read_bytes() == before
+
     def test_failure_names_stage_and_marks(self, tmp_path, capsys):
         code = run("pipeline", tmp_path / "missing.txt", "--out", tmp_path / "out")
         assert code != 0
