@@ -27,15 +27,19 @@ each other and from the native ``embed.methods``; a clash fails stage
 
 ``threads`` (``--threads``, ``ORBITROLES_THREADS``) is the number of worker
 processes, by default the CPUs this process may run on (see ``workers``).
-With two or more, GraphWave and its CSV run on a forked worker while the
-parent counts orbits and runs RolX, and the sweep's k-means cells are dealt
-over the workers; the CSVs are the same for every count. Memory adds up
-over the lanes that run at once. ``metrics["stages"]`` also holds the wall
-seconds of each worker task and of GraphWave's CSV write within its task
-(``embed/graphwave-write``), ``metrics["workers"]`` the worker count,
-``metrics["rolx"]`` the NMF iterations and convergence and the ReFeX
-features and generation of RolX, ``metrics["graphwave"]`` GraphWave's
-estimated working set, components and distinct components,
+With two or more, GraphWave and, in the time it has to spare, its CSV run
+on a forked worker while the parent counts orbits and runs RolX, the sweep's
+k-means cells are dealt over the workers, and ``pipeline`` writes a
+GraphWave CSV that the lane left on a worker beside explain and idr; the
+CSVs are the same for every count. Memory adds up over the lanes that
+run at once. ``metrics["stages"]`` also holds the wall seconds of each
+worker task and of GraphWave's CSV write (``embed/graphwave-write``),
+``metrics["workers"]`` the worker count, ``metrics["census"]`` the census's
+estimated working set, its blocks of roots and the largest one's cells, and
+the minor page faults and system seconds of the call, ``metrics["rolx"]``
+the NMF iterations and convergence and the ReFeX features and generation of
+RolX, ``metrics["graphwave"]`` GraphWave's estimated working set,
+components and distinct components,
 ``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and whether
 its silhouette was sampled, and ``metrics["silhouette"]`` the nodes and the
 distinct log-orbit rows that an exact sweep scored over."""
@@ -44,8 +48,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -137,7 +143,18 @@ def _load_inputs(paths):
 
 
 def _census(graph, table, cfg, out, manifest):
+    """The orbit census of ``graph``, written to ``orbits.csv``. Its
+    counters go to ``metrics["census"]``: the guard's estimate, the blocks
+    of roots (``count_orbits``), and the minor page faults and system
+    seconds of this process during the call."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
     orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    manifest.metrics["census"] = {
+        **orbits.meta,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "system_s": after.ru_stime - before.ru_stime,
+    }
     orbits_to_csv(orbits, table, out / "orbits.csv")
     manifest.add_output(out / "orbits.csv")
     manifest.parameters["component_count"] = len(graph.components())
@@ -179,21 +196,6 @@ def _native_embedding(graph, table, cfg, out, method, orbits=None):
     return emb
 
 
-def _graphwave_written(graph, table, cfg, out):
-    """GraphWave's embedding of ``graph``, written to its CSV in ``out``,
-    and the wall seconds of the write."""
-    ec = cfg.embed
-    emb = graphwave_embed(
-        graph,
-        scales=ec.graphwave_scales,
-        sample_points=ec.sample_points,
-        t_max=ec.t_max,
-    )
-    start = time.perf_counter()
-    embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
-    return emb, time.perf_counter() - start
-
-
 def _workers(cfg, manifest) -> int:
     """The worker count that ``cfg.threads`` resolves to, recorded in the
     manifest."""
@@ -202,8 +204,13 @@ def _workers(cfg, manifest) -> int:
 
 
 def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
-    """GraphWave and its CSV as the task that ``_embed`` joins: forked now
+    """GraphWave's embedding as the task that ``_embed`` joins: forked now
     when there are two or more workers, otherwise run inline when joined.
+    Once it has sent the embedding, a forked lane writes its CSV until
+    ``_embed`` joins it (``Task.then_seconds``): with time to spare the
+    write is done there, as on a graph of many small components, and
+    otherwise it is stopped and left to the caller, as on one large
+    component, where the lane is the slower of the two.
     GraphWave's estimated working set is first checked, in the parent,
     against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``.
     When the lane forks and the caller runs the census beside it
@@ -227,7 +234,18 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
                 f"{beside:.1f} MB, side by side, exceed the {budget:g} MB budget; "
                 "threads = 1 runs them one after the other"
             )
-    return Task(partial(_graphwave_written, graph, table, cfg, out), fork)
+    embed = partial(
+        graphwave_embed,
+        graph,
+        scales=ec.graphwave_scales,
+        sample_points=ec.sample_points,
+        t_max=ec.t_max,
+    )
+    return Task(
+        embed,
+        fork,
+        then=lambda emb: embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv"),
+    )
 
 
 def _imported(paths, table, native=()):
@@ -250,12 +268,15 @@ def _imported(paths, table, native=()):
 
 def _embed(graph, table, cfg, out, manifest, lane, orbits):
     """The embeddings of ``embed.methods`` in their order, then the
-    imported ones, each written to its CSV. GraphWave is the result of
-    ``lane`` (``_graphwave_lane``), whose seconds, and those of its CSV
-    write within them, go to ``metrics["stages"]``; the other native
-    methods run here first, beside a forked lane. RolX takes the census
-    ``orbits`` and leaves its NMF and ReFeX counters in
-    ``metrics["rolx"]``."""
+    imported ones, and GraphWave's CSV write if it is still to run (else
+    None); every other embedding is written to its CSV here. GraphWave is
+    the result of ``lane`` (``_graphwave_lane``), whose seconds, and those
+    of its CSV write when the lane finished it, go to
+    ``metrics["stages"]``; the other native methods run here first, beside
+    a forked lane. The caller runs a write left to it with
+    ``_write_graphwave``: staged ``embed`` at once, ``pipeline`` beside
+    explain and idr. RolX takes the census ``orbits`` and leaves its NMF
+    and ReFeX counters in ``metrics["rolx"]``."""
     ec = cfg.embed
     native = {
         m: _native_embedding(graph, table, cfg, out, m, orbits)
@@ -270,19 +291,34 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
             "refex_features": meta["refex_features"],
             "refex_generation": meta["refex_generation"],
         }
+    write = None
     if "graphwave" in ec.methods:
-        native["graphwave"], write = lane.result()
+        native["graphwave"] = emb = lane.result()
         stages = manifest.metrics.setdefault("stages", {})
-        stages["embed/graphwave"], stages["embed/graphwave-write"] = lane.seconds, write
+        stages["embed/graphwave"] = lane.seconds
         for key in ("components", "distinct_components"):
-            manifest.metrics["graphwave"][key] = native["graphwave"].meta[key]
+            manifest.metrics["graphwave"][key] = emb.meta[key]
+        written, path = lane.then_seconds(), out / f"embedding_{emb.method_tag}.csv"
+        if written is None:
+            # a CSV that the lane did not finish is removed, not left cut short
+            path.unlink(missing_ok=True)
+            write = partial(embedding_to_csv, emb, table, path)
+        else:
+            stages["embed/graphwave-write"] = written
     imported = _imported(ec.import_paths, table, ec.methods)
     for emb in imported:
         embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
     embeddings = [native[m] for m in ec.methods] + imported
     for emb in embeddings:
         manifest.add_output(out / f"embedding_{emb.method_tag}.csv")
-    return embeddings
+    return embeddings, write
+
+
+def _write_graphwave(writer, manifest):
+    """Join ``writer``, the Task that runs GraphWave's CSV write from
+    ``_embed``, and record its seconds as ``embed/graphwave-write``."""
+    writer.result()
+    manifest.metrics.setdefault("stages", {})["embed/graphwave-write"] = writer.seconds
 
 
 def _validate(embeddings, features, cfg, out, manifest):
@@ -625,7 +661,9 @@ def _cmd_embed(args) -> int:
         rolx = "rolx" in cfg.embed.methods
         with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as lane:
             orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
-            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
+            embeddings, write = _embed(graph, table, cfg, out, manifest, lane, orbits)
+            if write:
+                _write_graphwave(Task(write, fork=False), manifest)
         widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
         return f"{widths} -> {out}"
 
@@ -716,7 +754,7 @@ def _cmd_pipeline(args) -> int:
             orbits = _census(graph, table, cfg, out, manifest)
             features = _features(orbits, cfg, manifest)
             stage.enter("embed")
-            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
+            embeddings, write = _embed(graph, table, cfg, out, manifest, lane, orbits)
 
         stage.enter("validate")
         swept = _validate(embeddings, features, cfg, out, manifest)
@@ -729,13 +767,22 @@ def _cmd_pipeline(args) -> int:
         roles = assignments.get(cfg.explain.method)
         if roles is None:
             raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
-        _explain_roles(features, orbits, roles, cfg, out, manifest)
+        # a GraphWave CSV that its lane left is written beside explain and
+        # idr, which leave a CPU idle (a writer forked beside the sweep slows
+        # it), and joined in stage embed
+        writer = Task(write, fork=cfg.threads > 1) if write else nullcontext()
+        with writer:
+            _explain_roles(features, orbits, roles, cfg, out, manifest)
 
-        stage.enter("idr")
-        if len({c for c in table.categories if c is not None}) >= 2:
-            _idr(graph, table, roles, cfg, out, manifest)
-        else:
-            manifest.note("idr stage skipped: fewer than 2 disciplines")
+            stage.enter("idr")
+            if len({c for c in table.categories if c is not None}) >= 2:
+                _idr(graph, table, roles, cfg, out, manifest)
+            else:
+                manifest.note("idr stage skipped: fewer than 2 disciplines")
+
+            if write:
+                stage.enter("embed")
+                _write_graphwave(writer, manifest)
         return f"ok ({len(manifest.outputs)} outputs) -> {out}"
 
     inputs = {"graph": args.graph, "labels": args.labels}

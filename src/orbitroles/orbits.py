@@ -6,8 +6,10 @@ of linear relations over common-neighbour counts (Hočevar & Demšar,
 Bioinformatics 2014). It walks contiguous blocks of root nodes: each
 pattern is expanded level by level through the CSR rows as index arrays,
 filtered with boolean masks and summed per root in int64 segments. Pair
-lookups that involve the root gather from the block's dense rows; all
-others gather from pair tables built once per middle node. The relations
+lookups that involve the root gather from the block's rows over the nodes
+its roots reach in one or two steps, through one column map of all nodes;
+all others gather from pair tables built once per middle node. So a
+census costs its walks, not one row of N cells per root. The relations
 are then solved once, as column arithmetic over all nodes. The
 exhaustive oracle in :mod:`orbitroles.graphlets` defines the contract;
 the two are tested against each other entrywise.
@@ -19,7 +21,7 @@ overflow 32 bits for 5-node orbits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +35,11 @@ class OrbitCensusError(RuntimeError):
 
 @dataclass
 class OrbitMatrix:
-    """N x 73 non-negative integer counts; column i = orbit i."""
+    """N x 73 non-negative integer counts; column i = orbit i. ``meta``
+    holds what ``count_orbits`` records of its blocks of roots."""
 
     counts: np.ndarray
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -70,9 +74,12 @@ def log_transform(counts: OrbitMatrix) -> LogOrbitMatrix:
     return LogOrbitMatrix(values=np.log1p(counts.counts.astype(np.float64)))
 
 
-# Cap on the work of one block: a root costs one dense row of n cells, and
-# each row of an enumeration costs 8 cells. The census plans its blocks of
-# roots, and its memory estimate the largest block, with this one number.
+# Cap on the cells of one block of roots, each of its work (8 cells per
+# row of an enumeration) and of its rows over the nodes it reaches. The
+# census plans its blocks, and its memory estimate the largest block, with
+# this one number. Measured in the pipeline, 2^18 took as long on BA
+# n=800 and about 7% longer on BA n=20,000, where it makes twice the
+# blocks; 2^20 faulted more pages in on both workloads.
 _BLOCK_CELLS = 1 << 19
 
 
@@ -131,30 +138,34 @@ def _root_sums(root, size, cols):
     return out
 
 
-def _main_work(n, walks3):
+def _main_work(walks3):
     # no enumeration from a root x has more rows than x has 3-walks, but
     # for the 5-clique step, which runs in chunks of its own
-    return n + 8 * walks3
+    return 8 * walks3
 
 
 def estimate_census_memory_mb(graph) -> float:
     """Upper bound on the working set of ``count_orbits``, in MB.
 
-    Counts, from the degrees alone: the CSR arrays (48 bytes per node and
-    per edge entry), the pair tables (9 bytes per ordered pair of
-    neighbours of each node), the triangle lists while they are built (48
-    bytes per member; the edge (u, v) has at most min(d_u, d_v) - 1), the
-    largest block of roots at 16 bytes per unit of work (dense rows and
-    enumeration rows), and the N x 73 output with its transposed copy.
+    Counts, from the degrees alone: the CSR arrays and the column map (56
+    bytes per node, 48 per edge entry), the pair tables (9 bytes per
+    ordered pair of neighbours of each node), the triangle lists while
+    they are built (48 bytes per member; the edge (u, v) has at most
+    min(d_u, d_v) - 1), the largest block of roots at 16 bytes per unit of
+    work (its enumeration rows), its rows over its reach at 12 bytes per
+    cell (at most ``_BLOCK_CELLS`` cells, or one root's n + 1, and never
+    more than n + 1 cells for each of the n roots), and the N x 73 output
+    with its transposed copy.
     """
     n, deg, indptr, indices = graph.node_count, graph.degrees(), graph.indptr, graph.indices
     _, walks3 = _walks(deg, indptr, indices)
-    work = _main_work(n, walks3)
+    work = _main_work(walks3)
     block = max(min(_BLOCK_CELLS, int(work.sum())), int(work.max(initial=0)))
+    rows = min(max(_BLOCK_CELLS, n + 1), n * (n + 1))
     pairs = int((deg * deg).sum())
     ends = np.repeat(deg, deg)
     members = int((np.minimum(ends, deg[indices]) - 1).sum())
-    total = 48 * (n + indices.size) + 9 * pairs + 48 * members + 16 * block
+    total = 56 * n + 48 * indices.size + 9 * pairs + 48 * members + 16 * block + 12 * rows
     return (total + 16 * ORBIT_COUNT * n) / 1e6
 
 
@@ -171,7 +182,10 @@ class _Tables:
     the positions in N(v) of their third nodes, ascending; the lists of e
     and ``rev[e]`` name the same nodes in the same order. ``ta_w[ta_ptr[v]:
     ta_ptr[v + 1]]`` are the table entries (i, j), i < j, of the triangles
-    at v. Every pair lookup away from the root is a gather into these.
+    at v. Every pair lookup away from the root is a gather into these. A
+    lookup from a root gathers from its block's rows (``row_blocks``),
+    through ``col``, the one array of n cells, which maps each node to its
+    column in the current block.
     """
 
     def __init__(self, graph):
@@ -185,6 +199,7 @@ class _Tables:
 
         self.wptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg * deg, out=self.wptr[1:])
+        self.col = np.zeros(n, dtype=np.int64)
         self._fill_pairs()
         self._list_triangles()
         self._count_triples()
@@ -193,22 +208,21 @@ class _Tables:
         self.wadj[self.wptr[i] + p * (deg[i] + 1)] = True
 
     def _fill_pairs(self):
-        """Adjacency and c2 of every pair table entry, from dense rows."""
+        """Adjacency and c2 of every pair table entry, from the roots' rows."""
         self.wadj = np.zeros(int(self.wptr[-1]), dtype=bool)
         self.wc2 = np.zeros(int(self.wptr[-1]), dtype=np.int32)
-        for x0, x1 in _blocks(self.n + 8 * self.walks2, _BLOCK_CELLS):
-            self._fill_pair_block(x0, x1)
+        for x0, x1, width, pos, c2 in self.row_blocks(8 * self.walks2):
+            self._fill_pair_block(x0, x1, width, pos, c2)
 
-    def _fill_pair_block(self, x0, x1):
-        n, deg, indptr, indices = self.n, self.deg, self.indptr, self.indices
-        pos, c2 = self.dense_rows(x0, x1)
+    def _fill_pair_block(self, x0, x1, width, pos, c2):
+        deg, indptr, indices = self.deg, self.indptr, self.indices
         # the row of x in the table of each neighbour v, shifted so that
         # adding v's entry for j gives the pair (x, j)
         e1 = np.arange(indptr[x0], indptr[x1])
         v = indices[e1]
         row = self.wptr[v] + (self.rev[e1] - indptr[v]) * deg[v] - indptr[v]
         i, e2 = _ranges(indptr[v], deg[v])
-        cell = (self.rows[e1] - x0)[i] * n + indices[e2]
+        cell = ((self.rows[e1] - x0) * width)[i] + self.col[indices[e2]]
         entry = row[i] + e2
         self.wadj[entry] = pos[cell] >= 0
         self.wc2[entry] = c2[cell]
@@ -253,29 +267,54 @@ class _Tables:
         counts = np.bincount(cell, minlength=int(wptr[v1] - wptr[v0]))
         self.wc3[wptr[v0] : wptr[v1]] = counts
 
-    def dense_rows(self, x0, x1):
-        """Flat rows of roots x0..x1-1 over all n columns.
+    def row_blocks(self, work):
+        """Blocks of roots and their rows over the nodes they reach.
 
-        ``pos[(x - x0) * n + v]`` is the position of v in N(x), or -1, and
-        ``c2[(x - x0) * n + v]`` is c2(x, v), counted over x's 2-walks:
-        one row of A @ A.
+        Yields ``(x0, x1, width, pos, c2)`` for contiguous blocks of roots
+        whose ``work`` sums to at most ``_BLOCK_CELLS``, each halved until
+        its rows fit in ``_BLOCK_CELLS`` cells or it holds one root. While
+        a block is out, ``col[v]`` is the column of each node v that a root
+        reaches in one or two steps, counted from 1; every other node keeps
+        column 0, where pos is -1 and c2 is 0. Then ``pos[(x - x0) * width
+        + col[v]]`` is the position of v in N(x), or -1, and ``c2[...]`` is
+        c2(x, v), counted over x's 2-walks: one row of A @ A.
         """
-        n, deg, indptr, indices = self.n, self.deg, self.indptr, self.indices
+        for x0, x1 in _blocks(work, _BLOCK_CELLS):
+            yield from self._reach_rows(x0, x1)
+
+    def _reach_rows(self, x0, x1):
+        deg, indptr, indices, col = self.deg, self.indptr, self.indices, self.col
         e1 = np.arange(indptr[x0], indptr[x1])
         x, a = self.rows[e1], indices[e1]
-        pos = np.full((x1 - x0) * n, -1, dtype=np.int32)
-        pos[(x - x0) * n + a] = e1 - indptr[x]
         i, e2 = _ranges(indptr[a], deg[a])
-        c2 = np.bincount((x - x0)[i] * n + indices[e2], minlength=(x1 - x0) * n)
-        return pos, c2
+        ends = np.concatenate([a, indices[e2]])
+        # of the writes to one node, whichever lands names its one copy
+        slot = np.arange(1, ends.size + 1)
+        col[ends] = slot
+        reached = ends[col[ends] == slot]
+        width = reached.size + 1
+        if x1 - x0 > 1 and (x1 - x0) * width > _BLOCK_CELLS:
+            col[reached] = 0
+            mid = (x0 + x1) // 2
+            yield from self._reach_rows(x0, mid)
+            yield from self._reach_rows(mid, x1)
+            return
+        col[reached] = np.arange(1, width)
+        pos = np.full((x1 - x0) * width, -1, dtype=np.int32)
+        pos[(x - x0) * width + col[a]] = e1 - indptr[x]
+        c2 = np.bincount(((x - x0) * width)[i] + col[indices[e2]], minlength=pos.size)
+        yield x0, x1, width, pos, c2
+        col[reached] = 0
 
 
 class _Block:
-    """Roots x0..x1-1: their dense rows and one row per (root x, neighbour a)."""
+    """Roots x0..x1-1: their rows over the nodes they reach (from
+    ``_Tables.row_blocks``, ``width`` cells a root, not n) and one row per
+    (root x, neighbour a)."""
 
-    def __init__(self, t, x0, x1):
+    def __init__(self, t, x0, x1, width, pos, c2):
         self.t, self.x0, self.x1, self.size = t, x0, x1, x1 - x0
-        self.pos, self.c2 = t.dense_rows(x0, x1)
+        self.width, self.pos, self.c2 = width, pos, c2
         self.e1 = e1 = np.arange(t.indptr[x0], t.indptr[x1])
         self.x, self.a = x, a = t.rows[e1], t.indices[e1]
         self.xl = x - x0
@@ -308,37 +347,45 @@ def _count_paths(b, o):
     o[19, b.x0 : b.x1] = s19
 
     # walks x-a-u-w with w outside N[a]: w ends an induced 4-path when it
-    # is outside N(x) and closes a 4-cycle when it is in N(x)
-    i3, e3 = _ranges(indptr[u], du)
-    wu = (t.wptr[u] + (t.rev[e2] - indptr[u]) * du - indptr[u])[i3] + e3
-    keep = ~wadj[wu]
-    i3, e3, wu = i3[keep], e3[keep], wu[keep]
-    w = indices[e3]
-    cell = (b.xl[i2] * t.n)[i3] + w
-    pw = b.pos[cell]
-    end = pw < 0
-    i, e, wc, c = i3[end], e3[end], wu[end], w[end]
-    o[[4, 35, 34, 27, 18, 15], b.x0 : b.x1] = _root_sums(
-        b.xl[i2[i]],
-        b.size,
-        [wc2[wc] - 1, b.c2[cell[end]], tri[e], du[i] - 2, deg[c] - 1],
-    )
-    cyc = ~end & (w > b.a[i2][i3])
-    i, e, wc, pw = i3[cyc], e3[cyc], wu[cyc], pw[cyc]
-    j = i2[i]
-    o[[8, 62, 53, 51, 50, 49, 37, 36], b.x0 : b.x1] = _root_sums(
-        b.xl[j],
-        b.size,
-        [
-            wc3[wc],
-            b.t1[j] + tri[indptr[b.x[j]] + pw],
-            tri[e2[i]] + tri[e],
-            wc2[w2[i]] - 2,
-            wc2[b.row_xa[j] + pw] - 2,
-            b.da[j] + deg[indices[e]] - 4,
-            du[i] - 2,
-        ],
-    )
+    # is outside N(x) and closes a 4-cycle when it is in N(x). The walks
+    # run in chunks of _BLOCK_CELLS // 32 rows (128 KiB an int64 array), or
+    # one path's, whose arrays malloc reuses from chunk to chunk; a whole
+    # block's would be mapped, faulted in and unmapped block by block
+    # (30,000 minor faults a census on BA n=800)
+    row_ua = t.wptr[u] + (t.rev[e2] - indptr[u]) * du - indptr[u]
+    row_xw, a2 = b.xl[i2] * b.width, b.a[i2]
+    for r0, r1 in _blocks(du, _BLOCK_CELLS // 32):
+        i3, e3 = _ranges(indptr[u[r0:r1]], du[r0:r1])
+        i3 += r0
+        wu = row_ua[i3] + e3
+        keep = ~wadj[wu]
+        i3, e3, wu = i3[keep], e3[keep], wu[keep]
+        w = indices[e3]
+        cell = row_xw[i3] + t.col[w]
+        pw = b.pos[cell]
+        end = pw < 0
+        i, e, wc, c = i3[end], e3[end], wu[end], w[end]
+        o[[4, 35, 34, 27, 18, 15], b.x0 : b.x1] += _root_sums(
+            b.xl[i2[i]],
+            b.size,
+            [wc2[wc] - 1, b.c2[cell[end]], tri[e], du[i] - 2, deg[c] - 1],
+        )
+        cyc = ~end & (w > a2[i3])
+        i, e, wc, pw = i3[cyc], e3[cyc], wu[cyc], pw[cyc]
+        j = i2[i]
+        o[[8, 62, 53, 51, 50, 49, 37, 36], b.x0 : b.x1] += _root_sums(
+            b.xl[j],
+            b.size,
+            [
+                wc3[wc],
+                b.t1[j] + tri[indptr[b.x[j]] + pw],
+                tri[e2[i]] + tri[e],
+                wc2[w2[i]] - 2,
+                wc2[b.row_xa[j] + pw] - 2,
+                b.da[j] + deg[indices[e]] - 4,
+                du[i] - 2,
+            ],
+        )
 
 
 def _count_open_pairs(b, o):
@@ -667,7 +714,10 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
 
     Deterministic (integer arithmetic only). Raises OrbitCensusError with
     a size estimate when the census working set would exceed the memory
-    budget.
+    budget. The result's ``meta`` holds the estimate (``estimate_mb``),
+    the number of blocks of roots of the main pass (``blocks``) and the
+    largest block's work and rows, in cells (``largest_block_cells``,
+    ``largest_rows_cells``).
     """
     est = estimate_census_memory_mb(graph)
     if est > memory_budget_mb:
@@ -684,8 +734,12 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
     o[3] = t.tri_at // 2
     o[2] = deg * (deg - 1) // 2 - o[3]
     o[1] = t.walks2 - deg - t.tri_at
-    for x0, x1 in _blocks(_main_work(t.n, t.walks3), _BLOCK_CELLS):
-        _count_block(_Block(t, x0, x1), o)
+    work = _main_work(t.walks3)
+    blocks, largest, widest = 0, 0, 0
+    for x0, x1, width, pos, c2 in t.row_blocks(work):
+        _count_block(_Block(t, x0, x1, width, pos, c2), o)
+        blocks += 1
+        largest, widest = max(largest, int(work[x0:x1].sum())), max(widest, pos.size)
     # relation sums whose every term is d_x minus a constant
     o[16] = (deg - 1) * o[4]
     o[20] = (deg - 1) * o[6]
@@ -697,7 +751,13 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
     o[42] = (deg - 3) * o[13]
     o[58] = (deg - 3) * o[14]
     _solve_relations(o)
-    return OrbitMatrix(counts=np.ascontiguousarray(o.T))
+    meta = {
+        "estimate_mb": est,
+        "blocks": blocks,
+        "largest_block_cells": largest,
+        "largest_rows_cells": widest,
+    }
+    return OrbitMatrix(counts=np.ascontiguousarray(o.T), meta=meta)
 
 
 def orbit_header():

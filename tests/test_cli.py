@@ -524,9 +524,14 @@ class TestImportedEmbeddings:
             f"stage=embed\nerror=imported embedding {other} has tag 'graphwave', "
             "as has native method 'graphwave'\n"
         )
-        # the native CSV stands, and no later stage ran
-        for name in ("embedding_graphwave.csv", "embedding_rolx.csv", "orbits.csv"):
+        # the native CSVs written before the check stand, the import is not
+        # written under GraphWave's name (GraphWave's own CSV is there if
+        # its lane had the time to write it), and no later stage ran
+        for name in ("embedding_rolx.csv", "orbits.csv"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        graphwave = out / "embedding_graphwave.csv"
+        native = (run_dir / "embedding_graphwave.csv").read_bytes()
+        assert not graphwave.exists() or graphwave.read_bytes() == native
         assert not (out / "sweep.csv").exists()
 
     def test_tag_of_another_import_fails(self, corpus, run_dir, tmp_path, capsys):
@@ -870,6 +875,31 @@ def test_manifest_metrics_hold_rolx_counters(corpus, tmp_path, command):
     assert command == "pipeline" or not (out / "orbits.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["pipeline", "census"])
+def test_manifest_metrics_hold_census_counters(corpus, tmp_path, command):
+    from orbitroles.orbits import estimate_census_memory_mb
+
+    cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG.replace("trees = 40", "trees = 4"))
+    out = tmp_path / "out"
+    assert run(
+        command, corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+        "--config", cfg, "--out", out,
+    ) == 0
+    census = json.loads((out / "manifest.json").read_text())["metrics"]["census"]
+    assert set(census) == {
+        "estimate_mb", "blocks", "largest_block_cells", "largest_rows_cells",
+        "minor_faults", "system_s",
+    }
+    graph, _ = load_edge_list(corpus / "edges.txt")
+    assert census["estimate_mb"] == estimate_census_memory_mb(graph)
+    # 132 nodes fit one block of roots
+    assert census["blocks"] == 1
+    assert 0 < census["largest_block_cells"] <= 1 << 19
+    assert 0 < census["largest_rows_cells"] <= 132 * 133
+    assert isinstance(census["minor_faults"], int) and census["minor_faults"] >= 0
+    assert isinstance(census["system_s"], float) and census["system_s"] >= 0.0
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("command", ["pipeline", "embed"])
 def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, threads):
@@ -945,7 +975,7 @@ class TestGraphWaveBudget:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_lanes_side_by_side_checked_together(self, tmp_path, threads):
         # BA n=2,000: GraphWave's estimate (168.2 MB) and the census's
-        # (19.8 MB) each fit a 170-MB budget, but not side by side on two
+        # (26.1 MB) each fit a 170-MB budget, but not side by side on two
         # workers; one worker runs them one after the other
         from util import ba_graph
 
@@ -970,7 +1000,7 @@ class TestGraphWaveBudget:
             assert code == 2
             assert (out / "FAILED").read_text() == (
                 "stage=embed\nerror=estimated GraphWave working set 168.2 MB and census "
-                "working set 19.8 MB, side by side, exceed the 170 MB budget; "
+                "working set 26.1 MB, side by side, exceed the 170 MB budget; "
                 "threads = 1 runs them one after the other\n"
             )
             assert not list(out.glob("*.csv"))
@@ -1241,7 +1271,6 @@ class TestWorkers:
             "config", "load", "census", "embed", "validate", "cluster", "explain", "idr",
             "embed/graphwave", "embed/graphwave-write", "validate/kmeans-0", "validate/kmeans-1",
         }
-        assert stages["embed/graphwave-write"] < stages["embed/graphwave"]
         assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
 
     def test_graphwave_error_in_worker_marks_embed(self, corpus, tmp_path, monkeypatch, capsys):
@@ -1286,6 +1315,130 @@ class TestWorkers:
         ) == 2
         assert time.monotonic() - start < 30
         assert (out / "FAILED").read_text() == "stage=census\nerror=census failed\n"
+        assert_no_children()
+
+    def test_lane_with_time_to_spare_writes_csv(self, corpus, run_dir, tmp_path, monkeypatch):
+        # the census held up, the lane writes GraphWave's CSV itself
+        import orbitroles.cli
+
+        count, joins = orbitroles.cli.count_orbits, []
+
+        def slow_census(*args, **kwargs):
+            time.sleep(1.0)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(orbitroles.cli, "count_orbits", slow_census)
+        monkeypatch.setattr(orbitroles.cli, "_write_graphwave", lambda *args: joins.append(args))
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", 2, "--out", out,
+        ) == 0
+        assert joins == []
+        stages = json.loads((out / "manifest.json").read_text())["metrics"]["stages"]
+        assert stages["embed/graphwave-write"] >= 0.0
+        for path in run_dir.glob("*.csv"):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert_no_children()
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_lane_cut_short_leaves_write_to_explain(self, corpus, run_dir, tmp_path, monkeypatch, fail):
+        # the lane's write stalls: it is stopped when embed joins the lane,
+        # its partial CSV removed, and the write done beside explain; a run
+        # that fails before that leaves no GraphWave CSV
+        import orbitroles.cli
+
+        parent, write, mark = os.getpid(), orbitroles.cli.embedding_to_csv, tmp_path / "stalled"
+
+        def stalling_write(emb, table, path):
+            if os.getpid() != parent and not mark.exists():
+                mark.touch()
+                path.write_text("partial")
+                time.sleep(60)
+            write(emb, table, path)
+
+        def failing(*args, **kwargs):
+            raise ValueError("sweep failed")
+
+        monkeypatch.setattr(orbitroles.cli, "embedding_to_csv", stalling_write)
+        if fail:
+            monkeypatch.setattr(orbitroles.cli, "sweep", failing)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        code = run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", 2, "--out", out,
+        )
+        assert time.monotonic() - start < 30
+        assert mark.exists()
+        if fail:
+            assert code == 2
+            assert (out / "FAILED").read_text() == "stage=validate\nerror=sweep failed\n"
+            assert not (out / "embedding_graphwave.csv").exists()
+        else:
+            assert code == 0
+            for path in run_dir.glob("*.csv"):
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert_no_children()
+
+    def test_explain_error_kills_running_writer(self, corpus, tmp_path, monkeypatch):
+        # GraphWave's CSV is written on a worker beside explain; explain
+        # failing while the writer runs kills and reaps it
+        import orbitroles.cli
+
+        parent, write = os.getpid(), orbitroles.cli.embedding_to_csv
+
+        def slow_write(emb, table, path):
+            if os.getpid() != parent:
+                time.sleep(60)
+            write(emb, table, path)
+
+        def failing(*args, **kwargs):
+            raise ValueError("explain failed")
+
+        monkeypatch.setattr(orbitroles.cli, "embedding_to_csv", slow_write)
+        monkeypatch.setattr(orbitroles.cli, "train_surrogate", failing)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", 2, "--out", out,
+        ) == 2
+        assert time.monotonic() - start < 30
+        assert (out / "FAILED").read_text() == "stage=explain\nerror=explain failed\n"
+        assert not (out / "embedding_graphwave.csv").exists()
+        assert_no_children()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_writer_error_marks_embed(self, corpus, run_dir, tmp_path, monkeypatch, threads):
+        # the write joined after idr fails the run in stage embed, and an
+        # earlier run's manifest does not stay beside the marker
+        import orbitroles.cli
+
+        write = orbitroles.cli.embedding_to_csv
+
+        def failing_write(emb, table, path):
+            if emb.method_tag == "graphwave":
+                raise OSError("no space left for GraphWave")
+            write(emb, table, path)
+
+        monkeypatch.setattr(orbitroles.cli, "embedding_to_csv", failing_write)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_bytes((run_dir / "manifest.json").read_bytes())
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", threads, "--out", out,
+        ) == 2
+        assert (out / "FAILED").read_text() == "stage=embed\nerror=no space left for GraphWave\n"
+        assert not (out / "manifest.json").exists()
+        # the stages before the join ran to the end
+        assert (out / "idr_values.csv").exists() and (out / "importance.csv").exists()
+        assert not (out / "embedding_graphwave.csv").exists()
         assert_no_children()
 
     @pytest.mark.parametrize("where", ["census", "sweep"])

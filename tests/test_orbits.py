@@ -215,11 +215,14 @@ class TestGoldenAgainstPerNodeCounter:
         "make",
         [
             lambda: ba_graph(400, 4, 1),
+            # the hubs shuffled among the other nodes, so that blocks of
+            # roots hold hubs and leaves together and end among the hubs
+            lambda: permute_graph(ba_graph(300, 6, 2), np.random.default_rng(0).permutation(300)),
             lambda: barbell_corpus(30, 20, 3),
             scattered_graph,
             lambda: complete_graph(8),
         ],
-        ids=["ba400-m4", "barbell-noise", "isolated-components", "k8"],
+        ids=["ba400-m4", "ba300-m6-hubs-shuffled", "barbell-noise", "isolated-components", "k8"],
     )
     def test_equal_counts(self, make, monkeypatch):
         g = make()
@@ -236,6 +239,26 @@ class TestGoldenAgainstPerNodeCounter:
         )
         assert np.array_equal(count_orbits(g).counts, expected)
         assert len(blocks) >= 3
+
+    def test_wide_blocks_halved(self, monkeypatch):
+        # each root of a cycle has 8 3-walks, so a block by work alone holds
+        # 4096 // 64 roots, and its rows over the 68 nodes they reach (64 x
+        # 69 cells) exceed the cap: it is halved
+        g = cycle_graph(600)
+        expected = count_orbits_per_node(g)
+        blocks = []
+        count_block = orbits_module._count_block
+        monkeypatch.setattr(orbits_module, "_BLOCK_CELLS", 4096)
+        monkeypatch.setattr(
+            orbits_module,
+            "_count_block",
+            lambda b, o: (blocks.append((b.x0, b.x1, b.pos.size)), count_block(b, o)),
+        )
+        assert np.array_equal(count_orbits(g).counts, expected)
+        assert [x0 for x0, _, _ in blocks] == [0] + [x1 for _, x1, _ in blocks[:-1]]
+        assert blocks[-1][1] == 600
+        assert max(x1 - x0 for x0, x1, _ in blocks) < 4096 // 64
+        assert max(cells for _, _, cells in blocks) <= 4096
 
 
 class TestInvariants:
@@ -305,8 +328,14 @@ class TestResourceLimits:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: ba_graph(800, 4, 7), lambda: barbell_corpus(200, 27, 7)],
-        ids=["ba800-hubs", "barbell-corpus"],
+        [
+            lambda: ba_graph(800, 4, 7),
+            lambda: barbell_corpus(200, 27, 7),
+            # 1,000 small components: the estimate once charged each root a
+            # row of all 13,000 nodes
+            lambda: barbell_corpus(1000, 135, 7),
+        ],
+        ids=["ba800-hubs", "barbell-corpus", "barbell-corpus-13k"],
     )
     def test_estimate_bounds_traced_peak(self, make):
         g = make()

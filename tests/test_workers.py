@@ -59,6 +59,40 @@ class TestTask:
         assert time.monotonic() - start < 30
         assert_no_children()
 
+    def test_then_runs_after_the_value_is_sent(self, tmp_path):
+        mark = tmp_path / "then"
+        task = Task(lambda: 7, fork=True, then=lambda v: mark.write_text(str(v)))
+        assert task.result() == 7
+        # wait for the worker to exit without reaping it
+        os.waitid(os.P_PID, task._pid, os.WEXITED | os.WNOWAIT)
+        assert task.then_seconds() >= 0.0
+        assert mark.read_text() == "7"
+        assert_no_children()
+
+    def test_then_still_running_is_killed(self):
+        start = time.monotonic()
+        task = Task(lambda: 7, fork=True, then=lambda v: time.sleep(60))
+        assert task.result() == 7
+        assert task.then_seconds() is None
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_then_that_fails_reads_none(self):
+        def fail(value):
+            raise OSError("disk full")
+
+        task = Task(lambda: 7, fork=True, then=fail)
+        assert task.result() == 7
+        os.waitid(os.P_PID, task._pid, os.WEXITED | os.WNOWAIT)
+        assert task.then_seconds() is None
+        assert_no_children()
+
+    def test_then_not_run_inline(self):
+        calls = []
+        task = Task(lambda: 7, fork=False, then=calls.append)
+        assert task.result() == 7
+        assert task.then_seconds() is None and calls == []
+
     def test_inline_runs_at_result(self):
         calls = []
         task = Task(lambda: calls.append(os.getpid()) or "done", fork=False)
