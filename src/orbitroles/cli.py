@@ -27,22 +27,27 @@ each other and from the native ``embed.methods``; a clash fails stage
 
 ``threads`` (``--threads``, ``ORBITROLES_THREADS``) is the number of worker
 processes, by default the CPUs this process may run on (see ``workers``).
-With two or more, GraphWave and, in the time it has to spare, its CSV run
-on a forked worker while the parent counts orbits and runs RolX, the sweep's
-k-means cells are dealt over the workers, and ``pipeline`` writes a
-GraphWave CSV that the lane left on a worker beside explain and idr; the
-CSVs are the same for every count. Memory adds up over the lanes that
+With two or more, GraphWave runs on a forked worker while the parent counts
+orbits and runs RolX, and the sweep's k-means cells are dealt over the
+workers. GraphWave's CSV is written in one place, its lane
+(``_graphwave_lane``): a forked lane writes it at the lowest CPU priority
+once it has sent the embedding, an inline one at the join, and every
+command joins the write last (``pipeline`` after idr, staged ``embed``
+after ``_embed``); a run that fails before then leaves no GraphWave CSV.
+The CSVs are the same for every count. Memory adds up over the lanes that
 run at once. ``metrics["stages"]`` also holds the wall seconds of each
-worker task and of GraphWave's CSV write (``embed/graphwave-write``),
-``metrics["workers"]`` the worker count, ``metrics["census"]`` the census's
-estimated working set, its blocks of roots and the largest one's cells, and
-the minor page faults and system seconds of the call, ``metrics["rolx"]``
-the NMF iterations and convergence and the ReFeX features and generation of
-RolX, ``metrics["graphwave"]`` GraphWave's estimated working set,
-components and distinct components,
-``metrics["kmeans"]`` each sweep cell's iterations, degeneracy and whether
-its silhouette was sampled, and ``metrics["silhouette"]`` the nodes and the
-distinct log-orbit rows that an exact sweep scored over."""
+worker task and of GraphWave's CSV write on its lane
+(``embed/graphwave-write``, which at low priority includes time spent
+waiting for a CPU), ``metrics["workers"]`` the worker count,
+``metrics["census"]`` the census's estimated working set, its blocks of
+roots and the largest one's cells, and the minor page faults and system
+seconds of the call, ``metrics["rolx"]`` the NMF iterations and
+convergence and the ReFeX features and generation of RolX,
+``metrics["graphwave"]`` GraphWave's estimated working set, components
+and distinct components, ``metrics["kmeans"]`` each sweep cell's
+iterations, degeneracy and whether its silhouette was sampled, and
+``metrics["silhouette"]`` the nodes and the distinct log-orbit rows that
+an exact sweep scored over."""
 
 from __future__ import annotations
 
@@ -51,7 +56,7 @@ import os
 import resource
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -203,23 +208,26 @@ def _workers(cfg, manifest) -> int:
     return workers
 
 
-def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
-    """GraphWave's embedding as the task that ``_embed`` joins: forked now
-    when there are two or more workers, otherwise run inline when joined.
-    Once it has sent the embedding, a forked lane writes its CSV until
-    ``_embed`` joins it (``Task.then_seconds``): with time to spare the
-    write is done there, as on a graph of many small components, and
-    otherwise it is stopped and left to the caller, as on one large
-    component, where the lane is the slower of the two.
+@contextmanager
+def _graphwave_lane(graph, table, cfg, out, manifest, census):
+    """GraphWave's embedding as the task that ``_embed`` joins, for the
+    length of a ``with`` block: forked at once when there are two or more
+    workers, otherwise run inline when joined. The lane also writes the
+    embedding's CSV, the only place that does (``Task``'s ``then``): a
+    forked lane at nice 19 once it has sent the embedding, an inline one
+    at the block's end. The block's end joins the write, so a command
+    leaves the block last, and records its wall time on the lane as
+    ``metrics["stages"]["embed/graphwave-write"]``; at low priority that
+    includes time spent waiting for a CPU. An error inside the block kills
+    and reaps the lane and removes the CSV, whole or cut short.
     GraphWave's estimated working set is first checked, in the parent,
     against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``.
     When the lane forks and the caller runs the census beside it
-    (``census``), the two estimates are checked together as well. Use it
-    as a context manager, so that a failure before the join kills and
-    reaps the worker."""
+    (``census``), the two estimates are checked together as well."""
     ec, budget = cfg.embed, cfg.memory_budget_mb
-    fork = _workers(cfg, manifest) > 1 and "graphwave" in ec.methods
-    if "graphwave" in ec.methods:
+    wave = "graphwave" in ec.methods
+    fork = _workers(cfg, manifest) > 1 and wave
+    if wave:
         est = estimate_graphwave_memory_mb(graph, ec.graphwave_scales, ec.sample_points)
         manifest.metrics["graphwave"] = {"estimate_mb": est}
         if est > budget:
@@ -241,11 +249,17 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census) -> Task:
         sample_points=ec.sample_points,
         t_max=ec.t_max,
     )
-    return Task(
-        embed,
-        fork,
-        then=lambda emb: embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv"),
-    )
+    path = out / "embedding_graphwave.csv"
+    with Task(embed, fork, then=lambda emb: embedding_to_csv(emb, table, path)) as lane:
+        try:
+            yield lane
+            if wave:
+                manifest.metrics["stages"]["embed/graphwave-write"] = lane.then_seconds()
+        except BaseException:
+            lane.cancel()  # before the unlink, so that no write follows it
+            if wave:
+                path.unlink(missing_ok=True)
+            raise
 
 
 def _imported(paths, table, native=()):
@@ -268,15 +282,12 @@ def _imported(paths, table, native=()):
 
 def _embed(graph, table, cfg, out, manifest, lane, orbits):
     """The embeddings of ``embed.methods`` in their order, then the
-    imported ones, and GraphWave's CSV write if it is still to run (else
-    None); every other embedding is written to its CSV here. GraphWave is
-    the result of ``lane`` (``_graphwave_lane``), whose seconds, and those
-    of its CSV write when the lane finished it, go to
+    imported ones. GraphWave is the result of ``lane``
+    (``_graphwave_lane``, which writes its CSV), and its seconds go to
     ``metrics["stages"]``; the other native methods run here first, beside
-    a forked lane. The caller runs a write left to it with
-    ``_write_graphwave``: staged ``embed`` at once, ``pipeline`` beside
-    explain and idr. RolX takes the census ``orbits`` and leaves its NMF
-    and ReFeX counters in ``metrics["rolx"]``."""
+    a forked lane, and every embedding but GraphWave is written to its CSV
+    here. RolX takes the census ``orbits`` and leaves its NMF and ReFeX
+    counters in ``metrics["rolx"]``."""
     ec = cfg.embed
     native = {
         m: _native_embedding(graph, table, cfg, out, m, orbits)
@@ -291,34 +302,18 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
             "refex_features": meta["refex_features"],
             "refex_generation": meta["refex_generation"],
         }
-    write = None
     if "graphwave" in ec.methods:
         native["graphwave"] = emb = lane.result()
-        stages = manifest.metrics.setdefault("stages", {})
-        stages["embed/graphwave"] = lane.seconds
+        manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
         for key in ("components", "distinct_components"):
             manifest.metrics["graphwave"][key] = emb.meta[key]
-        written, path = lane.then_seconds(), out / f"embedding_{emb.method_tag}.csv"
-        if written is None:
-            # a CSV that the lane did not finish is removed, not left cut short
-            path.unlink(missing_ok=True)
-            write = partial(embedding_to_csv, emb, table, path)
-        else:
-            stages["embed/graphwave-write"] = written
     imported = _imported(ec.import_paths, table, ec.methods)
     for emb in imported:
         embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
     embeddings = [native[m] for m in ec.methods] + imported
     for emb in embeddings:
         manifest.add_output(out / f"embedding_{emb.method_tag}.csv")
-    return embeddings, write
-
-
-def _write_graphwave(writer, manifest):
-    """Join ``writer``, the Task that runs GraphWave's CSV write from
-    ``_embed``, and record its seconds as ``embed/graphwave-write``."""
-    writer.result()
-    manifest.metrics.setdefault("stages", {})["embed/graphwave-write"] = writer.seconds
+    return embeddings
 
 
 def _validate(embeddings, features, cfg, out, manifest):
@@ -661,9 +656,7 @@ def _cmd_embed(args) -> int:
         rolx = "rolx" in cfg.embed.methods
         with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as lane:
             orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
-            embeddings, write = _embed(graph, table, cfg, out, manifest, lane, orbits)
-            if write:
-                _write_graphwave(Task(write, fork=False), manifest)
+            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
         widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
         return f"{widths} -> {out}"
 
@@ -747,31 +740,27 @@ def _cmd_pipeline(args) -> int:
             raise ValueError("pipeline requires a graph (positional or --from-manifest)")
         graph, table = _load_inputs(paths)
 
-        # GraphWave's lane runs beside the census, features and RolX
+        # GraphWave's lane runs beside the census, features and RolX, and
+        # then writes its CSV beside the later stages
         stage.enter("embed")
         with _graphwave_lane(graph, table, cfg, out, manifest, census=True) as lane:
             stage.enter("census")
             orbits = _census(graph, table, cfg, out, manifest)
             features = _features(orbits, cfg, manifest)
             stage.enter("embed")
-            embeddings, write = _embed(graph, table, cfg, out, manifest, lane, orbits)
+            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
 
-        stage.enter("validate")
-        swept = _validate(embeddings, features, cfg, out, manifest)
+            stage.enter("validate")
+            swept = _validate(embeddings, features, cfg, out, manifest)
 
-        stage.enter("cluster")
-        # validate_config keeps chosen_k inside the swept k range
-        assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
+            stage.enter("cluster")
+            # validate_config keeps chosen_k inside the swept k range
+            assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
 
-        stage.enter("explain")
-        roles = assignments.get(cfg.explain.method)
-        if roles is None:
-            raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
-        # a GraphWave CSV that its lane left is written beside explain and
-        # idr, which leave a CPU idle (a writer forked beside the sweep slows
-        # it), and joined in stage embed
-        writer = Task(write, fork=cfg.threads > 1) if write else nullcontext()
-        with writer:
+            stage.enter("explain")
+            roles = assignments.get(cfg.explain.method)
+            if roles is None:
+                raise ValueError(f"explain.method {cfg.explain.method!r} not among embeddings")
             _explain_roles(features, orbits, roles, cfg, out, manifest)
 
             stage.enter("idr")
@@ -779,10 +768,8 @@ def _cmd_pipeline(args) -> int:
                 _idr(graph, table, roles, cfg, out, manifest)
             else:
                 manifest.note("idr stage skipped: fewer than 2 disciplines")
-
-            if write:
-                stage.enter("embed")
-                _write_graphwave(writer, manifest)
+            # the block's end joins GraphWave's CSV write
+            stage.enter("embed")
         return f"ok ({len(manifest.outputs)} outputs) -> {out}"
 
     inputs = {"graph": args.graph, "labels": args.labels}

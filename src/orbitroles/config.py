@@ -168,7 +168,12 @@ def validate_config(cfg: PipelineConfig) -> None:
 
 
 def _bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    """1/true/yes/on or 0/false/no/off, in any case; anything else is an
+    error rather than False."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{raw!r} is not 1/true/yes/on or 0/false/no/off") from None
 
 
 def _cast(kind, raw: str):
@@ -189,12 +194,18 @@ def _from_json(kind, value):
 
 def _build(cls, values: dict, convert, section: str):
     """``cls`` with each key of ``values`` converted to its field's type;
-    a key that is no scalar field of ``cls`` is an error."""
+    a key that is no scalar field of ``cls``, or a value that does not
+    convert, is an error that names the key."""
     kinds = _field_types(cls)
-    for key in values:
+    given = {}
+    for key, value in values.items():
         if key not in kinds or is_dataclass(kinds[key]):
             raise ValueError(f"unknown config key {key!r} in [{section}]")
-    return cls(**{key: convert(kinds[key], value) for key, value in values.items()})
+        try:
+            given[key] = convert(kinds[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from None
+    return cls(**given)
 
 
 def _assemble(sections: dict, convert) -> PipelineConfig:

@@ -2,18 +2,16 @@
 
 ``threads`` (the config field, ``--threads``, ``ORBITROLES_THREADS``) is the
 number of worker processes, and by default the number of CPUs this process
-may run on. Three sections use them: GraphWave runs on a worker while
-the parent counts orbits and runs RolX, and goes on to write its CSV until
-the parent joins it (``Task``'s ``then``); the sweep deals its k-means
-cells over the workers; and ``pipeline`` writes a GraphWave CSV left
-unwritten on a worker that starts with stage explain, which with idr
-leaves a CPU idle, and is joined after idr (a writer beside the sweep
-would take a CPU from its k-means shares). A section forks once its
-inputs exist, so each worker reads them from the pages it shares with the
-parent, and only its result comes back, pickled, through a pipe. Results
-are collected by position, so the outputs do not depend on the worker
-count. With one worker, or where ``os.fork`` does not exist, every task
-runs inline in the parent, which is the only path on a one-CPU host.
+may run on. Two sections use them. GraphWave runs on a worker while the
+parent counts orbits and runs RolX; once it has sent its embedding, the
+worker writes GraphWave's CSV at the lowest CPU priority, and the command
+joins that write last (``Task``'s ``then``). The sweep deals its k-means
+cells over the workers. A section forks once its inputs exist, so each
+worker reads them from the pages it shares with the parent, and only its
+result comes back, pickled, through a pipe. Results are collected by
+position, so the outputs do not depend on the worker count. With one
+worker, or where ``os.fork`` does not exist, every task runs inline in the
+parent, which is the only path on a one-CPU host.
 
 The workers are forked, not spawned: a spawned worker would import numpy
 and this package afresh and be sent its inputs, which costs about as much
@@ -63,76 +61,75 @@ class Task:
 
     With ``fork`` true (and ``os.fork`` available) the worker starts at
     once and sees the parent's memory as it was at the fork. ``result()``,
-    called once, returns the worker's value or raises its exception, and
-    reaps it. An inline task calls ``fn`` in ``result()``. ``seconds`` is
-    the wall time of ``fn`` wherever it ran. As a context manager, leaving
-    the block kills and reaps a worker whose result was never read.
+    called once, returns the worker's value or raises its exception. An
+    inline task calls ``fn`` in ``result()``. ``seconds`` is the wall time
+    of ``fn`` wherever it ran. As a context manager, leaving the block kills
+    and reaps a worker that has not been reaped.
 
-    ``then``, if given, is a follow-up that a forked worker runs on fn's
-    value as it sends it, in the time until the parent asks for
-    ``then_seconds()``: ``result()`` leaves the worker running, and
-    ``then_seconds()`` reaps it and returns the seconds ``then`` took, or
-    None when ``then`` had not run to the end by then (the worker is
-    killed), failed, or the task ran inline. So ``then`` must be safe to
-    cut short and to run again.
+    ``then``, if given, is a follow-up on fn's value, and
+    ``then_seconds()``, called once after ``result()``, waits for it to end
+    and returns the seconds it took or raises its exception. A forked
+    worker runs ``then`` as soon as it has sent the value, at the lowest
+    CPU priority (nice 19), so that it takes only the CPU time that the
+    parent and the other workers leave idle; an inline task runs it in
+    ``then_seconds()``.
     """
 
     def __init__(self, fn, fork: bool, then=None):
         self.seconds = None
-        self._fn, self._pid, self._done = fn, None, None
+        self._fn, self._then, self._pid = fn, then, None
         if fork and hasattr(os, "fork"):
-            read, write = os.pipe()
-            done = os.pipe() if then is not None else (None, None)
+            pipes = [os.pipe() for _ in range(1 if then is None else 2)]
             pid = os.fork()
             if pid == 0:
-                os.close(read)
-                if then is not None:
-                    os.close(done[0])
-                _serve(fn, write, then, done[1])
-            os.close(write)
-            if then is not None:
-                os.close(done[1])
+                for read, _ in pipes:
+                    os.close(read)
+                _serve(fn, then, *(write for _, write in pipes))
+            for _, write in pipes:
+                os.close(write)
             # no inline fallback: a second result() must not run fn again
-            self._fn, self._pid, self._read, self._done = None, pid, read, done[0]
+            self._fn, self._pid, self._fds = None, pid, [read for read, _ in pipes]
 
     def result(self):
         if self._pid is None:
             start = time.perf_counter()
-            value = self._fn()
+            self._value = self._fn()
             self.seconds = time.perf_counter() - start
-            return value
-        chunks, complete = [], False
-        try:
-            while chunk := os.read(self._read, 1 << 20):
-                chunks.append(chunk)
-            complete = True
-        finally:
-            # at EOF the worker has written everything and is exiting, or
-            # runs ``then``; a read cut short (an interrupt) kills it
-            if not complete or self._done is None:
-                self.cancel(kill=not complete)
-        try:
-            ok, value, self.seconds = pickle.loads(b"".join(chunks))
-        except Exception as exc:
-            raise WorkerError(f"worker sent no readable result ({exc!r})") from None
-        if not ok:
-            self.cancel()
-            raise value
+            return self._value
+        value, self.seconds = self._receive(self._fds[0], reap=self._then is None)
         return value
 
-    def then_seconds(self):
-        """The seconds ``then`` took on the worker, or None (see the class);
-        reaps the worker."""
-        if self._pid is None:
-            return None
-        os.set_blocking(self._done, False)
+    def then_seconds(self) -> float:
+        """Wait for ``then`` (see the class): its seconds, or its exception
+        raised here; reaps the worker."""
+        if self._fn is not None:
+            start = time.perf_counter()
+            self._then(self._value)
+            return time.perf_counter() - start
+        return self._receive(self._fds[1], reap=True)[1]
+
+    def _receive(self, fd, reap):
+        """The value and seconds that the worker sent through ``fd``, read
+        to its end, or the exception it sent raised here. The worker is
+        reaped with ``reap`` or an exception, and killed first if the read
+        is cut short (an interrupt) or unreadable."""
+        chunks = []
         try:
-            data = os.read(self._done, 1 << 12)
-        except BlockingIOError:
-            data = None  # still running ``then``
-        # a worker that has sent its seconds is exiting
-        self.cancel(kill=not data)
-        return pickle.loads(data) if data else None
+            while chunk := os.read(fd, 1 << 20):
+                chunks.append(chunk)
+            ok, value, seconds = pickle.loads(b"".join(chunks))
+        except Exception as exc:
+            self.cancel()
+            raise WorkerError(f"worker sent no readable result ({exc!r})") from None
+        except BaseException:
+            self.cancel()
+            raise
+        if reap or not ok:
+            # the worker has sent all it will send and is exiting
+            self.cancel(kill=False)
+        if not ok:
+            raise value
+        return value, seconds
 
     def cancel(self, kill: bool = True) -> None:
         """Reap the worker, killing it first if ``kill``; a no-op once reaped
@@ -146,9 +143,8 @@ class Task:
 
             os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)
-        os.close(self._read)
-        if self._done is not None:
-            os.close(self._done)
+        for fd in self._fds:
+            os.close(fd)
         self._pid = None
 
     def __enter__(self):
@@ -164,31 +160,37 @@ def _write(fd, data):
         view = view[os.write(fd, view) :]
 
 
-def _serve(fn, fd, then=None, done=None):
-    """The worker's side: run ``fn`` and write (ok, value or exception,
-    seconds) pickled to ``fd``; with ``then``, run it on the value while a
-    second thread writes the value, and write its seconds (None if it
-    raised) to ``done``. Then exit, never returning into the code that
-    forked."""
+def _timed(fn, *args):
+    """The outcome of ``fn(*args)``, (True, value) or (False, exception),
+    and that outcome with its seconds pickled; an unpicklable value or
+    exception becomes a WorkerError."""
+    start = time.perf_counter()
+    try:
+        outcome = (True, fn(*args))
+    except BaseException as exc:  # raised again in the parent
+        outcome = (False, exc)
+    seconds = time.perf_counter() - start
+    try:
+        return outcome, pickle.dumps(outcome + (seconds,), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        error = WorkerError(f"worker result not picklable: {exc!r}; {outcome[1]!r}")
+        return (False, error), pickle.dumps((False, error, seconds))
+
+
+def _serve(fn, then, fd, done=None):
+    """The worker's side: run ``fn`` and write its outcome (``_timed``) to
+    ``fd``. With ``then``, a second thread writes it while ``then`` runs on
+    the value at nice 19, and then's outcome goes to ``done``. Then exit,
+    never returning into the code that forked."""
     status = 1
     try:
-        start = time.perf_counter()
-        try:
-            payload = (True, fn())
-        except BaseException as exc:  # raised again in the parent
-            payload = (False, exc)
-        seconds = time.perf_counter() - start
-        try:
-            data = pickle.dumps(payload + (seconds,), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            error = WorkerError(f"worker result not picklable: {exc!r}; {payload[1]!r}")
-            payload = (False, error)
-            data = pickle.dumps(payload + (seconds,))
-        if then is None or not payload[0]:
+        (ok, value), data = _timed(fn)
+        if then is None or not ok:
             _write(fd, data)
         else:
             # a pipe holds 64 KiB, so the value goes out from a second
-            # thread while ``then`` runs, and the parent reads it at EOF
+            # thread while ``then`` runs, and the parent reads it at EOF;
+            # nice is a thread's own on Linux, so the sender keeps its own
             import threading
 
             def send():
@@ -197,13 +199,8 @@ def _serve(fn, fd, then=None, done=None):
 
             sender = threading.Thread(target=send)
             sender.start()
-            start = time.perf_counter()
-            try:
-                then(payload[1])
-                seconds = time.perf_counter() - start
-            except Exception:
-                seconds = None
-            _write(done, pickle.dumps(seconds))
+            os.nice(19)
+            _write(done, _timed(then, value)[1])
             sender.join()
         status = 0
     finally:

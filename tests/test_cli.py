@@ -524,14 +524,12 @@ class TestImportedEmbeddings:
             f"stage=embed\nerror=imported embedding {other} has tag 'graphwave', "
             "as has native method 'graphwave'\n"
         )
-        # the native CSVs written before the check stand, the import is not
-        # written under GraphWave's name (GraphWave's own CSV is there if
-        # its lane had the time to write it), and no later stage ran
+        # the native CSVs written before the check stand, neither the import
+        # nor GraphWave's own CSV (removed with its lane) is under
+        # GraphWave's name, and no later stage ran
         for name in ("embedding_rolx.csv", "orbits.csv"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
-        graphwave = out / "embedding_graphwave.csv"
-        native = (run_dir / "embedding_graphwave.csv").read_bytes()
-        assert not graphwave.exists() or graphwave.read_bytes() == native
+        assert not (out / "embedding_graphwave.csv").exists()
         assert not (out / "sweep.csv").exists()
 
     def test_tag_of_another_import_fails(self, corpus, run_dir, tmp_path, capsys):
@@ -768,6 +766,22 @@ class TestConfigCheckedBeforeCensus:
                 "direction = all\npair_counting = both",
                 "idr.pair_counting 'both' not among ['ordered', 'unordered']",
             ),
+            # a value that does not cast names its key
+            (
+                "seed = 42",
+                "seed = 42\nthreads = two",
+                "[pipeline] threads: invalid literal for int() with base 10: 'two'",
+            ),
+            (
+                "k_min = 2",
+                "k_min = 2.5",
+                "[cluster] k_min: invalid literal for int() with base 10: '2.5'",
+            ),
+            (
+                "seed = 42",
+                "seed = 42\ndrop_orbit0 = treu",
+                "[pipeline] drop_orbit0: 'treu' is not 1/true/yes/on or 0/false/no/off",
+            ),
             ("bins = 4", "bins = 0", "idr.bins 0 < 1"),
         ],
     )
@@ -780,7 +794,8 @@ class TestConfigCheckedBeforeCensus:
         )
         assert code != 0
         assert message in capsys.readouterr().err
-        assert "stage=config" in (out / "FAILED").read_text()
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith("stage=config\nerror=") and message in marker
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -1317,75 +1332,76 @@ class TestWorkers:
         assert (out / "FAILED").read_text() == "stage=census\nerror=census failed\n"
         assert_no_children()
 
-    def test_lane_with_time_to_spare_writes_csv(self, corpus, run_dir, tmp_path, monkeypatch):
-        # the census held up, the lane writes GraphWave's CSV itself
+    def test_lane_write_that_stalls_is_waited_for(self, corpus, run_dir, tmp_path, monkeypatch):
+        # the join after idr waits for a lane write that stalls; nothing
+        # cuts it short
         import orbitroles.cli
 
-        count, joins = orbitroles.cli.count_orbits, []
+        parent, write = os.getpid(), orbitroles.cli.embedding_to_csv
 
-        def slow_census(*args, **kwargs):
-            time.sleep(1.0)
-            return count(*args, **kwargs)
+        def stalling_write(emb, table, path):
+            if os.getpid() != parent:
+                path.write_text("partial")
+                time.sleep(1.0)
+            write(emb, table, path)
 
-        monkeypatch.setattr(orbitroles.cli, "count_orbits", slow_census)
-        monkeypatch.setattr(orbitroles.cli, "_write_graphwave", lambda *args: joins.append(args))
+        monkeypatch.setattr(orbitroles.cli, "embedding_to_csv", stalling_write)
         cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
         out = tmp_path / "out"
         assert run(
             "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
             "--config", cfg, "--threads", 2, "--out", out,
         ) == 0
-        assert joins == []
         stages = json.loads((out / "manifest.json").read_text())["metrics"]["stages"]
-        assert stages["embed/graphwave-write"] >= 0.0
+        assert stages["embed/graphwave-write"] >= 0.9
         for path in run_dir.glob("*.csv"):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
         assert_no_children()
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_lane_cut_short_leaves_write_to_explain(self, corpus, run_dir, tmp_path, monkeypatch, fail):
-        # the lane's write stalls: it is stopped when embed joins the lane,
-        # its partial CSV removed, and the write done beside explain; a run
-        # that fails before that leaves no GraphWave CSV
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("where, patched", [("validate", "sweep"), ("explain", "train_surrogate")])
+    def test_failure_while_lane_writes_leaves_no_csv(
+        self, corpus, run_dir, tmp_path, monkeypatch, threads, where, patched
+    ):
+        # a forked lane is killed mid-write and its partial CSV removed; an
+        # inline one has not written yet
         import orbitroles.cli
 
         parent, write, mark = os.getpid(), orbitroles.cli.embedding_to_csv, tmp_path / "stalled"
 
         def stalling_write(emb, table, path):
-            if os.getpid() != parent and not mark.exists():
-                mark.touch()
+            if os.getpid() != parent:
                 path.write_text("partial")
+                mark.touch()
                 time.sleep(60)
             write(emb, table, path)
 
         def failing(*args, **kwargs):
-            raise ValueError("sweep failed")
+            deadline = time.monotonic() + 30
+            while threads > 1 and not mark.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise ValueError(f"{where} failed")
 
         monkeypatch.setattr(orbitroles.cli, "embedding_to_csv", stalling_write)
-        if fail:
-            monkeypatch.setattr(orbitroles.cli, "sweep", failing)
+        monkeypatch.setattr(orbitroles.cli, patched, failing)
         cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
         out = tmp_path / "out"
         start = time.monotonic()
-        code = run(
+        assert run(
             "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
-            "--config", cfg, "--threads", 2, "--out", out,
-        )
+            "--config", cfg, "--threads", threads, "--out", out,
+        ) == 2
         assert time.monotonic() - start < 30
-        assert mark.exists()
-        if fail:
-            assert code == 2
-            assert (out / "FAILED").read_text() == "stage=validate\nerror=sweep failed\n"
-            assert not (out / "embedding_graphwave.csv").exists()
-        else:
-            assert code == 0
-            for path in run_dir.glob("*.csv"):
-                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert mark.exists() == (threads > 1)
+        assert (out / "FAILED").read_text() == f"stage={where}\nerror={where} failed\n"
+        left = {p.name for p in out.iterdir()} - {"FAILED"}
+        assert "embedding_graphwave.csv" not in left
+        assert left <= {p.name for p in run_dir.glob("*.csv")}, left
         assert_no_children()
 
     def test_explain_error_kills_running_writer(self, corpus, tmp_path, monkeypatch):
-        # GraphWave's CSV is written on a worker beside explain; explain
-        # failing while the writer runs kills and reaps it
+        # GraphWave's lane writes its CSV beside explain; explain failing
+        # while the lane writes kills and reaps it
         import orbitroles.cli
 
         parent, write = os.getpid(), orbitroles.cli.embedding_to_csv

@@ -84,10 +84,35 @@ def test_default_round_trips_through_dict():
          r"\[pipeline\], \[embed\], \[cluster\], \[explain\], \[idr\]"),
         ("[embed]\nkernel = chebyshev\n", r"unknown config key 'kernel' in \[embed\]"),
         ("[pipeline]\nembed = rolx\n", r"unknown config key 'embed' in \[pipeline\]"),
+        # a misspelt boolean is an error, not False
+        ("[pipeline]\ndrop_orbit0 = treu\n",
+         r"^\[pipeline\] drop_orbit0: 'treu' is not 1/true/yes/on or 0/false/no/off$"),
+        ("[pipeline]\nthreads = two\n",
+         r"^\[pipeline\] threads: invalid literal for int\(\) with base 10: 'two'$"),
+        ("[cluster]\nk_min = 2.5\n",
+         r"^\[cluster\] k_min: invalid literal for int\(\) with base 10: '2.5'$"),
+        ("[embed]\ngraphwave_scales = 1.0, x\n",
+         r"^\[embed\] graphwave_scales: could not convert string to float: 'x'$"),
     ],
 )
-def test_unknown_section_or_key_rejected(tmp_path, text, message):
+def test_bad_section_key_or_value_rejected(tmp_path, text, message):
     path = tmp_path / "bad.ini"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+     ("0", False), ("False", False), ("NO", False), ("Off", False)],
+)
+def test_booleans_in_any_case(tmp_path, raw, value):
+    path = tmp_path / "bool.ini"
+    path.write_text(f"[pipeline]\ndrop_orbit0 = {raw}\n", encoding="utf-8")
+    assert load_config(path).drop_orbit0 is value
+
+
+def test_manifest_value_that_does_not_convert_names_its_key():
+    with pytest.raises(ValueError, match=r"^\[explain\] keep_roles: "):
+        config_from_dict({"explain": {"keep_roles": 3}})
