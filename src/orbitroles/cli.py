@@ -39,13 +39,14 @@ run at once. ``metrics["stages"]`` also holds the wall seconds of each
 worker task and of GraphWave's CSV write on its lane
 (``embed/graphwave-write``, which at low priority includes time spent
 waiting for a CPU), ``metrics["workers"]`` the worker count,
-``metrics["census"]`` the census's estimated working set, its blocks of
-roots and the largest one's cells, and the minor page faults and system
-seconds of the call, ``metrics["rolx"]`` the NMF iterations and
-convergence and the ReFeX features and generation of RolX,
-``metrics["graphwave"]`` GraphWave's estimated working set, components
-and distinct components, ``metrics["kmeans"]`` each sweep cell's
-iterations, degeneracy and whether its silhouette was sampled, and
+``metrics["census"]`` the census's estimated working set, components and
+distinct components, its blocks of roots and the largest one's cells, and
+the minor page faults and system seconds of the call, ``metrics["rolx"]``
+the NMF iterations and convergence and the ReFeX features and generation
+of RolX, ``metrics["graphwave"]`` GraphWave's estimated working set,
+components and distinct components, ``metrics["kmeans"]`` each sweep
+cell's iterations, degeneracy, its embedding's distinct rows and whether
+its silhouette was sampled, and
 ``metrics["silhouette"]`` the nodes and the distinct log-orbit rows that
 an exact sweep scored over."""
 
@@ -149,9 +150,10 @@ def _load_inputs(paths):
 
 def _census(graph, table, cfg, out, manifest):
     """The orbit census of ``graph``, written to ``orbits.csv``. Its
-    counters go to ``metrics["census"]``: the guard's estimate, the blocks
-    of roots (``count_orbits``), and the minor page faults and system
-    seconds of this process during the call."""
+    counters go to ``metrics["census"]``: the guard's estimate, the
+    components and the distinct ones counted, the blocks of roots
+    (``count_orbits``), and the minor page faults and system seconds of
+    this process during the call."""
     before = resource.getrusage(resource.RUSAGE_SELF)
     orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb)
     after = resource.getrusage(resource.RUSAGE_SELF)
@@ -162,7 +164,7 @@ def _census(graph, table, cfg, out, manifest):
     }
     orbits_to_csv(orbits, table, out / "orbits.csv")
     manifest.add_output(out / "orbits.csv")
-    manifest.parameters["component_count"] = len(graph.components())
+    manifest.parameters["component_count"] = orbits.meta["components"]
     return orbits
 
 
@@ -221,7 +223,9 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census):
     includes time spent waiting for a CPU. An error inside the block kills
     and reaps the lane and removes the CSV, whole or cut short.
     GraphWave's estimated working set is first checked, in the parent,
-    against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``.
+    against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``;
+    the estimate keys the components (``Graph.copies``), so a forked lane
+    inherits the keys and the census reads the same ones.
     When the lane forks and the caller runs the census beside it
     (``census``), the two estimates are checked together as well."""
     ec, budget = cfg.embed, cfg.memory_budget_mb
@@ -335,6 +339,7 @@ def _validate(embeddings, features, cfg, out, manifest):
         f"{method}:{k}": {
             "iterations": len(a.meta["wcss_trajectory"]),
             "degenerate": a.degenerate,
+            "distinct_rows": a.meta["distinct_rows"],
             "sampled": sampled[method, k],
         }
         for (method, k), a in result.assignments.items()

@@ -18,6 +18,13 @@ Each k-means assignment step screens the distances with one BLAS matrix
 product and computes exact distances only for the rows whose nearest
 centroid the product's rounding could change, so the labels are those of
 the exact evaluation whatever kernel the BLAS uses (see ``_nearest``).
+Nodes with the same embedding row are the same point, so the k-means++
+seeding and each assignment step run over the distinct rows only
+(``EmbeddingMatrix.distinct``, computed once per embedding before the
+cells are dealt), and each node reads its row's result; the draws of the
+seeding are still over nodes. The centroid and WCSS update runs over all
+rows, in node order, and those sums fix the bits (the planted-many bench
+graph at seed 7: 2,600 nodes, 611 distinct GraphWave rows and 86 RolX).
 """
 
 from __future__ import annotations
@@ -59,28 +66,34 @@ class RoleAssignment:
             self.k_effective = int(np.unique(self.labels).size)
 
 
-def _kmeans_pp_init(X, k, rng):
-    n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
+def _kmeans_pp_init(U, inverse, k, rng):
+    """k-means++ seeds for the rows ``U[inverse]``, one per node, from the
+    distinct rows ``U`` alone. The draws are over nodes: each node's
+    squared distance to its nearest seed is its row's, read through
+    ``inverse`` for the total and the cumulative sum, so the seeds are
+    those of the same loop over every node's row."""
+    n = inverse.size
+    centroids = np.empty((k, U.shape[1]))
     first = int(rng.integers(0, n))
-    centroids[0] = X[first]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    centroids[0] = U[inverse[first]]
+    d2 = ((U - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = d2.sum()
+        node_d2 = d2[inverse]
+        total = node_d2.sum()
         if total <= 0:
             idx = int(rng.integers(0, n))
         else:
             r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r))
+            idx = int(np.searchsorted(np.cumsum(node_d2), r))
             idx = min(idx, n - 1)
-        centroids[j] = X[idx]
-        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+        centroids[j] = U[inverse[idx]]
+        d2 = np.minimum(d2, ((U - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
 
 def _nearest(X, x_sq, centroids):
     """Each row's nearest centroid, as the first argmin of the exact
-    distances ``((x - c) ** 2).sum()``; also returns how many rows had to
+    distances ``((x - c) ** 2).sum()``; also returns the rows that had to
     compute them.
 
     The screen takes every distance from one GEMM, g = |x|^2 - 2 x.c + |c|^2.
@@ -110,7 +123,7 @@ def _nearest(X, x_sq, centroids):
     if recheck.size:
         d2 = ((X[recheck, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels[recheck] = d2.argmin(axis=1)
-    return labels, int(recheck.size)
+    return labels, recheck
 
 
 def kmeans(
@@ -122,14 +135,18 @@ def kmeans(
 ) -> RoleAssignment:
     """Lloyd's algorithm with k-means++ init, deterministic per seed.
 
-    Each assignment step is ``_nearest``: a GEMM screen settles every row
-    whose nearest centroid is clear by more than a floating-point error
-    bound, and only the remaining rows compute exact distances, so labels
-    and WCSS are those of the exact n x k x d evaluation, bit for bit.
-    ``meta["rechecked_rows"]`` counts those rows over all iterations. The
-    centroid and WCSS update reads each cluster as one contiguous slice of
-    the rows sorted stably by label, which sums the members in the same
-    order as a boolean mask would.
+    Nodes with the same row (the same bytes; ``embedding.distinct``) are
+    the same point, so the seeding and every assignment step run over the
+    u distinct rows only, and each node reads its row's result. Each
+    assignment step is ``_nearest``: a GEMM screen settles every row whose
+    nearest centroid is clear by more than a floating-point error bound,
+    and only the remaining rows compute exact distances, so labels and
+    WCSS are those of the exact n x k x d evaluation, bit for bit.
+    ``meta["rechecked_rows"]`` counts the nodes whose rows were rechecked,
+    over all iterations, and ``meta["distinct_rows"]`` is u. The centroid
+    and WCSS update runs over all n rows: it reads each cluster as one
+    contiguous slice of the rows sorted stably by label, which sums the
+    members in the same order as a boolean mask would.
 
     Empty clusters are re-seeded to the point currently farthest from its
     centroid; a cluster still empty at convergence marks the run
@@ -147,9 +164,12 @@ def kmeans(
     if k > n:
         raise ClusteringError(f"k={k} exceeds {n} points")
 
+    first, inverse = embedding.distinct
+    U = X if first.size == n else X[first]
+    weight = np.bincount(inverse, minlength=first.size)  # the nodes of each row
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, k, rng)
-    x_sq = (X**2).sum(axis=1)
+    centroids = _kmeans_pp_init(U, inverse, k, rng)
+    u_sq = (U**2).sum(axis=1)
     labels = np.zeros(n, dtype=np.int64)
     wcss_prev = np.inf
     trajectory = []
@@ -157,8 +177,9 @@ def kmeans(
     reseeded = False  # whether the previous iteration re-seeded a cluster
 
     for _ in range(max_iter):
-        labels, count = _nearest(X, x_sq, centroids)
-        rechecked += count
+        nearest, recheck = _nearest(U, u_sq, centroids)
+        rechecked += int(weight[recheck].sum())
+        labels = nearest[inverse]
         point_d2 = None  # each point's distance, needed only to re-seed
 
         order = np.argsort(labels, kind="stable")
@@ -175,7 +196,7 @@ def kmeans(
                 # re-seed an empty centroid to the point farthest from its
                 # current centroid; labels stay as assigned
                 if point_d2 is None:
-                    point_d2 = ((X - centroids[labels]) ** 2).sum(axis=1)
+                    point_d2 = ((U - centroids[nearest]) ** 2).sum(axis=1)[inverse]
                 far = int(point_d2.argmax())
                 new_centroids[j] = X[far]
                 point_d2[far] = 0.0
@@ -201,7 +222,11 @@ def kmeans(
         degenerate=k_eff < k,
         k_effective=k_eff,
         inertia=trajectory[-1] if trajectory else 0.0,
-        meta={"wcss_trajectory": trajectory, "rechecked_rows": rechecked},
+        meta={
+            "wcss_trajectory": trajectory,
+            "rechecked_rows": rechecked,
+            "distinct_rows": int(first.size),
+        },
     )
 
 
@@ -416,6 +441,9 @@ def sweep(
     sampled = orbit_features.node_count > sample_cap
 
     jobs = [(emb, k) for emb in embeddings for k in ks]
+    # each embedding's distinct rows, once, before the workers fork
+    for emb in embeddings:
+        emb.distinct
 
     def cell(job):
         emb, k = job

@@ -187,9 +187,34 @@ def _cast(kind, raw: str):
     return _bool(raw) if kind is bool else kind(raw)
 
 
+# what a manifest value of each scalar field type must be
+_JSON_KINDS = {
+    bool: "a bool (JSON true or false)",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+}
+
+
 def _from_json(kind, value):
-    """A manifest value as the field's value: JSON lists back to tuples."""
-    return tuple(value) if typing.get_origin(kind) is tuple else value
+    """A manifest value as the field's value, checked against the field's
+    type: a JSON bool for ``bool``, an integer that is no bool for ``int``,
+    a number that is no bool for ``float`` (an integer becomes a float), a
+    string for ``str``, null where the type allows None, and for a tuple a
+    list of such items, which becomes a tuple."""
+    members = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{value!r} is not a list")
+        return tuple(_from_json(members[0], item) for item in value)
+    if members:  # ``int | None``
+        return None if value is None else _from_json(members[0], value)
+    number = isinstance(value, int) and not isinstance(value, bool)
+    if kind is float and number:
+        return float(value)
+    if not isinstance(value, kind) or (kind is int and not number):
+        raise ValueError(f"{value!r} is not {_JSON_KINDS[kind]}")
+    return value
 
 
 def _build(cls, values: dict, convert, section: str):

@@ -7,7 +7,8 @@ Deterministic, seed-free; processed per connected component (the heat
 kernel is block-diagonal), with one eigendecomposition per component
 shared by every scale and the characteristic function normalized by
 component size. Each distinct component is computed once: components are
-keyed by their size and local edge list, and a component whose key came
+keyed by their size and local edge list (``Graph.copies``, computed once
+per graph and shared with the census), and a component whose key came
 before copies that component's rows. Its Laplacian would be the same
 bytes, so the copied rows are the bits it would compute. A citation graph
 of many small components repeats few structures (the planted-many bench
@@ -55,6 +56,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,12 @@ class EmbeddingMatrix:
     def node_count(self) -> int:
         return self.vectors.shape[0]
 
+    @cached_property
+    def distinct(self) -> tuple:
+        """``graph.distinct_rows`` of the vectors, computed once for every
+        k-means run over them."""
+        return distinct_rows(self.vectors)
+
 
 @dataclass
 class RefexFeatureMatrix:
@@ -105,22 +113,9 @@ class RefexFeatureMatrix:
     column_names: list
 
 
-def _component_key(graph, comp):
-    """(k, the flat positions i * k + j of the -1 entries of the component's
-    k x k Laplacian, ascending, as int64 bytes), from the CSR rows of its
-    nodes. The key names the Laplacian: equal keys, equal bytes."""
-    comp = np.asarray(comp, dtype=np.int64)
-    start, deg = graph.indptr[comp], graph.indptr[comp + 1] - graph.indptr[comp]
-    row = np.repeat(np.arange(comp.size), deg)
-    entry = np.arange(row.size) + np.repeat(start - np.cumsum(deg) + deg, deg)
-    # comp and every CSR row ascend, so the positions come out sorted
-    return comp.size, (row * comp.size + np.searchsorted(comp, graph.indices[entry])).tobytes()
-
-
-def _laplacian(key):
-    """The dense k x k Laplacian that ``_component_key`` names."""
-    k, flat = key
-    flat = np.frombuffer(flat, dtype=np.int64)
+def _laplacian(k, flat):
+    """The dense k x k Laplacian of a component of k nodes whose edges are
+    ``Graph.local_edges``: the -1 entries at those flat positions."""
     lap = np.zeros(k * k)
     lap[flat] = -1.0
     lap[:: k + 1] = np.bincount(flat // k, minlength=k)
@@ -206,7 +201,7 @@ def estimate_graphwave_memory_mb(
     psi and its cos, six planes of min(k^2, ``_BLOCK_CELLS``) cells. Add the
     output and the complex sums, per node and CSR entry the component lists
     and keys, and 64 kB."""
-    k, n = max(map(len, graph.components()), default=0), graph.node_count
+    k, n = max(map(len, graph.copies[0]), default=0), graph.node_count
     width = 2 * len(scales) * sample_points
     cells = 5 * k * k + 6 * min(k * k, _BLOCK_CELLS) + (12 + 2 * sample_points + width) * k
     return (8 * (cells + n * width) + 250 * n + 50 * graph.indices.size + 2**16) / 1e6
@@ -241,17 +236,14 @@ def graphwave_embed(
 
     step = np.linspace(0.0, t_max, sample_points)[1]
     out = np.zeros((graph.node_count, width), dtype=np.float64)
-    components = graph.components()
-    firsts = {}  # component key -> the first component with it
-    for comp in components:
-        key = _component_key(graph, comp)
-        first = firsts.setdefault(key, comp)
-        if first is not comp:
+    components, first = graph.copies
+    for i, comp in enumerate(components):
+        if first[i] != i:
             # the same Laplacian bytes: the rows it would compute, bit for bit
-            out[comp] = out[first]
+            out[comp] = out[components[first[i]]]
             continue
         k = len(comp)
-        eig = np.linalg.eigh(_laplacian(key))
+        eig = np.linalg.eigh(_laplacian(k, graph.local_edges(comp)))
         # node x scale x point x (real, imaginary)
         sums = np.empty((k, len(scales), sample_points, 2))
         for i, s in enumerate(scales):
@@ -267,7 +259,7 @@ def graphwave_embed(
             "sample_points": sample_points,
             "t_max": t_max,
             "components": len(components),
-            "distinct_components": len(firsts),
+            "distinct_components": sum(f == i for i, f in enumerate(first)),
         },
     )
 

@@ -6,6 +6,10 @@ is aligned to that index order. Directed inputs are symmetrized at load,
 but the original line order (source cites target) is retained as an array
 so citation direction can be recovered for diversity scoring.
 
+``Graph.copies`` keys the components by their size and local edge
+positions, once per graph: the census and GraphWave compute each distinct
+component once and copy its rows to the others (``distinct_part``).
+
 The per-node CSVs (orbits, embeddings, roles) have one format with two
 halves: ``write_node_rows`` writes each node's row after the caller's
 ``#`` comment and ``id,...`` header, and ``read_node_rows`` reads the
@@ -90,6 +94,64 @@ class Graph:
         ends = np.cumsum(sizes[sizes > 0]).tolist()
         return [order[a:b] for a, b in zip([0] + ends, ends)]
 
+    def local_edges(self, comp) -> np.ndarray:
+        """The flat positions i * k + j of the edges (i, j) of the component
+        ``comp`` (its k nodes, ascending), i and j the ranks of their ends in
+        it: int64, ascending, each edge in both directions."""
+        comp = np.asarray(comp, dtype=np.int64)
+        return _local_edges(self, comp, np.array([comp.size]))[0]
+
+    @cached_property
+    def copies(self) -> tuple:
+        """``(components, first)``: the components as ``components()`` lists
+        them, and for each the index of the first component with the same
+        key, its size and its ``local_edges``. Equal keys name the same
+        graph with its nodes in the same order, so whatever is computed from
+        a component alone comes out the same, bit for bit, for each copy at
+        each position. Only components of a size that repeats are keyed.
+        Computed once per graph: the pipeline reads it before it forks
+        GraphWave's lane, which then inherits it."""
+        components = self.components()
+        sizes = np.array([len(c) for c in components], dtype=np.int64)
+        first = list(range(len(components)))
+        keyed = np.flatnonzero(np.bincount(sizes)[sizes] > 1)
+        if keyed.size:
+            nodes = np.concatenate([components[i] for i in keyed.tolist()])
+            flat, bounds = _local_edges(self, nodes, sizes[keyed])
+            keys = {}
+            for i, k, a, b in zip(keyed.tolist(), sizes[keyed].tolist(), bounds, bounds[1:]):
+                first[i] = keys.setdefault((k, flat[a:b].tobytes()), i)
+        return components, first
+
+    def distinct_part(self) -> tuple:
+        """``(sub, source)``: the subgraph of the components that are the
+        first of their key (``copies``), in their order, and for each node
+        of this graph the node of ``sub`` at its position in the first
+        component with its key. Without repeats, ``(self, None)``."""
+        components, first = self.copies
+        first = np.array(first, dtype=np.int64)
+        kept = first == np.arange(first.size)
+        if kept.all():
+            return self, None
+        sizes = np.array([len(c) for c in components], dtype=np.int64)
+        order = np.concatenate([np.asarray(c, dtype=np.int64) for c in components])
+        label = np.repeat(np.arange(sizes.size), sizes)
+        rank = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        kept_sizes = np.where(kept, sizes, 0)
+        source = np.empty(self.node_count, dtype=np.int64)
+        # the first node of each kept component in sub, read for every copy
+        source[order] = (np.cumsum(kept_sizes) - kept_sizes)[first[label]] + rank
+        nodes = order[kept[label]]
+        deg = self.indptr[nodes + 1] - self.indptr[nodes]
+        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        entry = np.arange(indptr[-1]) + np.repeat(self.indptr[nodes] - indptr[:-1], deg)
+        # a kept node's source is its own node of sub; ranks ascend with the
+        # nodes of a component, so each row stays ascending
+        indices = source[self.indices[entry]]
+        indptr.flags.writeable = indices.flags.writeable = False
+        return Graph(indptr=indptr, indices=indices), source
+
     @staticmethod
     def from_edges(node_count: int, edges, directed_pairs=None) -> "Graph":
         """Build from index pairs (a sequence of pairs or an (m, 2) array);
@@ -113,6 +175,25 @@ class Graph:
             directed_pairs = np.asarray(directed_pairs, dtype=np.int64).reshape(-1, 2).view()
             directed_pairs.flags.writeable = False
         return Graph(indptr=indptr, indices=indices, directed_pairs=directed_pairs)
+
+
+def _local_edges(graph, nodes, sizes):
+    """``Graph.local_edges`` of several components at once: ``nodes`` holds
+    their nodes, each component's ascending, and ``sizes`` their sizes.
+    Returns the positions of all, one component after the other, and the
+    bounds of each one's run as a list of len(sizes) + 1 ints."""
+    starts = np.cumsum(sizes) - sizes
+    label = np.repeat(np.arange(sizes.size), sizes)
+    deg = graph.indptr[nodes + 1] - graph.indptr[nodes]
+    row = np.repeat(np.arange(nodes.size), deg)
+    entry = np.arange(row.size) + np.repeat(graph.indptr[nodes] - np.cumsum(deg) + deg, deg)
+    # (component, node) ascends over ``nodes``, so a search finds each
+    # entry's far end; every CSR row ascends, so the positions come out sorted
+    n, at = graph.node_count, label[row]
+    far = np.searchsorted(label * n + nodes, at * n + graph.indices[entry]) - starts[at]
+    flat = (row - starts[at]) * sizes[at] + far
+    ends = np.cumsum(deg)[np.cumsum(sizes) - 1]
+    return flat, [0] + ends.tolist()
 
 
 @dataclass
@@ -144,6 +225,22 @@ class NodeTable:
 
     def index_of(self, external_id: str) -> int:
         return self._index[external_id]
+
+    @cached_property
+    def id_cells(self) -> list:
+        """Each id as ``csv.writer`` writes it as the first of several fields
+        of a row: an empty id stays unquoted there, while alone in a row it
+        would be written as ``""``. Formatted once per table, for every
+        per-node CSV written with it (``write_node_rows``)."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        cells = []
+        for ext in self.external_ids:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow((ext, ""))
+            cells.append(buf.getvalue()[:-2])
+        return cells
 
 
 def load_edge_list(path, table: NodeTable | None = None):
@@ -273,8 +370,8 @@ def write_node_table(table: NodeTable, path) -> None:
 
 def write_node_rows(fh, table: NodeTable, values) -> None:
     """One CSV line per node of ``table``: its id as ``csv.writer`` writes
-    it, then the node's row of the 2-d array ``values``, floats by ``repr``
-    and integers by ``str``.
+    it (``NodeTable.id_cells``), then the node's row of the 2-d array
+    ``values``, floats by ``repr`` and integers by ``str``.
 
     Rows are grouped by their bytes (``distinct_rows``) and each distinct
     row is formatted once: many nodes share a row (every node of a repeated
@@ -288,7 +385,7 @@ def write_node_rows(fh, table: NodeTable, values) -> None:
     fh.write(
         "".join(
             f"{cell},{tails[j]}\n"
-            for cell, j in zip(_id_cells(table.external_ids), inverse.tolist())
+            for cell, j in zip(table.id_cells, inverse.tolist())
         )
     )
 
@@ -310,21 +407,6 @@ def distinct_rows(values):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return first[order], rank[inverse.ravel()]
-
-
-def _id_cells(ids) -> list:
-    """Each id as ``csv.writer`` writes it as the first of several fields
-    of a row: an empty id stays unquoted there, while alone in a row it
-    would be written as ``""``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for ext in ids:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((ext, ""))
-        cells.append(buf.getvalue()[:-2])
-    return cells
 
 
 def read_node_rows(path, cast, error, table: NodeTable | None = None):

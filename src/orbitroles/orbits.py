@@ -14,6 +14,15 @@ are then solved once, as column arithmetic over all nodes. The
 exhaustive oracle in :mod:`orbitroles.graphlets` defines the contract;
 the two are tested against each other entrywise.
 
+A node's counts depend on its component alone, and a citation graph
+repeats small components many times. So the census counts each distinct
+component once: it runs on ``Graph.distinct_part()``, the subgraph of the
+components that are the first of their key (``Graph.copies``: size and
+local edge positions), and each node takes the row of the node at its
+position in the first copy (the planted-many bench graph at seed 7: 173
+components, 22 counted). With no repeated component the subgraph is the
+graph itself.
+
 Counts use 64-bit integers throughout: hub nodes in dense regions
 overflow 32 bits for 5-node orbits.
 """
@@ -147,17 +156,23 @@ def _main_work(walks3):
 def estimate_census_memory_mb(graph) -> float:
     """Upper bound on the working set of ``count_orbits``, in MB.
 
-    Counts, from the degrees alone: the CSR arrays and the column map (56
-    bytes per node, 48 per edge entry), the pair tables (9 bytes per
-    ordered pair of neighbours of each node), the triangle lists while
-    they are built (48 bytes per member; the edge (u, v) has at most
-    min(d_u, d_v) - 1), the largest block of roots at 16 bytes per unit of
-    work (its enumeration rows), its rows over its reach at 12 bytes per
-    cell (at most ``_BLOCK_CELLS`` cells, or one root's n + 1, and never
-    more than n + 1 cells for each of the n roots), and the N x 73 output
-    with its transposed copy.
+    Counts what runs: the census of ``graph.distinct_part()``, the subgraph
+    of the components that copy no earlier one, and the copy of its rows
+    out to every node. From the subgraph's degrees alone: the CSR arrays
+    and the column map (56 bytes per node, 48 per edge entry), the pair
+    tables (9 bytes per ordered pair of neighbours of each node), the
+    triangle lists while they are built (48 bytes per member; the edge
+    (u, v) has at most min(d_u, d_v) - 1), the largest block of roots at 16
+    bytes per unit of work (its enumeration rows), its rows over its reach
+    at 12 bytes per cell (at most ``_BLOCK_CELLS`` cells, or one root's n +
+    1, and never more than n + 1 cells for each of the n roots), and its
+    n x 73 counts. Then the N x 73 output: a transposed copy of the counts
+    when no component repeats, else the copied rows, beside the subgraph's
+    own arrays (16 bytes per node and edge entry) and the node map (8 bytes
+    per node of ``graph``).
     """
-    n, deg, indptr, indices = graph.node_count, graph.degrees(), graph.indptr, graph.indices
+    sub, source = graph.distinct_part()
+    n, deg, indptr, indices = sub.node_count, sub.degrees(), sub.indptr, sub.indices
     _, walks3 = _walks(deg, indptr, indices)
     work = _main_work(walks3)
     block = max(min(_BLOCK_CELLS, int(work.sum())), int(work.max(initial=0)))
@@ -166,7 +181,10 @@ def estimate_census_memory_mb(graph) -> float:
     ends = np.repeat(deg, deg)
     members = int((np.minimum(ends, deg[indices]) - 1).sum())
     total = 56 * n + 48 * indices.size + 9 * pairs + 48 * members + 16 * block + 12 * rows
-    return (total + 16 * ORBIT_COUNT * n) / 1e6
+    total += 8 * ORBIT_COUNT * n
+    if source is not None:
+        total += 16 * (n + indices.size) + 8 * source.size
+    return (total + 8 * ORBIT_COUNT * graph.node_count) / 1e6
 
 
 class _Tables:
@@ -712,12 +730,17 @@ def _solve_relations(o):
 def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
     """Orbit counts for every node, independent of node ordering.
 
-    Deterministic (integer arithmetic only). Raises OrbitCensusError with
-    a size estimate when the census working set would exceed the memory
-    budget. The result's ``meta`` holds the estimate (``estimate_mb``),
-    the number of blocks of roots of the main pass (``blocks``) and the
-    largest block's work and rows, in cells (``largest_block_cells``,
-    ``largest_rows_cells``).
+    Deterministic (integer arithmetic only). A node's counts depend on
+    its component alone, so only ``graph.distinct_part()`` is counted, the
+    subgraph of the components that copy no earlier one (``Graph.copies``),
+    and each node takes the row of its position in the first copy: the
+    same int64 counts its own census would give. Raises OrbitCensusError
+    with a size estimate when the census working set would exceed the
+    memory budget. The result's ``meta`` holds the estimate
+    (``estimate_mb``), the ``components`` and the ``distinct_components``
+    (those counted), the number of blocks of roots of the main pass
+    (``blocks``) and the largest block's work and rows, in cells
+    (``largest_block_cells``, ``largest_rows_cells``).
     """
     est = estimate_census_memory_mb(graph)
     if est > memory_budget_mb:
@@ -725,7 +748,8 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
             f"estimated census working set {est:.0f} MB exceeds the "
             f"{memory_budget_mb:.0f} MB budget"
         )
-    t = _Tables(graph)
+    sub, source = graph.distinct_part()
+    t = _Tables(sub)
     deg = t.deg
     # o[k] for k <= 14 and k = 72 are counts; o[k] for 15 <= k <= 71 holds
     # the sum f_k of ORCA's relation for orbit k until the system is solved
@@ -751,13 +775,17 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
     o[42] = (deg - 3) * o[13]
     o[58] = (deg - 3) * o[14]
     _solve_relations(o)
+    _, first = graph.copies
     meta = {
         "estimate_mb": est,
+        "components": len(first),
+        "distinct_components": sum(f == i for i, f in enumerate(first)),
         "blocks": blocks,
         "largest_block_cells": largest,
         "largest_rows_cells": widest,
     }
-    return OrbitMatrix(counts=np.ascontiguousarray(o.T), meta=meta)
+    counts = np.ascontiguousarray(o.T) if source is None else o.T[source]
+    return OrbitMatrix(counts=counts, meta=meta)
 
 
 def orbit_header():

@@ -1,11 +1,12 @@
 """The k-means loop that ``clustering.kmeans`` replaced.
 
-It computes every point-to-centroid distance exactly from an n x k x d
+It seeds with k-means++ over every node's row (``kmeans_pp_init_rows``),
+computes every point-to-centroid distance exactly from an n x k x d
 broadcast and gathers each cluster's members with a boolean mask; the
-tests hold the BLAS-screened loop to its labels, WCSS trajectory and
-degeneracy, compared with ``==``. It shares one rule with
-``clustering.kmeans``: a run stops when the iteration after a re-seed does
-not lower the WCSS.
+tests hold the BLAS-screened loop over the distinct rows to its labels,
+WCSS trajectory and degeneracy, compared with ``==``. It shares one rule
+with ``clustering.kmeans``: a run stops when the iteration after a
+re-seed does not lower the WCSS.
 
 ``roles_to_csv_rows`` is the row-by-row ``csv.writer`` loop that
 ``clustering.roles_to_csv`` replaced with ``graph.write_node_rows``.
@@ -21,12 +22,26 @@ import csv
 
 import numpy as np
 
-from orbitroles.clustering import (
-    ClusteringError,
-    RoleAssignment,
-    _distance_block,
-    _kmeans_pp_init,
-)
+from orbitroles.clustering import ClusteringError, RoleAssignment, _distance_block
+
+
+def kmeans_pp_init_rows(X, k, rng):
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    first = int(rng.integers(0, n))
+    centroids[0] = X[first]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(0, n))
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r))
+            idx = min(idx, n - 1)
+        centroids[j] = X[idx]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    return centroids
 
 
 def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
@@ -38,7 +53,7 @@ def kmeans_broadcast(embedding, k, seed=0, max_iter=300, tol=1e-6):
         raise ClusteringError(f"k={k} exceeds {n} points")
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, k, rng)
+    centroids = kmeans_pp_init_rows(X, k, rng)
     labels = np.zeros(n, dtype=np.int64)
     wcss_prev = np.inf
     trajectory = []

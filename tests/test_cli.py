@@ -227,6 +227,46 @@ class TestPipeline:
         assert (replay / "FAILED").read_text().startswith(f"stage={stage}\nerror=")
         assert (replay / "manifest.json").read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            # a string "false" was once replayed as is, and was truthy
+            ("pipeline", "drop_orbit0", "false",
+             "[pipeline] drop_orbit0: 'false' is not a bool (JSON true or false)"),
+            ("cluster", "k_min", "2", "[cluster] k_min: '2' is not an integer"),
+            ("cluster", "k_max", True, "[cluster] k_max: True is not an integer"),
+            ("explain", "effect_orbits", [0, "17"],
+             "[explain] effect_orbits: '17' is not an integer"),
+            ("embed", "methods", "rolx", "[embed] methods: 'rolx' is not a list"),
+        ],
+    )
+    def test_edited_manifest_value_of_another_type_fails_config(
+        self, run_dir, tmp_path, capsys, section, key, value, message
+    ):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        config = manifest["parameters"]["config"]
+        (config if section == "pipeline" else config[section])[key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert run("pipeline", "--from-manifest", edited, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=config\nerror={message}\n"
+        assert not list(out.glob("*.csv"))
+
+    def test_edited_manifest_replays_its_values(self, run_dir, tmp_path):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["parameters"]["config"]["drop_orbit0"] = True
+        manifest["parameters"]["config"]["memory_budget_mb"] = 4000
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert run("pipeline", "--from-manifest", edited, "--out", out) == 0
+        replayed = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert replayed["config"]["drop_orbit0"] is True
+        assert replayed["config"]["memory_budget_mb"] == 4000.0
+        assert replayed["validation_feature_space"] == "log1p-orbit-no-degree"
+
     def test_failure_names_stage_and_marks(self, tmp_path, capsys):
         code = run("pipeline", tmp_path / "missing.txt", "--out", tmp_path / "out")
         assert code != 0
@@ -902,15 +942,16 @@ def test_manifest_metrics_hold_census_counters(corpus, tmp_path, command):
     ) == 0
     census = json.loads((out / "manifest.json").read_text())["metrics"]["census"]
     assert set(census) == {
-        "estimate_mb", "blocks", "largest_block_cells", "largest_rows_cells",
-        "minor_faults", "system_s",
+        "estimate_mb", "components", "distinct_components", "blocks",
+        "largest_block_cells", "largest_rows_cells", "minor_faults", "system_s",
     }
     graph, _ = load_edge_list(corpus / "edges.txt")
     assert census["estimate_mb"] == estimate_census_memory_mb(graph)
-    # 132 nodes fit one block of roots
+    # 12 copies of one 11-node barbell: one is counted, in one block of roots
+    assert (census["components"], census["distinct_components"]) == (12, 1)
     assert census["blocks"] == 1
     assert 0 < census["largest_block_cells"] <= 1 << 19
-    assert 0 < census["largest_rows_cells"] <= 132 * 133
+    assert 0 < census["largest_rows_cells"] <= 11 * 12
     assert isinstance(census["minor_faults"], int) and census["minor_faults"] >= 0
     assert isinstance(census["system_s"], float) and census["system_s"] >= 0.0
 
@@ -1054,6 +1095,7 @@ def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
             assert cells[f"{method}:{k}"] == {
                 "iterations": len(want.meta["wcss_trajectory"]),
                 "degenerate": want.degenerate,
+                "distinct_rows": len({row.tobytes() for row in emb.vectors}),
                 "sampled": sampled[f"{method}:{k}"] == "true",
             }
 

@@ -165,6 +165,28 @@ class TestKmeansReference:
             rechecked += got.meta["rechecked_rows"]
         assert rechecked > 0
 
+    @pytest.mark.parametrize("method", ["graphwave", "rolx"])
+    def test_planted_corpus_with_repeated_rows(self, method):
+        # 30 barbells and two noise edges: most nodes share their row with
+        # nodes of other copies, and the seeding and assignment run over
+        # the distinct rows only. RolX has 11 of them, so at k = 12..19
+        # empty clusters are re-seeded onto rows other centroids hold
+        from orbitroles.embeddings import graphwave_embed, rolx_embed
+
+        g = generate_planted_graph([barbell_template(5, 5)], 30, noise_edges=2, seed=0).graph
+        e = (
+            graphwave_embed(g)
+            if method == "graphwave"
+            else rolx_embed(g, count_orbits(g), rank=4, seed=1)
+        )
+        runs = {k: kmeans(e, k, seed=k) for k in range(2, 20)}
+        for k, got in runs.items():
+            assert_same_run(got, kmeans_broadcast(e, k, seed=k))
+            assert got.meta["distinct_rows"] == len({row.tobytes() for row in e.vectors})
+        assert runs[2].meta["distinct_rows"] < g.node_count // 5
+        if method == "rolx":
+            assert [k for k, got in runs.items() if got.degenerate] == list(range(12, 20))
+
     def test_empty_cluster_reseed(self):
         got = kmeans(emb(np.ones((12, 3))), 2, seed=0)
         assert_same_run(got, kmeans_broadcast(emb(np.ones((12, 3))), 2, seed=0))

@@ -116,3 +116,42 @@ def test_booleans_in_any_case(tmp_path, raw, value):
 def test_manifest_value_that_does_not_convert_names_its_key():
     with pytest.raises(ValueError, match=r"^\[explain\] keep_roles: "):
         config_from_dict({"explain": {"keep_roles": 3}})
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("pipeline", "drop_orbit0", "false", "'false' is not a bool (JSON true or false)"),
+        ("pipeline", "drop_orbit0", 0, "0 is not a bool (JSON true or false)"),
+        ("pipeline", "seed", 2.0, "2.0 is not an integer"),
+        ("pipeline", "threads", "2", "'2' is not an integer"),
+        ("pipeline", "memory_budget_mb", "100", "'100' is not a number"),
+        ("pipeline", "memory_budget_mb", False, "False is not a number"),
+        ("cluster", "k_min", "2", "'2' is not an integer"),
+        ("cluster", "k_min", True, "True is not an integer"),
+        ("explain", "method", 3, "3 is not a string"),
+        ("explain", "keep_roles", [0, 1.5], "1.5 is not an integer"),
+        ("embed", "graphwave_scales", [0.5, "x"], "'x' is not a number"),
+        ("embed", "methods", "rolx", "'rolx' is not a list"),
+    ],
+)
+def test_manifest_value_of_another_type_rejected(section, key, value, message):
+    data = PipelineConfig().to_dict()
+    (data if section == "pipeline" else data[section])[key] = value
+    with pytest.raises(ValueError) as info:
+        config_from_dict(data)
+    assert str(info.value) == f"[{section}] {key}: {message}"
+
+
+def test_manifest_values_typed():
+    # JSON has no tuples, and may write a float field as an integer
+    data = PipelineConfig().to_dict()
+    data.update(threads=None, memory_budget_mb=100, drop_orbit0=True)
+    data["embed"]["graphwave_scales"] = [1, 2.5]
+    data["explain"]["effect_orbits"] = [3]
+    cfg = config_from_dict(data)
+    assert cfg.threads is None and cfg.drop_orbit0 is True
+    assert type(cfg.memory_budget_mb) is float and cfg.memory_budget_mb == 100.0
+    assert cfg.embed.graphwave_scales == (1.0, 2.5)
+    assert all(type(v) is float for v in cfg.embed.graphwave_scales)
+    assert cfg.explain.effect_orbits == (3,)

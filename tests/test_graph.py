@@ -429,6 +429,40 @@ class TestGraphArraysEqualReference:
         for arr in (got.indptr, got.indices, got.directed_pairs):
             assert arr.dtype == np.int64 and not arr.flags.writeable
 
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(), st.integers(1, 3))
+    def test_copies_and_distinct_part(self, case, repeat):
+        # ``repeat`` copies of the graph side by side, node i of copy c at
+        # repeat * i + c: every component has its copies, keyed alike
+        n, pairs = case
+        try:
+            one = Graph.from_edges(n, pairs)
+        except ValueError:
+            return
+        edges = [(repeat * u + c, repeat * v + c) for u, v in one.edges() for c in range(repeat)]
+        g = Graph.from_edges(repeat * n, edges)
+        components, first = g.copies
+        assert components == g.components()
+        keys = [(len(c), g.local_edges(c).tobytes()) for c in components]
+        for i, f in enumerate(first):
+            assert f <= i and first[f] == f and keys[f] == keys[i]
+            assert f == i or keys.index(keys[i]) == f
+        sub, source = g.distinct_part()
+        kept = [c for i, c in enumerate(components) if first[i] == i]
+        if len(kept) == len(components):
+            assert sub is g and source is None
+            return
+        assert sub.node_count == sum(map(len, kept))
+        for i, comp in enumerate(components):
+            # the j-th node of a component is the j-th of its first copy in sub
+            assert source[comp].tolist() == source[components[first[i]]].tolist()
+        starts = source[[c[0] for c in kept]].tolist()
+        assert starts == sorted(starts)
+        for v in range(g.node_count):
+            assert list(sub.adjacency[source[v]]) == sorted(source[list(g.adjacency[v])].tolist())
+        for arr in (sub.indptr, sub.indices):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+
     def test_self_loop_outside_range_skipped_as_before(self):
         pairs = [(0, 1), (5, 5), (-1, -1), (2, 7), (9, 0)]
         with pytest.raises(ValueError, match=re.escape("edge (2, 7) outside [0, 4)")):

@@ -261,6 +261,78 @@ class TestGoldenAgainstPerNodeCounter:
         assert max(cells for _, _, cells in blocks) <= 4096
 
 
+def disjoint_union():
+    """Components placed at random node indices, each copy's nodes in the
+    order of its template, so that the copies share a key: four copies of
+    a 10-node ER graph, three of a 5-node path, three of a paw, three
+    pairs and five isolated nodes; one more copy of the ER graph with its
+    nodes in another order, which is isomorphic but keyed apart; and a
+    40-node BA component with hubs. Returns the graph and its components
+    as (template index, nodes) pairs."""
+    paw = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    pieces = [(er_graph(10, 0.35, 0), True)] * 4 + [(path_graph(5), True)] * 3
+    pieces += [(paw, True)] * 3 + [(Graph.from_edges(2, [(0, 1)]), True)] * 3
+    pieces += [(Graph.from_edges(1, []), True)] * 5
+    pieces += [(er_graph(10, 0.35, 0), False), (ba_graph(40, 3, 2), True)]
+    n = sum(piece.node_count for piece, _ in pieces)
+    slots = np.random.default_rng(4).permutation(n)
+    edges, placed, start = [], [], 0
+    for piece, in_order in pieces:
+        where = slots[start : start + piece.node_count]
+        where = np.sort(where) if in_order else where
+        start += piece.node_count
+        edges += [(where[u], where[v]) for u, v in piece.edges()]
+        placed.append(where)
+    return Graph.from_edges(n, edges), placed
+
+
+class TestDistinctComponents:
+    """The census counts each distinct component once and copies its rows
+    to every copy: the counts of each component counted alone, and of the
+    oracle, with the default block cap and with one that splits the roots
+    of the distinct part into many blocks."""
+
+    @pytest.mark.parametrize("cells", [None, 4096])
+    def test_equal_to_each_component_alone_and_the_oracle(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(orbits_module, "_BLOCK_CELLS", cells)
+        g, placed = disjoint_union()
+        got = count_orbits(g)
+        assert (got.meta["components"], got.meta["distinct_components"]) == (20, 7)
+        assert cells is None or got.meta["blocks"] >= 3
+        assert np.array_equal(got.counts, count_orbits_bruteforce(g).counts)
+        for nodes in placed:
+            local = {v: i for i, v in enumerate(sorted(nodes.tolist()))}
+            alone = Graph.from_edges(
+                len(local),
+                [(local[u], local[v]) for u, v in g.edges() if u in local and v in local],
+            )
+            assert np.array_equal(got.counts[np.sort(nodes)], count_orbits(alone).counts)
+
+    def test_counts_the_distinct_part_only(self, monkeypatch):
+        g, _ = disjoint_union()
+        counted = []
+        tables = orbits_module._Tables
+        monkeypatch.setattr(
+            orbits_module, "_Tables", lambda graph: (counted.append(graph), tables(graph))[1]
+        )
+        count_orbits(g)
+        (sub,) = counted
+        assert sub.node_count == 10 + 5 + 4 + 2 + 1 + 10 + 40 < g.node_count
+        assert sub.edge_count < g.edge_count
+
+    def test_no_repeats_counts_the_graph_itself(self, monkeypatch):
+        g = ba_graph(60, 3, 1)
+        counted = []
+        tables = orbits_module._Tables
+        monkeypatch.setattr(
+            orbits_module, "_Tables", lambda graph: (counted.append(graph), tables(graph))[1]
+        )
+        meta = count_orbits(g).meta
+        assert counted == [g]
+        assert (meta["components"], meta["distinct_components"]) == (1, 1)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orbit_sum_identities(self, seed):
