@@ -95,7 +95,14 @@ from .embeddings import (
     import_embedding,
     rolx_embed,
 )
-from .graph import load_edge_list, load_node_table, write_edge_list, write_node_table
+from .graph import (
+    NodeTable,
+    load_edge_list,
+    load_node_table,
+    write_csv,
+    write_edge_list,
+    write_node_table,
+)
 from .manifest import MANIFEST_NAME, RunManifest, load_manifest
 from .orbits import (
     count_orbits,
@@ -121,7 +128,6 @@ from .surrogate import (
     train_surrogate,
     write_effect_curves,
 )
-from .graph import NodeTable
 from .workers import Task, resolve_threads
 
 
@@ -203,13 +209,6 @@ def _native_embedding(graph, table, cfg, out, method, orbits=None):
     return emb
 
 
-def _workers(cfg, manifest) -> int:
-    """The worker count that ``cfg.threads`` resolves to, recorded in the
-    manifest."""
-    manifest.metrics["workers"] = workers = resolve_threads(cfg.threads)
-    return workers
-
-
 @contextmanager
 def _graphwave_lane(graph, table, cfg, out, manifest, census):
     """GraphWave's embedding as the task that ``_embed`` joins, for the
@@ -230,7 +229,7 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census):
     (``census``), the two estimates are checked together as well."""
     ec, budget = cfg.embed, cfg.memory_budget_mb
     wave = "graphwave" in ec.methods
-    fork = _workers(cfg, manifest) > 1 and wave
+    fork = cfg.threads > 1 and wave
     if wave:
         est = estimate_graphwave_memory_mb(graph, ec.graphwave_scales, ec.sample_points)
         manifest.metrics["graphwave"] = {"estimate_mb": est}
@@ -327,7 +326,7 @@ def _validate(embeddings, features, cfg, out, manifest):
         features,
         seed=cfg.seed,
         sample_cap=cfg.cluster.sample_cap,
-        threads=_workers(cfg, manifest),
+        threads=cfg.threads,
     )
     result.to_csv(out / "sweep.csv")
     manifest.add_output(out / "sweep.csv")
@@ -518,7 +517,8 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
     ``[embed] import_paths`` and of the input files ``inputs`` (name ->
     path or None) absolute; with ``imports`` the imported CSVs are inputs
     too. In stage ``load`` the manifest starts with ``parameters``
-    ``inputs`` and ``config`` and a digest of every input. ``body(cfg,
+    ``inputs`` and ``config``, a digest of every input and the worker
+    count in ``metrics["workers"]``. ``body(cfg,
     paths, out, manifest, stage)`` runs the stages, entering each with
     ``stage.enter``, and returns the summary line. Then the stage seconds
     go to ``metrics["stages"]``, the manifest is written, and the notes
@@ -552,6 +552,7 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
         manifest = RunManifest.start(
             command, {"inputs": paths, "config": cfg.to_dict()}, seed=cfg.seed, inputs=paths
         )
+        manifest.metrics["workers"] = cfg.threads
         summary = body(cfg, paths, out, manifest, stage)
         stage.split()
         manifest.metrics.setdefault("stages", {}).update(stage.seconds)
@@ -596,6 +597,8 @@ _TEMPLATES = {
 
 
 def _cmd_generate(args) -> int:
+    if args.disciplines < 1:
+        raise ValueError(f"--disciplines must be at least 1, got {args.disciplines}")
     out = _out_dir(args.out)
     tpl = _TEMPLATES[args.template](args)
 
@@ -626,11 +629,8 @@ def _cmd_generate(args) -> int:
     table = NodeTable(external_ids=ids, categories=categories)
     write_edge_list(planted.graph, table, out / "edges.txt")
     write_node_table(table, out / "nodes.csv")
-    with open(out / "roles.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,true_role,role_name\n")
-        for i, ext in enumerate(ids):
-            code = int(planted.true_role[i])
-            fh.write(f"{ext},{code},{planted.role_names[code]}\n")
+    roles = [(code, planted.role_names[code]) for code in planted.true_role.tolist()]
+    write_csv(out / "roles.csv", ["id", "true_role", "role_name"], roles, nodes=table)
 
     manifest = RunManifest.start(
         "generate",

@@ -29,12 +29,11 @@ graph at seed 7: 2,600 nodes, 611 distinct GraphWave rows and 86 RolX).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import distinct_rows, read_node_rows, write_node_rows
+from .graph import distinct_rows, read_node_rows, write_csv
 from .seeds import derive_seed
 from .workers import map_shares
 
@@ -362,11 +361,7 @@ class SilhouetteSweep:
     distinct_rows: int | None = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "k", "silhouette", "sampled"])
-            for method, k, score, sampled in self.rows:
-                writer.writerow([method, k, repr(float(score)), str(bool(sampled)).lower()])
+        write_csv(path, ["method", "k", "silhouette", "sampled"], self.rows)
 
     def best_k(self, method: str) -> int:
         cand = [(s, k) for m, k, s, _ in self.rows if m == method]
@@ -382,16 +377,10 @@ def assignment_seed(seed: int, method_tag: str, k: int) -> int:
 
 def roles_to_csv(assignment: RoleAssignment, table, path) -> None:
     """``# method=<tag> k=<k> seed=<seed> degenerate=<bool>``, the header
-    ``id,role`` and one label per node, with ``graph.write_node_rows``."""
-    if assignment.labels.shape[0] != len(table):
-        raise ClusteringError("assignment and node table are misaligned")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# method={assignment.method_tag} k={assignment.k} "
-            f"seed={assignment.seed} degenerate={str(assignment.degenerate).lower()}\n"
-            "id,role\n"
-        )
-        write_node_rows(fh, table, assignment.labels[:, None])
+    ``id,role`` and each node's label."""
+    a = assignment
+    meta = {"method": a.method_tag, "k": a.k, "seed": a.seed, "degenerate": a.degenerate}
+    write_csv(path, ["id", "role"], a.labels[:, None], meta, table)
 
 
 def roles_from_csv(path, table=None):

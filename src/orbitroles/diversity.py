@@ -15,11 +15,11 @@ after the other from 0.0, so every IDR has the same bits on every input.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .graph import write_csv
 
 
 # the allowed values of ``build_diversity_report``'s direction and
@@ -121,21 +121,10 @@ class DiversityReport:
     direction: str
 
     def to_csv(self, path, table) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "idr", "degree", "role", "neighbors_used", "direction"])
-            for i, ext in enumerate(table.external_ids):
-                val = "" if math.isnan(self.idr[i]) else repr(float(self.idr[i]))
-                writer.writerow(
-                    [
-                        ext,
-                        val,
-                        int(self.degree[i]),
-                        int(self.role[i]),
-                        int(self.neighbors_used[i]),
-                        self.direction,
-                    ]
-                )
+        header = ["id", "idr", "degree", "role", "neighbors_used", "direction"]
+        columns = (self.idr, self.degree, self.role, self.neighbors_used)
+        rows = [(*row, self.direction) for row in zip(*(c.tolist() for c in columns))]
+        write_csv(path, header, rows, nodes=table)
 
 
 def build_diversity_report(
@@ -207,28 +196,20 @@ class BinnedIDRTable:
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin", "lo", "hi", "role", "count", "included", "median", "q1", "q3"])
-            for b, lo, hi, role, values, inc in self.rows:
-                if values:
-                    med = repr(float(np.median(values)))
-                    q1 = repr(float(np.percentile(values, 25)))
-                    q3 = repr(float(np.percentile(values, 75)))
-                else:
-                    med = q1 = q3 = ""
-                writer.writerow(
-                    [b, repr(float(lo)), repr(float(hi)), role, len(values), str(bool(inc)).lower(), med, q1, q3]
-                )
+        rows = []
+        for b, lo, hi, role, values, inc in self.rows:
+            if values:
+                stats = (np.median(values), *np.percentile(values, [25, 75]))
+            else:
+                stats = (np.nan,) * 3
+            rows.append((b, lo, hi, role, len(values), inc, *stats))
+        header = ["bin", "lo", "hi", "role", "count", "included", "median", "q1", "q3"]
+        write_csv(path, header, rows)
 
     def values_to_csv(self, path) -> None:
         """Long-format values file for box plots."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin", "role", "idr"])
-            for b, _lo, _hi, role, values, _inc in self.rows:
-                for v in values:
-                    writer.writerow([b, role, repr(float(v))])
+        rows = [(b, role, v) for b, _lo, _hi, role, values, _inc in self.rows for v in values]
+        write_csv(path, ["bin", "role", "idr"], rows)
 
 
 def binned_idr_report(

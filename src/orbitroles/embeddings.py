@@ -45,15 +45,12 @@ degree is orbit 0, egonet internal edges orbits 0 + 3, boundary edges orbit 1.
 Struc2Vec/Role2Vec and any other external method enter the pipeline only
 through ``import_embedding``.
 
-``embedding_to_csv`` writes every embedding, native or imported, through
-``graph.write_node_rows``, which formats each distinct row once: the rows
-of repeated components are the same bytes. ``import_embedding`` reads an
-embedding CSV back through its other half, ``graph.read_node_rows``.
+``embedding_to_csv`` writes every embedding, native or imported, as a
+per-node CSV of ``graph``, and ``import_embedding`` reads one back.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -61,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import distinct_rows, read_node_rows, write_node_rows
+from .graph import distinct_rows, read_node_rows, write_csv
 from .seeds import derive_seed
 
 DEFAULT_SCALES = (0.5, 1.5)
@@ -413,15 +410,9 @@ def rolx_embed(
 
 
 def embedding_to_csv(embedding: EmbeddingMatrix, table, path) -> None:
-    """``# method=<tag>``, the header ``id,e0,...`` and one row per node,
-    each value as its ``repr``; see ``graph.write_node_rows``."""
-    if embedding.node_count != len(table):
-        raise EmbeddingError("embedding and node table are misaligned")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# method={embedding.method_tag}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"e{i}" for i in range(embedding.d)])
-        write_node_rows(fh, table, embedding.vectors)
+    """``# method=<tag>``, the header ``id,e0,...`` and each node's row."""
+    header = ["id"] + [f"e{i}" for i in range(embedding.d)]
+    write_csv(path, header, embedding.vectors, {"method": embedding.method_tag}, table)
 
 
 def import_embedding(path, table) -> EmbeddingMatrix:

@@ -10,11 +10,18 @@ so citation direction can be recovered for diversity scoring.
 positions, once per graph: the census and GraphWave compute each distinct
 component once and copy its rows to the others (``distinct_part``).
 
-The per-node CSVs (orbits, embeddings, roles) have one format with two
-halves: ``write_node_rows`` writes each node's row after the caller's
-``#`` comment and ``id,...`` header, and ``read_node_rows`` reads the
-whole file back, so an id that ``csv.writer`` quotes, or one that starts
-with ``#``, reads back as written.
+Every output CSV is written by ``write_csv``, in one format: UTF-8, ``\n``
+line ends and ``csv.writer``'s quoting; an optional first line
+``# key=value ...``; the header; then one line per row. Each column is
+formatted once by its dtype: floats by ``repr`` and NaN, an absent value,
+as an empty cell; bools as ``true``/``false``; anything else by ``str``.
+A per-node CSV (orbits, embeddings, roles, the node table, diversity) has
+``id`` as its first column and one line per node of its table, in the
+table's order; the numeric matrices among them go through
+``write_node_rows``, which formats each distinct row once (their values
+are never NaN). ``read_node_rows`` reads a per-node CSV back, the
+``#`` line as its ``meta``, so an id that ``csv.writer`` quotes, or one
+that starts with ``#``, reads back as written.
 """
 
 from __future__ import annotations
@@ -357,15 +364,42 @@ def load_node_table(path) -> NodeTable:
 
 
 def write_node_table(table: NodeTable, path) -> None:
-    cols = ["id", "category"] + list(table.extra.keys())
+    rows = list(zip(table.categories, *table.extra.values()))
+    write_csv(path, ["id", "category", *table.extra], rows, nodes=table)
+
+
+def write_csv(path, header, rows=(), meta=None, nodes=None) -> None:
+    """Write the CSV ``path`` in the one format of the module docstring:
+    ``# key=value ...`` from ``meta`` when given, the ``header`` cells,
+    then ``rows``. With the node table ``nodes``, each row follows its
+    node's id: ``rows`` holds one row per node, and a 2-d numpy array goes
+    through ``write_node_rows``."""
+    if nodes is not None and len(rows) != len(nodes):
+        raise ValueError(f"{path}: {len(rows)} rows for a table of {len(nodes)} nodes")
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        if meta:
+            fh.write("# " + " ".join(f"{k}={_cells([v])[0]}" for k, v in meta.items()) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for i, ext in enumerate(table.external_ids):
-            row = [ext, table.categories[i] if table.categories[i] is not None else ""]
-            for k in table.extra:
-                row.append(table.extra[k][i])
-            writer.writerow(row)
+        writer.writerow(header)
+        if nodes is not None and isinstance(rows, np.ndarray):
+            write_node_rows(fh, nodes, rows)
+            return
+        columns = [_cells(column) for column in zip(*rows)]
+        if nodes is not None:
+            columns.insert(0, nodes.external_ids)
+        writer.writerows(zip(*columns))
+
+
+def _cells(column) -> list:
+    """The cells of one column, formatted by its dtype (the module
+    docstring); cells left as values are ``str``-ed by ``csv.writer``,
+    which writes None as an empty cell."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return ["" if x != x else repr(x) for x in column.tolist()]
+    if column.dtype.kind == "b":
+        return ["true" if x else "false" for x in column.tolist()]
+    return column.tolist()
 
 
 def write_node_rows(fh, table: NodeTable, values) -> None:

@@ -29,12 +29,11 @@ overflow 32 bits for 5-node orbits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import read_node_rows, write_node_rows
+from .graph import read_node_rows, write_csv
 from .graphlets import ORBIT_COUNT
 
 
@@ -793,15 +792,8 @@ def orbit_header():
 
 
 def orbits_to_csv(matrix: OrbitMatrix, table, path) -> None:
-    """Write the header ``id,o0,...,o72`` and one row of counts per node,
-    in the node table's order, with ``graph.write_node_rows``: nodes in the
-    same position of repeated structures share a row, which is formatted
-    once. The bytes are those of ``csv.writer`` writing each row."""
-    if matrix.node_count != len(table):
-        raise ValueError("orbit matrix and node table are misaligned")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(orbit_header())
-        write_node_rows(fh, table, matrix.counts)
+    """The header ``id,o0,...,o72`` and each node's counts."""
+    write_csv(path, orbit_header(), matrix.counts, nodes=table)
 
 
 def orbits_from_csv(path, table=None):

@@ -39,11 +39,11 @@ rows, bit for bit, and no copy is made.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import write_csv
 from .seeds import derive_seed
 
 # most (cell, row, class) vote sums one pinned-vote pass holds, and most
@@ -539,11 +539,8 @@ class ImportanceReport:
         return [f"{o} ({mean:.3f} ±{std:.4f})" for o, mean, std in self.rows[:m]]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "orbit", "mean", "std"])
-            for rank, (o, mean, std) in enumerate(self.rows, start=1):
-                writer.writerow([rank, o, repr(float(mean)), repr(float(std))])
+        rows = [(rank, *row) for rank, row in enumerate(self.rows, start=1)]
+        write_csv(path, ["rank", "orbit", "mean", "std"], rows)
 
 
 def _pinned_votes(pack, X, leaves, features, values):
@@ -776,14 +773,13 @@ def refit_on_subpopulation(
 
 
 def write_effect_curves(curves, threshold, path) -> None:
-    """Plot-ready CSV of curves plus the triangle-threshold annotation."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["orbit", "class", "kind", "grid_value", "effect"])
-        for curve in curves:
-            for g, v in zip(curve.grid, curve.values):
-                writer.writerow(
-                    [curve.orbit, curve.class_id, curve.kind, repr(float(g)), repr(float(v))]
-                )
-        if threshold is not None:
-            writer.writerow(["annotation", "", "orbit3_threshold", repr(float(threshold)), ""])
+    """Plot-ready CSV of curves plus the triangle-threshold annotation,
+    whose effect is absent (NaN)."""
+    rows = [
+        (curve.orbit, curve.class_id, curve.kind, g, v)
+        for curve in curves
+        for g, v in zip(curve.grid, curve.values)
+    ]
+    if threshold is not None:
+        rows.append(("annotation", "", "orbit3_threshold", threshold, np.nan))
+    write_csv(path, ["orbit", "class", "kind", "grid_value", "effect"], rows)

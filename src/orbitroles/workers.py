@@ -41,16 +41,17 @@ class WorkerError(RuntimeError):
 
 
 def resolve_threads(requested=None) -> int:
-    """Worker count: an explicit value wins, then ORBITROLES_THREADS (1 if
-    it is not an integer), then the CPUs this process may run on."""
+    """Worker count: an explicit value wins, then ORBITROLES_THREADS (a
+    value that is not an integer is an error naming it), then the CPUs this
+    process may run on."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get(_ENV_THREADS)
     if env:
         try:
             return max(1, int(env))
-        except ValueError:
-            return 1
+        except ValueError as exc:
+            raise ValueError(f"{_ENV_THREADS}: {exc}") from None
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -79,16 +80,14 @@ class Task:
         self.seconds = None
         self._fn, self._then, self._pid = fn, then, None
         if fork and hasattr(os, "fork"):
-            pipes = [os.pipe() for _ in range(1 if then is None else 2)]
+            read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                for read, _ in pipes:
-                    os.close(read)
-                _serve(fn, then, *(write for _, write in pipes))
-            for _, write in pipes:
-                os.close(write)
+                os.close(read)
+                _serve(fn, then, write)
+            os.close(write)
             # no inline fallback: a second result() must not run fn again
-            self._fn, self._pid, self._fds = None, pid, [read for read, _ in pipes]
+            self._fn, self._pid, self._reader = None, pid, os.fdopen(read, "rb")
 
     def result(self):
         if self._pid is None:
@@ -96,7 +95,7 @@ class Task:
             self._value = self._fn()
             self.seconds = time.perf_counter() - start
             return self._value
-        value, self.seconds = self._receive(self._fds[0], reap=self._then is None)
+        value, self.seconds = self._receive(reap=self._then is None)
         return value
 
     def then_seconds(self) -> float:
@@ -106,18 +105,15 @@ class Task:
             start = time.perf_counter()
             self._then(self._value)
             return time.perf_counter() - start
-        return self._receive(self._fds[1], reap=True)[1]
+        return self._receive(reap=True)[1]
 
-    def _receive(self, fd, reap):
-        """The value and seconds that the worker sent through ``fd``, read
-        to its end, or the exception it sent raised here. The worker is
-        reaped with ``reap`` or an exception, and killed first if the read
-        is cut short (an interrupt) or unreadable."""
-        chunks = []
+    def _receive(self, reap):
+        """The next value and seconds that the worker sent, or the exception
+        it sent raised here. The worker is reaped with ``reap`` or an
+        exception, and killed first if the read is cut short (an interrupt)
+        or unreadable."""
         try:
-            while chunk := os.read(fd, 1 << 20):
-                chunks.append(chunk)
-            ok, value, seconds = pickle.loads(b"".join(chunks))
+            ok, value, seconds = pickle.load(self._reader)
         except Exception as exc:
             self.cancel()
             raise WorkerError(f"worker sent no readable result ({exc!r})") from None
@@ -143,8 +139,7 @@ class Task:
 
             os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)
-        for fd in self._fds:
-            os.close(fd)
+        self._reader.close()
         self._pid = None
 
     def __enter__(self):
@@ -152,12 +147,6 @@ class Task:
 
     def __exit__(self, *exc_info):
         self.cancel()
-
-
-def _write(fd, data):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
 
 
 def _timed(fn, *args):
@@ -177,31 +166,33 @@ def _timed(fn, *args):
         return (False, error), pickle.dumps((False, error, seconds))
 
 
-def _serve(fn, then, fd, done=None):
+def _serve(fn, then, fd):
     """The worker's side: run ``fn`` and write its outcome (``_timed``) to
     ``fd``. With ``then``, a second thread writes it while ``then`` runs on
-    the value at nice 19, and then's outcome goes to ``done``. Then exit,
-    never returning into the code that forked."""
+    the value at nice 19, and then's outcome follows it. Then exit, never
+    returning into the code that forked."""
     status = 1
     try:
-        (ok, value), data = _timed(fn)
-        if then is None or not ok:
-            _write(fd, data)
-        else:
-            # a pipe holds 64 KiB, so the value goes out from a second
-            # thread while ``then`` runs, and the parent reads it at EOF;
-            # nice is a thread's own on Linux, so the sender keeps its own
-            import threading
+        with os.fdopen(fd, "wb") as out:
+            (ok, value), data = _timed(fn)
+            if then is None or not ok:
+                out.write(data)
+            else:
+                # a pipe holds 64 KiB, so the value goes out from a second
+                # thread while ``then`` runs; nice is a thread's own on
+                # Linux, so the sender keeps its own
+                import threading
 
-            def send():
-                _write(fd, data)
-                os.close(fd)
+                def send():
+                    out.write(data)
+                    out.flush()
 
-            sender = threading.Thread(target=send)
-            sender.start()
-            os.nice(19)
-            _write(done, _timed(then, value)[1])
-            sender.join()
+                sender = threading.Thread(target=send)
+                sender.start()
+                os.nice(19)
+                done = _timed(then, value)[1]
+                sender.join()
+                out.write(done)
         status = 0
     finally:
         os._exit(status)

@@ -119,6 +119,33 @@ class TestGenerate:
             "clique-member", "clique-attachment", "bridge-center",
         }
 
+    def test_roles_and_nodes_bytes(self, tmp_path):
+        assert run(
+            "generate", "--template", "star", "--length", 2, "--copies", 2,
+            "--label-mode", "clique-side", "--disciplines", 3, "--out", tmp_path,
+        ) == 0
+        assert (tmp_path / "roles.csv").read_bytes() == (
+            b"id,true_role,role_name\n"
+            b"n0,0,star-leaf\nn1,0,star-leaf\nn2,1,star-center\n"
+            b"n3,0,star-leaf\nn4,0,star-leaf\nn5,1,star-center\n"
+        )
+        assert (tmp_path / "nodes.csv").read_bytes() == (
+            b"id,category\n"
+            b"n0,disc00\nn1,disc00\nn2,disc00\nn3,disc01\nn4,disc01\nn5,disc01\n"
+        )
+
+    @pytest.mark.parametrize("disciplines", [0, -2])
+    def test_disciplines_below_one_rejected(self, tmp_path, capsys, disciplines):
+        # the labels cycle through the disciplines: none is a modulo by zero
+        out = tmp_path / "out"
+        code = run(
+            "generate", "--label-mode", "clique-side", "--disciplines", disciplines,
+            "--copies", 2, "--out", out,
+        )
+        assert code == 1
+        assert f"--disciplines must be at least 1, got {disciplines}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def run_dir(corpus, tmp_path_factory):
@@ -838,6 +865,20 @@ class TestConfigCheckedBeforeCensus:
         assert marker.startswith("stage=config\nerror=") and message in marker
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["pipeline", "census"])
+    def test_threads_environment_not_an_integer_fails_config(
+        self, corpus, tmp_path, capsys, monkeypatch, command
+    ):
+        # as ``threads = two`` in a config file does
+        monkeypatch.setenv("ORBITROLES_THREADS", "many")
+        out = tmp_path / "out"
+        code = run(command, corpus / "edges.txt", "--labels", corpus / "nodes.csv", "--out", out)
+        assert code == 2
+        message = "ORBITROLES_THREADS: invalid literal for int() with base 10: 'many'"
+        assert message in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=config\nerror={message}\n"
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -933,6 +974,7 @@ def test_manifest_metrics_hold_rolx_counters(corpus, tmp_path, command):
 @pytest.mark.parametrize("command", ["pipeline", "census"])
 def test_manifest_metrics_hold_census_counters(corpus, tmp_path, command):
     from orbitroles.orbits import estimate_census_memory_mb
+    from orbitroles.workers import resolve_threads
 
     cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG.replace("trees = 40", "trees = 4"))
     out = tmp_path / "out"
@@ -940,7 +982,10 @@ def test_manifest_metrics_hold_census_counters(corpus, tmp_path, command):
         command, corpus / "edges.txt", "--labels", corpus / "nodes.csv",
         "--config", cfg, "--out", out,
     ) == 0
-    census = json.loads((out / "manifest.json").read_text())["metrics"]["census"]
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    # every command records the worker count, one that forks none too
+    assert metrics["workers"] == resolve_threads()
+    census = metrics["census"]
     assert set(census) == {
         "estimate_mb", "components", "distinct_components", "blocks",
         "largest_block_cells", "largest_rows_cells", "minor_faults", "system_s",

@@ -20,6 +20,7 @@ from orbitroles.graph import (
     load_edge_list,
     load_node_table,
     read_node_rows,
+    write_csv,
     write_edge_list,
     write_node_table,
 )
@@ -312,6 +313,14 @@ class TestNodeRows:
         assert np.array_equal(back, np.concatenate([values[:1], values]))
 
 
+@pytest.mark.parametrize("rows", [np.zeros((3, 2)), [(1,), (2,), (3,)]])
+def test_write_csv_needs_a_row_per_node(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 3 rows for a table of 2 nodes")):
+        write_csv(path, ["id", "a"], rows, nodes=NodeTable(external_ids=["u", "v"]))
+    assert not path.exists()
+
+
 class _LayoutError(Exception):
     pass
 
@@ -526,3 +535,115 @@ class TestPlantedGraphs:
         assert "bridge-arm-1" in tpl.roles
         planted = generate_planted_graph([tpl], copies=2, seed=0)
         assert planted.graph.node_count == 26
+
+
+# The bytes of each table CSV, written out in full: floats by repr and NaN
+# (an absent value) as an empty cell, bools as true/false, ids and strings
+# quoted as csv.writer quotes them, \n line ends.
+class TestCsvFormatGolden:
+    def _text(self, path):
+        return path.read_bytes().decode("utf-8")
+
+    def test_sweep(self, tmp_path):
+        from orbitroles.clustering import SilhouetteSweep
+
+        rows = [("graphwave", 2, 0.1 + 0.2, False), ("rolx", 3, np.float64(-0.125), True)]
+        SilhouetteSweep(rows=rows).to_csv(tmp_path / "sweep.csv")
+        assert self._text(tmp_path / "sweep.csv") == (
+            "method,k,silhouette,sampled\n"
+            "graphwave,2,0.30000000000000004,false\n"
+            "rolx,3,-0.125,true\n"
+        )
+
+    def test_importance(self, tmp_path):
+        from orbitroles.surrogate import ImportanceReport
+
+        rows = [(27, np.float64(0.022), np.float64(0.0006)), (3, np.float64(0.0), np.float64(0.0))]
+        ImportanceReport(rows=rows, baseline_accuracy=0.9, repeats=5).to_csv(
+            tmp_path / "importance.csv"
+        )
+        assert self._text(tmp_path / "importance.csv") == (
+            "rank,orbit,mean,std\n1,27,0.022,0.0006\n2,3,0.0,0.0\n"
+        )
+
+    def test_effects_with_annotation(self, tmp_path):
+        from orbitroles.surrogate import ALECurve, write_effect_curves
+
+        curves = [
+            ALECurve(5, c, np.array([0.0, 1.5]), np.array([-0.25, 0.25]) * (c + 1), "ALE", None)
+            for c in (0, 1)
+        ]
+        write_effect_curves(curves, np.log1p(6.0), tmp_path / "effects.csv")
+        assert self._text(tmp_path / "effects.csv") == (
+            "orbit,class,kind,grid_value,effect\n"
+            "5,0,ALE,0.0,-0.25\n"
+            "5,0,ALE,1.5,0.25\n"
+            "5,1,ALE,0.0,-0.5\n"
+            "5,1,ALE,1.5,0.5\n"
+            "annotation,,orbit3_threshold,1.9459101490553132,\n"
+        )
+        write_effect_curves(curves[:1], None, tmp_path / "bare.csv")
+        assert self._text(tmp_path / "bare.csv") == (
+            "orbit,class,kind,grid_value,effect\n5,0,ALE,0.0,-0.25\n5,0,ALE,1.5,0.25\n"
+        )
+
+    def test_diversity(self, tmp_path):
+        from orbitroles.diversity import DiversityReport
+
+        report = DiversityReport(
+            idr=np.array([0.5, np.nan, 1 / 3]),
+            degree=np.array([2, 0, 3]),
+            role=np.array([1, 0, 2]),
+            neighbors_used=np.array([2, 0, 3]),
+            direction="all",
+        )
+        report.to_csv(tmp_path / "diversity.csv", NodeTable(external_ids=["a,b", 'q"x', ""]))
+        assert self._text(tmp_path / "diversity.csv") == (
+            "id,idr,degree,role,neighbors_used,direction\n"
+            '"a,b",0.5,2,1,2,all\n'
+            '"q""x",,0,0,0,all\n'
+            ",0.3333333333333333,3,2,3,all\n"
+        )
+
+    def _binned(self):
+        from orbitroles.diversity import BinnedIDRTable
+
+        hi = np.log(2.0)
+        return BinnedIDRTable(
+            rows=[
+                (0, 0.0, hi, 0, [0.5, 0.25, 1.0, 0.0], True),
+                (0, 0.0, hi, 1, [], False),
+                (1, hi, 2 * hi, 0, [0.1], False),
+            ],
+            bin_edges=np.array([0.0, hi, 2 * hi]),
+            included_bins=[0],
+        )
+
+    def test_idr_bins_with_an_empty_bin(self, tmp_path):
+        self._binned().to_csv(tmp_path / "idr_bins.csv")
+        assert self._text(tmp_path / "idr_bins.csv") == (
+            "bin,lo,hi,role,count,included,median,q1,q3\n"
+            "0,0.0,0.6931471805599453,0,4,true,0.375,0.1875,0.625\n"
+            "0,0.0,0.6931471805599453,1,0,false,,,\n"
+            "1,0.6931471805599453,1.3862943611198906,0,1,false,0.1,0.1,0.1\n"
+        )
+
+    def test_idr_values(self, tmp_path):
+        self._binned().values_to_csv(tmp_path / "idr_values.csv")
+        assert self._text(tmp_path / "idr_values.csv") == (
+            "bin,role,idr\n0,0,0.5\n0,0,0.25\n0,0,1.0\n0,0,0.0\n1,0,0.1\n"
+        )
+
+    def test_node_table_with_extra_columns_and_a_missing_category(self, tmp_path):
+        table = NodeTable(
+            external_ids=["a", "b,c", ""],
+            categories=["X", None, "Y Z"],
+            extra={"year": ["2017", "", "2019"], "note": ['say "hi"', "x", ""]},
+        )
+        write_node_table(table, tmp_path / "nodes.csv")
+        assert self._text(tmp_path / "nodes.csv") == (
+            "id,category,year,note\n"
+            'a,X,2017,"say ""hi"""\n'
+            '"b,c",,,x\n'
+            ",Y Z,2019,\n"
+        )

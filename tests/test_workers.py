@@ -165,4 +165,7 @@ class TestResolveThreads:
         assert resolve_threads(2) == 2
         assert resolve_threads(0) == 1
         monkeypatch.setenv("ORBITROLES_THREADS", "many")
-        assert resolve_threads() == 1
+        with pytest.raises(ValueError, match="ORBITROLES_THREADS: .*'many'"):
+            resolve_threads()
+        # a flag needs no environment
+        assert resolve_threads(2) == 2
