@@ -45,10 +45,10 @@ the minor page faults and system seconds of the call, ``metrics["rolx"]``
 the NMF iterations and convergence and the ReFeX features and generation
 of RolX, ``metrics["graphwave"]`` GraphWave's estimated working set,
 components and distinct components, ``metrics["kmeans"]`` each sweep
-cell's iterations, degeneracy, its embedding's distinct rows and whether
-its silhouette was sampled, and
-``metrics["silhouette"]`` the nodes and the distinct log-orbit rows that
-an exact sweep scored over."""
+cell's iterations, degeneracy and its embedding's distinct rows, and
+``metrics["silhouette"]`` the nodes that the sweep's silhouette scored
+(every node, or one shared sample of ``cluster.sample_cap``), their
+distinct log-orbit rows and whether they were sampled."""
 
 from __future__ import annotations
 
@@ -236,7 +236,8 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census):
         if est > budget:
             raise EmbeddingError(
                 f"estimated GraphWave working set {est:.1f} MB exceeds the "
-                f"{budget:g} MB budget; [embed] methods = rolx skips GraphWave"
+                f"{budget:g} MB budget; [embed] methods = rolx with [explain] method = "
+                "rolx skips GraphWave, and a larger [pipeline] memory_budget_mb runs it"
             )
         beside = estimate_census_memory_mb(graph) if fork and census else 0.0
         if beside and est + beside > budget:
@@ -333,21 +334,20 @@ def _validate(embeddings, features, cfg, out, manifest):
     stages = manifest.metrics.setdefault("stages", {})
     for i, seconds in enumerate(result.worker_seconds):
         stages[f"validate/kmeans-{i}"] = seconds
-    sampled = {(method, k): flag for method, k, _, flag in result.rows}
     manifest.metrics["kmeans"] = {
         f"{method}:{k}": {
             "iterations": len(a.meta["wcss_trajectory"]),
             "degenerate": a.degenerate,
             "distinct_rows": a.meta["distinct_rows"],
-            "sampled": sampled[method, k],
         }
         for (method, k), a in result.assignments.items()
     }
-    if result.distinct_rows is not None:
-        manifest.metrics["silhouette"] = {
-            "rows": features.node_count,
-            "distinct_rows": result.distinct_rows,
-        }
+    n, cap = features.node_count, cfg.cluster.sample_cap
+    manifest.metrics["silhouette"] = {
+        "rows": min(n, cap),
+        "distinct_rows": result.distinct_rows,
+        "sampled": n > cap,
+    }
     return result
 
 
@@ -587,24 +587,28 @@ def _cmd_census(args) -> int:
     return _run("census", args, {"graph": args.graph, "labels": args.labels}, body)
 
 
-# ``generate``'s templates, each built from its command-line flags
+# ``generate``'s templates: each one's builder and the flags it is built
+# from, in its argument order, with their least values
 _TEMPLATES = {
-    "barbell": lambda args: barbell_template(args.clique_size, args.chain_len),
-    "chain": lambda args: chain_template(args.length),
-    "clique": lambda args: clique_template(args.clique_size),
-    "star": lambda args: star_template(args.length),
+    "barbell": (barbell_template, {"clique_size": 3, "chain_len": 3}),
+    "chain": (chain_template, {"length": 2}),
+    "clique": (clique_template, {"clique_size": 3}),
+    "star": (star_template, {"length": 2}),
 }
 
 
 def _cmd_generate(args) -> int:
-    if args.disciplines < 1:
-        raise ValueError(f"--disciplines must be at least 1, got {args.disciplines}")
-    out = _out_dir(args.out)
-    tpl = _TEMPLATES[args.template](args)
-
+    build, flags = _TEMPLATES[args.template]
+    least = {**flags, "copies": 1, "noise_edges": 0, "disciplines": 1}
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be at least {low}, got {getattr(args, name)}")
+    tpl = build(*(getattr(args, name) for name in flags))
     planted = generate_planted_graph(
         [tpl], copies=args.copies, noise_edges=args.noise_edges, seed=args.seed
     )
+    out = _out_dir(args.out)
     ids = [f"n{i}" for i in range(planted.graph.node_count)]
 
     categories = [None] * planted.graph.node_count

@@ -7,8 +7,11 @@ emits one row per (method, k) for plotting; candidate selection stays
 manual. It first runs k-means for every cell, dealt over ``threads``
 forked worker processes (``workers.map_shares``; by default one per usable
 CPU, and each holds its own cells' working memory), and then scores all
-the labellings in one pass over the orbit-space distances, which are
-shared by every cell because they depend on neither the method nor k. The
+the labellings in one ``silhouette_in_orbit_space`` pass over the
+orbit-space distances, which are shared by every cell because they depend
+on neither the method nor k. Every cell is scored on the same nodes: all
+of them up to ``sample_cap``, beyond it one seeded node sample, so the
+comparison across k and methods is paired. The
 pass computes distances only among the distinct log-orbit rows: nodes of
 repeated structures share a row (the planted-many bench graph at seed 7:
 2,600 nodes, 79 distinct rows), and each node reads its row's sums. The
@@ -229,24 +232,6 @@ def kmeans(
     )
 
 
-def _scoring_input(X, labels, sample_cap, seed):
-    """Check one labelling against X; beyond ``sample_cap`` rows, draw its
-    seeded uniform node sample. Returns the (X, labels) to score."""
-    if X.shape[0] != labels.shape[0]:
-        raise ClusteringError("assignment and orbit features are misaligned")
-    if np.unique(labels).size < 2:
-        raise ClusteringError("silhouette needs at least two populated clusters")
-    n = X.shape[0]
-    if n <= sample_cap:
-        return X, labels
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(n, size=sample_cap, replace=False))
-    labels = labels[keep]
-    if np.unique(labels).size < 2:
-        raise ClusteringError("sampled nodes fall in a single cluster")
-    return X[keep], labels
-
-
 def _distance_block(X, sq_norms, start, stop, out):
     """Euclidean distances from rows start:stop of X to every row, written
     into ``out``; the same floating-point operations, in the same order, as
@@ -329,23 +314,42 @@ def _mean_silhouettes(X, label_sets):
 
 
 def silhouette_in_orbit_space(
-    assignment: RoleAssignment,
+    assignments,
     orbit_features,
     sample_cap: int = 20000,
     seed: int = 0,
-) -> float:
-    """Mean silhouette of the roles measured on log-orbit vectors.
+):
+    """Mean silhouette of each of ``assignments`` (``RoleAssignment``s of
+    the same nodes) measured on log-orbit vectors, and the number of
+    distinct rows scored over (``_mean_silhouettes``).
 
-    Exact (all pairwise Euclidean distances) up to ``sample_cap`` nodes;
-    beyond that a seeded uniform node sample of that size is scored.
-    Singleton clusters contribute 0 by convention. All nodes in one
-    cluster is an error.
+    Every labelling is scored on the same nodes: all of them up to
+    ``sample_cap``, beyond that one seeded uniform sample of that size, so
+    the scores of different labellings are a paired comparison. Singleton
+    clusters contribute 0 by convention. A labelling with fewer than two
+    populated clusters among the scored nodes is an error.
     """
-    X, labels = _scoring_input(
-        orbit_features.values, assignment.labels, sample_cap, seed
-    )
-    scores, _ = _mean_silhouettes(X, [labels])
-    return float(scores[0])
+    X = orbit_features.values
+    n = X.shape[0]
+    keep = slice(None)
+    if n > sample_cap:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(n, size=sample_cap, replace=False))
+        X = X[keep]
+    label_sets = []
+    for a in assignments:
+        if a.labels.shape[0] != n:
+            raise ClusteringError(
+                f"{a.method_tag} k={a.k}: assignment and orbit features are misaligned"
+            )
+        labels = a.labels[keep]
+        if np.unique(labels).size < 2:
+            raise ClusteringError(
+                f"{a.method_tag} k={a.k}: silhouette needs at least two populated "
+                f"clusters among the {labels.size} scored nodes"
+            )
+        label_sets.append(labels)
+    return _mean_silhouettes(X, label_sets)
 
 
 @dataclass
@@ -353,21 +357,15 @@ class SilhouetteSweep:
     """Rows of (method_tag, k, silhouette, sampled) for plotting, the
     k-means assignment of each cell keyed by (method_tag, k), the wall
     seconds of each worker's share of the k-means cells, and the number of
-    distinct orbit rows the exact pass scored over (None when sampled)."""
+    distinct orbit rows the silhouette scored over."""
 
     rows: list
     assignments: dict = field(default_factory=dict)
     worker_seconds: list = field(default_factory=list)
-    distinct_rows: int | None = None
+    distinct_rows: int = 0
 
     def to_csv(self, path) -> None:
         write_csv(path, ["method", "k", "silhouette", "sampled"], self.rows)
-
-    def best_k(self, method: str) -> int:
-        cand = [(s, k) for m, k, s, _ in self.rows if m == method]
-        if not cand:
-            raise ClusteringError(f"no sweep rows for method {method!r}")
-        return max(cand)[1]
 
 
 def assignment_seed(seed: int, method_tag: str, k: int) -> int:
@@ -415,11 +413,11 @@ def sweep(
     The k-means cells are independent pure computations. ``threads`` is
     the number of worker processes they are dealt over (the parent runs one
     share, forked workers the others); they are collected by index, so the
-    emitted table is identical whatever the count. In exact mode
-    (at most ``sample_cap`` nodes) the orbit-space distances depend on
-    neither the method nor k, so one pass over them scores every cell's
-    labelling. Beyond ``sample_cap`` each cell scores its own seeded node
-    sample.
+    emitted table is identical whatever the count. The orbit-space
+    distances depend on neither the method nor k, so one
+    ``silhouette_in_orbit_space`` call scores every cell's labelling on the
+    same nodes: all of them up to ``sample_cap``, beyond that one sample
+    drawn from ``derive_seed(seed, "silhouette")``.
     """
     embeddings = list(embeddings)
     if not embeddings:
@@ -439,26 +437,12 @@ def sweep(
         return kmeans(emb, k, seed=assignment_seed(seed, emb.method_tag, k))
 
     assignments, seconds = map_shares(cell, jobs, threads)
-
-    X = orbit_features.values
-    # lazy, so that sampled mode holds one cell's sample at a time
-    inputs = (
-        _scoring_input(
-            X,
-            assignment.labels,
-            sample_cap,
-            derive_seed(seed, "silhouette", emb.method_tag, k),
-        )
-        for assignment, (emb, k) in zip(assignments, jobs)
+    scores, distinct = silhouette_in_orbit_space(
+        assignments, orbit_features, sample_cap=sample_cap, seed=derive_seed(seed, "silhouette")
     )
-    if sampled:
-        scores = [float(_mean_silhouettes(Xs, [labels])[0][0]) for Xs, labels in inputs]
-        distinct = None
-    else:
-        scores, distinct = _mean_silhouettes(X, [labels for _, labels in inputs])
-        scores = scores.tolist()
     rows = [
-        (emb.method_tag, k, score, sampled) for (emb, k), score in zip(jobs, scores)
+        (emb.method_tag, k, score, sampled)
+        for (emb, k), score in zip(jobs, scores.tolist())
     ]
     cells = {(emb.method_tag, k): a for (emb, k), a in zip(jobs, assignments)}
     return SilhouetteSweep(

@@ -188,13 +188,6 @@ class BinnedIDRTable:
     included_bins: list
     meta: dict = field(default_factory=dict)
 
-    def medians(self, bin_index: int) -> dict:
-        out = {}
-        for b, _lo, _hi, role, values, _inc in self.rows:
-            if b == bin_index and values:
-                out[role] = float(np.median(values))
-        return out
-
     def to_csv(self, path) -> None:
         rows = []
         for b, lo, hi, role, values, inc in self.rows:

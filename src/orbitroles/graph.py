@@ -225,13 +225,9 @@ class NodeTable:
                 raise ValueError(f"extra column {key!r} has wrong length")
         if len(set(self.external_ids)) != len(self.external_ids):
             raise GraphFormatError("duplicate external ids in node table")
-        self._index = {x: i for i, x in enumerate(self.external_ids)}
 
     def __len__(self):
         return len(self.external_ids)
-
-    def index_of(self, external_id: str) -> int:
-        return self._index[external_id]
 
     @cached_property
     def id_cells(self) -> list:

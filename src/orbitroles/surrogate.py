@@ -669,12 +669,6 @@ class ALECurve:
     kind: str
     bin_population: np.ndarray
 
-    def step_location(self) -> float:
-        """Grid midpoint of the largest jump; handy for threshold checks."""
-        jumps = np.abs(np.diff(self.values))
-        i = int(jumps.argmax())
-        return float(0.5 * (self.grid[i] + self.grid[i + 1]))
-
 
 def effect_curve(
     model: SurrogateForest,

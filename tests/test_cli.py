@@ -146,6 +146,24 @@ class TestGenerate:
         assert f"--disciplines must be at least 1, got {disciplines}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--copies", 0], "--copies must be at least 1, got 0"),
+            (["--noise-edges", -1], "--noise-edges must be at least 0, got -1"),
+            (["--template", "chain", "--length", 1], "--length must be at least 2, got 1"),
+            (["--template", "star", "--length", 1], "--length must be at least 2, got 1"),
+            (["--clique-size", 2], "--clique-size must be at least 3, got 2"),
+            (["--template", "clique", "--clique-size", 2], "--clique-size must be at least 3, got 2"),
+            (["--chain-len", 2], "--chain-len must be at least 3, got 2"),
+        ],
+    )
+    def test_bad_flag_named_before_out_is_made(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        assert run("generate", *flags, "--out", out) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def run_dir(corpus, tmp_path_factory):
@@ -1032,20 +1050,29 @@ def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, 
         with open(out / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(metrics["kmeans"]) == 8
-        for row in rows:
-            cell = metrics["kmeans"][f"{row['method']}:{row['k']}"]
-            assert cell["sampled"] is (row["sampled"] == "true") is (threads == 2)
-        # the exact pass scores over the distinct log-orbit rows
-        if threads == 2:
-            assert "silhouette" not in metrics
-        else:
-            from orbitroles.orbits import log_transform, orbits_from_csv
+        assert {row["sampled"] for row in rows} == {"true" if threads == 2 else "false"}
+        # every cell is scored over the distinct log-orbit rows of the same
+        # nodes: all 132, or the one sample of 100 drawn from the shared seed
+        from orbitroles.orbits import log_transform, orbits_from_csv
+        from orbitroles.seeds import derive_seed
 
-            features = log_transform(orbits_from_csv(out / "orbits.csv")[0]).values
-            n, distinct = features.shape[0], np.unique(features, axis=0).shape[0]
-            assert 1 < distinct < n
-            assert metrics["silhouette"] == {"rows": n, "distinct_rows": distinct}
+        features = log_transform(orbits_from_csv(out / "orbits.csv")[0]).values
+        n = features.shape[0]
+        if threads == 2:
+            rng = np.random.default_rng(derive_seed(42, "silhouette"))
+            features = features[rng.choice(n, size=cap, replace=False)]
+        distinct = np.unique(features, axis=0).shape[0]
+        assert 1 < distinct < features.shape[0]
+        assert metrics["silhouette"] == {
+            "rows": features.shape[0], "distinct_rows": distinct, "sampled": threads == 2,
+        }
     assert_no_children()
+
+
+GRAPHWAVE_ADVICE = (
+    "[embed] methods = rolx with [explain] method = rolx skips GraphWave, "
+    "and a larger [pipeline] memory_budget_mb runs it"
+)
 
 
 class TestGraphWaveBudget:
@@ -1069,8 +1096,33 @@ class TestGraphWaveBudget:
         assert code == 2
         marker = (out / "FAILED").read_text()
         assert marker.startswith("stage=embed\nerror=estimated GraphWave working set ")
-        assert marker.endswith("exceeds the 0.1 MB budget; [embed] methods = rolx skips GraphWave\n")
+        assert marker.endswith(f"exceeds the 0.1 MB budget; {GRAPHWAVE_ADVICE}\n")
         assert not list(out.glob("*.csv"))
+        assert_no_children()
+
+    def test_advice_followed_literally_completes(self, corpus, tmp_path, capsys):
+        import configparser
+        import re
+
+        # a budget between the census's estimate (0.19 MB) and GraphWave's
+        # (0.29 MB), so that skipping GraphWave lets the run complete
+        cfg = write_config(
+            tmp_path / "cfg.ini",
+            BARBELL_CFG.replace("[pipeline]\n", "[pipeline]\nmemory_budget_mb = 0.25\n"),
+        )
+        args = ["--labels", corpus / "nodes.csv", "--config", cfg, "--out", tmp_path / "out"]
+        assert run("pipeline", corpus / "edges.txt", *args) == 2
+        advice = capsys.readouterr().err.split("budget; ")[1].split(" skips GraphWave")[0]
+        settings = re.findall(r"\[(\w+)\] (\w+) = (\w+)", advice)
+        assert settings == [("embed", "methods", "rolx"), ("explain", "method", "rolx")]
+        parser = configparser.ConfigParser()
+        parser.read(cfg)
+        for section, key, value in settings:
+            parser[section][key] = value
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        assert run("pipeline", corpus / "edges.txt", *args) == 0
+        assert not (tmp_path / "out" / "FAILED").exists()
         assert_no_children()
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1114,7 +1166,7 @@ class TestGraphWaveBudget:
             "--config", self._config(tmp_path, "graphwave"), "--out", out,
         )
         assert code == 2
-        assert "0.1 MB budget; [embed] methods = rolx skips GraphWave" in capsys.readouterr().err
+        assert f"0.1 MB budget; {GRAPHWAVE_ADVICE}" in capsys.readouterr().err
         assert (out / "FAILED").read_text().startswith("stage=embed\nerror=estimated GraphWave")
         assert not list(out.glob("*.csv"))
         assert_no_children()
@@ -1130,8 +1182,6 @@ def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
     metrics = json.loads((run_dir / "manifest.json").read_text())["metrics"]
     cells = metrics["kmeans"]
     assert sorted(cells) == sorted(f"{m}:{k}" for m in ("graphwave", "rolx") for k in range(2, 6))
-    with open(run_dir / "sweep.csv") as fh:
-        sampled = {f"{row['method']}:{row['k']}": row["sampled"] for row in csv.DictReader(fh)}
     table = load_node_table(corpus / "nodes.csv")
     for method in ("graphwave", "rolx"):
         emb = import_embedding(run_dir / f"embedding_{method}.csv", table)
@@ -1141,7 +1191,6 @@ def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
                 "iterations": len(want.meta["wcss_trajectory"]),
                 "degenerate": want.degenerate,
                 "distinct_rows": len({row.tobytes() for row in emb.vectors}),
-                "sampled": sampled[f"{method}:{k}"] == "true",
             }
 
 

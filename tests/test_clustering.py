@@ -229,7 +229,7 @@ class TestSilhouette:
         expected = self.hand_silhouette(pts, labels)
         assert expected == pytest.approx(0.9292895427118657, abs=1e-6)
         assignment = RoleAssignment(labels=labels, k=2, method_tag="t", seed=0)
-        got = silhouette_in_orbit_space(assignment, orbit_features(pts))
+        got = silhouette_in_orbit_space([assignment], orbit_features(pts))[0][0]
         assert got == pytest.approx(expected, abs=1e-6)
 
     def test_random_labels_near_zero(self):
@@ -237,7 +237,7 @@ class TestSilhouette:
         pts = rng.normal(size=(300, 5))
         labels = rng.integers(0, 3, size=300)
         assignment = RoleAssignment(labels=labels, k=3, method_tag="t", seed=0)
-        score = silhouette_in_orbit_space(assignment, orbit_features(pts))
+        score = silhouette_in_orbit_space([assignment], orbit_features(pts))[0][0]
         assert abs(score) < 0.1
 
     @settings(max_examples=20, deadline=None)
@@ -251,7 +251,7 @@ class TestSilhouette:
         assignment = RoleAssignment(
             labels=labels, k=int(labels.max()) + 1, method_tag="t", seed=0
         )
-        score = silhouette_in_orbit_space(assignment, orbit_features(pts))
+        score = silhouette_in_orbit_space([assignment], orbit_features(pts))[0][0]
         assert -1.0 <= score <= 1.0
 
     def test_label_permutation_invariance(self):
@@ -262,15 +262,15 @@ class TestSilhouette:
         a = RoleAssignment(labels=labels, k=3, method_tag="t", seed=0)
         swapped = np.array([{0: 2, 1: 0, 2: 1}[int(x)] for x in labels])
         b = RoleAssignment(labels=swapped, k=3, method_tag="t", seed=0)
-        sa = silhouette_in_orbit_space(a, orbit_features(pts))
-        sb = silhouette_in_orbit_space(b, orbit_features(pts))
+        sa = silhouette_in_orbit_space([a], orbit_features(pts))[0][0]
+        sb = silhouette_in_orbit_space([b], orbit_features(pts))[0][0]
         assert sa == pytest.approx(sb, abs=1e-12)
 
     def test_singleton_cluster_contributes_zero(self):
         pts = [(0.0, 0.0), (0.0, 0.1), (5.0, 5.0)]
         labels = np.array([0, 0, 1])
         assignment = RoleAssignment(labels=labels, k=2, method_tag="t", seed=0)
-        score = silhouette_in_orbit_space(assignment, orbit_features(pts))
+        score = silhouette_in_orbit_space([assignment], orbit_features(pts))[0][0]
         expected = self.hand_silhouette(pts, labels)
         assert score == pytest.approx(expected, abs=1e-12)
 
@@ -279,22 +279,36 @@ class TestSilhouette:
             labels=np.zeros(5, dtype=int), k=1, method_tag="t", seed=0
         )
         with pytest.raises(ClusteringError, match="two populated"):
-            silhouette_in_orbit_space(assignment, orbit_features(np.zeros((5, 2))))
+            silhouette_in_orbit_space([assignment], orbit_features(np.zeros((5, 2))))
 
     def test_misaligned_rejected(self):
         assignment = RoleAssignment(labels=np.array([0, 1]), k=2, method_tag="t", seed=0)
         with pytest.raises(ClusteringError, match="misaligned"):
-            silhouette_in_orbit_space(assignment, orbit_features(np.zeros((3, 2))))
+            silhouette_in_orbit_space([assignment], orbit_features(np.zeros((3, 2))))
 
     def test_sampled_path_deterministic(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(120, 3))
         labels = rng.integers(0, 2, size=120)
         assignment = RoleAssignment(labels=labels, k=2, method_tag="t", seed=0)
-        a = silhouette_in_orbit_space(assignment, orbit_features(pts), sample_cap=60, seed=5)
-        b = silhouette_in_orbit_space(assignment, orbit_features(pts), sample_cap=60, seed=5)
+        a = silhouette_in_orbit_space([assignment], orbit_features(pts), sample_cap=60, seed=5)[0][0]
+        b = silhouette_in_orbit_space([assignment], orbit_features(pts), sample_cap=60, seed=5)[0][0]
         assert a == b
         assert -1.0 <= a <= 1.0
+
+    def test_single_cluster_in_sample_names_the_assignment(self):
+        # the second labelling's other cluster holds one node, outside the
+        # sample: among the scored nodes it has one populated cluster
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(100, 3))
+        keep = np.random.default_rng(5).choice(100, size=10, replace=False)
+        lone = int(np.setdiff1d(np.arange(100), keep)[0])
+        good = RoleAssignment(labels=np.arange(100) % 2, k=2, method_tag="m0", seed=0)
+        labels = np.zeros(100, dtype=int)
+        labels[lone] = 2
+        bad = RoleAssignment(labels=labels, k=3, method_tag="m1", seed=0)
+        with pytest.raises(ClusteringError, match="m1 k=3: .*two populated"):
+            silhouette_in_orbit_space([good, bad], orbit_features(pts), sample_cap=10, seed=5)
 
 
 def loop_silhouette(X, labels, sample_cap=20000, seed=0):
@@ -349,8 +363,8 @@ class TestSilhouetteReference:
         labels = np.asarray(labels, dtype=np.int64)
         assignment = RoleAssignment(labels=labels, k=k, method_tag="t", seed=0)
         got = silhouette_in_orbit_space(
-            assignment, feats, sample_cap=sample_cap, seed=seed
-        )
+            [assignment], feats, sample_cap=sample_cap, seed=seed
+        )[0][0]
         want = loop_silhouette(feats.values, labels, sample_cap, seed)
         assert abs(got - want) <= 1e-12, (got, want)
         return got
@@ -422,12 +436,13 @@ class TestSilhouetteReference:
         ):
             assert (method, k, sampled) == (e.method_tag, kk, sample_cap < 80)
             assignment = kmeans(e, k, seed=assignment_seed(4, method, k))
+            # every cell is scored on the one sample of the shared seed
             one = silhouette_in_orbit_space(
-                assignment,
+                [assignment],
                 feats,
                 sample_cap=sample_cap,
-                seed=derive_seed(4, "silhouette", method, k),
-            )
+                seed=derive_seed(4, "silhouette"),
+            )[0][0]
             assert abs(score - one) <= 1e-12
 
 
@@ -503,15 +518,21 @@ class TestSilhouetteReferenceDistinctRows:
         assert distinct == 40
         assert got[0] == 1.0
         assignment = RoleAssignment(labels=labels, k=40, method_tag="t", seed=0)
-        assert silhouette_in_orbit_space(assignment, LogOrbitMatrix(values=X)) == 1.0
+        assert silhouette_in_orbit_space([assignment], LogOrbitMatrix(values=X))[0][0] == 1.0
 
     @pytest.mark.parametrize("sample_cap, want", [(20000, 9), (50, None)])
     def test_sweep_reports_distinct_rows_of_exact_pass(self, sample_cap, want):
+        # None: the distinct rows among the nodes of the shared sample
         rng = np.random.default_rng(34)
         X, _ = self.repeated(rng, 80, 9)
         assert np.unique(X, axis=0).shape[0] == 9
         embeddings = [emb(rng.normal(size=(80, 3)))]
         result = sweep(embeddings, range(2, 4), LogOrbitMatrix(values=X), sample_cap=sample_cap)
+        if want is None:
+            keep = np.random.default_rng(derive_seed(0, "silhouette")).choice(
+                80, size=sample_cap, replace=False
+            )
+            want = np.unique(X[keep], axis=0).shape[0]
         assert result.distinct_rows == want
 
 
@@ -537,7 +558,7 @@ class TestSweep:
         features = log_transform(count_orbits(planted.graph))
         gw = graphwave_embed(planted.graph)
         result = sweep([gw], range(2, 7), features, seed=3)
-        assert result.best_k("graphwave") == 3
+        assert max((s, k) for m, k, s, _ in result.rows if m == "graphwave")[1] == 3
         assignment = kmeans(gw, 3, seed=1)
         assert nmi(assignment.labels, planted.true_role) >= 0.9
 

@@ -15,7 +15,7 @@ from orbitroles.graph import Graph, NodeTable
 from orbitroles.planted import barbell_template, generate_planted_graph
 
 import diversity_reference as reference
-from util import star_graph
+from util import bin_medians, star_graph
 
 
 def star_with_labels(leaf_categories):
@@ -401,5 +401,5 @@ class TestBinnedReport:
         member_code = names.index("clique-member")
         assert binned.included_bins, "need at least one included bin"
         for b in binned.included_bins:
-            med = binned.medians(b)
+            med = bin_medians(binned, b)
             assert med[bridge_code] > med[member_code]

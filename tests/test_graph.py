@@ -105,7 +105,7 @@ class TestLoadEdgeList:
         path = write(tmp_path, "g.txt", "a b\n")
         graph, out = load_edge_list(path, table=table)
         assert graph.node_count == 3
-        assert graph.degrees()[out.index_of("ghost")] == 0
+        assert graph.degrees()[out.external_ids.index("ghost")] == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pairs_and_ids_match_the_set_loop(self, tmp_path, seed):
@@ -116,8 +116,9 @@ class TestLoadEdgeList:
         path = write(tmp_path, "g.txt", "".join(f"v{u} v{v}\n" for u, v in lines))
         graph, table = load_edge_list(path)
         assert table.external_ids == list(dict.fromkeys(f"v{x}" for line in lines for x in line))
+        index = {x: i for i, x in enumerate(table.external_ids)}
         pairs = list(dict.fromkeys(
-            (table.index_of(f"v{u}"), table.index_of(f"v{v}")) for u, v in lines if u != v
+            (index[f"v{u}"], index[f"v{v}"]) for u, v in lines if u != v
         ))
         want = graph_reference.from_edges(len(table), pairs, directed_pairs=pairs)
         assert graph.directed_pairs.tolist() == [list(p) for p in want.directed_pairs]
@@ -141,7 +142,7 @@ class TestLoadEdgeList:
     def test_direction_pairs_follow_line_order(self, tmp_path):
         path = write(tmp_path, "g.txt", "a b\nc a\n")
         graph, table = load_edge_list(path)
-        a, b, c = (table.index_of(x) for x in "abc")
+        a, b, c = (table.external_ids.index(x) for x in "abc")
         assert graph.directed_pairs.tolist() == [[a, b], [c, a]]
 
 

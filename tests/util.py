@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: small graph builders, NMI, and a
-check that no worker process is left."""
+"""Shared helpers for the test suite: small graph builders, NMI, readings
+of effect curves and binned IDR tables, and a check that no worker process
+is left."""
 
 import itertools
 import os
@@ -90,6 +91,21 @@ def nmi(a, b):
 
     denom = np.sqrt(entropy(a) * entropy(b))
     return info / denom if denom > 0 else 1.0
+
+
+def step_location(curve):
+    """Grid midpoint of an effect curve's largest jump."""
+    i = int(np.abs(np.diff(curve.values)).argmax())
+    return float(0.5 * (curve.grid[i] + curve.grid[i + 1]))
+
+
+def bin_medians(binned, bin_index):
+    """Median IDR of each role with values in one bin of a binned table."""
+    return {
+        role: float(np.median(values))
+        for b, _lo, _hi, role, values, _inc in binned.rows
+        if b == bin_index and values
+    }
 
 
 def permute_graph(graph, perm):
