@@ -42,10 +42,12 @@ waiting for a CPU), ``metrics["workers"]`` the worker count,
 ``metrics["census"]`` the census's estimated working set, components and
 distinct components, its blocks of roots and the largest one's cells, and
 the minor page faults and system seconds of the call, ``metrics["rolx"]``
-the NMF iterations and convergence and the ReFeX features and generation
-of RolX, ``metrics["graphwave"]`` GraphWave's estimated working set,
-components and distinct components, ``metrics["kmeans"]`` each sweep
-cell's iterations, degeneracy and its embedding's distinct rows, and
+the NMF iterations and convergence, the ReFeX features and generation of
+RolX and the distinct ReFeX rows that the NMF iterated over,
+``metrics["graphwave"]`` GraphWave's estimated working set, components
+and distinct components, ``metrics["kmeans"]`` each sweep cell's
+iterations, whether it stopped at ``max_iter``, its degeneracy and its
+embedding's distinct rows, and
 ``metrics["silhouette"]`` the nodes that the sweep's silhouette scored
 (every node, or one shared sample of ``cluster.sample_cap``), their
 distinct log-orbit rows and whether they were sampled."""
@@ -305,6 +307,7 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
             "nmf_converged": meta["converged"],
             "refex_features": meta["refex_features"],
             "refex_generation": meta["refex_generation"],
+            "distinct_rows": meta["distinct_rows"],
         }
     if "graphwave" in ec.methods:
         native["graphwave"] = emb = lane.result()
@@ -337,6 +340,7 @@ def _validate(embeddings, features, cfg, out, manifest):
     manifest.metrics["kmeans"] = {
         f"{method}:{k}": {
             "iterations": len(a.meta["wcss_trajectory"]),
+            "stopped_at_max_iter": a.meta["stopped_at_max_iter"],
             "degenerate": a.degenerate,
             "distinct_rows": a.meta["distinct_rows"],
         }

@@ -145,7 +145,9 @@ def kmeans(
     and only the remaining rows compute exact distances, so labels and
     WCSS are those of the exact n x k x d evaluation, bit for bit.
     ``meta["rechecked_rows"]`` counts the nodes whose rows were rechecked,
-    over all iterations, and ``meta["distinct_rows"]`` is u. The centroid
+    over all iterations, ``meta["distinct_rows"]`` is u, and
+    ``meta["stopped_at_max_iter"]`` holds whether the run ended at
+    ``max_iter`` iterations with no stop rule met. The centroid
     and WCSS update runs over all n rows: it reads each cluster as one
     contiguous slice of the rows sorted stably by label, which sums the
     members in the same order as a boolean mask would.
@@ -177,6 +179,7 @@ def kmeans(
     trajectory = []
     rechecked = 0
     reseeded = False  # whether the previous iteration re-seeded a cluster
+    capped = True  # until a stop rule fires before max_iter
 
     for _ in range(max_iter):
         nearest, recheck = _nearest(U, u_sq, centroids)
@@ -210,6 +213,7 @@ def kmeans(
         move = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         if move < tol or (reseeded and wcss >= wcss_prev):
+            capped = False
             break
         reseeded = point_d2 is not None
         wcss_prev = wcss
@@ -228,6 +232,7 @@ def kmeans(
             "wcss_trajectory": trajectory,
             "rechecked_rows": rechecked,
             "distinct_rows": int(first.size),
+            "stopped_at_max_iter": capped,
         },
     )
 

@@ -744,8 +744,8 @@ def count_orbits(graph, memory_budget_mb: float = 4096.0) -> OrbitMatrix:
     est = estimate_census_memory_mb(graph)
     if est > memory_budget_mb:
         raise OrbitCensusError(
-            f"estimated census working set {est:.0f} MB exceeds the "
-            f"{memory_budget_mb:.0f} MB budget"
+            f"estimated census working set {est:.1f} MB exceeds the "
+            f"{memory_budget_mb:g} MB budget"
         )
     sub, source = graph.distinct_part()
     t = _Tables(sub)

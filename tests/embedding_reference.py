@@ -10,6 +10,9 @@ computation per distinct component to its bits. ``embedding_to_csv_rows``
 writes every row through ``csv.writer``; the tests hold the shared row
 writer to its bytes. ``initial_loadings_per_row`` seeds RolX's NMF row by
 row; the tests hold the per-key draw to its bits.
+``nmf_multiplicative_rows`` runs RolX's multiplicative updates over every
+row of F, repeated or not; the tests hold the iteration over the distinct
+rows to its bits where no row repeats, and to 1e-10 where rows repeat.
 ``refex_features_bitmask`` counts the ReFeX base features over per-node
 neighbour bitmasks, sums neighbours node by node and prunes with one
 ``np.corrcoef`` per pair of columns (``pearson``); the tests hold the
@@ -121,6 +124,26 @@ def initial_loadings_per_row(F, rank, seed):
         row_rng = np.random.default_rng(derive_seed(seed, "loading-row", key))
         G[i] = 1.0 - row_rng.random(rank)
     return G
+
+
+def nmf_multiplicative_rows(F, rank, seed, max_iter, tol):
+    """``_nmf_multiplicative`` over all n rows of F, each with its own
+    loading row; returns (G, H, errors, converged)."""
+    eps = 1e-12
+    G = initial_loadings_per_row(F, rank, seed)
+    H = 1.0 - np.random.default_rng(derive_seed(seed, "basis")).random((rank, F.shape[1]))
+    errors = [float(np.linalg.norm(F - G @ H))]
+    converged = False
+    for _ in range(max_iter):
+        H *= (G.T @ F) / (G.T @ G @ H + eps)
+        G *= (F @ H.T) / (G @ H @ H.T + eps)
+        err = float(np.linalg.norm(F - G @ H))
+        errors.append(err)
+        prev = errors[-2]
+        if prev > 0 and (prev - err) / prev < tol:
+            converged = True
+            break
+    return G, H, errors, converged
 
 
 def pearson(u, v):

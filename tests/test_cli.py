@@ -985,7 +985,10 @@ def test_manifest_metrics_hold_rolx_counters(corpus, tmp_path, command):
         "nmf_converged": meta["converged"],
         "refex_features": meta["factors"][1].shape[1],
         "refex_generation": meta["refex_generation"],
+        "distinct_rows": meta["distinct_rows"],
     }
+    # the barbell corpus repeats ReFeX rows: the NMF iterates over fewer
+    assert metrics["rolx"]["distinct_rows"] < graph.node_count
     assert command == "pipeline" or not (out / "orbits.csv").exists()
 
 
@@ -1187,11 +1190,44 @@ def test_manifest_metrics_hold_kmeans_cells(corpus, run_dir):
         emb = import_embedding(run_dir / f"embedding_{method}.csv", table)
         for k in range(2, 6):
             want = kmeans_broadcast(emb, k, seed=assignment_seed(42, method, k))
+            # every cell stops well before max_iter (300)
             assert cells[f"{method}:{k}"] == {
                 "iterations": len(want.meta["wcss_trajectory"]),
+                "stopped_at_max_iter": False,
                 "degenerate": want.degenerate,
                 "distinct_rows": len({row.tobytes() for row in emb.vectors}),
             }
+
+
+def test_manifest_metrics_mark_kmeans_cells_at_max_iter(corpus, run_dir, tmp_path, monkeypatch):
+    # with k-means held to one iteration, each cell reads as the direct
+    # call with max_iter=1 says it stopped
+    from functools import partial
+
+    import orbitroles.clustering
+    from orbitroles.clustering import assignment_seed
+    from orbitroles.embeddings import import_embedding
+    from orbitroles.graph import load_node_table
+
+    one = partial(orbitroles.clustering.kmeans, max_iter=1)
+    monkeypatch.setattr(orbitroles.clustering, "kmeans", one)
+    out = tmp_path / "out"
+    assert run(
+        "validate", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+        "--orbits", run_dir / "orbits.csv",
+        "--embedding", run_dir / "embedding_graphwave.csv",
+        "--embedding", run_dir / "embedding_rolx.csv",
+        "--config", run_dir.parent / "cfg.ini", "--out", out,
+    ) == 0
+    cells = json.loads((out / "manifest.json").read_text())["metrics"]["kmeans"]
+    table = load_node_table(corpus / "nodes.csv")
+    for method in ("graphwave", "rolx"):
+        emb = import_embedding(run_dir / f"embedding_{method}.csv", table)
+        for k in range(2, 6):
+            want = one(emb, k, seed=assignment_seed(42, method, k)).meta
+            assert cells[f"{method}:{k}"]["iterations"] == 1
+            assert cells[f"{method}:{k}"]["stopped_at_max_iter"] == want["stopped_at_max_iter"]
+    assert any(cell["stopped_at_max_iter"] for cell in cells.values())
 
 
 BA_CFG = """

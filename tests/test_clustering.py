@@ -99,7 +99,20 @@ class TestKmeans:
             assignment = kmeans(emb(X), k, seed=1)
             assert len(assignment.meta["wcss_trajectory"]) < 300
             assert assignment.degenerate and assignment.k_effective == 6
+            assert not assignment.meta["stopped_at_max_iter"]
         assert kmeans(emb(X), 6, seed=1).k_effective == 6
+
+    def test_stop_at_max_iter_recorded(self):
+        # a run whose stop rule fires on its last allowed iteration has not
+        # stopped at the cap; one iteration fewer has
+        X = emb(np.random.default_rng(6).normal(size=(200, 3)))
+        free = kmeans(X, 6, seed=2)
+        iters = len(free.meta["wcss_trajectory"])
+        assert iters > 2 and not free.meta["stopped_at_max_iter"]
+        assert not kmeans(X, 6, seed=2, max_iter=iters).meta["stopped_at_max_iter"]
+        capped = kmeans(X, 6, seed=2, max_iter=iters - 1)
+        assert capped.meta["stopped_at_max_iter"]
+        assert capped.meta["wcss_trajectory"] == free.meta["wcss_trajectory"][:-1]
 
 
 def assert_same_run(got, want):

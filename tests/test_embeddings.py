@@ -464,6 +464,49 @@ class TestRolx:
             assert np.array_equal(G0, initial_loadings_per_row(F, rank, seed))
 
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("rank,seed", [(3, 0), (4, 7)])
+    def test_distinct_rows_bit_equal_to_all_rows_without_repeats(self, rank, seed, tol):
+        # BA n=400 repeats no ReFeX row: no weights, the row loop's bits
+        from embedding_reference import nmf_multiplicative_rows
+
+        from orbitroles.embeddings import _nmf_multiplicative
+
+        g = ba_graph(400, 4, 3)
+        F = refex_features(g, count_orbits(g)).features
+        G, H, errors, converged, distinct = _nmf_multiplicative(F, rank, seed, 500, tol)
+        G_ref, H_ref, errors_ref, converged_ref = nmf_multiplicative_rows(F, rank, seed, 500, tol)
+        assert distinct == F.shape[0]
+        assert np.array_equal(G, G_ref) and np.array_equal(H, H_ref)
+        assert errors == errors_ref and converged == converged_ref
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("noise", [0, 5])
+    @pytest.mark.parametrize("rank,seed", [(3, 0), (4, 7)])
+    def test_distinct_rows_agree_with_all_rows_on_repeats(self, rank, seed, noise, tol):
+        # weighted distinct rows are the row loop in exact arithmetic: the
+        # same iterations and stop, loadings apart by rounding only
+        from embedding_reference import nmf_multiplicative_rows
+
+        from orbitroles.embeddings import _nmf_multiplicative
+
+        g = generate_planted_graph([barbell_template(5, 3)], 24, noise_edges=noise, seed=0).graph
+        F = refex_features(g, count_orbits(g)).features
+        G, H, errors, converged, distinct = _nmf_multiplicative(F, rank, seed, 500, tol)
+        G_ref, H_ref, errors_ref, converged_ref = nmf_multiplicative_rows(F, rank, seed, 500, tol)
+        assert distinct == len({row.tobytes() for row in F}) < F.shape[0]
+        assert len(errors) == len(errors_ref) and converged == converged_ref
+        assert np.abs(G - G_ref).max() <= 1e-10
+        assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max()
+        assert np.allclose(errors, errors_ref, rtol=1e-10, atol=0)
+
+    def test_meta_counts_distinct_rows(self):
+        planted = generate_planted_graph([barbell_template(5, 3)], 12, seed=0)
+        emb = rolx_embed(planted.graph, count_orbits(planted.graph), rank=3, seed=0)
+        F = refex_features(planted.graph, count_orbits(planted.graph)).features
+        assert emb.meta["distinct_rows"] == len({row.tobytes() for row in F}) < F.shape[0]
+
+
 class TestImport:
     def _table(self, n):
         return NodeTable(external_ids=[f"v{i}" for i in range(n)])

@@ -425,6 +425,14 @@ class TestResourceLimits:
         with pytest.raises(OrbitCensusError, match="MB"):
             count_orbits(g, memory_budget_mb=0.001)
 
+    def test_budget_message_below_one_mb(self):
+        # a sub-MB budget and estimate read as themselves, not as "0 MB"
+        g = er_graph(20, 0.2, 0)
+        assert 0.15 < estimate_census_memory_mb(g) < 0.25
+        with pytest.raises(OrbitCensusError) as info:
+            count_orbits(g, memory_budget_mb=0.1)
+        assert str(info.value) == "estimated census working set 0.2 MB exceeds the 0.1 MB budget"
+
 
 class TestOrbitCsv:
     def test_round_trip(self, tmp_path):
