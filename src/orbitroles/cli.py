@@ -29,14 +29,14 @@ each other and from the native ``embed.methods``; a clash fails stage
 processes, by default the CPUs this process may run on (see ``workers``).
 With two or more, GraphWave runs on a forked worker while the parent counts
 orbits and runs RolX, and the sweep's k-means cells are dealt over the
-workers. GraphWave's CSV is written in one place, its lane
-(``_graphwave_lane``): a forked lane writes it at the lowest CPU priority
-once it has sent the embedding, an inline one at the join, and every
-command joins the write last (``pipeline`` after idr, staged ``embed``
-after ``_embed``); a run that fails before then leaves no GraphWave CSV.
-The CSVs are the same for every count. Memory adds up over the lanes that
-run at once. ``metrics["stages"]`` also holds the wall seconds of each
-worker task and of GraphWave's CSV write on its lane
+workers. GraphWave's CSV is written in one place, a writer task that
+``_graphwave_lane`` starts once the parent has the embedding: a forked
+worker at the lowest CPU priority with two or more workers, the parent at
+the join with one. Every command joins the write last (``pipeline`` after
+idr, staged ``embed`` after ``_embed``); a run that fails before then
+leaves no GraphWave CSV. The CSVs are the same for every count. Memory
+adds up over the lanes that run at once. ``metrics["stages"]`` also holds
+the wall seconds of each worker task and of GraphWave's CSV write
 (``embed/graphwave-write``, which at low priority includes time spent
 waiting for a CPU), ``metrics["workers"]`` the worker count,
 ``metrics["census"]`` the census's estimated working set, components and
@@ -76,8 +76,11 @@ from .clustering import (
 from .config import (
     SECTIONS,
     config_from_dict,
+    embed_problems,
     explain_problems,
     load_config,
+    raise_problems,
+    sweep_problems,
     validate_config,
 )
 from .diversity import (
@@ -189,46 +192,25 @@ def _features(orbits, cfg, manifest):
     return features
 
 
-def _native_embedding(graph, table, cfg, out, method, orbits=None):
-    """One native embedding of ``graph`` other than GraphWave (which
-    ``_graphwave_lane`` runs), written to its CSV in ``out``; RolX reads
-    its base features off the orbit census ``orbits``."""
-    ec = cfg.embed
-    if method == "rolx":
-        emb = rolx_embed(
-            graph,
-            orbits,
-            rank=ec.rolx_rank,
-            refex_depth=ec.refex_depth,
-            seed=derive_seed(cfg.seed, "rolx"),
-        )
-    else:
-        raise ValueError(
-            f"unknown native method {method!r} (native: {list(NATIVE_METHODS)}); "
-            "external methods enter via [embed] import_paths"
-        )
-    embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
-    return emb
-
-
 @contextmanager
 def _graphwave_lane(graph, table, cfg, out, manifest, census):
-    """GraphWave's embedding as the task that ``_embed`` joins, for the
-    length of a ``with`` block: forked at once when there are two or more
-    workers, otherwise run inline when joined. The lane also writes the
-    embedding's CSV, the only place that does (``Task``'s ``then``): a
-    forked lane at nice 19 once it has sent the embedding, an inline one
-    at the block's end. The block's end joins the write, so a command
-    leaves the block last, and records its wall time on the lane as
-    ``metrics["stages"]["embed/graphwave-write"]``; at low priority that
-    includes time spent waiting for a CPU. An error inside the block kills
-    and reaps the lane and removes the CSV, whole or cut short.
-    GraphWave's estimated working set is first checked, in the parent,
-    against ``memory_budget_mb`` and recorded in ``metrics["graphwave"]``;
-    the estimate keys the components (``Graph.copies``), so a forked lane
-    inherits the keys and the census reads the same ones.
-    When the lane forks and the caller runs the census beside it
-    (``census``), the two estimates are checked together as well."""
+    """For the length of a ``with`` block, a function that returns
+    GraphWave's embedding, for ``_embed`` to call once: forked at once when
+    there are two or more workers, otherwise run inline when called. The
+    call records the embedding's seconds (``metrics["stages"]
+    ["embed/graphwave"]``) and components and starts the embedding's CSV
+    writer, the only code that writes it: a forked ``Task`` at nice 19 with
+    two or more workers, an inline one at the block's end with one. The
+    block's end joins the writer, so a command leaves the block last, and
+    records its wall time as ``metrics["stages"]["embed/graphwave-write"]``;
+    at low priority that includes time spent waiting for a CPU. An error
+    inside the block kills and reaps both tasks and removes the CSV, whole
+    or cut short. GraphWave's estimated working set is first checked, in
+    the parent, against ``memory_budget_mb`` and recorded in
+    ``metrics["graphwave"]``; the estimate keys the components
+    (``Graph.copies``), so a forked lane inherits the keys and the census
+    reads the same ones. When the lane forks and the caller runs the census
+    beside it (``census``), the two estimates are checked together as well."""
     ec, budget = cfg.embed, cfg.memory_budget_mb
     wave = "graphwave" in ec.methods
     fork = cfg.threads > 1 and wave
@@ -255,14 +237,32 @@ def _graphwave_lane(graph, table, cfg, out, manifest, census):
         sample_points=ec.sample_points,
         t_max=ec.t_max,
     )
-    path = out / "embedding_graphwave.csv"
-    with Task(embed, fork, then=lambda emb: embedding_to_csv(emb, table, path)) as lane:
+    path, writer = out / "embedding_graphwave.csv", None
+
+    def embedding():
+        nonlocal writer
+        emb = lane.result()
+        manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
+        for key in ("components", "distinct_components"):
+            manifest.metrics["graphwave"][key] = emb.meta[key]
+
+        def write():
+            if fork:
+                os.nice(19)  # the writer's own process; an inline one is the parent
+            embedding_to_csv(emb, table, path)
+
+        writer = Task(write, fork)
+        return emb
+
+    with Task(embed, fork) as lane:
         try:
-            yield lane
-            if wave:
-                manifest.metrics["stages"]["embed/graphwave-write"] = lane.then_seconds()
+            yield embedding
+            if writer is not None:
+                writer.result()
+                manifest.metrics["stages"]["embed/graphwave-write"] = writer.seconds
         except BaseException:
-            lane.cancel()  # before the unlink, so that no write follows it
+            if writer is not None:
+                writer.cancel()  # before the unlink, so that no write follows it
             if wave:
                 path.unlink(missing_ok=True)
             raise
@@ -286,22 +286,24 @@ def _imported(paths, table, native=()):
     return embeddings
 
 
-def _embed(graph, table, cfg, out, manifest, lane, orbits):
+def _embed(graph, table, cfg, out, manifest, graphwave, orbits):
     """The embeddings of ``embed.methods`` in their order, then the
-    imported ones. GraphWave is the result of ``lane``
-    (``_graphwave_lane``, which writes its CSV), and its seconds go to
-    ``metrics["stages"]``; the other native methods run here first, beside
-    a forked lane, and every embedding but GraphWave is written to its CSV
-    here. RolX takes the census ``orbits`` and leaves its NMF and ReFeX
-    counters in ``metrics["rolx"]``."""
-    ec = cfg.embed
-    native = {
-        m: _native_embedding(graph, table, cfg, out, m, orbits)
-        for m in ec.methods
-        if m != "graphwave"
-    }
-    if "rolx" in native:
-        meta = native["rolx"].meta
+    imported ones. GraphWave's comes from ``graphwave`` (the function of
+    ``_graphwave_lane``, which writes its CSV); RolX runs here first,
+    beside a forked lane, on the census ``orbits``, and leaves its NMF and
+    ReFeX counters in ``metrics["rolx"]``. Every embedding but GraphWave's
+    is written to its CSV here."""
+    ec, native = cfg.embed, {}
+    if "rolx" in ec.methods:
+        emb = native["rolx"] = rolx_embed(
+            graph,
+            orbits,
+            rank=ec.rolx_rank,
+            refex_depth=ec.refex_depth,
+            seed=derive_seed(cfg.seed, "rolx"),
+        )
+        embedding_to_csv(emb, table, out / "embedding_rolx.csv")
+        meta = emb.meta
         manifest.metrics["rolx"] = {
             "nmf_iterations": len(meta["nmf_errors"]) - 1,
             "nmf_converged": meta["converged"],
@@ -310,10 +312,7 @@ def _embed(graph, table, cfg, out, manifest, lane, orbits):
             "distinct_rows": meta["distinct_rows"],
         }
     if "graphwave" in ec.methods:
-        native["graphwave"] = emb = lane.result()
-        manifest.metrics.setdefault("stages", {})["embed/graphwave"] = lane.seconds
-        for key in ("components", "distinct_components"):
-            manifest.metrics["graphwave"][key] = emb.meta[key]
+        native["graphwave"] = graphwave()
     imported = _imported(ec.import_paths, table, ec.methods)
     for emb in imported:
         embedding_to_csv(emb, table, out / f"embedding_{emb.method_tag}.csv")
@@ -667,14 +666,15 @@ def _cmd_embed(args) -> int:
         stage.enter("embed")
         # RolX's census, beside the GraphWave lane; only ``census`` writes it
         rolx = "rolx" in cfg.embed.methods
-        with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as lane:
+        with _graphwave_lane(graph, table, cfg, out, manifest, census=rolx) as graphwave:
             orbits = count_orbits(graph, memory_budget_mb=cfg.memory_budget_mb) if rolx else None
-            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
+            embeddings = _embed(graph, table, cfg, out, manifest, graphwave, orbits)
         widths = ", ".join(f"{emb.method_tag} d={emb.d}" for emb in embeddings)
         return f"{widths} -> {out}"
 
     inputs = {"graph": args.graph, "labels": args.labels}
-    return _run("embed", args, inputs, body, imports=True)
+    check = lambda cfg: raise_problems(embed_problems(cfg.embed))
+    return _run("embed", args, inputs, body, check=check, imports=True)
 
 
 def _cmd_cluster(args) -> int:
@@ -704,7 +704,10 @@ def _cmd_validate(args) -> int:
         return f"{len(result.rows)} rows -> {out / 'sweep.csv'}"
 
     inputs = {"graph": args.graph, "labels": args.labels, "orbits": args.orbits}
-    return _run("validate", args, {**inputs, **dict(zip(names, args.embedding))}, body)
+    inputs.update(zip(names, args.embedding))
+    # the [cluster] values of the sweep: validate reads no chosen_k
+    check = lambda cfg: raise_problems(sweep_problems(cfg.cluster))
+    return _run("validate", args, inputs, body, check=check)
 
 
 def _cmd_explain(args) -> int:
@@ -722,9 +725,7 @@ def _cmd_explain(args) -> int:
             )
         # the roles' count bounds explain.keep_roles
         stage.enter("config")
-        problems = explain_problems(cfg.explain, roles.k)
-        if problems:
-            raise ValueError("invalid config: " + "; ".join(problems))
+        raise_problems(explain_problems(cfg.explain, roles.k))
         stage.enter("explain")
         features = _features(orbits, cfg, manifest)
         # the roles CSV names the embedding it came from; the seeds derive
@@ -754,14 +755,14 @@ def _cmd_pipeline(args) -> int:
         graph, table = _load_inputs(paths)
 
         # GraphWave's lane runs beside the census, features and RolX, and
-        # then writes its CSV beside the later stages
+        # its writer beside the later stages
         stage.enter("embed")
-        with _graphwave_lane(graph, table, cfg, out, manifest, census=True) as lane:
+        with _graphwave_lane(graph, table, cfg, out, manifest, census=True) as graphwave:
             stage.enter("census")
             orbits = _census(graph, table, cfg, out, manifest)
             features = _features(orbits, cfg, manifest)
             stage.enter("embed")
-            embeddings = _embed(graph, table, cfg, out, manifest, lane, orbits)
+            embeddings = _embed(graph, table, cfg, out, manifest, graphwave, orbits)
 
             stage.enter("validate")
             swept = _validate(embeddings, features, cfg, out, manifest)

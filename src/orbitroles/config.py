@@ -118,21 +118,11 @@ def explain_problems(ex: ExplainConfig, k: int) -> list:
     return problems
 
 
-def validate_config(cfg: PipelineConfig) -> None:
-    """Reject settings that would only fail in a later stage.
-
-    Only checks that need no input data: an imported embedding's method
-    tag, for one, is known once its file is read, so ``explain.method`` is
-    checked here only when nothing is imported.
-    """
+def embed_problems(e: EmbedConfig) -> list:
+    """The problems of an [embed] section: a method that is not native or
+    is repeated, GraphWave sampling settings that no kernel can read,
+    scales that are not all positive, and a RolX rank below 2."""
     problems = []
-    if not cfg.embed.import_paths and cfg.explain.method not in cfg.embed.methods:
-        problems.append(
-            f"explain.method {cfg.explain.method!r} not among embed.methods "
-            f"{list(cfg.embed.methods)}"
-        )
-    problems += explain_problems(cfg.explain, cfg.cluster.chosen_k)
-    e = cfg.embed
     unknown = [m for m in e.methods if m not in NATIVE_METHODS]
     if unknown:
         problems.append(
@@ -148,23 +138,50 @@ def validate_config(cfg: PipelineConfig) -> None:
         problems.append(f"embed.graphwave_scales {list(e.graphwave_scales)} not all > 0")
     if e.rolx_rank < 2:
         problems.append(f"embed.rolx_rank {e.rolx_rank} < 2")
-    c = cfg.cluster
-    if c.k_min < 2:
-        problems.append(f"cluster.k_min {c.k_min} < 2")
-    if not c.k_min <= c.chosen_k <= c.k_max:
-        problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
+    return problems
+
+
+def sweep_problems(c: ClusterConfig) -> list:
+    """The problems of the [cluster] values that the sweep reads: ``k_min``
+    and ``sample_cap`` below 2."""
+    problems = [f"cluster.k_min {c.k_min} < 2"] if c.k_min < 2 else []
     if c.sample_cap < 2:
         problems.append(f"cluster.sample_cap {c.sample_cap} < 2")
+    return problems
+
+
+def raise_problems(problems) -> None:
+    """Raise the settings' problems ``problems``, if any, as one error."""
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
+
+
+def validate_config(cfg: PipelineConfig) -> None:
+    """Reject settings that would only fail in a later stage.
+
+    Only checks that need no input data: an imported embedding's method
+    tag, for one, is known once its file is read, so ``explain.method`` is
+    checked here only when nothing is imported.
+    """
+    problems = []
+    if not cfg.embed.import_paths and cfg.explain.method not in cfg.embed.methods:
+        problems.append(
+            f"explain.method {cfg.explain.method!r} not among embed.methods "
+            f"{list(cfg.embed.methods)}"
+        )
+    problems += explain_problems(cfg.explain, cfg.cluster.chosen_k)
+    problems += embed_problems(cfg.embed)
+    c = cfg.cluster
+    problems += sweep_problems(c)
+    if not c.k_min <= c.chosen_k <= c.k_max:
+        problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
     i = cfg.idr
     problems += _not_among("idr.direction", i.direction, DIRECTIONS)
     problems += _not_among("idr.distance", i.distance, DISTANCES)
     problems += _not_among("idr.pair_counting", i.pair_counting, PAIR_COUNTINGS)
     if i.bins < 1:
         problems.append(f"idr.bins {i.bins} < 1")
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-
-
+    raise_problems(problems)
 
 
 def _bool(raw: str) -> bool:

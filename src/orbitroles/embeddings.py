@@ -361,6 +361,11 @@ def _nmf_multiplicative(F, rank, seed, max_iter, tol):
         w = np.bincount(inverse)[:, None].astype(np.float64)  # node counts
         wF, sw = w * Fu, np.sqrt(w)
     else:
+        # not the weighted path with unit weights: numpy computes G.T @ G
+        # with a symmetric rank-k product and (w * G).T @ G with a general
+        # one, and the two round differently (not bit-equal on an 800 x 4
+        # G), so unit weights would change RolX's CSV of a graph that
+        # repeats no ReFeX row
         Fu, w, wF, sw = F, None, F, None
     # quantize before hashing: neighbor-sum rounding noise must not change
     # the seed under node relabeling, so rows that differ by such noise

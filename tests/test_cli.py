@@ -898,6 +898,54 @@ class TestConfigCheckedBeforeCensus:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ("rolx,rolx", "embed.methods ['rolx'] repeated"),
+            ("foo", "embed.methods ['foo'] not among ['graphwave', 'rolx']"),
+        ],
+    )
+    def test_staged_embed_checks_methods(self, corpus, tmp_path, capsys, methods, message):
+        # as the pipeline does: a repeated method would list its CSV twice
+        cfg = write_config(tmp_path / "cfg.ini", f"[embed]\nmethods = {methods}\n")
+        out = tmp_path / "out"
+        code = run(
+            "embed", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--out", out,
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith("stage=config\nerror=invalid config: ") and message in marker
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("sample_cap = 1", "cluster.sample_cap 1 < 2"), ("k_min = 1", "cluster.k_min 1 < 2")],
+    )
+    def test_staged_validate_checks_sweep_values(
+        self, corpus, run_dir, tmp_path, capsys, setting, message
+    ):
+        # chosen_k, which validate does not read, is not checked
+        cfg = write_config(tmp_path / "cfg.ini", f"[cluster]\nchosen_k = 99\n{setting}\n")
+        out = tmp_path / "out"
+        code = run(
+            "validate", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--orbits", run_dir / "orbits.csv", "--embedding", run_dir / "embedding_rolx.csv",
+            "--config", cfg, "--out", out,
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=config\nerror=invalid config: {message}\n"
+        assert not list(out.glob("*.csv"))
+        # chosen_k alone leaves validate to run
+        cfg.write_text("[cluster]\nk_max = 3\nchosen_k = 99\n", encoding="utf-8")
+        assert run(
+            "validate", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--orbits", run_dir / "orbits.csv", "--embedding", run_dir / "embedding_rolx.csv",
+            "--config", cfg, "--out", out,
+        ) == 0
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["explain", "--orbits", "o.csv", "--roles", "r.csv", "--kind", "pdp"],
@@ -1627,6 +1675,52 @@ class TestWorkers:
         # the stages before the join ran to the end
         assert (out / "idr_values.csv").exists() and (out / "importance.csv").exists()
         assert not (out / "embedding_graphwave.csv").exists()
+        assert_no_children()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_writer_niceness(self, corpus, run_dir, tmp_path, monkeypatch, threads):
+        # a forked writer runs at the lowest priority and the parent keeps
+        # its own; an inline writer is the parent and is not reniced
+        import orbitroles.cli
+
+        parent, niceness = os.getpid(), os.nice(0)
+        write, mark = orbitroles.cli.embedding_to_csv, tmp_path / "writer"
+
+        def recording_write(emb, table, path):
+            if emb.method_tag == "graphwave":
+                mark.write_text(f"{os.getpid() == parent} {os.nice(0)}")
+            write(emb, table, path)
+
+        monkeypatch.setattr(orbitroles.cli, "embedding_to_csv", recording_write)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", threads, "--out", out,
+        ) == 0
+        assert mark.read_text() == (f"True {niceness}" if threads == 1 else "False 19")
+        assert os.nice(0) == niceness
+        for path in run_dir.glob("*.csv"):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert_no_children()
+
+    def test_no_process_starts_a_thread(self, corpus, run_dir, tmp_path, monkeypatch):
+        # the patch holds in the forked workers too, and a worker that
+        # raised would fail the run
+        import threading
+
+        def refuse(thread):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = write_config(tmp_path / "cfg.ini", BARBELL_CFG)
+        out = tmp_path / "out"
+        assert run(
+            "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
+            "--config", cfg, "--threads", 2, "--out", out,
+        ) == 0
+        for path in run_dir.glob("*.csv"):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
         assert_no_children()
 
     @pytest.mark.parametrize("where", ["census", "sweep"])

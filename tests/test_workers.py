@@ -59,57 +59,6 @@ class TestTask:
         assert time.monotonic() - start < 30
         assert_no_children()
 
-    def test_then_runs_after_the_value_is_sent(self, tmp_path):
-        mark, niceness = tmp_path / "then", os.nice(0)
-        task = Task(lambda: 7, fork=True, then=lambda v: mark.write_text(f"{v} {os.nice(0)}"))
-        assert task.result() == 7
-        # wait for the worker to exit without reaping it
-        os.waitid(os.P_PID, task._pid, os.WEXITED | os.WNOWAIT)
-        assert task.then_seconds() >= 0.0
-        # the follow-up ran at the lowest priority, the parent keeps its own
-        assert mark.read_text() == "7 19" and os.nice(0) == niceness
-        assert_no_children()
-
-    def test_then_still_running_is_waited_for(self, tmp_path):
-        mark = tmp_path / "then"
-
-        def slow(value):
-            time.sleep(1.0)
-            mark.write_text(str(value))
-
-        task = Task(lambda: 7, fork=True, then=slow)
-        assert task.result() == 7
-        assert not mark.exists()
-        assert task.then_seconds() >= 0.9
-        assert mark.read_text() == "7"
-        assert_no_children()
-
-    def test_then_error_raised_in_parent(self):
-        def fail(value):
-            raise OSError("disk full")
-
-        task = Task(lambda: 7, fork=True, then=fail)
-        assert task.result() == 7
-        with pytest.raises(OSError, match="disk full"):
-            task.then_seconds()
-        assert_no_children()
-
-    def test_then_run_inline_at_then_seconds(self):
-        calls = []
-        task = Task(lambda: 7, fork=False, then=calls.append)
-        assert task.result() == 7 and calls == []
-        assert task.then_seconds() >= 0.0
-        assert calls == [7]
-
-    def test_leaving_the_block_kills_a_worker_in_then(self):
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="parent"):
-            with Task(lambda: 7, fork=True, then=lambda v: time.sleep(60)) as task:
-                assert task.result() == 7
-                raise RuntimeError("parent")
-        assert time.monotonic() - start < 30
-        assert_no_children()
-
     def test_inline_runs_at_result(self):
         calls = []
         task = Task(lambda: calls.append(os.getpid()) or "done", fork=False)
