@@ -8,7 +8,8 @@ features), ``_embed``, ``_validate``, ``_cluster``, ``_explain_roles`` and
 function with its flags folded into the config, so a staged chain with
 the pipeline's seed and config writes the pipeline's CSVs byte for byte.
 
-Every command but ``generate`` runs through ``_run``, so each writes its
+Every command but ``generate`` runs through ``_run``, so each checks its
+settings in stage ``config`` (``config.validate_config``) and writes its
 outputs and one manifest of one layout into --out: ``parameters`` holds
 ``inputs`` (name -> absolute path of each input file, digested in
 ``input_digests``) and ``config`` (the resolved config, its
@@ -28,14 +29,16 @@ each other and from the native ``embed.methods``; a clash fails stage
 ``threads`` (``--threads``, ``ORBITROLES_THREADS``) is the number of worker
 processes, by default the CPUs this process may run on (see ``workers``).
 With two or more, GraphWave runs on a forked worker while the parent counts
-orbits and runs RolX, and the sweep's k-means cells are dealt over the
-workers. GraphWave's CSV is written in one place, a writer task that
-``_graphwave_lane`` starts once the parent has the embedding: a forked
-worker at the lowest CPU priority with two or more workers, the parent at
-the join with one. Every command joins the write last (``pipeline`` after
-idr, staged ``embed`` after ``_embed``); a run that fails before then
-leaves no GraphWave CSV. The CSVs are the same for every count. Memory
-adds up over the lanes that run at once. ``metrics["stages"]`` also holds
+orbits and runs RolX (unless its estimated working set and the census's
+exceed ``memory_budget_mb`` together: then it runs inline, after them), and
+the sweep's k-means cells are dealt over the workers. GraphWave's CSV is
+written in one place, a writer task that ``_graphwave_lane`` starts once
+the parent has the embedding: a forked worker at the lowest CPU priority
+when the lane forked, otherwise the parent at the join. Every command
+joins the write last (``pipeline`` after idr, staged ``embed`` after
+``_embed``); a run that fails before then leaves no GraphWave CSV. The
+CSVs are the same for every count. Memory adds up over the lanes that run
+at once. ``metrics["stages"]`` also holds
 the wall seconds of each worker task and of GraphWave's CSV write
 (``embed/graphwave-write``, which at low priority includes time spent
 waiting for a CPU), ``metrics["workers"]`` the worker count,
@@ -44,10 +47,10 @@ distinct components, its blocks of roots and the largest one's cells, and
 the minor page faults and system seconds of the call, ``metrics["rolx"]``
 the NMF iterations and convergence, the ReFeX features and generation of
 RolX and the distinct ReFeX rows that the NMF iterated over,
-``metrics["graphwave"]`` GraphWave's estimated working set, components
-and distinct components, ``metrics["kmeans"]`` each sweep cell's
-iterations, whether it stopped at ``max_iter``, its degeneracy and its
-embedding's distinct rows, and
+``metrics["graphwave"]`` GraphWave's estimated working set, whether it
+forked, and its components and distinct components, ``metrics["kmeans"]``
+each sweep cell's iterations, whether it stopped at ``max_iter``, its
+degeneracy and its embedding's distinct rows, and
 ``metrics["silhouette"]`` the nodes that the sweep's silhouette scored
 (every node, or one shared sample of ``cluster.sample_cap``), their
 distinct log-orbit rows and whether they were sampled."""
@@ -73,16 +76,7 @@ from .clustering import (
     roles_to_csv,
     sweep,
 )
-from .config import (
-    SECTIONS,
-    config_from_dict,
-    embed_problems,
-    explain_problems,
-    load_config,
-    raise_problems,
-    sweep_problems,
-    validate_config,
-)
+from .config import SECTIONS, config_from_dict, load_config, validate_config
 from .diversity import (
     DIRECTIONS,
     DISTANCES,
@@ -196,40 +190,37 @@ def _features(orbits, cfg, manifest):
 def _graphwave_lane(graph, table, cfg, out, manifest, census):
     """For the length of a ``with`` block, a function that returns
     GraphWave's embedding, for ``_embed`` to call once: forked at once when
-    there are two or more workers, otherwise run inline when called. The
-    call records the embedding's seconds (``metrics["stages"]
-    ["embed/graphwave"]``) and components and starts the embedding's CSV
-    writer, the only code that writes it: a forked ``Task`` at nice 19 with
-    two or more workers, an inline one at the block's end with one. The
-    block's end joins the writer, so a command leaves the block last, and
-    records its wall time as ``metrics["stages"]["embed/graphwave-write"]``;
-    at low priority that includes time spent waiting for a CPU. An error
-    inside the block kills and reaps both tasks and removes the CSV, whole
-    or cut short. GraphWave's estimated working set is first checked, in
-    the parent, against ``memory_budget_mb`` and recorded in
-    ``metrics["graphwave"]``; the estimate keys the components
+    the lane forks (two or more workers, and see below), otherwise run
+    inline when called. The call records the embedding's seconds
+    (``metrics["stages"]["embed/graphwave"]``) and components and starts
+    the embedding's CSV writer, the only code that writes it: a forked
+    ``Task`` at nice 19 when the lane forks, otherwise an inline one at the
+    block's end. The block's end joins the writer, so a command leaves the
+    block last, and records its wall time as ``metrics["stages"]
+    ["embed/graphwave-write"]``; at low priority that includes time spent
+    waiting for a CPU. An error inside the block kills and reaps both tasks
+    and removes the CSV, whole or cut short. GraphWave's estimated working
+    set is first checked, in the parent, against ``memory_budget_mb`` and
+    recorded in ``metrics["graphwave"]``; the estimate keys the components
     (``Graph.copies``), so a forked lane inherits the keys and the census
-    reads the same ones. When the lane forks and the caller runs the census
-    beside it (``census``), the two estimates are checked together as well."""
+    reads the same ones. When the caller runs the census beside the lane
+    (``census``) and the two estimates together exceed the budget, the lane
+    and its writer run inline instead, after the census;
+    ``metrics["graphwave"]["forked"]`` records whether they forked."""
     ec, budget = cfg.embed, cfg.memory_budget_mb
     wave = "graphwave" in ec.methods
     fork = cfg.threads > 1 and wave
     if wave:
         est = estimate_graphwave_memory_mb(graph, ec.graphwave_scales, ec.sample_points)
-        manifest.metrics["graphwave"] = {"estimate_mb": est}
         if est > budget:
             raise EmbeddingError(
                 f"estimated GraphWave working set {est:.1f} MB exceeds the "
                 f"{budget:g} MB budget; [embed] methods = rolx with [explain] method = "
                 "rolx skips GraphWave, and a larger [pipeline] memory_budget_mb runs it"
             )
-        beside = estimate_census_memory_mb(graph) if fork and census else 0.0
-        if beside and est + beside > budget:
-            raise EmbeddingError(
-                f"estimated GraphWave working set {est:.1f} MB and census working set "
-                f"{beside:.1f} MB, side by side, exceed the {budget:g} MB budget; "
-                "threads = 1 runs them one after the other"
-            )
+        # two lanes that do not fit the budget side by side run one after the other
+        fork = fork and not (census and est + estimate_census_memory_mb(graph) > budget)
+        manifest.metrics["graphwave"] = {"estimate_mb": est, "forked": fork}
     embed = partial(
         graphwave_embed,
         graph,
@@ -510,13 +501,14 @@ def _with_flags(cfg, args):
     return replace(cfg, **{name: _pick(getattr(cfg, name), args) for name in SECTIONS})
 
 
-def _run(command, args, inputs, body, check=None, imports=False) -> int:
+def _run(command, args, inputs, body, imports=False) -> int:
     """Run ``command``: the bookkeeping of every command but ``generate``.
 
     It makes ``--out`` and removes a FAILED marker left there. In stage
     ``config`` it reads the config file, or the config and inputs that
-    ``--from-manifest`` recorded, folds in the flags and passes the result
-    to ``check``. It resolves the worker count, and makes the paths of
+    ``--from-manifest`` recorded, folds in the flags and checks the result
+    with ``validate_config`` for ``command``, so a bad setting fails there
+    for every command. It resolves the worker count, and makes the paths of
     ``[embed] import_paths`` and of the input files ``inputs`` (name ->
     path or None) absolute; with ``imports`` the imported CSVs are inputs
     too. In stage ``load`` the manifest starts with ``parameters``
@@ -539,8 +531,7 @@ def _run(command, args, inputs, body, check=None, imports=False) -> int:
         else:
             cfg = load_config(args.config)
         cfg = _with_flags(cfg, args)
-        if check is not None:
-            check(cfg)
+        validate_config(cfg, command)
         ec = cfg.embed
         cfg = replace(
             cfg,
@@ -616,22 +607,14 @@ def _cmd_generate(args) -> int:
 
     categories = [None] * planted.graph.node_count
     if args.label_mode == "clique-side":
+        # each side of each copy takes the next discipline, cycling
         pool = [f"disc{i:02d}" for i in range(args.disciplines)]
-        size = tpl.size
-        for copy in range(args.copies):
-            base = copy * size
-            if args.template == "barbell":
-                left = pool[(2 * copy) % len(pool)]
-                right = pool[(2 * copy + 1) % len(pool)]
-                half = args.clique_size
-                for pos in range(size):
-                    # clique A and the chain carry the left label, clique B the right
-                    in_b = half <= pos < 2 * half
-                    categories[base + pos] = right if in_b else left
-            else:
-                side = pool[copy % len(pool)]
-                for pos in range(size):
-                    categories[base + pos] = side
+        n_sides = max(tpl.sides) + 1
+        categories = [
+            pool[(copy * n_sides + side) % len(pool)]
+            for copy in range(args.copies)
+            for side in tpl.sides
+        ]
 
     table = NodeTable(external_ids=ids, categories=categories)
     write_edge_list(planted.graph, table, out / "edges.txt")
@@ -673,8 +656,7 @@ def _cmd_embed(args) -> int:
         return f"{widths} -> {out}"
 
     inputs = {"graph": args.graph, "labels": args.labels}
-    check = lambda cfg: raise_problems(embed_problems(cfg.embed))
-    return _run("embed", args, inputs, body, check=check, imports=True)
+    return _run("embed", args, inputs, body, imports=True)
 
 
 def _cmd_cluster(args) -> int:
@@ -705,9 +687,7 @@ def _cmd_validate(args) -> int:
 
     inputs = {"graph": args.graph, "labels": args.labels, "orbits": args.orbits}
     inputs.update(zip(names, args.embedding))
-    # the [cluster] values of the sweep: validate reads no chosen_k
-    check = lambda cfg: raise_problems(sweep_problems(cfg.cluster))
-    return _run("validate", args, inputs, body, check=check)
+    return _run("validate", args, inputs, body)
 
 
 def _cmd_explain(args) -> int:
@@ -725,7 +705,7 @@ def _cmd_explain(args) -> int:
             )
         # the roles' count bounds explain.keep_roles
         stage.enter("config")
-        raise_problems(explain_problems(cfg.explain, roles.k))
+        validate_config(cfg, "explain", roles_k=roles.k)
         stage.enter("explain")
         features = _features(orbits, cfg, manifest)
         # the roles CSV names the embedding it came from; the seeds derive
@@ -768,7 +748,7 @@ def _cmd_pipeline(args) -> int:
             swept = _validate(embeddings, features, cfg, out, manifest)
 
             stage.enter("cluster")
-            # validate_config keeps chosen_k inside the swept k range
+            # stage config kept chosen_k inside the swept k range
             assignments = _cluster(embeddings, table, cfg, out, manifest, swept)
 
             stage.enter("explain")
@@ -787,7 +767,7 @@ def _cmd_pipeline(args) -> int:
         return f"ok ({len(manifest.outputs)} outputs) -> {out}"
 
     inputs = {"graph": args.graph, "labels": args.labels}
-    return _run("pipeline", args, inputs, body, check=validate_config, imports=True)
+    return _run("pipeline", args, inputs, body, imports=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

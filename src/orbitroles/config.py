@@ -5,6 +5,13 @@ One file carries every knob: ``[pipeline]`` holds the scalar fields of
 The INI casts come from the field annotations, so a field is declared
 once. Command-line flags win over file values. The resolved configuration
 is stored verbatim in the run manifest so reruns are reproducible.
+
+``validate_config`` is the one gate: every command but ``generate`` calls
+it in stage ``config``. It makes two kinds of check. Field checks hold for
+every command, since a config file is valid or not as a whole: each
+section field's bound (``min``) or choice set (``choices``), declared once
+in its ``metadata``, and the few checks that are neither, written out.
+Cross-field checks hold only for the commands that read both fields.
 """
 
 from __future__ import annotations
@@ -26,37 +33,37 @@ class EmbedConfig:
     graphwave_scales: tuple[float, ...] = DEFAULT_SCALES
     sample_points: int = DEFAULT_SAMPLE_POINTS
     t_max: float = DEFAULT_T_MAX
-    rolx_rank: int = DEFAULT_ROLX_RANK
+    rolx_rank: int = field(default=DEFAULT_ROLX_RANK, metadata={"min": 2})
     refex_depth: int = 2
     import_paths: tuple[str, ...] = ()
 
 
 @dataclass
 class ClusterConfig:
-    k_min: int = 2
+    k_min: int = field(default=2, metadata={"min": 2})
     k_max: int = 19
-    chosen_k: int = 3
-    sample_cap: int = 20000
+    chosen_k: int = field(default=3, metadata={"min": 2})
+    sample_cap: int = field(default=20000, metadata={"min": 2})
 
 
 @dataclass
 class ExplainConfig:
     method: str = "graphwave"
-    trees: int = 200
-    importance_repeats: int = 5
-    ale_bins: int = 32
+    trees: int = field(default=200, metadata={"min": 1})
+    importance_repeats: int = field(default=5, metadata={"min": 1})
+    ale_bins: int = field(default=32, metadata={"min": 2})
     effect_orbits: tuple[int, ...] = (0, 17, 27)
-    effect_kind: str = "ALE"
+    effect_kind: str = field(default="ALE", metadata={"choices": EFFECT_KINDS})
     keep_roles: tuple[int, ...] = ()
 
 
 @dataclass
 class IdrConfig:
-    direction: str = "citing"
-    distance: str = "uniform"
-    bins: int = 10
+    direction: str = field(default="citing", metadata={"choices": DIRECTIONS})
+    distance: str = field(default="uniform", metadata={"choices": DISTANCES})
+    bins: int = field(default=10, metadata={"min": 1})
     min_per_role: int = 50
-    pair_counting: str = "ordered"
+    pair_counting: str = field(default="ordered", metadata={"choices": PAIR_COUNTINGS})
 
 
 @dataclass
@@ -91,37 +98,30 @@ SECTIONS = {
 }
 
 
-def _not_among(name, value, allowed) -> list:
-    """The problem of a setting that is not one of ``allowed``, if it is not."""
-    return [] if value in allowed else [f"{name} {value!r} not among {list(allowed)}"]
-
-
-def explain_problems(ex: ExplainConfig, k: int) -> list:
-    """The problems of an [explain] section for roles 0..k-1: effect orbits
-    outside 0..72, an unknown effect kind, fewer than two ALE bins, fewer
-    than one tree or importance repeat, and ``keep_roles`` with fewer than
-    two distinct roles or a role outside [0, k)."""
-    bad = [o for o in ex.effect_orbits if not 0 <= o < ORBIT_COUNT]
-    problems = [f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}"] if bad else []
-    if ex.keep_roles:
-        if len(set(ex.keep_roles)) < 2:
-            problems.append(f"explain.keep_roles {list(ex.keep_roles)} has < 2 distinct roles")
-        bad = [r for r in ex.keep_roles if not 0 <= r < k]
-        if bad:
-            problems.append(f"explain.keep_roles {bad} outside [0, {k})")
-    problems += _not_among("explain.effect_kind", ex.effect_kind, EFFECT_KINDS)
-    if ex.ale_bins < 2:
-        problems.append(f"explain.ale_bins {ex.ale_bins} < 2")
-    for name in ("trees", "importance_repeats"):
-        if getattr(ex, name) < 1:
-            problems.append(f"explain.{name} {getattr(ex, name)} < 1")
+def _field_problems(cfg: PipelineConfig) -> list:
+    """The problems of the section fields that declare a bound (``min``) or
+    a choice set (``choices``) in their metadata, in section and field
+    order."""
+    problems = []
+    for name, cls in SECTIONS.items():
+        section = getattr(cfg, name)
+        for f in fields(cls):
+            value, low = getattr(section, f.name), f.metadata.get("min")
+            allowed = f.metadata.get("choices")
+            if low is not None and value < low:
+                problems.append(f"{name}.{f.name} {value} < {low}")
+            if allowed is not None and value not in allowed:
+                problems.append(f"{name}.{f.name} {value!r} not among {list(allowed)}")
     return problems
 
 
-def embed_problems(e: EmbedConfig) -> list:
-    """The problems of an [embed] section: a method that is not native or
-    is repeated, GraphWave sampling settings that no kernel can read,
-    scales that are not all positive, and a RolX rank below 2."""
+def _written_problems(cfg: PipelineConfig) -> list:
+    """The problems of the fields whose check is neither a bound nor a
+    choice: a method that is not native or is repeated, GraphWave sampling
+    settings that no kernel can read, scales that are not all positive,
+    effect orbits outside 0..72, and ``keep_roles`` with fewer than two
+    distinct roles."""
+    e, ex = cfg.embed, cfg.explain
     problems = []
     unknown = [m for m in e.methods if m not in NATIVE_METHODS]
     if unknown:
@@ -136,52 +136,45 @@ def embed_problems(e: EmbedConfig) -> list:
     problems += [f"embed.{p}" for p in sampling_problems(e.sample_points, e.t_max)]
     if not e.graphwave_scales or not all(s > 0 for s in e.graphwave_scales):
         problems.append(f"embed.graphwave_scales {list(e.graphwave_scales)} not all > 0")
-    if e.rolx_rank < 2:
-        problems.append(f"embed.rolx_rank {e.rolx_rank} < 2")
+    bad = [o for o in ex.effect_orbits if not 0 <= o < ORBIT_COUNT]
+    if bad:
+        problems.append(f"explain.effect_orbits {bad} outside 0..{ORBIT_COUNT - 1}")
+    if ex.keep_roles and len(set(ex.keep_roles)) < 2:
+        problems.append(f"explain.keep_roles {list(ex.keep_roles)} has < 2 distinct roles")
     return problems
 
 
-def sweep_problems(c: ClusterConfig) -> list:
-    """The problems of the [cluster] values that the sweep reads: ``k_min``
-    and ``sample_cap`` below 2."""
-    problems = [f"cluster.k_min {c.k_min} < 2"] if c.k_min < 2 else []
-    if c.sample_cap < 2:
-        problems.append(f"cluster.sample_cap {c.sample_cap} < 2")
-    return problems
+def validate_config(cfg: PipelineConfig, command: str, roles_k: int | None = None) -> None:
+    """Reject the settings of ``command`` that would only fail in a later
+    stage, as one error that joins every problem.
 
-
-def raise_problems(problems) -> None:
-    """Raise the settings' problems ``problems``, if any, as one error."""
+    The field checks come first, for every command. The cross-field checks
+    follow for the commands that read both fields: ``pipeline`` keeps
+    ``explain.method`` among ``embed.methods`` when nothing is imported (an
+    imported embedding's tag is known once its file is read) and
+    ``cluster.chosen_k`` in [``k_min``, ``k_max``], and ``validate`` keeps
+    ``k_min <= k_max``. ``explain.keep_roles`` must lie below the role
+    count: ``chosen_k`` in the pipeline, and for ``explain`` the ``roles_k``
+    of its roles CSV, which only a second call, once the CSV is read, can
+    pass.
+    """
+    problems = _written_problems(cfg) + _field_problems(cfg)
+    c, ex = cfg.cluster, cfg.explain
+    if command == "pipeline":
+        if not cfg.embed.import_paths and ex.method not in cfg.embed.methods:
+            problems.append(
+                f"explain.method {ex.method!r} not among embed.methods {list(cfg.embed.methods)}"
+            )
+        if not c.k_min <= c.chosen_k <= c.k_max:
+            problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
+        roles_k = c.chosen_k
+    if command == "validate" and c.k_min > c.k_max:
+        problems.append(f"cluster.k_max {c.k_max} < cluster.k_min {c.k_min}")
+    bad = [] if roles_k is None else [r for r in ex.keep_roles if not 0 <= r < roles_k]
+    if bad:
+        problems.append(f"explain.keep_roles {bad} outside [0, {roles_k})")
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-
-
-def validate_config(cfg: PipelineConfig) -> None:
-    """Reject settings that would only fail in a later stage.
-
-    Only checks that need no input data: an imported embedding's method
-    tag, for one, is known once its file is read, so ``explain.method`` is
-    checked here only when nothing is imported.
-    """
-    problems = []
-    if not cfg.embed.import_paths and cfg.explain.method not in cfg.embed.methods:
-        problems.append(
-            f"explain.method {cfg.explain.method!r} not among embed.methods "
-            f"{list(cfg.embed.methods)}"
-        )
-    problems += explain_problems(cfg.explain, cfg.cluster.chosen_k)
-    problems += embed_problems(cfg.embed)
-    c = cfg.cluster
-    problems += sweep_problems(c)
-    if not c.k_min <= c.chosen_k <= c.k_max:
-        problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
-    i = cfg.idr
-    problems += _not_among("idr.direction", i.direction, DIRECTIONS)
-    problems += _not_among("idr.distance", i.distance, DISTANCES)
-    problems += _not_among("idr.pair_counting", i.pair_counting, PAIR_COUNTINGS)
-    if i.bins < 1:
-        problems.append(f"idr.bins {i.bins} < 1")
-    raise_problems(problems)
 
 
 def _bool(raw: str) -> bool:

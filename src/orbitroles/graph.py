@@ -30,7 +30,7 @@ import csv
 import io
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -213,16 +213,12 @@ class NodeTable:
 
     external_ids: list
     categories: list = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.categories is None:
             self.categories = [None] * len(self.external_ids)
         if len(self.categories) != len(self.external_ids):
             raise ValueError("categories length does not match external_ids")
-        for key, col in self.extra.items():
-            if len(col) != len(self.external_ids):
-                raise ValueError(f"extra column {key!r} has wrong length")
         if len(set(self.external_ids)) != len(self.external_ids):
             raise GraphFormatError("duplicate external ids in node table")
 
@@ -298,7 +294,6 @@ def load_edge_list(path, table: NodeTable | None = None):
     out_table = NodeTable(
         external_ids=ids,
         categories=list(base.categories) + [None] * pad,
-        extra={k: list(col) + [""] * pad for k, col in base.extra.items()},
     )
     # components() takes passes over the edges: only for a line that is shown
     if logger.isEnabledFor(logging.INFO):
@@ -315,7 +310,8 @@ def write_edge_list(graph: Graph, table: NodeTable, path) -> None:
 
 
 def load_node_table(path) -> NodeTable:
-    """Read a CSV with header ``id[,category,...]`` into a NodeTable."""
+    """Read a CSV with header ``id[,category,...]`` into a NodeTable; other
+    columns are ignored."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -327,14 +323,8 @@ def load_node_table(path) -> NodeTable:
             raise GraphFormatError(f"{path}: header must name an 'id' column")
         id_col = header.index("id")
         cat_col = header.index("category") if "category" in header else None
-        extra_cols = [
-            (i, name)
-            for i, name in enumerate(header)
-            if i != id_col and i != cat_col
-        ]
 
         ids, cats = [], []
-        extra = {name: [] for _, name in extra_cols}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -348,20 +338,17 @@ def load_node_table(path) -> NodeTable:
                 cats.append(cell if cell else None)
             else:
                 cats.append(None)
-            for i, name in extra_cols:
-                extra[name].append(row[i])
 
     if not ids:
         raise GraphFormatError(f"{path}: node table has no rows")
     if len(set(ids)) != len(ids):
         dup = sorted(x for x, count in Counter(ids).items() if count > 1)
         raise GraphFormatError(f"{path}: duplicate id(s): {dup[:5]}")
-    return NodeTable(external_ids=ids, categories=cats, extra=extra)
+    return NodeTable(external_ids=ids, categories=cats)
 
 
 def write_node_table(table: NodeTable, path) -> None:
-    rows = list(zip(table.categories, *table.extra.values()))
-    write_csv(path, ["id", "category", *table.extra], rows, nodes=table)
+    write_csv(path, ["id", "category"], [(c,) for c in table.categories], nodes=table)
 
 
 def write_csv(path, header, rows=(), meta=None, nodes=None) -> None:

@@ -18,11 +18,14 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class Template:
-    """A small graph pattern with a role label per position."""
+    """A small graph pattern with a role label and a side per position. The
+    sides tell the parts of a copy apart for labelling: 1 marks clique B
+    of a barbell, 0 every other position."""
 
     name: str
     edges: tuple
     roles: tuple
+    sides: tuple
 
     @property
     def size(self) -> int:
@@ -37,7 +40,7 @@ def chain_template(length: int) -> Template:
         "chain-end" if i in (0, length - 1) else "chain-interior"
         for i in range(length)
     )
-    return Template(f"chain{length}", edges, roles)
+    return Template(f"chain{length}", edges, roles, (0,) * length)
 
 
 def star_template(leaves: int) -> Template:
@@ -45,7 +48,7 @@ def star_template(leaves: int) -> Template:
         raise ValueError("star needs at least 2 leaves")
     edges = tuple((i, leaves) for i in range(leaves))
     roles = tuple(["star-leaf"] * leaves + ["star-center"])
-    return Template(f"star{leaves}", edges, roles)
+    return Template(f"star{leaves}", edges, roles, (0,) * (leaves + 1))
 
 
 def clique_template(size: int) -> Template:
@@ -53,7 +56,7 @@ def clique_template(size: int) -> Template:
         raise ValueError("clique needs at least 3 nodes")
     edges = tuple((i, j) for i in range(size) for j in range(i + 1, size))
     roles = tuple(["clique-member"] * size)
-    return Template(f"clique{size}", edges, roles)
+    return Template(f"clique{size}", edges, roles, (0,) * size)
 
 
 def barbell_template(clique_size: int = 5, chain_len: int = 3) -> Template:
@@ -93,7 +96,9 @@ def barbell_template(clique_size: int = 5, chain_len: int = 3) -> Template:
             roles.append("bridge-center")
         else:
             roles.append(f"bridge-arm-{min(d_left, d_right)}")
-    return Template(f"barbell{c}x{chain_len}", tuple(edges), tuple(roles))
+    # clique A and the chain are side 0, clique B side 1
+    sides = (0,) * c + (1,) * c + (0,) * interior
+    return Template(f"barbell{c}x{chain_len}", tuple(edges), tuple(roles), sides)
 
 
 @dataclass

@@ -134,6 +134,44 @@ class TestGenerate:
             b"n0,disc00\nn1,disc00\nn2,disc00\nn3,disc01\nn4,disc01\nn5,disc01\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--template", "barbell", "--clique-size", 4, "--chain-len", 5],
+                "00dc5e7bb9a982a1366977fba1334f752895a65c99a2ab1ea1188526a09b6f15",
+            ),
+            (
+                ["--template", "chain", "--length", 3],
+                "b1d158ee4873278611ee7239d59d3f648235a6528a8dbe42dba28a0dd2d4540d",
+            ),
+            (
+                ["--template", "clique", "--clique-size", 5],
+                "6305962046e92cd9f6caa6586a5bdd4af2b03f9c72ad17784036301e3f3d7161",
+            ),
+            (
+                ["--template", "star", "--length", 3],
+                "446edc790bb40f6b633cb0fbfcc049f3159be35cee5b744127a393a577cc56bb",
+            ),
+            # the benchmark's planted-many corpus
+            (
+                ["--template", "barbell", "--clique-size", 5, "--chain-len", 5,
+                 "--copies", 200, "--disciplines", 4],
+                "2be27b4aae649f5e93fd5667a3d3b657add474f0f2cac387fed78bb9b8c7d8c9",
+            ),
+        ],
+    )
+    def test_clique_side_labels_golden(self, tmp_path, flags, digest):
+        # the labels cycle through fewer disciplines than copies (or sides);
+        # a case's own --copies and --disciplines come later and win
+        import hashlib
+
+        assert run(
+            "generate", "--copies", 7, "--disciplines", 3, *flags,
+            "--label-mode", "clique-side", "--out", tmp_path,
+        ) == 0
+        assert hashlib.sha256((tmp_path / "nodes.csv").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("disciplines", [0, -2])
     def test_disciplines_below_one_rejected(self, tmp_path, capsys, disciplines):
         # the labels cycle through the disciplines: none is a modulo by zero
@@ -946,6 +984,51 @@ class TestConfigCheckedBeforeCensus:
         ) == 0
 
     @pytest.mark.parametrize(
+        "command, flags, ini, message",
+        [
+            ("validate", ["--k-min", 5, "--k-max", 3], "", "cluster.k_max 3 < cluster.k_min 5"),
+            ("cluster", ["--k", 1], "", "cluster.chosen_k 1 < 2"),
+            ("idr", [], "[idr]\nbins = 0\n", "idr.bins 0 < 1"),
+            (
+                "idr",
+                [],
+                "[idr]\ndirection = sideways\n",
+                "idr.direction 'sideways' not among ['citing', 'cited', 'all']",
+            ),
+            ("explain", ["--trees", 0], "", "explain.trees 0 < 1"),
+            ("embed", [], "[embed]\nrolx_rank = 1\n", "embed.rolx_rank 1 < 2"),
+            # a field that census does not read: the file is valid or not as a whole
+            ("census", [], "[explain]\nale_bins = 1\n", "explain.ale_bins 1 < 2"),
+        ],
+    )
+    def test_every_command_checks_its_settings_in_config(
+        self, corpus, run_dir, tmp_path, capsys, command, flags, ini, message
+    ):
+        inputs = {
+            "census": [corpus / "edges.txt"],
+            "embed": [corpus / "edges.txt"],
+            "validate": [
+                corpus / "edges.txt", "--orbits", run_dir / "orbits.csv",
+                "--embedding", run_dir / "embedding_rolx.csv",
+            ],
+            "cluster": [
+                corpus / "edges.txt", "--embedding", run_dir / "embedding_rolx.csv"
+            ],
+            "explain": [
+                "--orbits", run_dir / "orbits.csv", "--roles", run_dir / "roles_graphwave.csv"
+            ],
+            "idr": [corpus / "edges.txt", "--roles", run_dir / "roles_graphwave.csv"],
+        }[command]
+        labels = [] if command == "explain" else ["--labels", corpus / "nodes.csv"]
+        cfg = write_config(tmp_path / "cfg.ini", ini)
+        out = tmp_path / "out"
+        code = run(command, *inputs, *labels, *flags, "--config", cfg, "--out", out)
+        assert code == 2
+        assert f"invalid config: {message}" in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=config\nerror=invalid config: {message}\n"
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["explain", "--orbits", "o.csv", "--roles", "r.csv", "--kind", "pdp"],
@@ -1096,7 +1179,9 @@ def test_manifest_metrics_hold_graphwave_and_sampled(corpus, tmp_path, command, 
     meta = graphwave_embed(graph).meta
     counts = {k: meta[k] for k in ("components", "distinct_components")}
     assert counts == {"components": 12, "distinct_components": 1}
-    assert metrics["graphwave"] == {"estimate_mb": estimate_graphwave_memory_mb(graph), **counts}
+    assert metrics["graphwave"] == {
+        "estimate_mb": estimate_graphwave_memory_mb(graph), "forked": threads == 2, **counts
+    }
     if command == "pipeline":
         with open(out / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -1176,38 +1261,54 @@ class TestGraphWaveBudget:
         assert not (tmp_path / "out" / "FAILED").exists()
         assert_no_children()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_lanes_side_by_side_checked_together(self, tmp_path, threads):
-        # BA n=2,000: GraphWave's estimate (168.2 MB) and the census's
-        # (26.1 MB) each fit a 170-MB budget, but not side by side on two
-        # workers; one worker runs them one after the other
+    @pytest.fixture(scope="class")
+    def side_by_side(self, tmp_path_factory):
+        """The pipeline on a BA graph of n=2,000 under a 170-MB budget: a
+        function of the thread count that returns the exit code and the
+        output directory, running the pipeline once per count."""
         from util import ba_graph
 
-        graph_file = tmp_path / "ba.txt"
+        root = tmp_path_factory.mktemp("side_by_side")
+        graph_file = root / "ba.txt"
         graph_file.write_text(
             "".join(f"n{u} n{v}\n" for u, v in ba_graph(2000, 4, 7).edges())
         )
-        cfg = write_config(
-            tmp_path / "cfg.ini",
-            BA_CFG.replace(
-                "[pipeline]\n", f"[pipeline]\nmemory_budget_mb = 170\nthreads = {threads}\n"
-            )
-            .replace("k_max = 6\nchosen_k = 4", "k_max = 3\nchosen_k = 3")
-            .replace("trees = 10", "trees = 2")
-            .replace("effect_orbits = 0,27", "effect_orbits = 0"),
-        )
-        out = tmp_path / "out"
-        code = run("pipeline", graph_file, "--config", cfg, "--out", out)
-        if threads == 1:
-            assert code == 0 and not (out / "FAILED").exists()
-        else:
-            assert code == 2
-            assert (out / "FAILED").read_text() == (
-                "stage=embed\nerror=estimated GraphWave working set 168.2 MB and census "
-                "working set 26.1 MB, side by side, exceed the 170 MB budget; "
-                "threads = 1 runs them one after the other\n"
-            )
-            assert not list(out.glob("*.csv"))
+        runs = {}
+
+        def pipeline(threads):
+            if threads not in runs:
+                cfg = write_config(
+                    root / f"cfg{threads}.ini",
+                    BA_CFG.replace(
+                        "[pipeline]\n",
+                        f"[pipeline]\nmemory_budget_mb = 170\nthreads = {threads}\n",
+                    )
+                    .replace("k_max = 6\nchosen_k = 4", "k_max = 3\nchosen_k = 3")
+                    .replace("trees = 10", "trees = 2")
+                    .replace("effect_orbits = 0,27", "effect_orbits = 0"),
+                )
+                out = root / f"out{threads}"
+                runs[threads] = run("pipeline", graph_file, "--config", cfg, "--out", out), out
+            return runs[threads]
+
+        return pipeline
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lanes_side_by_side_checked_together(self, side_by_side, threads):
+        # GraphWave's estimate (168.2 MB) and the census's (26.1 MB) each fit
+        # the budget, but not side by side: two workers run them one after
+        # the other, as one does, and write the same CSVs
+        code, out = side_by_side(threads)
+        assert code == 0 and not (out / "FAILED").exists()
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        wave, census = metrics["graphwave"]["estimate_mb"], metrics["census"]["estimate_mb"]
+        assert wave < 170 and census < 170 < wave + census
+        assert metrics["workers"] == threads and metrics["graphwave"]["forked"] is False
+        _, serial = side_by_side(1)
+        names = sorted(p.name for p in serial.glob("*.csv"))
+        assert names and sorted(p.name for p in out.glob("*.csv")) == names
+        for name in names:
+            assert (out / name).read_bytes() == (serial / name).read_bytes(), name
         assert_no_children()
 
     def test_staged_embed_fails_without_outputs(self, corpus, tmp_path, capsys):

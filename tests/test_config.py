@@ -2,7 +2,13 @@ from dataclasses import fields, replace
 
 import pytest
 
-from orbitroles.config import SECTIONS, PipelineConfig, config_from_dict, load_config
+from orbitroles.config import (
+    SECTIONS,
+    PipelineConfig,
+    config_from_dict,
+    load_config,
+    validate_config,
+)
 
 # a value for every tuple field; their element types cannot be read off an
 # empty default
@@ -155,3 +161,53 @@ def test_manifest_values_typed():
     assert cfg.embed.graphwave_scales == (1.0, 2.5)
     assert all(type(v) is float for v in cfg.embed.graphwave_scales)
     assert cfg.explain.effect_orbits == (3,)
+
+
+COMMANDS = ("census", "embed", "cluster", "validate", "explain", "idr", "pipeline")
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [(s, f.name) for s, cls in SECTIONS.items() for f in fields(cls) if f.metadata],
+)
+def test_declared_bound_or_choice_holds_for_every_command(section, name):
+    default = PipelineConfig()
+    part = getattr(default, section)
+    (meta,) = [f.metadata for f in fields(part) if f.name == name]
+    if "min" in meta:
+        bad, message = meta["min"] - 1, f"{section}.{name} {meta['min'] - 1} < {meta['min']}"
+    else:
+        bad, message = "nosuch", f"{section}.{name} 'nosuch' not among {list(meta['choices'])}"
+    cfg = replace(default, **{section: replace(part, **{name: bad})})
+    for command in COMMANDS:
+        validate_config(default, command)
+        with pytest.raises(ValueError) as info:
+            validate_config(cfg, command)
+        text = str(info.value)
+        assert text.startswith("invalid config: "), command
+        assert message in text.removeprefix("invalid config: ").split("; "), command
+
+
+def test_cross_field_checks_only_for_the_commands_that_read_both():
+    default = PipelineConfig()
+    swapped = replace(default, cluster=replace(default.cluster, k_min=5, k_max=3, chosen_k=4))
+    reads_k_range = {
+        "validate": "cluster.k_max 3 < cluster.k_min 5",
+        "pipeline": "cluster.chosen_k 4 outside [5, 3]",
+    }
+    for command in COMMANDS:
+        if command in reads_k_range:
+            with pytest.raises(ValueError) as info:
+                validate_config(swapped, command)
+            assert str(info.value) == f"invalid config: {reads_k_range[command]}"
+        else:
+            validate_config(swapped, command)
+    # keep_roles lies below the pipeline's chosen_k, and below the role
+    # count that explain passes once its roles CSV is read
+    kept = replace(default, explain=replace(default.explain, keep_roles=(0, 3)))
+    with pytest.raises(ValueError, match=r"^invalid config: explain.keep_roles \[3\] outside"):
+        validate_config(kept, "pipeline")
+    validate_config(kept, "explain")
+    validate_config(kept, "explain", roles_k=4)
+    with pytest.raises(ValueError, match=r"^invalid config: explain.keep_roles \[3\] outside"):
+        validate_config(kept, "explain", roles_k=3)

@@ -198,10 +198,10 @@ class TestNodeTable:
             load_node_table(path)
         assert str(err.value).endswith("duplicate id(s): ['a', 'b', 'c', 'd', 'e']")
 
-    def test_extra_columns_preserved(self, tmp_path):
-        path = write(tmp_path, "n.csv", "id,category,year\na,X,2017\nb,,2018\n")
+    def test_extra_columns_ignored(self, tmp_path):
+        path = write(tmp_path, "n.csv", "year,id,category\n2017,a,X\n2018,b,\n")
         table = load_node_table(path)
-        assert table.extra["year"] == ["2017", "2018"]
+        assert (table.external_ids, table.categories) == (["a", "b"], ["X", None])
 
     def test_node_table_round_trip(self, tmp_path):
         table = NodeTable(external_ids=["a", "b"], categories=["X", None])
@@ -635,16 +635,16 @@ class TestCsvFormatGolden:
             "bin,role,idr\n0,0,0.5\n0,0,0.25\n0,0,1.0\n0,0,0.0\n1,0,0.1\n"
         )
 
-    def test_node_table_with_extra_columns_and_a_missing_category(self, tmp_path):
+    def test_node_table_with_a_missing_category(self, tmp_path):
         table = NodeTable(
-            external_ids=["a", "b,c", ""],
-            categories=["X", None, "Y Z"],
-            extra={"year": ["2017", "", "2019"], "note": ['say "hi"', "x", ""]},
+            external_ids=["a", "b,c", "", 'say "hi"'],
+            categories=["X", None, "Y Z", 'p,"q"'],
         )
         write_node_table(table, tmp_path / "nodes.csv")
         assert self._text(tmp_path / "nodes.csv") == (
-            "id,category,year,note\n"
-            'a,X,2017,"say ""hi"""\n'
-            '"b,c",,,x\n'
-            ",Y Z,2019,\n"
+            "id,category\n"
+            "a,X\n"
+            '"b,c",\n'
+            ",Y Z\n"
+            '"say ""hi""","p,""q"""\n'
         )
