@@ -65,6 +65,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,6 @@ from .surrogate import (
     effect_curve,
     orbit3_threshold,
     permutation_importance,
-    refit_on_subpopulation,
     train_surrogate,
     write_effect_curves,
 )
@@ -363,88 +363,61 @@ def _cluster(embeddings, table, cfg, out, manifest, swept=None):
     return assignments
 
 
-def _effect_curves(model, features, ex, note):
-    """Effect curves of ``explain.effect_orbits`` for every class; an orbit
-    that is constant in ``features`` is skipped and passed to ``note``.
-    Returns the curves and the skipped orbits."""
-    curves, skipped = [], []
-    for orbit in ex.effect_orbits:
-        col = features.values[:, orbit]
-        if col.min() == col.max():
-            note(f"orbit {orbit} constant; effect curve skipped")
-            skipped.append(orbit)
-            continue
-        curves += effect_curve(model, features, orbit, bins=ex.ale_bins, kind=ex.effect_kind)
-    return curves, skipped
-
-
-def _explain(model, features, labels, threshold, ex, out, manifest, seed, suffix, note):
-    """Importance (seeded by ``seed``) and effect curves of one fitted
-    surrogate, written to ``importance<suffix>.csv`` and
-    ``effects<suffix>.csv``, with their counters in
-    ``metrics["explain<suffix>"]``. Returns the importance report."""
-    report = permutation_importance(
-        model, features, labels, repeats=ex.importance_repeats, seed=seed
-    )
-    report.to_csv(out / f"importance{suffix}.csv")
-    curves, skipped = _effect_curves(model, features, ex, note)
-    write_effect_curves(curves, threshold, out / f"effects{suffix}.csv")
-    manifest.add_output(out / f"importance{suffix}.csv")
-    manifest.add_output(out / f"effects{suffix}.csv")
-    manifest.metrics[f"explain{suffix}"] = {
-        "holdout_accuracy": model.holdout_accuracy,
-        "tree_nodes": model.nodes.feature.size,
-        "fit_rounds": model.fit_rounds,
-        "features_used": len(model.features_used()),
-        "importance_cells": report.meta["cells"],
-        "skipped_curves": skipped,
-    }
-    return report
-
-
 def _explain_roles(features, orbits, roles, cfg, out, manifest):
-    """Surrogate, importance and effect curves of one role assignment, plus
-    the sub-population refit when ``explain.keep_roles`` is set. Every seed
-    derives from the method that made the roles. Returns the model and its
-    importance report."""
+    """Surrogate, importance and effect curves of one role assignment, for
+    each population: every node (suffix ``""``), then with
+    ``explain.keep_roles`` the kept roles' nodes (``_subpop``), of which two
+    roles or more must be populated. A population's rows are cut from the
+    features and labels once, and an effect orbit constant among them is
+    skipped with a note that the sub-population prefixes ``sub-population: ``.
+    Each population writes ``importance<suffix>.csv`` and
+    ``effects<suffix>.csv`` and its counters ``metrics["explain<suffix>"]``.
+    Seeds derive from the roles' method, the sub-population's under ``-sub``
+    labels. Returns the whole population's model and importance report."""
     ex, seed, method = cfg.explain, cfg.seed, roles.method_tag
     threshold = orbit3_threshold(orbits)
-    model = train_surrogate(
-        features, roles, trees=ex.trees, seed=derive_seed(seed, "surrogate", method)
-    )
-    report = _explain(
-        model,
-        features,
-        roles.labels,
-        threshold,
-        ex,
-        out,
-        manifest,
-        seed=derive_seed(seed, "importance", method),
-        suffix="",
-        note=manifest.note,
-    )
+    populations, fitted = {"": slice(None)}, {}
     if ex.keep_roles:
-        sub = refit_on_subpopulation(
-            features,
-            roles,
-            keep_roles=ex.keep_roles,
-            trees=ex.trees,
-            seed=derive_seed(seed, "surrogate-sub", method),
+        populations["_subpop"] = np.isin(roles.labels, list(ex.keep_roles))
+    for suffix, rows in populations.items():
+        X, y = features.values[rows], roles.labels[rows]
+        sub, note = ("-sub", "sub-population: ") if suffix else ("", "")
+        if suffix and np.unique(y).size < 2:
+            raise ValueError(
+                f"need at least 2 populated roles after filtering, got {np.unique(y).size}"
+            )
+        model = train_surrogate(
+            X, y, trees=ex.trees, seed=derive_seed(seed, "surrogate" + sub, method)
         )
-        mask = np.isin(roles.labels, list(ex.keep_roles))
-        _explain(
-            sub,
-            type(features)(values=features.values[mask]),
-            roles.labels[mask],
-            threshold,
-            ex,
-            out,
-            manifest,
-            seed=derive_seed(seed, "importance-sub", method),
-            suffix="_subpop",
-            note=lambda text: manifest.note(f"sub-population: {text}"),
+        report = permutation_importance(
+            model,
+            X,
+            y,
+            repeats=ex.importance_repeats,
+            seed=derive_seed(seed, "importance" + sub, method),
         )
+        report.to_csv(out / f"importance{suffix}.csv")
+        curves, skipped = [], []
+        for orbit in ex.effect_orbits:
+            col = X[:, orbit]
+            if col.min() == col.max():
+                manifest.note(f"{note}orbit {orbit} constant; effect curve skipped")
+                skipped.append(orbit)
+                continue
+            curves += effect_curve(model, X, orbit, bins=ex.ale_bins, kind=ex.effect_kind)
+        write_effect_curves(curves, threshold, out / f"effects{suffix}.csv")
+        manifest.add_output(out / f"importance{suffix}.csv")
+        manifest.add_output(out / f"effects{suffix}.csv")
+        manifest.metrics[f"explain{suffix}"] = {
+            "holdout_accuracy": model.holdout_accuracy,
+            "tree_nodes": model.nodes.feature.size,
+            "fit_rounds": model.fit_rounds,
+            "features_used": len(model.features_used()),
+            "importance_cells": report.meta["cells"],
+            "skipped_curves": skipped,
+        }
+        fitted[suffix] = model, report
+    model, report = fitted[""]
     manifest.parameters["surrogate_holdout_accuracy"] = model.holdout_accuracy
     return model, report
 
@@ -695,14 +668,9 @@ def _cmd_explain(args) -> int:
         orbits, orbit_ids = orbits_from_csv(paths["orbits"])
         roles, role_ids = roles_from_csv(paths["roles"])
         if orbit_ids != role_ids:
-            mismatched = [
-                (a, b) for a, b in zip(orbit_ids, role_ids) if a != b
-            ] + [(a, "<missing>") for a in orbit_ids[len(role_ids):]] + [
-                ("<missing>", b) for b in role_ids[len(orbit_ids):]
-            ]
-            raise ValueError(
-                f"orbit/role id mismatch; first differences: {mismatched[:10]}"
-            )
+            pairs = zip_longest(orbit_ids, role_ids, fillvalue="<missing>")
+            mismatched = [(a, b) for a, b in pairs if a != b]
+            raise ValueError(f"orbit/role id mismatch; first differences: {mismatched[:10]}")
         # the roles' count bounds explain.keep_roles
         stage.enter("config")
         validate_config(cfg, "explain", roles_k=roles.k)

@@ -9,8 +9,8 @@ is stored verbatim in the run manifest so reruns are reproducible.
 ``validate_config`` is the one gate: every command but ``generate`` calls
 it in stage ``config``. It makes two kinds of check. Field checks hold for
 every command, since a config file is valid or not as a whole: each
-section field's bound (``min``) or choice set (``choices``), declared once
-in its ``metadata``, and the few checks that are neither, written out.
+field's bound (``min``) or choice set (``choices``), declared once in its
+``metadata``, and the few checks that are neither, written out.
 Cross-field checks hold only for the commands that read both fields.
 """
 
@@ -74,7 +74,7 @@ class PipelineConfig:
     dense matrices (1.6 GB at BA n = 5000) sit beside the census's."""
 
     seed: int = 0
-    threads: int | None = None
+    threads: int | None = field(default=None, metadata={"min": 1})
     drop_orbit0: bool = False
     memory_budget_mb: float = 4096.0
     embed: EmbedConfig = field(default_factory=EmbedConfig)
@@ -98,31 +98,33 @@ SECTIONS = {
 }
 
 
-def _field_problems(cfg: PipelineConfig) -> list:
-    """The problems of the section fields that declare a bound (``min``) or
-    a choice set (``choices``) in their metadata, in section and field
-    order."""
-    problems = []
-    for name, cls in SECTIONS.items():
-        section = getattr(cfg, name)
-        for f in fields(cls):
-            value, low = getattr(section, f.name), f.metadata.get("min")
-            allowed = f.metadata.get("choices")
-            if low is not None and value < low:
-                problems.append(f"{name}.{f.name} {value} < {low}")
+def _field_problems(cfg: PipelineConfig) -> dict:
+    """The problems of the fields that declare a bound (``min``) or a
+    choice set (``choices``) in their metadata, by ``section.field`` in
+    section and field order (``pipeline``: PipelineConfig's own fields)."""
+    problems = {}
+    parts = {"pipeline": cfg, **{name: getattr(cfg, name) for name in SECTIONS}}
+    for name, part in parts.items():
+        for f in fields(part):
+            key, value = f"{name}.{f.name}", getattr(part, f.name)
+            low, allowed = f.metadata.get("min"), f.metadata.get("choices")
+            if low is not None and value is not None and value < low:
+                problems[key] = f"{key} {value} < {low}"
             if allowed is not None and value not in allowed:
-                problems.append(f"{name}.{f.name} {value!r} not among {list(allowed)}")
+                problems[key] = f"{key} {value!r} not among {list(allowed)}"
     return problems
 
 
 def _written_problems(cfg: PipelineConfig) -> list:
     """The problems of the fields whose check is neither a bound nor a
-    choice: a method that is not native or is repeated, GraphWave sampling
-    settings that no kernel can read, scales that are not all positive,
-    effect orbits outside 0..72, and ``keep_roles`` with fewer than two
-    distinct roles."""
+    choice: a memory budget that is not positive, a method that is not
+    native or is repeated, GraphWave sampling settings that no kernel can
+    read, scales that are not all positive, effect orbits outside 0..72,
+    and ``keep_roles`` with fewer than two distinct roles."""
     e, ex = cfg.embed, cfg.explain
     problems = []
+    if not cfg.memory_budget_mb > 0:
+        problems.append(f"pipeline.memory_budget_mb {cfg.memory_budget_mb} is not positive")
     unknown = [m for m in e.methods if m not in NATIVE_METHODS]
     if unknown:
         problems.append(
@@ -158,14 +160,16 @@ def validate_config(cfg: PipelineConfig, command: str, roles_k: int | None = Non
     of its roles CSV, which only a second call, once the CSV is read, can
     pass.
     """
-    problems = _written_problems(cfg) + _field_problems(cfg)
+    failed = _field_problems(cfg)
+    problems = _written_problems(cfg) + list(failed.values())
     c, ex = cfg.cluster, cfg.explain
     if command == "pipeline":
         if not cfg.embed.import_paths and ex.method not in cfg.embed.methods:
             problems.append(
                 f"explain.method {ex.method!r} not among embed.methods {list(cfg.embed.methods)}"
             )
-        if not c.k_min <= c.chosen_k <= c.k_max:
+        # a chosen_k below its bound is reported once, as the bound
+        if "cluster.chosen_k" not in failed and not c.k_min <= c.chosen_k <= c.k_max:
             problems.append(f"cluster.chosen_k {c.chosen_k} outside [{c.k_min}, {c.k_max}]")
         roles_k = c.chosen_k
     if command == "validate" and c.k_min > c.k_max:

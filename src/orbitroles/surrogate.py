@@ -750,22 +750,6 @@ def orbit3_threshold(counts) -> float:
     return float(np.log1p(np.asarray(matrix)[:, 3].max()))
 
 
-def refit_on_subpopulation(
-    features, roles, keep_roles, trees: int = 200, seed: int = 0
-) -> SurrogateForest:
-    """Retrain the surrogate on the nodes of selected roles only."""
-    X = _as_features(features)
-    y = _as_labels(roles)
-    keep = set(int(r) for r in keep_roles)
-    mask = np.isin(y, sorted(keep))
-    populated = np.unique(y[mask])
-    if populated.size < 2:
-        raise SurrogateError(
-            f"need at least 2 populated roles after filtering, got {populated.size}"
-        )
-    return train_surrogate(X[mask], y[mask], trees=trees, seed=seed)
-
-
 def write_effect_curves(curves, threshold, path) -> None:
     """Plot-ready CSV of curves plus the triangle-threshold annotation,
     whose effect is absent (NaN)."""

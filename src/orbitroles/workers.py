@@ -39,17 +39,20 @@ class WorkerError(RuntimeError):
 
 
 def resolve_threads(requested=None) -> int:
-    """Worker count: an explicit value wins, then ORBITROLES_THREADS (a
-    value that is not an integer is an error naming it), then the CPUs this
-    process may run on."""
+    """Worker count: an explicit value, which validate_config holds at 1 or
+    more, then ORBITROLES_THREADS (an error naming it unless an integer of
+    1 or more), then the CPUs this process may run on."""
     if requested is not None:
-        return max(1, int(requested))
+        return int(requested)
     env = os.environ.get(_ENV_THREADS)
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
+            if threads < 1:
+                raise ValueError(f"{threads} < 1")
         except ValueError as exc:
             raise ValueError(f"{_ENV_THREADS}: {exc}") from None
+        return threads
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

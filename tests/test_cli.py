@@ -499,6 +499,43 @@ class TestExplainCommand:
         assert "mismatch" in err
         assert err.count("x") <= 25  # first 10 pairs, not the full list
 
+    @pytest.mark.parametrize(
+        "extra, missing",
+        [(None, "('n399', '<missing>')"), ("extra,0", "('<missing>', 'extra')")],
+    )
+    def test_id_mismatch_names_changed_and_missing_ids(
+        self, census_and_roles, tmp_path, capsys, extra, missing
+    ):
+        # n5 renamed, and the roles CSV one id short of the orbits CSV or one past it
+        orbits_path, roles_path = census_and_roles
+        lines = roles_path.read_text().splitlines()
+        head, rows = lines[:2], lines[2:]  # the k= comment and the column names
+        rows = [row.replace("n5,", "x5,") if row.startswith("n5,") else row for row in rows]
+        rows = rows[:-1] if extra is None else [*rows, extra]
+        bad_roles = tmp_path / "bad.csv"
+        bad_roles.write_text("\n".join([*head, *rows]) + "\n")
+        out = tmp_path / "out"
+        code = run("explain", "--orbits", orbits_path, "--roles", bad_roles, "--out", out)
+        assert code == 2
+        message = f"orbit/role id mismatch; first differences: [('n5', 'x5'), {missing}]"
+        assert message in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=load\nerror={message}\n"
+
+    def test_kept_role_without_nodes_fails_explain(self, census_and_roles, tmp_path, capsys):
+        # k=3 lets role 2 through the config gate, but no node holds it
+        orbits_path, roles_path = census_and_roles
+        three = tmp_path / "three.csv"
+        three.write_text(roles_path.read_text().replace("k=2", "k=3", 1))
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--orbits", orbits_path, "--roles", three,
+            "--trees", 5, "--keep-roles", 0, 2, "--out", out,
+        )
+        assert code == 2
+        message = "need at least 2 populated roles after filtering, got 1"
+        assert message in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=explain\nerror={message}\n"
+
 
 class TestIdrCommand:
     def test_idr_outputs(self, corpus, tmp_path):
@@ -727,16 +764,22 @@ class TestImportedEmbeddings:
 
 
 class TestStagedExplainMatchesPipeline:
-    def test_explain_on_pipeline_outputs_byte_identical(self, corpus, tmp_path):
+    @pytest.fixture(scope="class")
+    def kept_run(self, corpus, tmp_path_factory):
+        """The pipeline with ``keep_roles = 0,1``: its config and outputs."""
+        root = tmp_path_factory.mktemp("kept")
         cfg = write_config(
-            tmp_path / "cfg.ini",
+            root / "cfg.ini",
             BARBELL_CFG.replace("trees = 40", "trees = 8\nkeep_roles = 0,1"),
         )
-        pipe = tmp_path / "pipe"
         assert run(
             "pipeline", corpus / "edges.txt", "--labels", corpus / "nodes.csv",
-            "--config", cfg, "--out", pipe,
+            "--config", cfg, "--out", root / "pipe",
         ) == 0
+        return cfg, root / "pipe"
+
+    def test_explain_on_pipeline_outputs_byte_identical(self, kept_run, tmp_path):
+        cfg, pipe = kept_run
         staged = tmp_path / "staged"
         assert run(
             "explain", "--orbits", pipe / "orbits.csv",
@@ -746,6 +789,62 @@ class TestStagedExplainMatchesPipeline:
             "importance.csv", "effects.csv", "importance_subpop.csv", "effects_subpop.csv",
         ):
             assert (staged / name).read_bytes() == (pipe / name).read_bytes(), name
+
+    def test_subpopulation_outputs_golden(self, kept_run, tmp_path):
+        # the sub-population's CSVs and counters, from the pipeline and
+        # from staged explain with other kept roles and PDP curves
+        import hashlib
+
+        cfg, pipe = kept_run
+        staged = tmp_path / "staged"
+        assert run(
+            "explain", "--orbits", pipe / "orbits.csv", "--roles", pipe / "roles_graphwave.csv",
+            "--config", cfg, "--keep-roles", 0, 2, "--kind", "PDP", "--out", staged,
+        ) == 0
+        importance = "c9eaaffcf7e0c69dd29e05d9fa40a31aaf175d8d263e420e439142eacb7b5c25"
+        golden = {
+            pipe: {
+                "importance_subpop.csv": importance,
+                "effects_subpop.csv": "9bdefba5aa5f523d5149eaf15ce30822cd0d7e021e782684713f5aafddf7fb12",
+            },
+            staged: {
+                "importance_subpop.csv": importance,
+                "effects_subpop.csv": "4a89b7ade6fd3c964673fad4f84725d8b9185b0e378772252d076fed697b998e",
+            },
+        }
+        for out, digests in golden.items():
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        pipe_manifest = json.loads((pipe / "manifest.json").read_text())
+        staged_manifest = json.loads((staged / "manifest.json").read_text())
+        counters = {"holdout_accuracy": 1.0, "fit_rounds": 1}
+        assert pipe_manifest["metrics"]["explain_subpop"] == {
+            **counters, "tree_nodes": 20, "features_used": 5, "importance_cells": 10,
+            "skipped_curves": [],
+        }
+        assert staged_manifest["metrics"]["explain_subpop"] == {
+            **counters, "tree_nodes": 24, "features_used": 7, "importance_cells": 14,
+            "skipped_curves": [17, 28],
+        }
+        assert pipe_manifest["notes"] == []
+        assert staged_manifest["notes"] == [
+            f"sub-population: orbit {orbit} constant; effect curve skipped" for orbit in (17, 28)
+        ]
+
+    def test_subpopulation_curves_cover_the_kept_roles(self, kept_run, tmp_path):
+        # the sub-population's forest is fit on the kept roles' rows alone,
+        # so its curves have a class for each kept role and no other
+        cfg, pipe = kept_run
+        staged = tmp_path / "staged"
+        assert run(
+            "explain", "--orbits", pipe / "orbits.csv", "--roles", pipe / "roles_graphwave.csv",
+            "--config", cfg, "--keep-roles", 0, 2, "--out", staged,
+        ) == 0
+        for out, kept in ((pipe, {"0", "1"}), (staged, {"0", "2"})):
+            for name, classes in (("effects.csv", {"0", "1", "2"}), ("effects_subpop.csv", kept)):
+                with open(out / name) as fh:
+                    rows = [r for r in csv.DictReader(fh) if r["orbit"] != "annotation"]
+                assert {r["class"] for r in rows} == classes, (out.name, name)
 
 
 @pytest.mark.parametrize("drop_orbit0", ["false", "true"])
@@ -935,6 +1034,20 @@ class TestConfigCheckedBeforeCensus:
         assert (out / "FAILED").read_text() == f"stage=config\nerror={message}\n"
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, value", [("census", "0"), ("pipeline", "-2")])
+    def test_threads_environment_below_one_fails_config(
+        self, corpus, tmp_path, capsys, monkeypatch, command, value
+    ):
+        # as ``threads = 0`` in a config file does, rather than running one worker
+        monkeypatch.setenv("ORBITROLES_THREADS", value)
+        out = tmp_path / "out"
+        code = run(command, corpus / "edges.txt", "--labels", corpus / "nodes.csv", "--out", out)
+        assert code == 2
+        message = f"ORBITROLES_THREADS: {value} < 1"
+        assert message in capsys.readouterr().err
+        assert (out / "FAILED").read_text() == f"stage=config\nerror={message}\n"
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize(
         "methods, message",
         [
@@ -999,6 +1112,22 @@ class TestConfigCheckedBeforeCensus:
             ("embed", [], "[embed]\nrolx_rank = 1\n", "embed.rolx_rank 1 < 2"),
             # a field that census does not read: the file is valid or not as a whole
             ("census", [], "[explain]\nale_bins = 1\n", "explain.ale_bins 1 < 2"),
+            # [pipeline] fields: a worker count below 1 is not clamped to 1,
+            # and a budget that is not positive does not wait for the census
+            ("pipeline", ["--threads", -3], "", "pipeline.threads -3 < 1"),
+            ("pipeline", [], "[pipeline]\nthreads = 0\n", "pipeline.threads 0 < 1"),
+            (
+                "census",
+                ["--memory-budget-mb", 0],
+                "",
+                "pipeline.memory_budget_mb 0.0 is not positive",
+            ),
+            (
+                "embed",
+                [],
+                "[pipeline]\nmemory_budget_mb = -1\n",
+                "pipeline.memory_budget_mb -1.0 is not positive",
+            ),
         ],
     )
     def test_every_command_checks_its_settings_in_config(
@@ -1007,6 +1136,7 @@ class TestConfigCheckedBeforeCensus:
         inputs = {
             "census": [corpus / "edges.txt"],
             "embed": [corpus / "edges.txt"],
+            "pipeline": [corpus / "edges.txt"],
             "validate": [
                 corpus / "edges.txt", "--orbits", run_dir / "orbits.csv",
                 "--embedding", run_dir / "embedding_rolx.csv",

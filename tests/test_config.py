@@ -166,26 +166,31 @@ def test_manifest_values_typed():
 COMMANDS = ("census", "embed", "cluster", "validate", "explain", "idr", "pipeline")
 
 
+# section name -> dataclass; ``pipeline`` holds PipelineConfig's scalar fields
+PARTS = {"pipeline": PipelineConfig, **SECTIONS}
+
+
 @pytest.mark.parametrize(
     "section, name",
-    [(s, f.name) for s, cls in SECTIONS.items() for f in fields(cls) if f.metadata],
+    [(s, f.name) for s, cls in PARTS.items() for f in fields(cls) if f.metadata],
 )
 def test_declared_bound_or_choice_holds_for_every_command(section, name):
     default = PipelineConfig()
-    part = getattr(default, section)
+    part = default if section == "pipeline" else getattr(default, section)
     (meta,) = [f.metadata for f in fields(part) if f.name == name]
     if "min" in meta:
         bad, message = meta["min"] - 1, f"{section}.{name} {meta['min'] - 1} < {meta['min']}"
     else:
         bad, message = "nosuch", f"{section}.{name} 'nosuch' not among {list(meta['choices'])}"
-    cfg = replace(default, **{section: replace(part, **{name: bad})})
+    changed = replace(part, **{name: bad})
+    cfg = changed if section == "pipeline" else replace(default, **{section: changed})
     for command in COMMANDS:
         validate_config(default, command)
         with pytest.raises(ValueError) as info:
             validate_config(cfg, command)
-        text = str(info.value)
-        assert text.startswith("invalid config: "), command
-        assert message in text.removeprefix("invalid config: ").split("; "), command
+        # one problem, reported once: a pipeline chosen_k below its bound
+        # is not also outside [k_min, k_max]
+        assert str(info.value) == f"invalid config: {message}", command
 
 
 def test_cross_field_checks_only_for_the_commands_that_read_both():

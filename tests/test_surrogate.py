@@ -10,7 +10,6 @@ from orbitroles.surrogate import (
     effect_curve,
     orbit3_threshold,
     permutation_importance,
-    refit_on_subpopulation,
     train_surrogate,
     write_effect_curves,
 )
@@ -325,42 +324,6 @@ class TestOrbit3Threshold:
         assert orbit3_threshold(count_orbits(planted.graph)) == pytest.approx(
             np.log1p(6), abs=1e-12
         )
-
-
-class TestRefit:
-    def test_keep_all_matches_full_training(self):
-        planted = generate_planted_graph([barbell_template(5, 3)], 10, seed=0)
-        features = log_transform(count_orbits(planted.graph))
-        full = train_surrogate(features, planted.true_role, trees=15, seed=4)
-        refit = refit_on_subpopulation(
-            features, planted.true_role, keep_roles={0, 1, 2}, trees=15, seed=4
-        )
-        assert np.array_equal(full.predict(features), refit.predict(features))
-        assert full.holdout_accuracy == refit.holdout_accuracy
-
-    def test_subpopulation_filters_rows(self):
-        planted = generate_planted_graph([barbell_template(5, 3)], 10, seed=0)
-        features = log_transform(count_orbits(planted.graph))
-        names = planted.role_names
-        keep = {names.index("clique-attachment"), names.index("bridge-center")}
-        sub = refit_on_subpopulation(
-            features, planted.true_role, keep_roles=keep, trees=15, seed=5
-        )
-        assert set(sub.class_labels.tolist()) == keep
-        kept_rows = int(np.isin(planted.true_role, sorted(keep)).sum())
-        assert sub.train_idx.size + sub.test_idx.size == kept_rows
-
-    def test_single_role_rejected(self):
-        planted = generate_planted_graph([barbell_template(5, 3)], 5, seed=0)
-        features = log_transform(count_orbits(planted.graph))
-        with pytest.raises(SurrogateError, match="2 populated"):
-            refit_on_subpopulation(features, planted.true_role, keep_roles={0}, trees=5, seed=0)
-
-    def test_empty_after_filter_rejected(self):
-        planted = generate_planted_graph([barbell_template(5, 3)], 5, seed=0)
-        features = log_transform(count_orbits(planted.graph))
-        with pytest.raises(SurrogateError):
-            refit_on_subpopulation(features, planted.true_role, keep_roles={40, 50}, trees=5, seed=0)
 
 
 # --- whole-forest references for the cached explain paths ---------------------
@@ -815,17 +778,16 @@ class TestHistogramSplitEqualsReference:
         _assert_same_trees(model, reference)
         assert len(batches) > model.fit_rounds
 
-    def test_refit_on_subpopulation_exact(self):
+    def test_masked_subpopulation_exact(self):
+        # explain fits a sub-population on its rows cut from the features
+        # and labels: the forest on the cut arrays is the reference's
         from surrogate_reference import reference_trees
 
         planted = generate_planted_graph([barbell_template(5, 3)], 15, noise_edges=6, seed=1)
         features = log_transform(count_orbits(planted.graph))
-        keep = [0, 2]
-        sub = refit_on_subpopulation(
-            features, planted.true_role, keep_roles=keep, trees=8, seed=9
-        )
-        mask = np.isin(planted.true_role, keep)
-        reference = reference_trees(
-            sub, features.values[mask], np.asarray(planted.true_role)[mask]
-        )
-        _assert_same_trees(sub, reference)
+        labels = np.asarray(planted.true_role)
+        mask = np.isin(labels, [0, 2])
+        X, y = features.values[mask], labels[mask]
+        sub = train_surrogate(X, y, trees=8, seed=9)
+        assert sub.class_labels.tolist() == [0, 2]
+        _assert_same_trees(sub, reference_trees(sub, X, y))

@@ -112,9 +112,13 @@ class TestResolveThreads:
         monkeypatch.setenv("ORBITROLES_THREADS", "3")
         assert resolve_threads() == 3
         assert resolve_threads(2) == 2
-        assert resolve_threads(0) == 1
         monkeypatch.setenv("ORBITROLES_THREADS", "many")
         with pytest.raises(ValueError, match="ORBITROLES_THREADS: .*'many'"):
             resolve_threads()
+        # no count below 1 is clamped to 1
+        for value in ("0", "-2"):
+            monkeypatch.setenv("ORBITROLES_THREADS", value)
+            with pytest.raises(ValueError, match=f"^ORBITROLES_THREADS: {value} < 1$"):
+                resolve_threads()
         # a flag needs no environment
         assert resolve_threads(2) == 2
